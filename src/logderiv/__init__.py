@@ -30,6 +30,7 @@ from .groebner import (
 from .derivmod import (
     FactoredPolynomial,
     GradedContext,
+    LogModule,
     SaitoCertificate,
     annihilator_check,
     apply_derivation,

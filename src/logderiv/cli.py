@@ -17,18 +17,12 @@ from .groebner import module_equal, try_vector_degree
 from .derivmod import (
     FactoredPolynomial,
     GradedContext,
+    LogModule,
     format_derivation,
-    generalized_log_module,
     parse_derivation,
     saito_check,
 )
-from .resolution import (
-    alternating_degree_sum,
-    alternating_rank_sum,
-    betti_numbers,
-    free_resolution,
-    minimize,
-)
+from .resolution import alternating_degree_sum, alternating_rank_sum, betti_numbers
 from .hilbert import (
     chi,
     claim,
@@ -58,10 +52,19 @@ def _parse_int_list(text: str, n: int, what: str) -> tuple[int, ...]:
     return values
 
 
-def _build_inputs(args) -> tuple[list[str], FactoredPolynomial, GradedContext]:
-    names = [s.strip() for s in args.vars.split(",") if s.strip()]
+def _parse_names(text: str) -> list[str]:
+    names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
         raise UsageError("--vars must list the variable names")
+    if len(set(names)) != len(names):
+        raise UsageError(f"--vars lists a variable name twice: {text}")
+    return names
+
+
+def _build_inputs(args) -> tuple[list[str], FactoredPolynomial, GradedContext]:
+    names = _parse_names(args.vars)
+    if args.k is not None and args.k < 1:
+        raise UsageError(f"--k must be a power >= 1, got {args.k}")
     n = len(names)
     f = parse_poly(args.poly, names)
     if f.is_constant():
@@ -79,8 +82,7 @@ def _build_inputs(args) -> tuple[list[str], FactoredPolynomial, GradedContext]:
             raise UsageError("the factorization does not multiply out to the polynomial")
     else:
         # with --k the polynomial is the base of a single-factor power
-        power = args.k if getattr(args, "k", None) else 1
-        factored = FactoredPolynomial.single(f, power)
+        factored = FactoredPolynomial.single(f, 1 if args.k is None else args.k)
     if getattr(args, "infer_weights", False):
         u = infer_weights(f)
         if u is None:
@@ -133,31 +135,22 @@ def _render_text(report: dict, indent: str = ""):
 
 def cmd_derivations(args) -> int:
     names, factored, ctx = _build_inputs(args)
-    gens = generalized_log_module(factored, ctx)
-    dm = ctx.derivation_module()
+    mod = LogModule.of(factored, ctx)
     report = {
         "inputs": _echo(args, ctx),
-        "generators": [format_derivation(g, names, ctx.order()) for g in gens],
+        "generators": [format_derivation(g, names, ctx.order()) for g in mod.gens],
         "coefficients": [
-            [format_poly(p, names, ctx.order()) for p in g] for g in gens
+            [format_poly(p, names, ctx.order()) for p in g] for g in mod.gens
         ],
-        "degrees": [try_vector_degree(dm, g) for g in gens],
+        "degrees": [try_vector_degree(mod.module, g) for g in mod.gens],
         "ok": True,
     }
     return _emit(args, report)
 
 
-def _resolution_of(factored, ctx):
-    gens = generalized_log_module(factored, ctx)
-    graded = all(
-        try_vector_degree(ctx.derivation_module(), g) is not None for g in gens
-    )
-    return gens, free_resolution(ctx.derivation_module(), gens, graded=graded)
-
-
 def cmd_resolution(args) -> int:
     names, factored, ctx = _build_inputs(args)
-    gens, res = _resolution_of(factored, ctx)
+    res = LogModule.of(factored, ctx).resolution
     matrices = []
     chain = [res.generator_map] + list(res.maps)
     for m in chain:
@@ -180,10 +173,10 @@ def cmd_resolution(args) -> int:
 
 def cmd_betti(args) -> int:
     names, factored, ctx = _build_inputs(args)
-    gens, res = _resolution_of(factored, ctx)
-    if not res.graded:
+    mod = LogModule.of(factored, ctx)
+    if not mod.resolution.graded:
         raise UsageError("betti numbers need a quasi-homogeneous input")
-    table = betti_numbers(minimize(res))
+    table = betti_numbers(mod.minimal)
     report = {
         "inputs": _echo(args, ctx),
         "betti": table.to_triples(),
@@ -202,15 +195,14 @@ def cmd_chi(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    names = [s.strip() for s in args.vars.split(",") if s.strip()]
-    n = len(names)
+    n = len(_parse_names(args.vars))
     u = _parse_int_list(args.u, n, "--u") if args.u else (1,) * n
     if not args.poly:
         hp = hp_free([0], u)
         report = {"series": format_series(hp), "ok": True}
         return _emit(args, report)
     _, factored, ctx = _build_inputs(args)
-    gens, res = _resolution_of(factored, ctx)
+    res = LogModule.of(factored, ctx).resolution
     if not res.graded:
         raise UsageError("the series needs a quasi-homogeneous input")
     hp = hp_from_resolution(res)
@@ -237,8 +229,8 @@ def cmd_saito(args) -> int:
                     cert.is_basis, True)]
     spans = None
     if cert.is_basis:
-        dm = ctx.derivation_module()
-        spans = module_equal(dm, deltas, generalized_log_module(factored, ctx))
+        mod = LogModule.of(factored, ctx)
+        spans = module_equal(mod.module, deltas, mod.gens)
         claims.append(claim("the certified basis generates the computed module",
                             spans, True))
     report = {

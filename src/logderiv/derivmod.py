@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import (
     MonomialOrder,
@@ -39,6 +40,7 @@ from .groebner import (
     try_vector_degree,
     vec_is_zero,
 )
+from .resolution import Resolution, free_resolution, minimize
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,38 @@ def generalized_log_module(
     return list(buchberger(dm, gens).elements)
 
 
+@dataclass(frozen=True, eq=False)
+class LogModule:
+    """D(f) of one factored polynomial under one grading, with its
+    resolution and minimal resolution computed on first use and then kept,
+    so that every check on the instance reads the same objects.
+
+    `of` computes D(f) from a factorization it validates; a caller that has
+    already checked the factorization passes the generators directly.
+    """
+
+    factored: FactoredPolynomial
+    ctx: GradedContext
+    gens: list[Vector]
+
+    @classmethod
+    def of(cls, factored: FactoredPolynomial, ctx: GradedContext) -> "LogModule":
+        return cls(factored, ctx, generalized_log_module(factored, ctx))
+
+    @cached_property
+    def module(self) -> FreeModule:
+        return self.ctx.derivation_module()
+
+    @cached_property
+    def resolution(self) -> Resolution:
+        graded = all(try_vector_degree(self.module, g) is not None for g in self.gens)
+        return free_resolution(self.module, self.gens, graded=graded)
+
+    @cached_property
+    def minimal(self) -> Resolution:
+        return minimize(self.resolution)
+
+
 @dataclass(frozen=True)
 class SaitoCertificate:
     is_basis: bool
@@ -320,16 +354,13 @@ def saito_check(deltas: list[Vector], factored: FactoredPolynomial) -> SaitoCert
     return SaitoCertificate(False, None, det, "determinant / f is not constant")
 
 
-def annihilator_check(
-    factored: FactoredPolynomial, ctx: GradedContext
-) -> dict:
+def annihilator_check(mod: LogModule) -> dict:
     """Computes the ideal (D(f) : D) and verifies it equals <f>."""
-    dm = ctx.derivation_module()
-    gens = generalized_log_module(factored, ctx)
+    dm = mod.module
     units = [dm.unit_vector(i) for i in range(dm.rank)]
-    ideal = module_quotient(dm, gens, units)
-    f = factored.expand()
-    ring = ring_module(ctx.nvars, ctx.order())
+    ideal = module_quotient(dm, mod.gens, units)
+    f = mod.factored.expand()
+    ring = ring_module(mod.ctx.nvars, mod.ctx.order())
     ok = module_equal(ring, [(g,) for g in ideal], [(f,)])
     return {"ok": ok, "ideal": ideal, "f": f}
 

@@ -438,20 +438,8 @@ def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
     order = MonomialOrder((1,) * p.nvars)
-    exps = max(p.terms, key=order.key)
+    exps = max(p.terms, key=order.key_parts)
     return p * (Fraction(1) / p.terms[exps])
-
-
-def polynomial_gcd_many(polys) -> Polynomial:
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        raise ValueError("gcd of an empty or all-zero family")
-    g = polys[0]
-    for p in polys[1:]:
-        if g.is_constant():
-            break
-        g = polynomial_gcd(g, p)
-    return _monic(g)
 
 
 def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:

@@ -10,32 +10,39 @@ identities are reported claim by claim.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
-from .poly import Polynomial, squarefree_test
+from .poly import Polynomial, squarefree_test, u_degree
 from .groebner import polynomial_gcd
-from .derivmod import FactoredPolynomial, GradedContext, generalized_log_module
+from .derivmod import (
+    FactoredPolynomial,
+    GradedContext,
+    LogModule,
+    annihilator_check,
+    generalized_log_module,
+)
 from .hilbert import (
-    _monomials_of_weighted_degree as _weighted_monomials,
+    _monomials_of_weighted_degree,
+    chi,
     claim,
+    hp_from_resolution,
     quotient_ring_hp,
     dimension_via_pole,
     report_ok,
     verify_degree_identity,
 )
 from .resolution import (
-    Resolution,
     alternating_degree_sum,
     free_resolution,
     pad_with_trivial_pair,
 )
 
 MAX_TOTAL_WEIGHTED_DEGREE = 12
-
-
-def _monomials_of_weighted_degree(u, d):
-    return list(_weighted_monomials(u, d))
+# the annihilator/pole and resolution-independence checks are heavier, so
+# they run on every HEAVY_EVERY-th instance
+HEAVY_EVERY = 10
 
 
 def random_context(rng: random.Random, n: int) -> GradedContext:
@@ -50,13 +57,14 @@ def random_qh_polynomial(
     """Squarefree quasi-homogeneous polynomial with at least two monomials
     of a common weighted degree, or None if the draw fails."""
     n = len(u)
-    degrees = [
-        d for d in range(2, max_degree + 1) if len(_monomials_of_weighted_degree(u, d)) >= 2
-    ]
+    by_degree = {
+        d: list(_monomials_of_weighted_degree(u, d)) for d in range(2, max_degree + 1)
+    }
+    degrees = [d for d, monos in by_degree.items() if len(monos) >= 2]
     if not degrees:
         return None
     d = rng.choice(degrees)
-    monos = _monomials_of_weighted_degree(u, d)
+    monos = by_degree[d]
     size = rng.randint(2, min(4, len(monos)))
     support = rng.sample(monos, size)
     terms = {}
@@ -76,7 +84,9 @@ def random_instance(
 ) -> tuple[FactoredPolynomial, GradedContext]:
     """One admissible harness instance; retries draws until the factored
     polynomial passes the squarefree and coprimality requirements and the
-    total weighted degree stays desk sized."""
+    total weighted degree stays desk sized.  These rejection tests are the
+    checks of FactoredPolynomial.validate, so an instance needs no further
+    validation."""
     while True:
         n = rng.randint(2, max_vars)
         ctx = random_context(rng, n)
@@ -96,8 +106,6 @@ def random_instance(
                     okay = False
                     break
                 e = rng.randint(1, 3) if rng.random() < 0.35 else 1
-                from .poly import u_degree
-
                 d = u_degree(f, ctx.u)
             if any(not polynomial_gcd(f, g).is_constant() for g, _ in factors):
                 okay = False
@@ -115,35 +123,36 @@ def shift_context(ctx: GradedContext, by: int = 1) -> GradedContext:
     )
 
 
-def verify_v_shift(factored: FactoredPolynomial, ctx: GradedContext) -> dict:
-    """Recompute chi with v replaced by v + 1; the difference must be the
-    variable count."""
-    first = verify_degree_identity(factored, ctx, with_oracle=False)
-    second = verify_degree_identity(factored, shift_context(ctx), with_oracle=False)
+def instance_module(factored: FactoredPolynomial, ctx: GradedContext) -> LogModule:
+    """D(f) of a drawn instance, whose factorization random_instance has
+    already checked."""
+    return LogModule(factored, ctx, generalized_log_module(factored, ctx, validate=False))
+
+
+def verify_v_shift(mod: LogModule, chi_value: int) -> dict:
+    """Recompute chi with v replaced by v + 1; the difference from the
+    instance's chi must be the variable count."""
+    shifted = instance_module(mod.factored, shift_context(mod.ctx))
     claims = [
         claim(
             "shifting v by 1 changes chi by the variable count",
-            second["chi"] - first["chi"],
-            ctx.nvars,
+            chi(hp_from_resolution(shifted.resolution)).value - chi_value,
+            mod.ctx.nvars,
         )
     ]
     return {"claims": claims, "ok": report_ok(claims)}
 
 
-def verify_resolution_independence(
-    factored: FactoredPolynomial, ctx: GradedContext
-) -> dict:
+def verify_resolution_independence(mod: LogModule) -> dict:
     """A deliberately non-minimal resolution (redundant generators plus a
     padded trivial pair) and the default one agree on the alternating
     degree sum."""
-    dm = ctx.derivation_module()
-    gens = generalized_log_module(factored, ctx)
-    res = free_resolution(dm, gens)
-    f = factored.expand() if factored.factors else Polynomial.constant(1, ctx.nvars)
+    ctx, res = mod.ctx, mod.resolution
+    f = mod.factored.expand() if mod.factored.factors else Polynomial.constant(1, ctx.nvars)
     zero = Polynomial.zero(ctx.nvars)
-    redundant = list(gens)
+    redundant = list(mod.gens)
     redundant.append(tuple(f if i == 0 else zero for i in range(ctx.nvars)))
-    res_redundant = free_resolution(dm, redundant)
+    res_redundant = free_resolution(mod.module, redundant)
     res_padded = pad_with_trivial_pair(res_redundant, 1, max(res.f0_shifts) + 1)
     base = alternating_degree_sum(res)
     claims = [
@@ -155,39 +164,24 @@ def verify_resolution_independence(
     return {"claims": claims, "ok": report_ok(claims)}
 
 
-def verify_annihilator_and_dimension(
-    factored: FactoredPolynomial, ctx: GradedContext
-) -> dict:
-    from .derivmod import annihilator_check
-
-    ann = annihilator_check(factored, ctx)
-    hp = quotient_ring_hp([factored.expand()], ctx)
+def verify_annihilator_and_dimension(mod: LogModule) -> dict:
+    ann = annihilator_check(mod)
+    hp = quotient_ring_hp([ann["f"]], mod.ctx)
     claims = [
         claim("the annihilator of the cokernel is the principal ideal of f",
               ann["ok"], True),
         claim("pole order of the hypersurface quotient is n - 1",
-              dimension_via_pole(hp), ctx.nvars - 1),
+              dimension_via_pole(hp), mod.ctx.nvars - 1),
     ]
     return {"claims": claims, "ok": report_ok(claims)}
 
 
-def corrupted_claims(factored: FactoredPolynomial, ctx: GradedContext) -> list[dict]:
-    """Negative control: evaluate the degree-sum identity on a resolution
-    whose first shift was tampered with; the claim must fail."""
-    from .poly import u_degree
-
-    dm = ctx.derivation_module()
-    gens = generalized_log_module(factored, ctx)
-    res = free_resolution(dm, gens)
-    bad = Resolution(
-        (res.f0_shifts[0] + 1,) + res.f0_shifts[1:],
-        res.generator_map,
-        res.maps,
-        res.weights,
-        res.graded,
-        res.ambient,
-    )
-    expected = u_degree(factored.expand(), ctx.u) + ctx.v_sum
+def corrupted_claims(mod: LogModule, expected: int) -> list[dict]:
+    """Negative control: evaluate the degree-sum identity on a copy of the
+    instance's resolution whose first shift was tampered with; the claim
+    must fail."""
+    res = mod.resolution
+    bad = dataclasses.replace(res, f0_shifts=(res.f0_shifts[0] + 1,) + res.f0_shifts[1:])
     return [
         claim(
             "alternating degree sum equals deg(f) + |v| [corrupted resolution]",
@@ -204,29 +198,28 @@ def run_harness(
     seed: int = 0,
     d_max: int = 12,
     inject_fault: bool = False,
-    heavy_every: int = 10,
 ) -> dict:
     """Generate seeded instances and run the identity checks on each.
 
-    Annihilator/pole and resolution-independence checks are heavier, so they
-    run on every `heavy_every`-th instance (at least ten times across a
-    hundred instances).  Fault injection appends a deliberately failing
-    claim to the first instance.
+    D(f) and its resolutions are computed once per instance and shared by
+    the claims; the heavier claims run on every HEAVY_EVERY-th instance (at
+    least ten times across a hundred instances).  Fault injection appends a
+    deliberately failing claim to the first instance.
     """
     rng = random.Random(seed)
     instances = []
     all_ok = True
     for index in range(n_instances):
         factored, ctx = random_instance(rng, max_vars, max_degree)
-        report = verify_degree_identity(factored, ctx, d_max=d_max)
+        mod = instance_module(factored, ctx)
+        report = verify_degree_identity(mod, ctx, d_max=d_max)
         claims = list(report["claims"])
-        claims.extend(verify_v_shift(factored, ctx)["claims"])
-        heavy = index % heavy_every == 0
-        if heavy:
-            claims.extend(verify_resolution_independence(factored, ctx)["claims"])
-            claims.extend(verify_annihilator_and_dimension(factored, ctx)["claims"])
+        claims.extend(verify_v_shift(mod, report["chi"])["claims"])
+        if index % HEAVY_EVERY == 0:
+            claims.extend(verify_resolution_independence(mod)["claims"])
+            claims.extend(verify_annihilator_and_dimension(mod)["claims"])
         if inject_fault and index == 0:
-            claims.extend(corrupted_claims(factored, ctx))
+            claims.extend(corrupted_claims(mod, report["expected"]))
         ok = report_ok(claims)
         all_ok = all_ok and ok
         instances.append(

@@ -27,14 +27,13 @@ from .groebner import (
     vec_is_zero,
     vector_degree,
 )
-from .derivmod import FactoredPolynomial, GradedContext, generalized_log_module
+from .derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from .resolution import (
     Resolution,
     alternating_degree_sum,
     alternating_rank_sum,
     betti_numbers,
     free_resolution,
-    minimize,
     presentation_resolution,
 )
 
@@ -270,7 +269,7 @@ def _oracle_claim(
 
 
 def verify_degree_identity(
-    factored: FactoredPolynomial,
+    factored: FactoredPolynomial | LogModule,
     ctx: GradedContext,
     d_max: int = DEFAULT_ORACLE_DEGREE,
     with_oracle: bool = True,
@@ -278,38 +277,45 @@ def verify_degree_identity(
     """Checks, on one quasi-homogeneous instance, that the alternating shift
     sum of a graded resolution of the derivation module, the chi of its
     series, and the Betti-number form all equal deg(f) + |v|, plus the rank
-    identity and (optionally) the slice oracle."""
+    identity and (optionally) the slice oracle.
+
+    `factored` may be the instance's LogModule under ctx, whose D(f) and
+    resolutions are then read instead of computed here."""
     ctx.require_constraint()
+    mod = factored if isinstance(factored, LogModule) else None
+    if mod is not None:
+        if mod.ctx != ctx:
+            raise ValueError("the LogModule was built under another grading")
+        factored = mod.factored
     f = factored.expand() if factored.factors else None
     degree = u_degree(f, ctx.u) if f is not None else 0
     expected = degree + ctx.v_sum
-    dm = ctx.derivation_module()
-    gens = generalized_log_module(factored, ctx)
-    res = free_resolution(dm, gens)
-    hp = hp_from_resolution(res)
-    minimal = minimize(res)
+    if mod is None:
+        mod = LogModule.of(factored, ctx)
+    res, minimal = mod.resolution, mod.minimal
+    value = chi(hp_from_resolution(res)).value
+    betti = betti_numbers(minimal)
     claims = [
         claim("alternating degree sum equals deg(f) + |v|",
               alternating_degree_sum(res), expected),
-        claim("chi of the resolution series equals deg(f) + |v|",
-              chi(hp).value, expected),
+        claim("chi of the resolution series equals deg(f) + |v|", value, expected),
         claim("chi is resolution independent",
-              chi(hp_from_resolution(minimal)).value, chi(hp).value),
+              chi(hp_from_resolution(minimal)).value, value),
         claim("betti weighted alternating sum equals deg(f) + |v|",
-              betti_numbers(minimal).weighted_alternating_sum(), expected),
+              betti.weighted_alternating_sum(), expected),
         claim("alternating rank sum equals the variable count",
               alternating_rank_sum(res), ctx.nvars),
     ]
     if with_oracle:
-        claims.append(_oracle_claim(dm, gens, res, d_max))
+        claims.append(_oracle_claim(mod.module, mod.gens, res, d_max))
     return {
         "degree": degree,
         "v_sum": ctx.v_sum,
         "expected": expected,
         "shifts": [list(res.shifts(p)) for p in range(res.length + 1)],
         "minimal_shifts": [list(minimal.shifts(p)) for p in range(minimal.length + 1)],
-        "betti": betti_numbers(minimal).to_triples(),
-        "chi": chi(hp).value,
+        "betti": betti.to_triples(),
+        "chi": value,
         "claims": claims,
         "ok": report_ok(claims),
     }

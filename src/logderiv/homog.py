@@ -200,6 +200,10 @@ def affine_log_resolution(
     gens, _ = minimal_generators(dm, gens, graded=False)
     if mix is not None:
         i, j = mix
+        if not (0 <= i < len(gens) and 0 <= j < len(gens)):
+            raise ValueError(
+                f"mix indices {i},{j} out of range: generators are 0..{len(gens) - 1}"
+            )
         gens = list(gens)
         gens[i] = tuple(a + b for a, b in zip(gens[i], gens[j]))
     res = free_resolution(dm, gens, graded=False)

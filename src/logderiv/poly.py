@@ -198,14 +198,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def mul_term(self, exps: Exponents, coeff: Fraction) -> "Polynomial":
-        """Multiply by coeff * x^exps (fast path used by the division loops)."""
-        if coeff == 0:
-            return Polynomial.zero(self.nvars)
-        return Polynomial._raw(
-            self.nvars, {mono_mul(e, exps): c * coeff for e, c in self.terms.items()}
-        )
-
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             if other.nvars != self.nvars:
@@ -294,9 +286,6 @@ class MonomialOrder:
         tail = tuple(-e for e in reversed(exps))
         return (elim, main, tail)
 
-    def key(self, exps: Exponents) -> tuple:
-        return self.key_parts(exps)
-
 
 def degree_order(nvars: int) -> MonomialOrder:
     return MonomialOrder((1,) * nvars)
@@ -320,21 +309,6 @@ def u_degree(p: Polynomial, u: tuple[int, ...]) -> int:
     return d
 
 
-def is_quasi_homogeneous(p: Polynomial, u: tuple[int, ...]) -> bool:
-    try:
-        u_degree(p, u)
-        return True
-    except NotQuasiHomogeneous:
-        return False
-
-
-def lead_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-    if p.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no leading term")
-    exps = max(p.terms, key=order.key)
-    return exps, p.terms[exps]
-
-
 def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     """Formal partial derivative with respect to the i-th variable."""
     if not 0 <= i < p.nvars:
@@ -347,10 +321,6 @@ def partial_derivative(p: Polynomial, i: int) -> Polynomial:
         d[i] -= 1
         out[tuple(d)] = c * e[i]
     return Polynomial._raw(p.nvars, out)
-
-
-def gradient(p: Polynomial) -> tuple[Polynomial, ...]:
-    return tuple(partial_derivative(p, i) for i in range(p.nvars))
 
 
 def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -605,7 +575,7 @@ def format_poly(p: Polynomial, names: list[str], order: MonomialOrder | None = N
     if order is None:
         order = degree_order(p.nvars)
     parts = []
-    for exps in sorted(p.terms, key=order.key, reverse=True):
+    for exps in sorted(p.terms, key=order.key_parts, reverse=True):
         c = p.terms[exps]
         factors = []
         for name, e in zip(names, exps):

@@ -129,16 +129,13 @@ def minimal_generators(
     return kept, [degree_of[id(g)] for g in kept]
 
 
-def free_resolution(
-    module: FreeModule, gens, graded: bool = True, minimize_steps: bool = True
-) -> Resolution:
+def free_resolution(module: FreeModule, gens, graded: bool = True) -> Resolution:
     """Resolution of the submodule generated by gens.
 
     Step 0 keeps the given generators verbatim (one column each); every
-    later step generates the syzygies of the previous one.  With
-    minimize_steps the syzygy generating sets are pruned to irredundant
-    (graded: minimal) ones, which guarantees termination within the number
-    of variables.
+    later step generates the syzygies of the previous one, pruned to an
+    irredundant (graded: minimal) generating set, which guarantees
+    termination within the number of variables.
     """
     gens = [tuple(g) for g in gens if not vec_is_zero(g)]
     weights = module.order.weights[: module.nvars - module.order.n_elim]
@@ -156,12 +153,7 @@ def free_resolution(
         syz = [s for s in syz if not vec_is_zero(s)]
         if not syz:
             break
-        if minimize_steps:
-            syz, shifts = minimal_generators(syz_module, syz, graded)
-        elif graded:
-            shifts = [vector_degree(syz_module, s) for s in syz]
-        else:
-            shifts = [vector_degree_bound(syz_module, s) for s in syz]
+        syz, shifts = minimal_generators(syz_module, syz, graded)
         maps.append(ModuleMap(tuple(syz), tuple(shifts), current_shifts, graded))
         if len(maps) > module.nvars + 1:
             raise RuntimeError("resolution exceeded the expected length bound")

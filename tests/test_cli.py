@@ -112,6 +112,27 @@ def test_homogenize_mix_negative_control(capsys):
     assert report["chi"] == 4
 
 
+def test_homogenize_mix_index_out_of_range(capsys):
+    for mix in ("--mix=9,0", "--mix=-1,0"):
+        code, out, err = run(
+            capsys, "homogenize", "x^2*z+y^3+z^4", "--vars", "x,y,z", mix,
+        )
+        assert code == 2 and out == ""
+        assert "0..3" in err
+
+
+def test_power_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "derivations", "x+y", "--vars", "x,y", "--k", "0")
+    assert code == 2 and out == ""
+    assert "--k" in err
+
+
+def test_duplicate_variable_names_are_usage_error(capsys):
+    code, out, err = run(capsys, "derivations", "x^2+y^2", "--vars", "x,x")
+    assert code == 2 and out == ""
+    assert "twice" in err
+
+
 def test_saito_certificate(capsys, tmp_path):
     basis = tmp_path / "basis.txt"
     basis.write_text("x^2*d_x\ny^3*d_y\n", encoding="utf-8")
@@ -152,8 +173,19 @@ def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--random", "3", "--seed", "0", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
-    code, _, _ = run(capsys, "verify", "--random", "2", "--seed", "0", "--inject-fault")
+    code, out, _ = run(
+        capsys, "verify", "--random", "2", "--seed", "0", "--inject-fault", "--format", "json"
+    )
     assert code == 1
+    failing = [
+        (inst["index"], c["claim"])
+        for inst in json.loads(out)["instances"]
+        for c in inst["claims"]
+        if c["verdict"] != "pass"
+    ]
+    assert len(failing) == 1
+    index, name = failing[0]
+    assert index == 0 and name.endswith("[corrupted resolution]")
 
 
 def test_verify_empty_run_passes(capsys):

@@ -12,6 +12,7 @@ from logderiv.groebner import (
 from logderiv.derivmod import (
     FactoredPolynomial,
     GradedContext,
+    LogModule,
     annihilator_check,
     apply_derivation,
     derivation_degree,
@@ -218,18 +219,18 @@ def test_saito_basis_spans_computed_module():
 # --- annihilator ----------------------------------------------------------------
 
 def test_annihilator_conic():
-    report = annihilator_check(FactoredPolynomial.single(P("x^2+y^2")), CTX2)
+    report = annihilator_check(LogModule.of(FactoredPolynomial.single(P("x^2+y^2")), CTX2))
     assert report["ok"]
 
 
 def test_annihilator_hyperplane():
-    report = annihilator_check(FactoredPolynomial.single(P("x")), CTX2)
+    report = annihilator_check(LogModule.of(FactoredPolynomial.single(P("x")), CTX2))
     assert report["ok"]
 
 
 def test_annihilator_nonreduced():
     fp = FactoredPolynomial(((P("x"), 2), (P("y"), 3)))
-    report = annihilator_check(fp, CTX2)
+    report = annihilator_check(LogModule.of(fp, CTX2))
     assert report["ok"]
 
 
