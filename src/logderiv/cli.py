@@ -299,7 +299,11 @@ def _add_common(parser, poly_required=True):
     parser.add_argument("--factors", help="comma-separated factor:multiplicity pairs")
     parser.add_argument("--u", help="comma-separated positive weights")
     parser.add_argument("--v", help="comma-separated derivation-slot shifts")
-    parser.add_argument("--k", type=int, help="power for a single-factor module")
+    parser.add_argument(
+        "--k", type=int,
+        help="power e >= 1 of the single polynomial (the JSON field inputs.k is "
+        "the grading constant u_i + v_i, not this power)",
+    )
     parser.add_argument(
         "--infer-weights", action="store_true",
         help="infer the weight vector from the polynomial",

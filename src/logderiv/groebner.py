@@ -5,7 +5,8 @@ an element is a pair (slot, exponents); terms are compared by shifted
 weighted degree first (so a graded order on the module refines the grading),
 then by the ring order, with lower slot index winning ties.  An optional
 block split turns the order into an elimination order for the leading block
-of slots, which is how syzygies are extracted.
+of slots, which is how syzygies are extracted.  `FreeModule.desc_key` is the
+one definition of this order: ascending in it is descending term order.
 
 Everything is exact over Q and deterministic: bases are fully interreduced,
 made monic and sorted, so the reduced basis of a module under a fixed order
@@ -15,7 +16,7 @@ is unique and normal forms are canonical.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import (
@@ -44,15 +45,28 @@ class FreeModule:
     shifts: tuple[int, ...]
     order: MonomialOrder
     block_split: int | None = None
+    # desc_key memo; it lives and dies with this module
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.shifts)
 
-    def term_key(self, slot: int, exps: Exponents) -> tuple:
-        block = 1 if self.block_split is None or slot < self.block_split else 0
-        elim, wdeg, tail = self.order.key_parts(exps)
-        return (block, elim, wdeg + self.shifts[slot], tail, -slot)
+    def desc_key(self, term: FlatTerm) -> tuple:
+        """Sort key of a term: ascending in it is descending term order.
+
+        Leading block first, then elimination degree, shifted weighted
+        degree, the ring order's reverse-lexicographic tie-break, and lower
+        slot first.
+        """
+        key = self._keys.get(term)
+        if key is None:
+            slot, exps = term
+            block = 1 if self.block_split is None or slot < self.block_split else 0
+            elim, wdeg, tail = self.order.key_parts(exps)
+            key = (-block, -elim, -(wdeg + self.shifts[slot]), tuple(-e for e in tail), slot)
+            self._keys[term] = key
+        return key
 
     def zero_vector(self) -> Vector:
         return tuple(Polynomial.zero(self.nvars) for _ in range(self.rank))
@@ -138,11 +152,10 @@ class _Prepared:
 
     def __init__(self, module: FreeModule, flat: dict[FlatTerm, Fraction]):
         self.flat = flat
-        slot, exps = max(flat, key=lambda t: module.term_key(*t))
-        self.slot = slot
-        self.exps = exps
-        self.coeff = flat[(slot, exps)]
-        self.key = module.term_key(slot, exps)
+        lead = min(flat, key=module.desc_key)
+        self.slot, self.exps = lead
+        self.coeff = flat[lead]
+        self.key = module.desc_key(lead)
 
 
 def _prepare(module: FreeModule, vectors) -> list[_Prepared]:
@@ -158,35 +171,48 @@ def _divide_flat(
     """Full division: returns (quotients, remainder flat).
 
     The remainder contains no term divisible by any basis lead; with a
-    reduced basis it is the canonical normal form.
+    reduced basis it is the canonical normal form.  Terms are taken largest
+    first from a heap of their desc_keys.  A reduction step only adds terms
+    below the one it removes, so each term is handled once and the remainder
+    is built in descending order.  A term that is cancelled and recreated
+    while its entry is still queued gets a second entry; the first one
+    popped handles it and the term leaves `work`, so the other is skipped.
     """
+    key = module.desc_key
     work = dict(flat)
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
     remainder: dict[FlatTerm, Fraction] = {}
     quotients: list[dict[Exponents, Fraction]] = [{} for _ in basis] if want_quotients else []
-    keyfn = module.term_key
-    while work:
-        slot, exps = max(work, key=lambda t: keyfn(*t))
-        coeff = work[(slot, exps)]
-        reduced = False
+    while heap:
+        term = heapq.heappop(heap)[1]
+        coeff = work.get(term)
+        if coeff is None:
+            continue
+        slot, exps = term
         for idx, b in enumerate(basis):
             if b.slot == slot and mono_divides(b.exps, exps):
                 gamma = mono_div(exps, b.exps)
                 factor = coeff / b.coeff
                 for (s2, e2), c2 in b.flat.items():
-                    key2 = (s2, mono_mul(e2, gamma))
-                    s = work.get(key2, 0) - factor * c2
-                    if s:
-                        work[key2] = s
+                    t2 = (s2, mono_mul(e2, gamma))
+                    old = work.get(t2)
+                    if old is None:
+                        work[t2] = -factor * c2
+                        heapq.heappush(heap, (key(t2), t2))
                     else:
-                        work.pop(key2, None)
+                        s = old - factor * c2
+                        if s:
+                            work[t2] = s
+                        else:
+                            del work[t2]
                 if want_quotients:
                     q = quotients[idx]
                     q[gamma] = q.get(gamma, 0) + factor
-                reduced = True
                 break
-        if not reduced:
-            remainder[(slot, exps)] = coeff
-            del work[(slot, exps)]
+        else:
+            remainder[term] = coeff
+            del work[term]
     return quotients, remainder
 
 
@@ -245,6 +271,12 @@ def _monic_flat(flat: dict[FlatTerm, Fraction], lead_coeff: Fraction) -> dict:
     return {k: v * inv for k, v in flat.items()}
 
 
+def _ascending(key: tuple) -> tuple:
+    """Negate a desc_key: ascending in the result is ascending term order."""
+    block, elim, wdeg, rexps, slot = key
+    return (-block, -elim, -wdeg, tuple(-e for e in rexps), -slot)
+
+
 def buchberger(module: FreeModule, gens) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by gens.
 
@@ -267,27 +299,24 @@ def buchberger(module: FreeModule, gens) -> GroebnerBasis:
             ):
                 continue
             lcm = mono_lcm(a.exps, b.exps)
-            heapq.heappush(pairs, (module.term_key(a.slot, lcm), i, new_idx))
+            heapq.heappush(pairs, (_ascending(module.desc_key((a.slot, lcm))), i, new_idx))
 
-    for g in gens:
-        if vec_is_zero(g):
-            continue
-        _, rem = _divide_flat(module, flatten(g), basis)
+    def reduce_and_add(flat: dict[FlatTerm, Fraction]):
+        _, rem = _divide_flat(module, flat, basis)
         if rem:
-            lead = max(rem, key=lambda t: module.term_key(*t))
+            lead = min(rem, key=module.desc_key)
             basis.append(_Prepared(module, _monic_flat(rem, rem[lead])))
             push_pairs(len(basis) - 1)
+
+    for g in gens:
+        if not vec_is_zero(g):
+            reduce_and_add(flatten(g))
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
         s = _spoly_flat(module, basis[i], basis[j])
-        if not s:
-            continue
-        _, rem = _divide_flat(module, s, basis)
-        if rem:
-            lead_coeff = rem[max(rem, key=lambda t: module.term_key(*t))]
-            basis.append(_Prepared(module, _monic_flat(rem, lead_coeff)))
-            push_pairs(len(basis) - 1)
+        if s:
+            reduce_and_add(s)
 
     return GroebnerBasis(module, _interreduce(module, basis))
 
@@ -300,7 +329,7 @@ def _interreduce(module: FreeModule, basis: list[_Prepared]) -> tuple[Vector, ..
     first); on the minimal basis, full normal-form passes can no longer
     touch any lead, so they terminate with irreducible tails.
     """
-    items = sorted(basis, key=lambda b: b.key)
+    items = sorted(basis, key=lambda b: b.key, reverse=True)
     kept: list[_Prepared] = []
     for b in items:
         redundant = any(
@@ -321,9 +350,9 @@ def _interreduce(module: FreeModule, basis: list[_Prepared]) -> tuple[Vector, ..
             flats[i] = rem
     out = []
     for f in flats:
-        lead = max(f, key=lambda t: module.term_key(*t))
-        out.append((module.term_key(*lead), _monic_flat(f, f[lead])))
-    out.sort(key=lambda pair: pair[0], reverse=True)
+        lead = min(f, key=module.desc_key)
+        out.append((module.desc_key(lead), _monic_flat(f, f[lead])))
+    out.sort(key=lambda pair: pair[0])
     return tuple(unflatten(module, f) for _, f in out)
 
 

@@ -1,0 +1,69 @@
+"""Ground truth from hyperplane-arrangement theory (Orlik-Terao,
+*Arrangements of Hyperplanes*; Ziegler 1989 for multiarrangements): free
+arrangements have D(f) free on generators of the textbook exponents, with a
+Saito certificate, and a generic arrangement has its known resolution."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule, saito_check
+from logderiv.poly import Polynomial
+from logderiv.resolution import betti_numbers, minimal_generators
+
+
+def linear_form(normal) -> Polynomial:
+    n = len(normal)
+    return Polynomial(n, {tuple(int(k == i) for k in range(n)): Fraction(c)
+                          for i, c in enumerate(normal) if c})
+
+
+def arrangement(normals, multiplicities=None) -> FactoredPolynomial:
+    mults = multiplicities or (1,) * len(normals)
+    return FactoredPolynomial(tuple((linear_form(v), e) for v, e in zip(normals, mults)))
+
+
+def unit(n, i):
+    return tuple(int(k == i) for k in range(n))
+
+
+def coxeter_b(n):
+    """x_i and x_i +- x_j for i < j."""
+    return [unit(n, i) for i in range(n)] + [
+        tuple(a + s * b for a, b in zip(unit(n, i), unit(n, j)))
+        for i, j in combinations(range(n), 2) for s in (1, -1)
+    ]
+
+
+FREE = {
+    # name: (normals, multiplicities, exponents)
+    "A3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1)],
+           None, [1, 2, 3]),
+    "B4": (coxeter_b(4), None, [1, 3, 5, 7]),
+    # x^2 y^3 (x+y) (x-y)^2 (x+2y)^3: a rank-2 multiarrangement
+    "x2y3(x+y)(x-y)2(x+2y)3": ([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)],
+                               (2, 3, 1, 2, 3), [5, 6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE))
+def test_free_arrangement_has_textbook_exponents_and_saito_basis(name):
+    normals, mults, exponents = FREE[name]
+    fp = arrangement(normals, mults)
+    mod = LogModule.of(fp, GradedContext.standard(len(normals[0])))
+    minimal = mod.minimal
+    assert minimal.length == 0
+    assert sorted(minimal.shifts(0)) == exponents
+    assert sum(exponents) == fp.expand().total_degree()
+    basis, shifts = minimal_generators(mod.module, mod.gens, graded=True)
+    assert sorted(shifts) == exponents
+    assert saito_check(basis, fp).is_basis
+
+
+def test_generic_four_planes_in_three_space_resolution():
+    # 0 <- D <- S(-1) + S(-2)^3 <- S(-3) <- 0 (Rose-Terao, Yuzvinsky)
+    fp = arrangement([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    minimal = LogModule.of(fp, GradedContext.standard(3)).minimal
+    assert betti_numbers(minimal).entries == {(1, 0): 1, (2, 0): 3, (2, 1): 1}
+    assert [sorted(s) for s in minimal.all_shifts()] == [[1, 2, 2, 2], [3]]

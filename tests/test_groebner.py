@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -401,3 +404,167 @@ def test_groebner_membership_generators_reduce_to_zero(raw):
     gb = buchberger(mod, gens)
     for g in gens:
         assert vec_is_zero(normal_form(mod, g, gb))
+
+
+# --- division loop against a plain max-scan reference ---------------------------
+
+
+def old_term_key(module, term):
+    """The term order written out the long way: larger is higher."""
+    slot, exps = term
+    block = 1 if module.block_split is None or slot < module.block_split else 0
+    elim, wdeg, tail = module.order.key_parts(exps)
+    return (block, elim, wdeg + module.shifts[slot], tail, -slot)
+
+
+def reference_divide(module, flat, basis):
+    """Division that rescans for the largest term on every step."""
+    leads = []
+    for b in basis:
+        lead = max(b, key=lambda t: old_term_key(module, t))
+        leads.append((lead, b[lead]))
+    work = dict(flat)
+    remainder = {}
+    quotients = [{} for _ in basis]
+    while work:
+        term = max(work, key=lambda t: old_term_key(module, t))
+        slot, exps = term
+        coeff = work[term]
+        for idx, ((b_slot, b_exps), b_coeff) in enumerate(leads):
+            if b_slot == slot and all(x <= y for x, y in zip(b_exps, exps)):
+                gamma = tuple(x - y for x, y in zip(exps, b_exps))
+                factor = coeff / b_coeff
+                for (s2, e2), c2 in basis[idx].items():
+                    t2 = (s2, tuple(x + y for x, y in zip(e2, gamma)))
+                    v = work.get(t2, 0) - factor * c2
+                    if v:
+                        work[t2] = v
+                    else:
+                        work.pop(t2, None)
+                quotients[idx][gamma] = quotients[idx].get(gamma, 0) + factor
+                break
+        else:
+            remainder[term] = coeff
+            del work[term]
+    return quotients, remainder
+
+
+# Arguments of FreeModule for the four kinds of ambient the pipeline divides
+# in: a ring, a shifted module, the block-split module `syzygies` builds and
+# the one-variable elimination order `intersect` builds.  Repeated shifts
+# make terms tie up to the slot.  Each test builds its own module, so no
+# test sees another's key memo.
+AMBIENTS = {
+    "ring": (3, (0,), MonomialOrder((1, 1, 1))),
+    "shifted": (3, (1, 0, 1), MonomialOrder((1, 2, 1))),
+    "block_split": (2, (0, 0, 1, 1, 2), MonomialOrder((1, 1)), 2),
+    "n_elim": (3, (0, 0), MonomialOrder((1, 1, 1), n_elim=1)),
+}
+
+
+def random_term(rng, module, max_exp):
+    slot = rng.randrange(module.rank)
+    return (slot, tuple(rng.randint(0, max_exp) for _ in range(module.nvars)))
+
+
+def random_flat(rng, module, nterms, max_exp):
+    return {
+        random_term(rng, module, max_exp): Fraction(rng.choice([-2, -1, 1, 2]))
+        for _ in range(nterms)
+    }
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_heap_division_matches_max_scan_reference(name):
+    from logderiv.groebner import _Prepared, _divide_flat
+
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"divide-{name}")
+    reduced_steps = 0
+    for _ in range(40):
+        basis = [random_flat(rng, module, rng.randint(1, 4), 2) for _ in range(rng.randint(1, 4))]
+        flat = random_flat(rng, module, rng.randint(1, 10), 4)
+        ref_q, ref_rem = reference_divide(module, flat, basis)
+        prepared = [_Prepared(module, b) for b in basis]
+        quotients, remainder = _divide_flat(module, flat, prepared, want_quotients=True)
+        assert quotients == ref_q
+        assert remainder == ref_rem
+        assert list(remainder) == list(ref_rem)
+        _, plain = _divide_flat(module, flat, prepared)
+        assert list(plain.items()) == list(ref_rem.items())
+        reduced_steps += sum(len(q) for q in ref_q)
+    assert reduced_steps > 40  # the draws exercise reduction, not just copying
+
+
+def test_division_handles_a_cancelled_then_recreated_term():
+    # Reducing x^2 cancels the queued x*z; reducing y^2 then creates it
+    # again, so x*z is queued twice and must reach the remainder once.
+    from logderiv.groebner import _Prepared, _divide_flat
+
+    module = ring(3)
+    b1 = flatten((P("x^2+x*z", XYZ),))
+    b2 = flatten((P("y^2+x*z", XYZ),))
+    flat = flatten((P("x^2+y^2+x*z", XYZ),))
+    prepared = [_Prepared(module, b1), _Prepared(module, b2)]
+    quotients, remainder = _divide_flat(module, flat, prepared, want_quotients=True)
+    assert quotients == [{(0, 0, 0): 1}, {(0, 0, 0): 1}]
+    assert remainder == {(0, (1, 0, 1)): -1}
+    assert reference_divide(module, flat, [b1, b2]) == (quotients, remainder)
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_desc_key_sorts_in_descending_term_order(name):
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"keys-{name}")
+    terms = list({random_term(rng, module, 3) for _ in range(300)})
+    ascending = sorted(terms, key=module.desc_key)
+    assert ascending == sorted(terms, key=lambda t: old_term_key(module, t), reverse=True)
+
+
+def test_key_memo_is_not_part_of_module_identity():
+    a = FreeModule(2, (0, 1), MonomialOrder((1, 1)))
+    b = FreeModule(2, (0, 1), MonomialOrder((1, 1)))
+    a.desc_key((1, (2, 0)))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+
+
+# --- rank-1 reduced bases against sympy -------------------------------------------
+
+
+def random_ideal(rng, nvars):
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            exps = tuple(rng.randint(0, 2) for _ in range(nvars))
+            terms[exps] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        gens.append(Polynomial(nvars, terms))
+    return gens
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_reduced_basis_matches_sympy_grevlex(nvars):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(f"x1:{nvars + 1}")
+    rng = random.Random(f"sympy-{nvars}")
+    sizes = []
+    for _ in range(12):
+        gens = [g for g in random_ideal(rng, nvars) if not g.is_zero()]
+        ours = buchberger(ring(nvars), [(g,) for g in gens])
+        exprs = [
+            sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+                s**e for s, e in zip(symbols, exps)) for exps, c in g.terms.items())
+            for g in gens
+        ]
+        theirs = sympy.groebner(exprs, *symbols, order="grevlex", domain="QQ")
+        expected = set()
+        for poly in theirs.polys:  # made monic in grevlex, as ours are
+            lead = poly.LC(order="grevlex")
+            expected.add(frozenset(
+                (exps, Fraction(str(c / lead))) for exps, c in poly.as_dict().items()
+            ))
+        got = {frozenset(p.terms.items()) for (p,) in ours.elements}
+        assert got == expected
+        sizes.append(len(got))
+    assert max(sizes) > 2  # some draws are not already Groebner bases
