@@ -5,8 +5,9 @@ an element is a pair (slot, exponents); terms are compared by shifted
 weighted degree first (so a graded order on the module refines the grading),
 then by the ring order, with lower slot index winning ties.  An optional
 block split turns the order into an elimination order for the leading block
-of slots, which is how syzygies are extracted.  `FreeModule.desc_key` is the
-one definition of this order: ascending in it is descending term order.
+of slots; it is the one elimination mechanism, used both for syzygies and
+for intersections (in F ⊕ F).  `FreeModule.desc_key` is the one definition
+of this order: ascending in it is descending term order.
 
 Everything is exact over Q and deterministic: bases are fully interreduced,
 made monic and sorted, so the reduced basis of a module under a fixed order
@@ -23,10 +24,12 @@ from .poly import (
     Exponents,
     MonomialOrder,
     Polynomial,
+    degree_order,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    weighted_degree,
 )
 
 Vector = tuple[Polynomial, ...]
@@ -55,16 +58,15 @@ class FreeModule:
     def desc_key(self, term: FlatTerm) -> tuple:
         """Sort key of a term: ascending in it is descending term order.
 
-        Leading block first, then elimination degree, shifted weighted
-        degree, the ring order's reverse-lexicographic tie-break, and lower
-        slot first.
+        Leading block first, then shifted weighted degree, the ring order's
+        reverse-lexicographic tie-break, and lower slot first.
         """
         key = self._keys.get(term)
         if key is None:
             slot, exps = term
             block = 1 if self.block_split is None or slot < self.block_split else 0
-            elim, wdeg, tail = self.order.key_parts(exps)
-            key = (-block, -elim, -(wdeg + self.shifts[slot]), tuple(-e for e in tail), slot)
+            wdeg, tail = self.order.key_parts(exps)
+            key = (-block, -(wdeg + self.shifts[slot]), tuple(-e for e in tail), slot)
             self._keys[term] = key
         return key
 
@@ -114,7 +116,7 @@ def vector_degree(module: FreeModule, vec: Vector) -> int:
     degree = None
     for slot, p in enumerate(vec):
         for exps in p.terms:
-            d = module.order.main_degree(exps) + module.shifts[slot]
+            d = weighted_degree(exps, module.order.weights) + module.shifts[slot]
             if degree is None:
                 degree = d
             elif d != degree:
@@ -248,17 +250,17 @@ def normal_form(module: FreeModule, vec: Vector, gb: GroebnerBasis | list) -> Ve
 
 
 def _spoly_flat(module: FreeModule, a: _Prepared, b: _Prepared) -> dict[FlatTerm, Fraction]:
+    """S-vector of two basis elements with leads in one slot; basis
+    elements are monic, so no coefficient scaling is needed."""
     lcm = mono_lcm(a.exps, b.exps)
     ga, gb = mono_div(lcm, a.exps), mono_div(lcm, b.exps)
     out: dict[FlatTerm, Fraction] = {}
-    inv_a = Fraction(1) / a.coeff
     for (s, e), c in a.flat.items():
         key = (s, mono_mul(e, ga))
-        out[key] = out.get(key, 0) + c * inv_a
-    inv_b = Fraction(1) / b.coeff
+        out[key] = out.get(key, 0) + c
     for (s, e), c in b.flat.items():
         key = (s, mono_mul(e, gb))
-        v = out.get(key, 0) - c * inv_b
+        v = out.get(key, 0) - c
         if v:
             out[key] = v
         else:
@@ -273,8 +275,8 @@ def _monic_flat(flat: dict[FlatTerm, Fraction], lead_coeff: Fraction) -> dict:
 
 def _ascending(key: tuple) -> tuple:
     """Negate a desc_key: ascending in the result is ascending term order."""
-    block, elim, wdeg, rexps, slot = key
-    return (-block, -elim, -wdeg, tuple(-e for e in rexps), -slot)
+    block, wdeg, rexps, slot = key
+    return (-block, -wdeg, tuple(-e for e in rexps), -slot)
 
 
 def buchberger(module: FreeModule, gens) -> GroebnerBasis:
@@ -365,81 +367,58 @@ def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     ]
 
 
+def _eliminate(module: FreeModule, tail_shifts: tuple[int, ...], ext_gens) -> list[Vector]:
+    """Tails of the part of a submodule of `module` ⊕ F that lies in 0 ⊕ F.
+
+    `ext_gens` generate the submodule; F has slot shifts `tail_shifts`.
+    Under the block split eliminating `module`'s slots, the reduced basis
+    elements whose leading block vanishes form a reduced basis of that part.
+    """
+    if module.block_split is not None:
+        raise ValueError("nested block splits are not supported")
+    if not ext_gens:
+        return []
+    rank = module.rank
+    ext = FreeModule(module.nvars, module.shifts + tail_shifts, module.order, block_split=rank)
+    gb = buchberger(ext, ext_gens)
+    return [tuple(e[rank:]) for e in gb.elements if vec_is_zero(e[:rank])]
+
+
 def syzygies(
     module: FreeModule, gens, degrees: tuple[int, ...] | None = None
 ) -> tuple[FreeModule, list[Vector]]:
     """Generators of the syzygy module of gens.
 
-    Works in the extended module (ambient + one slot per generator) under an
-    order eliminating the ambient block; basis elements supported entirely on
-    the generator slots are exactly a generating set of the syzygies.  When
-    gens are homogeneous and `degrees` lists their degrees, the syzygies are
-    homogeneous in the shifted free module on those degrees.
+    Eliminates the ambient block from the extended module (ambient + one
+    slot per generator) generated by (g_i, e_i).  When gens are homogeneous
+    and `degrees` lists their degrees, the syzygies are homogeneous in the
+    shifted free module on those degrees.
     """
-    if module.block_split is not None:
-        raise ValueError("nested block splits are not supported")
     gens = list(gens)
-    m = len(gens)
     if degrees is None:
-        degrees = (0,) * m
+        degrees = (0,) * len(gens)
     syz_module = FreeModule(module.nvars, tuple(degrees), module.order)
-    if m == 0:
-        return syz_module, []
-    ext = FreeModule(
-        module.nvars,
-        module.shifts + tuple(degrees),
-        module.order,
-        block_split=module.rank,
-    )
-    zero = Polynomial.zero(module.nvars)
-    one = Polynomial.constant(1, module.nvars)
-    ext_gens = []
-    for i, g in enumerate(gens):
-        tail = [zero] * m
-        tail[i] = one
-        ext_gens.append(tuple(list(g) + tail))
-    gb = buchberger(ext, ext_gens)
-    syz = []
-    for e in gb.elements:
-        if all(p.is_zero() for p in e[: module.rank]):
-            syz.append(tuple(e[module.rank :]))
-    return syz_module, syz
+    ext_gens = [tuple(g) + syz_module.unit_vector(i) for i, g in enumerate(gens)]
+    return syz_module, _eliminate(module, syz_module.shifts, ext_gens)
 
 
 def intersect(module: FreeModule, gens_a, gens_b) -> list[Vector]:
-    """Generators of the intersection of two submodules.
+    """Reduced Groebner basis of the intersection of two submodules.
 
-    Uses the auxiliary-variable construction: the t-free part of a Groebner
-    basis of t*A + (1-t)*B under an order eliminating t.  Output is
-    homogeneous whenever both inputs are (t carries no weight).
+    Eliminates the first block of F ⊕ F from the submodule generated by
+    (a, a) for a in A and (b, 0) for b in B: an element (0, w) has w in
+    both A and B.  Output is homogeneous whenever both inputs are.
     """
-    if module.order.n_elim != 0 or module.block_split is not None:
-        raise ValueError("ambient order already has an elimination block")
-    n = module.nvars
-    order_t = MonomialOrder(module.order.weights + (1,), n_elim=1)
-    mod_t = FreeModule(n + 1, module.shifts, order_t)
-    t = Polynomial.variable(n, n + 1)
-    one_minus_t = Polynomial.constant(1, n + 1) - t
-
-    ext = []
-    for g in gens_a:
-        ext.append(tuple(p.with_extra_vars(1) * t for p in g))
-    for g in gens_b:
-        ext.append(tuple(p.with_extra_vars(1) * one_minus_t for p in g))
-    gb = buchberger(mod_t, ext)
-    out = []
-    for e in gb.elements:
-        if all(all(exps[-1] == 0 for exps in p.terms) for p in e):
-            out.append(tuple(p.drop_last_var() for p in e))
-    return out
+    zero = module.zero_vector()
+    ext_gens = [tuple(a) + tuple(a) for a in gens_a] + [tuple(b) + zero for b in gens_b]
+    return _eliminate(module, module.shifts, ext_gens)
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     """Exact quotient p/d; raises if d does not divide p."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    order = MonomialOrder((1,) * p.nvars)
-    module = ring_module(p.nvars, order)
+    module = ring_module(p.nvars, degree_order(p.nvars))
     quotients, rem = divide(module, (p,), [(d,)])
     if not rem[0].is_zero():
         raise ValueError("division is not exact")
@@ -454,8 +433,7 @@ def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return _monic(p)
     if p.is_constant() or q.is_constant():
         return Polynomial.constant(1, p.nvars)
-    order = MonomialOrder((1,) * p.nvars)
-    module = ring_module(p.nvars, order)
+    module = ring_module(p.nvars, degree_order(p.nvars))
     inter = intersect(module, [(p,)], [(q,)])
     if len(inter) != 1:
         raise RuntimeError("intersection of principal ideals is not principal")
@@ -466,8 +444,7 @@ def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
-    order = MonomialOrder((1,) * p.nvars)
-    exps = max(p.terms, key=order.key_parts)
+    exps = max(p.terms, key=degree_order(p.nvars).key_parts)
     return p * (Fraction(1) / p.terms[exps])
 
 

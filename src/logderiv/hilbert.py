@@ -201,8 +201,6 @@ def hp_bruteforce(
     dimensional.
     """
     u = module.order.weights
-    if module.order.n_elim:
-        raise ValueError("oracle does not support elimination orders")
     degrees = [vector_degree(module, g) for g in gens]
     dims: dict[int, int] = {}
     for d in range(d_lo, d_hi + 1):

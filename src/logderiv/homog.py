@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import MonomialOrder, Polynomial
+from .poly import Polynomial, degree_order
 from .groebner import (
     FreeModule,
     Vector,
@@ -101,7 +101,7 @@ def h_valuation(vec: Vector) -> int:
 
 def extended_module(module: FreeModule) -> FreeModule:
     n = module.nvars
-    return FreeModule(n + 1, module.shifts, MonomialOrder((1,) * (n + 1)))
+    return FreeModule(n + 1, module.shifts, degree_order(n + 1))
 
 
 def homogenize_module(

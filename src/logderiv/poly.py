@@ -8,8 +8,7 @@ values can be shared freely between threads.
 Weighted gradings are given by a strictly positive integer weight vector u,
 assigning degree u_i to the variable x_i; the weighted degree of a monomial
 x^a is then sum(a_i * u_i).  Term comparison is weighted-degree first with a
-reverse-lexicographic tiebreak, optionally preceded by an elimination block
-of trailing auxiliary variables.
+reverse-lexicographic tiebreak.
 """
 
 from __future__ import annotations
@@ -209,22 +208,6 @@ class Polynomial:
             return Polynomial.constant(other, self.nvars)
         return NotImplemented
 
-    def with_extra_vars(self, extra: int) -> "Polynomial":
-        """Append `extra` fresh variables (exponent zero everywhere)."""
-        pad = (0,) * extra
-        return Polynomial._raw(
-            self.nvars + extra, {e + pad: c for e, c in self.terms.items()}
-        )
-
-    def drop_last_var(self) -> "Polynomial":
-        """Remove the last variable; every term must have exponent 0 there."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[-1] != 0:
-                raise ValueError("term involves the variable being dropped")
-            out[e[:-1]] = c
-        return Polynomial._raw(self.nvars - 1, out)
-
     def set_last_var_one(self) -> "Polynomial":
         """Substitute 1 for the last variable (dehomogenization)."""
         out: dict[Exponents, Fraction] = {}
@@ -254,37 +237,24 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Weighted-degree reverse-lexicographic order.
-
-    The last `n_elim` variables form an elimination block compared first by
-    their total degree, so any term containing them beats any term without;
-    an element of a Groebner basis whose lead is free of the block is then
-    entirely free of it.  Weights for the main block must be positive.
-    """
+    """Weighted-degree reverse-lexicographic order; weights must be
+    positive.  Elimination orders live on module slots (the block split of
+    `groebner.FreeModule`)."""
 
     weights: tuple[int, ...]
-    n_elim: int = 0
 
     def __post_init__(self):
-        main = self.weights[: len(self.weights) - self.n_elim]
-        if any(w <= 0 for w in main):
+        if any(w <= 0 for w in self.weights):
             raise NonPositiveWeightError(f"weights must be positive, got {self.weights}")
 
     @property
     def nvars(self) -> int:
         return len(self.weights)
 
-    def main_degree(self, exps: Exponents) -> int:
-        n_main = len(self.weights) - self.n_elim
-        return sum(exps[i] * self.weights[i] for i in range(n_main))
-
-    def key_parts(self, exps: Exponents) -> tuple[int, int, tuple]:
-        n = len(self.weights)
-        n_main = n - self.n_elim
-        elim = sum(exps[n_main:])
-        main = sum(exps[i] * self.weights[i] for i in range(n_main))
+    def key_parts(self, exps: Exponents) -> tuple[int, tuple]:
+        """(weighted degree, tail): larger is higher in the order."""
         tail = tuple(-e for e in reversed(exps))
-        return (elim, main, tail)
+        return (weighted_degree(exps, self.weights), tail)
 
 
 def degree_order(nvars: int) -> MonomialOrder:

@@ -138,7 +138,6 @@ def free_resolution(module: FreeModule, gens, graded: bool = True) -> Resolution
     termination within the number of variables.
     """
     gens = [tuple(g) for g in gens if not vec_is_zero(g)]
-    weights = module.order.weights[: module.nvars - module.order.n_elim]
     if graded:
         f0_shifts = tuple(vector_degree(module, g) for g in gens)
     else:
@@ -161,7 +160,7 @@ def free_resolution(module: FreeModule, gens, graded: bool = True) -> Resolution
         current_gens = syz
         current_shifts = tuple(shifts)
     return Resolution(
-        f0_shifts, generator_map, tuple(maps), tuple(weights), graded, module
+        f0_shifts, generator_map, tuple(maps), tuple(module.order.weights), graded, module
     )
 
 
@@ -170,15 +169,15 @@ def presentation_resolution(
 ) -> Resolution:
     """Resolution of the quotient F_0 / <relations>."""
     relations = [tuple(r) for r in relations if not vec_is_zero(r)]
-    weights = f0_module.order.weights[: f0_module.nvars - f0_module.order.n_elim]
+    weights = tuple(f0_module.order.weights)
     if not relations:
-        return Resolution(f0_module.shifts, None, (), tuple(weights), graded, None)
+        return Resolution(f0_module.shifts, None, (), weights, graded, None)
     sub = free_resolution(f0_module, relations, graded=graded)
     first = ModuleMap(
         sub.generator_map.columns, sub.f0_shifts, f0_module.shifts, graded
     )
     return Resolution(
-        f0_module.shifts, None, (first,) + sub.maps, tuple(weights), graded, None
+        f0_module.shifts, None, (first,) + sub.maps, weights, graded, None
     )
 
 

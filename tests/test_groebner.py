@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from logderiv.poly import MonomialOrder, Polynomial, parse_poly
+from logderiv.poly import MonomialOrder, Polynomial, mono_lcm, parse_poly
 from logderiv.groebner import (
     FreeModule,
     buchberger,
@@ -309,11 +309,62 @@ def test_intersection_of_derivation_modules():
 
 
 def test_intersection_preserves_homogeneity():
-    mod = FreeModule(2, (0, 0), MonomialOrder((1, 2)))
-    m_gens = [(P("x^2"), P("0")), (P("0"), P("y"))]
-    n_gens = [(P("x^2+2*y"), P("0")), (P("0"), P("x^2"))]
-    for v in intersect(mod, m_gens, n_gens):
-        vector_degree(mod, v)
+    # The second ambient is shifted, and `intersect` doubles the shifts in
+    # F ⊕ F; its mixed-slot generators are homogeneous only under (1, 3).
+    cases = [
+        (
+            FreeModule(2, (0, 0), MonomialOrder((1, 2))),
+            [(P("x^2"), P("0")), (P("0"), P("y"))],
+            [(P("x^2+2*y"), P("0")), (P("0"), P("x^2"))],
+        ),
+        (
+            FreeModule(2, (1, 3), MonomialOrder((1, 2))),
+            [(P("x^2*y"), P("x^2")), (P("0"), P("y"))],
+            [(P("x^4+2*x^2*y"), P("0")), (P("y^2"), P("y"))],
+        ),
+    ]
+    for mod, m_gens, n_gens in cases:
+        out = intersect(mod, m_gens, n_gens)
+        assert out
+        for v in out:
+            vector_degree(mod, v)
+
+
+def monomial_generators(rng, module, count):
+    gens = []
+    for _ in range(count):
+        vec = list(module.zero_vector())
+        exps = tuple(rng.randint(0, 3) for _ in range(module.nvars))
+        vec[rng.randrange(module.rank)] = Polynomial.monomial(exps, rng.choice([-2, 1, 3]), module.nvars)
+        gens.append(tuple(vec))
+    return gens
+
+
+@pytest.mark.parametrize("shifts", [(0,), (1, 3)])
+def test_intersection_of_monomial_submodules_is_generated_by_lcms(shifts):
+    # Slot by slot, the intersection of two monomial submodules is generated
+    # by the lcms of pairs of generators in that slot.
+    module = FreeModule(3, shifts, MonomialOrder((1, 2, 1)))
+    rng = random.Random(f"monomial-{shifts}")
+    nonzero = 0
+    for _ in range(12):
+        gens_a = monomial_generators(rng, module, rng.randint(1, 3))
+        gens_b = monomial_generators(rng, module, rng.randint(1, 3))
+        expected = []
+        for a in gens_a:
+            for b in gens_b:
+                for slot, (p, q) in enumerate(zip(a, b)):
+                    if not p.is_zero() and not q.is_zero():
+                        vec = list(module.zero_vector())
+                        vec[slot] = Polynomial.monomial(
+                            mono_lcm(next(iter(p.terms)), next(iter(q.terms))), 1, module.nvars
+                        )
+                        expected.append(tuple(vec))
+        out = intersect(module, gens_a, gens_b)
+        assert module_equal(module, out, expected)
+        assert out == list(buchberger(module, out).elements)  # already reduced
+        nonzero += bool(out)
+    assert nonzero >= 6
 
 
 # --- quotient ------------------------------------------------------------------------
@@ -347,6 +398,45 @@ def test_annihilator_of_conic_quotient():
 def test_gcd_via_intersection():
     assert polynomial_gcd(P("x^2*y^3"), P("x*y^4")) == P("x*y^3")
     assert polynomial_gcd(P("x^2+y^2"), P("x")).is_constant()
+
+
+def random_poly(rng, nvars, nterms, max_exp):
+    terms = {}
+    for _ in range(nterms):
+        terms[tuple(rng.randint(0, max_exp) for _ in range(nvars))] = rng.choice([-3, -1, 1, 2])
+    return Polynomial(nvars, terms)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_gcd_matches_sympy(nvars):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(f"x1:{nvars + 1}")
+
+    def to_sympy(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**e for s, e in zip(symbols, exps))
+            for exps, c in p.terms.items()
+        )
+
+    def from_sympy(expr):
+        terms = sympy.Poly(expr, *symbols).as_dict()
+        return Polynomial(nvars, {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items()})
+
+    rng = random.Random(f"gcd-{nvars}")
+    nontrivial = 0
+    for case in range(16):
+        a, b = random_poly(rng, nvars, 2, 2), random_poly(rng, nvars, 2, 2)
+        if case % 2 == 0:  # plant a common factor; odd cases are often coprime
+            common = random_poly(rng, nvars, 2, 1)
+            a, b = a * common, b * common
+        if a.is_zero() or b.is_zero():
+            continue
+        ours = polynomial_gcd(a, b)
+        theirs = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
+        assert exact_div(ours, theirs).is_constant()
+        assert exact_div(theirs, ours).is_constant()
+        nontrivial += not ours.is_constant()
+    assert 4 <= nontrivial < 16  # planted factors show up, coprime pairs too
 
 
 @settings(max_examples=15, deadline=None)
@@ -413,8 +503,8 @@ def old_term_key(module, term):
     """The term order written out the long way: larger is higher."""
     slot, exps = term
     block = 1 if module.block_split is None or slot < module.block_split else 0
-    elim, wdeg, tail = module.order.key_parts(exps)
-    return (block, elim, wdeg + module.shifts[slot], tail, -slot)
+    wdeg, tail = module.order.key_parts(exps)
+    return (block, wdeg + module.shifts[slot], tail, -slot)
 
 
 def reference_divide(module, flat, basis):
@@ -449,16 +539,15 @@ def reference_divide(module, flat, basis):
     return quotients, remainder
 
 
-# Arguments of FreeModule for the four kinds of ambient the pipeline divides
-# in: a ring, a shifted module, the block-split module `syzygies` builds and
-# the one-variable elimination order `intersect` builds.  Repeated shifts
+# Arguments of FreeModule for the three kinds of ambient the pipeline divides
+# in: a ring, a shifted module and the block-split module `syzygies` and
+# `intersect` build.  Repeated shifts
 # make terms tie up to the slot.  Each test builds its own module, so no
 # test sees another's key memo.
 AMBIENTS = {
     "ring": (3, (0,), MonomialOrder((1, 1, 1))),
     "shifted": (3, (1, 0, 1), MonomialOrder((1, 2, 1))),
     "block_split": (2, (0, 0, 1, 1, 2), MonomialOrder((1, 1)), 2),
-    "n_elim": (3, (0, 0), MonomialOrder((1, 1, 1), n_elim=1)),
 }
 
 
