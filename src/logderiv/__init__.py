@@ -53,7 +53,6 @@ from .resolution import (
     free_resolution,
     minimize,
     pad_with_trivial_pair,
-    presentation_resolution,
 )
 from .hilbert import (
     ChiValue,
@@ -66,6 +65,7 @@ from .hilbert import (
     hp_expand,
     hp_free,
     hp_from_resolution,
+    hp_quotient,
     verify_coprime_sum,
     verify_degree_identity,
 )

@@ -152,8 +152,7 @@ def cmd_resolution(args) -> int:
     names, factored, ctx = _build_inputs(args)
     res = LogModule.of(factored, ctx).resolution
     matrices = []
-    chain = [res.generator_map] + list(res.maps)
-    for m in chain:
+    for m in res.chain:
         matrices.append(
             [[format_poly(m.entry(i, j), names, ctx.order()) for j in range(m.source_rank)]
              for i in range(m.target_rank)]

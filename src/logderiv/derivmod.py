@@ -254,11 +254,15 @@ def generalized_log_module(
         return [dm.unit_vector(i) for i in range(dm.rank)]
     if validate:
         factored.validate()
-    gens: list[Vector] | None = None
-    for f, e in factored.factors:
-        piece = log_derivations(f, e, ctx)
-        gens = piece if gens is None else intersect(dm, gens, piece)
-    return list(buchberger(dm, gens).elements)
+    (f, e), *rest = factored.factors
+    gens = log_derivations(f, e, ctx)
+    if not rest:
+        # a projected syzygy basis is not reduced
+        return list(buchberger(dm, gens).elements)
+    for f, e in rest:
+        gens = intersect(dm, gens, log_derivations(f, e, ctx))
+    # intersect already returns the reduced basis in dm's order
+    return gens
 
 
 @dataclass(frozen=True, eq=False)

@@ -238,13 +238,9 @@ class GroebnerBasis:
     module: FreeModule
     elements: tuple[Vector, ...]
 
-    def contains(self, vec: Vector) -> bool:
-        return vec_is_zero(normal_form(self.module, vec, self))
 
-
-def normal_form(module: FreeModule, vec: Vector, gb: GroebnerBasis | list) -> Vector:
-    elements = gb.elements if isinstance(gb, GroebnerBasis) else gb
-    prepared = _prepare(module, elements)
+def normal_form(module: FreeModule, vec: Vector, gb: GroebnerBasis) -> Vector:
+    prepared = _prepare(module, gb.elements)
     _, rem = _divide_flat(module, flatten(vec), prepared)
     return unflatten(module, rem)
 
@@ -328,8 +324,12 @@ def _interreduce(module: FreeModule, basis: list[_Prepared]) -> tuple[Vector, ..
 
     First drop every element whose lead is divisible by the lead of another
     kept element (processing leads in ascending order, so divisors are seen
-    first); on the minimal basis, full normal-form passes can no longer
-    touch any lead, so they terminate with irreducible tails.
+    first).  Then one pass divides each kept element by the others.  On this
+    minimal basis no lead divides another, so every lead survives its
+    division, and whether a tail term is reducible depends only on the
+    leads; each remainder therefore has an irreducible tail, and a second
+    pass would change nothing.  Basis elements are monic and keep their
+    leads, so the remainders are monic too.
     """
     items = sorted(basis, key=lambda b: b.key, reverse=True)
     kept: list[_Prepared] = []
@@ -339,23 +339,12 @@ def _interreduce(module: FreeModule, basis: list[_Prepared]) -> tuple[Vector, ..
         )
         if not redundant:
             kept.append(b)
-    flats = [b.flat for b in kept]
-    changed = True
-    while changed:
-        changed = False
-        prepared = [_Prepared(module, f) for f in flats]
-        for i in range(len(flats)):
-            others = prepared[:i] + prepared[i + 1 :]
-            _, rem = _divide_flat(module, flats[i], others)
-            if rem != flats[i]:
-                changed = True
-            flats[i] = rem
     out = []
-    for f in flats:
-        lead = min(f, key=module.desc_key)
-        out.append((module.desc_key(lead), _monic_flat(f, f[lead])))
-    out.sort(key=lambda pair: pair[0])
-    return tuple(unflatten(module, f) for _, f in out)
+    for i, b in enumerate(kept):
+        _, rem = _divide_flat(module, b.flat, kept[:i] + kept[i + 1 :])
+        out.append(unflatten(module, rem))
+    # kept is in ascending term order with distinct leads
+    return tuple(reversed(out))
 
 
 def module_equal(module: FreeModule, gens_a, gens_b) -> bool:

@@ -153,7 +153,7 @@ def verify_resolution_independence(mod: LogModule) -> dict:
     redundant = list(mod.gens)
     redundant.append(tuple(f if i == 0 else zero for i in range(ctx.nvars)))
     res_redundant = free_resolution(mod.module, redundant)
-    res_padded = pad_with_trivial_pair(res_redundant, 1, max(res.f0_shifts) + 1)
+    res_padded = pad_with_trivial_pair(res_redundant, 1, max(res.shifts(0)) + 1)
     base = alternating_degree_sum(res)
     claims = [
         claim("redundant-generator resolution has the same degree sum",
@@ -181,7 +181,10 @@ def corrupted_claims(mod: LogModule, expected: int) -> list[dict]:
     instance's resolution whose first shift was tampered with; the claim
     must fail."""
     res = mod.resolution
-    bad = dataclasses.replace(res, f0_shifts=(res.f0_shifts[0] + 1,) + res.f0_shifts[1:])
+    phi0 = res.chain[0]
+    shifts = phi0.source_shifts
+    tampered = dataclasses.replace(phi0, source_shifts=(shifts[0] + 1,) + shifts[1:])
+    bad = dataclasses.replace(res, chain=(tampered,) + res.chain[1:])
     return [
         claim(
             "alternating degree sum equals deg(f) + |v| [corrupted resolution]",

@@ -141,12 +141,9 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     membership; when it holds everywhere the complex is a free resolution of
     the homogenized module.
     """
-    if res.ambient is None:
-        raise ValueError("homogenization needs a submodule resolution")
     ambient = res.ambient
-    chain = [res.generator_map] + list(res.maps)
     hchain: list[ModuleMap] = []
-    for m in chain:
+    for m in res.chain:
         cols = []
         for col, d in zip(m.columns, m.source_shifts):
             cols.append(homogenize_vector(col, m.target_shifts, degree=d).components)
@@ -154,14 +151,7 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
             ModuleMap(tuple(cols), m.source_shifts, m.target_shifts, True)
         )
     h_ambient = extended_module(ambient)
-    h_res = Resolution(
-        res.f0_shifts,
-        hchain[0],
-        tuple(hchain[1:]),
-        h_ambient.order.weights,
-        True,
-        h_ambient,
-    )
+    h_res = Resolution(tuple(hchain), h_ambient)
     # complex property: consecutive composites must vanish identically
     for upper, lower in zip(hchain, hchain[1:]):
         for col in upper.compose(lower):
@@ -169,7 +159,7 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
                 raise RuntimeError("homogenized chain failed to be a complex")
     image_ok = []
     witnesses: dict[int, Vector] = {}
-    for p, (m, hm) in enumerate(zip(chain, hchain)):
+    for p, (m, hm) in enumerate(zip(res.chain, hchain)):
         affine_target = FreeModule(ambient.nvars, m.target_shifts, ambient.order)
         h_target = FreeModule(
             ambient.nvars + 1, m.target_shifts, h_ambient.order

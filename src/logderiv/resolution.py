@@ -1,10 +1,9 @@
 """Graded free resolutions by iterated syzygies, minimalization, Betti
 numbers and the alternating degree/rank sums.
 
-A resolution of a submodule M of a shifted free module records phi_0 (the
-generator matrix into the ambient) followed by the chain of syzygy maps; a
-resolution of a quotient F_0 / K starts directly with the relation matrix.
-Columns of every map are the generators of the kernel of the previous one,
+A resolution of a submodule M of a shifted free module is the chain
+phi_0, phi_1, ..., phi_ell: phi_0 is the generator matrix into the ambient
+and the columns of every later map generate the kernel of the previous one,
 so the chain is exact by construction.  Shifts are the degrees of the chosen
 generators (graded case) or their componentwise max total degrees (the
 filtration bounds of the non-graded pipeline).
@@ -70,28 +69,31 @@ class ModuleMap:
 
 @dataclass(frozen=True)
 class Resolution:
-    """0 <- M <- F_0 <- F_1 <- ... <- F_ell <- 0.
+    """0 <- M <- F_0 <- F_1 <- ... <- F_ell <- 0 for a submodule M of ambient.
 
-    generator_map is phi_0 for submodule targets (None for quotient
-    presentations); maps holds phi_1..phi_ell.  weights is the grading used
-    for degrees and for the Hilbert series denominator.
+    chain[0] is phi_0, the generators of M as columns in ambient
+    coordinates; chain[p] is phi_p: F_p -> F_{p-1}.  F_p carries the shifts
+    chain[p].source_shifts.  The grading (weights) is the ambient's, and
+    the resolution is graded when phi_0 is homogeneous.
     """
 
-    f0_shifts: tuple[int, ...]
-    generator_map: ModuleMap | None
-    maps: tuple[ModuleMap, ...]
-    weights: tuple[int, ...]
-    graded: bool
-    ambient: FreeModule | None = None
+    chain: tuple[ModuleMap, ...]
+    ambient: FreeModule
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        return self.ambient.order.weights
+
+    @property
+    def graded(self) -> bool:
+        return self.chain[0].homogeneous
 
     @property
     def length(self) -> int:
-        return len(self.maps)
+        return len(self.chain) - 1
 
     def shifts(self, p: int) -> tuple[int, ...]:
-        if p == 0:
-            return self.f0_shifts
-        return self.maps[p - 1].source_shifts
+        return self.chain[p].source_shifts
 
     def all_shifts(self) -> list[tuple[int, ...]]:
         return [self.shifts(p) for p in range(self.length + 1)]
@@ -100,7 +102,7 @@ class Resolution:
         return [len(s) for s in self.all_shifts()]
 
     def is_minimal(self) -> bool:
-        return not any(m.has_constant_entry() for m in self.maps)
+        return not any(m.has_constant_entry() for m in self.chain[1:])
 
 
 def minimal_generators(
@@ -132,53 +134,28 @@ def minimal_generators(
 def free_resolution(module: FreeModule, gens, graded: bool = True) -> Resolution:
     """Resolution of the submodule generated by gens.
 
-    Step 0 keeps the given generators verbatim (one column each); every
-    later step generates the syzygies of the previous one, pruned to an
+    phi_0 keeps the given generators verbatim (one column each); every
+    later map generates the syzygies of the previous one, pruned to an
     irredundant (graded: minimal) generating set, which guarantees
     termination within the number of variables.
     """
-    gens = [tuple(g) for g in gens if not vec_is_zero(g)]
-    if graded:
-        f0_shifts = tuple(vector_degree(module, g) for g in gens)
-    else:
-        f0_shifts = tuple(vector_degree_bound(module, g) for g in gens)
-    generator_map = ModuleMap(tuple(gens), f0_shifts, module.shifts, graded)
-    maps: list[ModuleMap] = []
+    gens = tuple(tuple(g) for g in gens if not vec_is_zero(g))
+    degree = vector_degree if graded else vector_degree_bound
+    shifts = tuple(degree(module, g) for g in gens)
+    chain = [ModuleMap(gens, shifts, module.shifts, graded)]
     ambient = module
-    current_gens = gens
-    current_shifts = f0_shifts
-    while current_gens:
-        syz_module, syz = syzygies(ambient, current_gens, degrees=current_shifts)
+    while chain[-1].columns:
+        prev = chain[-1]
+        syz_module, syz = syzygies(ambient, prev.columns, degrees=prev.source_shifts)
         syz = [s for s in syz if not vec_is_zero(s)]
         if not syz:
             break
         syz, shifts = minimal_generators(syz_module, syz, graded)
-        maps.append(ModuleMap(tuple(syz), tuple(shifts), current_shifts, graded))
-        if len(maps) > module.nvars + 1:
+        chain.append(ModuleMap(tuple(syz), tuple(shifts), prev.source_shifts, graded))
+        if len(chain) > module.nvars + 2:
             raise RuntimeError("resolution exceeded the expected length bound")
         ambient = syz_module
-        current_gens = syz
-        current_shifts = tuple(shifts)
-    return Resolution(
-        f0_shifts, generator_map, tuple(maps), tuple(module.order.weights), graded, module
-    )
-
-
-def presentation_resolution(
-    f0_module: FreeModule, relations, graded: bool = True
-) -> Resolution:
-    """Resolution of the quotient F_0 / <relations>."""
-    relations = [tuple(r) for r in relations if not vec_is_zero(r)]
-    weights = tuple(f0_module.order.weights)
-    if not relations:
-        return Resolution(f0_module.shifts, None, (), weights, graded, None)
-    sub = free_resolution(f0_module, relations, graded=graded)
-    first = ModuleMap(
-        sub.generator_map.columns, sub.f0_shifts, f0_module.shifts, graded
-    )
-    return Resolution(
-        f0_module.shifts, None, (first,) + sub.maps, weights, graded, None
-    )
+    return Resolution(tuple(chain), module)
 
 
 def alternating_degree_sum(res: Resolution) -> int:
@@ -249,49 +226,29 @@ def betti_numbers(res: Resolution) -> BettiTable:
     return BettiTable(entries)
 
 
-def _delete_index(items: tuple, idx: int) -> tuple:
-    return items[:idx] + items[idx + 1 :]
-
-
-def _vec_delete(vec: Vector, idx: int) -> Vector:
-    return vec[:idx] + vec[idx + 1 :]
-
-
 def minimize(res: Resolution) -> Resolution:
-    """Cancel trivial S(-d) -> S(-d) summands until no map carries a unit
-    (nonzero constant) entry.  The target module is unchanged: every step is
-    an invertible basis change followed by dropping a split exact pair."""
+    """Cancel trivial S(-d) -> S(-d) summands until no map phi_p, p >= 1,
+    carries a unit (nonzero constant) entry.  The module is unchanged: every
+    step is an invertible basis change followed by dropping a split exact
+    pair."""
     if not res.graded:
         raise ValueError("minimalization requires a homogeneous resolution")
-    cols = [list(list(col) for col in m.columns) for m in res.maps]
-    src_shifts = [list(m.source_shifts) for m in res.maps]
-    gen_cols = (
-        [list(col) for col in res.generator_map.columns]
-        if res.generator_map is not None
-        else None
-    )
-    f0_shifts = list(res.f0_shifts)
-
-    def target_shifts(p: int) -> list[int]:
-        return f0_shifts if p == 0 else src_shifts[p - 1]
+    cols = [[list(col) for col in m.columns] for m in res.chain]
+    src_shifts = [list(m.source_shifts) for m in res.chain]
 
     def find_unit():
-        for p in range(len(cols)):
+        for p in range(1, len(cols)):
             for j, col in enumerate(cols[p]):
                 for i, entry in enumerate(col):
-                    c = entry.constant_coefficient()
-                    if c != 0:
-                        return p, i, j, entry, c
+                    if entry.constant_coefficient() != 0:
+                        return p, i, j, entry
         return None
 
-    while True:
-        found = find_unit()
-        if found is None:
-            break
-        p, i0, j0, entry, _ = found
-        a = entry.constant_coefficient()
+    while (found := find_unit()) is not None:
+        p, i0, j0, entry = found
         if not entry.is_constant():
             raise ValueError("non-homogeneous entry with a constant term")
+        a = entry.constant_coefficient()
         block = cols[p]
         # column ops on this map clear row i0; the basis change of the
         # source module is mirrored on the rows of the next map
@@ -321,10 +278,9 @@ def minimize(res: Resolution) -> Resolution:
             entry if i == i0 else Polynomial.zero(entry.nvars)
             for i in range(len(block[j0]))
         ]
-        prev = cols[p - 1] if p >= 1 else gen_cols
-        if prev is not None:
-            for i, d in dcoeffs.items():
-                prev[i0] = [x + d * y for x, y in zip(prev[i0], prev[i])]
+        prev = cols[p - 1]
+        for i, d in dcoeffs.items():
+            prev[i0] = [x + d * y for x, y in zip(prev[i0], prev[i])]
         # drop the split pair: source basis j0, target basis i0
         if p + 1 < len(cols):
             for col in cols[p + 1]:
@@ -333,42 +289,20 @@ def minimize(res: Resolution) -> Resolution:
             cols[p + 1] = [col[:j0] + col[j0 + 1 :] for col in cols[p + 1]]
         cols[p] = [col[:i0] + col[i0 + 1 :] for j, col in enumerate(block) if j != j0]
         del src_shifts[p][j0]
-        if p == 0:
-            if gen_cols is not None:
-                if any(not x.is_zero() for x in gen_cols[i0]):
-                    raise RuntimeError("pivot column of the generator map did not vanish")
-                del gen_cols[i0]
-            del f0_shifts[i0]
-        else:
-            if any(not x.is_zero() for x in cols[p - 1][i0]):
-                raise RuntimeError("pivot column of the previous map did not vanish")
-            del cols[p - 1][i0]
-            del src_shifts[p - 1][i0]
-        while cols and not cols[-1]:
+        if any(not x.is_zero() for x in prev[i0]):
+            raise RuntimeError("pivot column of the previous map did not vanish")
+        del prev[i0]
+        del src_shifts[p - 1][i0]
+        while len(cols) > 1 and not cols[-1]:
             cols.pop()
             src_shifts.pop()
 
-    maps = []
-    for p in range(len(cols)):
-        maps.append(
-            ModuleMap(
-                tuple(tuple(col) for col in cols[p]),
-                tuple(src_shifts[p]),
-                tuple(target_shifts(p)),
-                True,
-            )
-        )
-    generator_map = None
-    if gen_cols is not None:
-        generator_map = ModuleMap(
-            tuple(tuple(col) for col in gen_cols),
-            tuple(f0_shifts),
-            res.generator_map.target_shifts,
-            True,
-        )
-    return Resolution(
-        tuple(f0_shifts), generator_map, tuple(maps), res.weights, True, res.ambient
+    targets = [res.chain[0].target_shifts] + [tuple(s) for s in src_shifts[:-1]]
+    chain = tuple(
+        ModuleMap(tuple(tuple(col) for col in c), tuple(s), t, True)
+        for c, s, t in zip(cols, src_shifts, targets)
     )
+    return Resolution(chain, res.ambient)
 
 
 def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
@@ -377,13 +311,9 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
     module with unchanged alternating sums."""
     if not 1 <= p <= res.length + 1:
         raise ValueError("padding position out of range")
-    nvars = res.ambient.nvars if res.ambient is not None else len(res.weights)
+    nvars = res.ambient.nvars
     zero = Polynomial.zero(nvars)
     one = Polynomial.constant(1, nvars)
-
-    maps = list(res.maps)
-    f0_shifts = res.f0_shifts
-    generator_map = res.generator_map
 
     def widen_target(m: ModuleMap) -> ModuleMap:
         return ModuleMap(
@@ -402,57 +332,38 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
             m.homogeneous,
         )
 
-    # identity block at step p
-    if p <= res.length:
-        old = maps[p - 1]
-        wide = widen_target(old)
-        ident_col = tuple(zero for _ in range(old.target_rank)) + (one,)
-        maps[p - 1] = ModuleMap(
+    chain = list(res.chain)
+    # identity block at step p, appended as a new map when p = length + 1
+    old = chain[p] if p < len(chain) else ModuleMap((), (), res.shifts(p - 1), res.graded)
+    wide = widen_target(old)
+    ident_col = tuple(zero for _ in range(old.target_rank)) + (one,)
+    chain[p : p + 1] = [
+        ModuleMap(
             wide.columns + (ident_col,),
             wide.source_shifts + (d,),
             wide.target_shifts,
-            old.homogeneous,
+            wide.homogeneous,
         )
-    else:
-        target = res.shifts(p - 1)
-        ident_col = tuple(zero for _ in range(len(target))) + (one,)
-        maps.append(
-            ModuleMap((ident_col,), (d,), target + (d,), res.graded)
-        )
+    ]
     # widen the neighbours
-    if p - 1 == 0:
-        f0_shifts = res.f0_shifts + (d,)
-        if generator_map is not None:
-            generator_map = widen_source(generator_map)
-    else:
-        maps[p - 2] = widen_source(maps[p - 2])
-    if p + 1 <= res.length:
-        maps[p] = widen_target(maps[p])
-    return Resolution(
-        f0_shifts, generator_map, tuple(maps), res.weights, res.graded, res.ambient
-    )
+    chain[p - 1] = widen_source(chain[p - 1])
+    if p + 1 < len(chain):
+        chain[p + 1] = widen_target(chain[p + 1])
+    return Resolution(tuple(chain), res.ambient)
 
 
 def certify_exact(res: Resolution) -> bool:
     """Consecutive composites vanish and each map's columns generate the
     full syzygy module of the previous step's columns."""
-    from .poly import MonomialOrder
-
-    if res.generator_map is not None:
-        current = res.ambient
-        chain = [res.generator_map] + list(res.maps)
-    else:
-        order = MonomialOrder(res.weights)
-        current = FreeModule(len(res.weights), res.f0_shifts, order)
-        chain = list(res.maps)
+    chain = res.chain
     for upper, lower in zip(chain, chain[1:]):
         for col in upper.compose(lower):
             if not vec_is_zero(col):
                 return False
+    current = res.ambient
     for idx, m in enumerate(chain):
         syz_mod, syz = syzygies(current, list(m.columns), degrees=m.source_shifts)
-        nxt = chain[idx + 1] if idx + 1 < len(chain) else None
-        expected = list(nxt.columns) if nxt is not None else []
+        expected = list(chain[idx + 1].columns) if idx + 1 < len(chain) else []
         if not module_equal(syz_mod, syz, expected):
             return False
         current = FreeModule(current.nvars, m.source_shifts, current.order)

@@ -134,7 +134,7 @@ def test_criterion_2_basis_change_negative_control():
     # the witness is a genuine non-member of the homogenized image
     if ok:
         h_target = FreeModule(4, dm.shifts, MonomialOrder((1, 1, 1, 1)))
-        gb = buchberger(h_target, list(hom.resolution.generator_map.columns))
+        gb = buchberger(h_target, list(hom.resolution.chain[0].columns))
         ok = not vec_is_zero(normal_form(h_target, hom.witnesses[0], gb))
     verdict(2, ok, "basis-change control: homogenized chain is a complex whose "
                    "step-0 image misses a witnessed element")

@@ -8,7 +8,14 @@ from itertools import combinations
 
 import pytest
 
-from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule, saito_check
+from logderiv.derivmod import (
+    FactoredPolynomial,
+    GradedContext,
+    LogModule,
+    generalized_log_module,
+    saito_check,
+)
+from logderiv.groebner import buchberger
 from logderiv.poly import Polynomial
 from logderiv.resolution import betti_numbers, minimal_generators
 
@@ -67,3 +74,14 @@ def test_generic_four_planes_in_three_space_resolution():
     minimal = LogModule.of(fp, GradedContext.standard(3)).minimal
     assert betti_numbers(minimal).entries == {(1, 0): 1, (2, 0): 3, (2, 1): 1}
     assert [sorted(s) for s in minimal.all_shifts()] == [[1, 2, 2, 2], [3]]
+
+
+@pytest.mark.parametrize("name", sorted(FREE))
+def test_intersected_log_module_is_already_reduced(name):
+    # D(f) of several factors ends in an intersection, whose output is the
+    # reduced basis; generalized_log_module returns it without a rerun
+    normals, mults, _ = FREE[name]
+    ctx = GradedContext.standard(len(normals[0]))
+    dm = ctx.derivation_module()
+    out = generalized_log_module(arrangement(normals, mults), ctx)
+    assert tuple(out) == buchberger(dm, out).elements

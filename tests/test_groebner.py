@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from logderiv.poly import MonomialOrder, Polynomial, mono_lcm, parse_poly
+from logderiv.poly import MonomialOrder, Polynomial, mono_divides, mono_lcm, parse_poly
 from logderiv.groebner import (
     FreeModule,
     buchberger,
@@ -19,6 +19,7 @@ from logderiv.groebner import (
     polynomial_gcd,
     ring_module,
     syzygies,
+    unflatten,
     vec_is_zero,
     vector_degree,
 )
@@ -657,3 +658,37 @@ def test_reduced_basis_matches_sympy_grevlex(nvars):
         assert got == expected
         sizes.append(len(got))
     assert max(sizes) > 2  # some draws are not already Groebner bases
+
+
+# --- reduced bases on every ambient -----------------------------------------------
+
+
+def assert_reduced(module, elements):
+    """Monic, and no term but an element's own lead is divisible by a lead
+    in its slot."""
+    leads = [min(flatten(e), key=module.desc_key) for e in elements]
+    for i, e in enumerate(elements):
+        flat = flatten(e)
+        assert flat[leads[i]] == 1
+        for term in flat:
+            for j, (slot, exps) in enumerate(leads):
+                if slot == term[0] and (i, term) != (j, leads[j]):
+                    assert not mono_divides(exps, term[1]), (e, leads[j])
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_reduced_basis_is_a_fixed_point_of_buchberger(name):
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"reduced-{name}")
+    sizes = []
+    for _ in range(24):
+        gens = [
+            unflatten(module, random_flat(rng, module, rng.randint(2, 4), 2))
+            for _ in range(rng.randint(2, 3))
+        ]
+        gb = buchberger(module, gens)
+        assert_reduced(module, gb.elements)
+        assert buchberger(module, gb.elements).elements == gb.elements
+        assert module_equal(module, list(gb.elements), gens)
+        sizes.append(len(gb.elements))
+    assert max(sizes) > 3  # some draws are not already Groebner bases

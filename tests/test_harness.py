@@ -1,6 +1,8 @@
 import random
 
 from logderiv import derivmod, harness
+from logderiv.derivmod import generalized_log_module
+from logderiv.groebner import buchberger
 from logderiv.harness import random_instance, run_harness
 
 
@@ -31,3 +33,16 @@ def test_harness_computes_each_module_once(monkeypatch):
     # D(f) of the instance, and of the same instance with v shifted by one
     assert calls == {"module": 6, "validate": 0}
     assert [inst["ok"] for inst in report["instances"]] == [False, True, True]
+
+
+def test_two_factor_log_modules_are_already_reduced():
+    # the intersection that ends D(f) of two factors returns a reduced basis
+    rng = random.Random(7)
+    checked = 0
+    while checked < 6:
+        factored, ctx = random_instance(rng)
+        if len(factored.factors) < 2:
+            continue
+        out = generalized_log_module(factored, ctx, validate=False)
+        assert tuple(out) == buchberger(ctx.derivation_module(), out).elements
+        checked += 1

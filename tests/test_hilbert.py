@@ -6,7 +6,7 @@ from logderiv.poly import (
     Polynomial,
     parse_poly,
 )
-from logderiv.groebner import ring_module
+from logderiv.groebner import FreeModule, ring_module
 from logderiv.derivmod import FactoredPolynomial, GradedContext, generalized_log_module
 from logderiv.resolution import free_resolution, minimize, pad_with_trivial_pair
 from logderiv.hilbert import (
@@ -18,6 +18,7 @@ from logderiv.hilbert import (
     hp_expand,
     hp_free,
     hp_from_resolution,
+    hp_quotient,
     quotient_ring_hp,
     verify_coprime_sum,
     verify_degree_identity,
@@ -74,6 +75,47 @@ def test_hp_koszul_ideal():
 def test_hp_quotient_point():
     hp = quotient_ring_hp([P("x"), P("y")], CTX2)
     assert hp_expand(hp, 0, 5) == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
+
+
+def _product_numerator(degrees):
+    """Numerator prod(1 - t^d) as sorted (exponent, coefficient) pairs."""
+    coeffs = {0: 1}
+    for d in degrees:
+        out = dict(coeffs)
+        for e, c in coeffs.items():
+            out[e + d] = out.get(e + d, 0) - c
+        coeffs = out
+    return tuple(sorted((e, c) for e, c in coeffs.items() if c))
+
+
+@pytest.mark.parametrize(
+    "u, texts, degrees",
+    [
+        ((1, 1), ("x", "y"), (1, 1)),
+        ((2, 1), ("x", "y"), (2, 1)),
+        ((1, 1), ("x^2+y^2", "x*y"), (2, 2)),
+        ((2, 1), ("x^2", "x+y^2"), (4, 2)),
+    ],
+    ids=["x,y", "x,y-weighted", "x2+y2,xy", "x2,x+y2-weighted"],
+)
+def test_complete_intersection_quotient_numerator(u, texts, degrees):
+    # S/(f_1, ..., f_c) for a regular sequence: N(t) = prod(1 - t^{deg f_i})
+    ctx = GradedContext.from_uk(u, max(u))
+    hp = quotient_ring_hp([P(t) for t in texts], ctx)
+    assert hp.weights == u
+    assert hp.numerator == _product_numerator(degrees)
+
+
+def test_quotient_numerator_ignores_redundant_generators():
+    assert (
+        quotient_ring_hp([P("x"), P("y"), P("x+y")], CTX2).numerator
+        == quotient_ring_hp([P("x"), P("y")], CTX2).numerator
+    )
+
+
+def test_quotient_by_no_relations_is_the_free_module():
+    mod = FreeModule(2, (0, 3), MonomialOrder((1, 2)))
+    assert hp_quotient(mod, []) == hp_free((0, 3), (1, 2))
 
 
 def test_hp_conic_derivation_module():
@@ -149,7 +191,7 @@ def test_numerator_shift_law():
     res = free_resolution(CTX2.derivation_module(), gens)
     hp = hp_from_resolution(res)
     for d in (-2, 1, 4):
-        shifted = hp_free([s + d for s in res.f0_shifts], CTX2.u)
+        shifted = hp_free([s + d for s in res.shifts(0)], CTX2.u)
         assert shifted.numerator == tuple((e + d, c) for e, c in hp.numerator)
 
 

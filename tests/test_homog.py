@@ -138,8 +138,8 @@ def test_worked_example_homogenizes_to_resolution():
     hom = homogenize_resolution(res)
     assert hom.is_resolution
     for upper, lower in zip(
-        [hom.resolution.generator_map] + list(hom.resolution.maps),
-        hom.resolution.maps,
+        hom.resolution.chain,
+        hom.resolution.chain[1:],
     ):
         for col in upper.compose(lower):
             assert vec_is_zero(col)
@@ -158,8 +158,8 @@ def test_already_homogeneous_module_unchanged_shifts():
     _, _, res = affine_log_resolution(fp)
     hom = homogenize_resolution(res)
     assert hom.is_resolution
-    assert hom.resolution.f0_shifts == res.f0_shifts
-    for m in hom.resolution.maps:
+    assert hom.resolution.shifts(0) == res.shifts(0)
+    for m in hom.resolution.chain[1:]:
         for col in m.columns:
             for p in col:
                 assert all(e[-1] == 0 for e in p.terms)
@@ -169,12 +169,12 @@ def test_kernel_commutes_with_homogenization_on_example():
     # syzygies of the homogenized columns agree with the homogenized syzygies
     _, _, res = affine_log_resolution(worked_example())
     hom = homogenize_resolution(res)
-    phi0h = hom.resolution.generator_map
+    phi0h = hom.resolution.chain[0]
     h_f0 = FreeModule(4, phi0h.target_shifts, MonomialOrder((1, 1, 1, 1)))
     syz_mod, syz = syzygies(
         h_f0, list(phi0h.columns), degrees=phi0h.source_shifts
     )
-    expected = list(hom.resolution.maps[0].columns)
+    expected = list(hom.resolution.chain[1].columns)
     syz_module = FreeModule(4, phi0h.source_shifts, MonomialOrder((1, 1, 1, 1)))
     assert module_equal(syz_module, syz, expected)
 

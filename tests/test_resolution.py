@@ -14,7 +14,6 @@ from logderiv.resolution import (
     free_resolution,
     minimize,
     pad_with_trivial_pair,
-    presentation_resolution,
 )
 
 XY = ["x", "y"]
@@ -44,14 +43,14 @@ def test_free_module_case_has_length_zero():
     gens = generalized_log_module(fp, ctx)
     res = free_resolution(ctx.derivation_module(), gens)
     assert res.length == 0
-    assert Counter(res.f0_shifts) == Counter({2 * 1 + 0: 1, 3 * 1 + 1: 1})
+    assert Counter(res.shifts(0)) == Counter({2 * 1 + 0: 1, 3 * 1 + 1: 1})
 
 
 def test_koszul_resolution_of_two_variables():
     mod = ring_module(2, MonomialOrder((1, 1)))
     res = free_resolution(mod, [(P("x"),), (P("y"),)])
     assert res.length == 1
-    assert sorted(res.f0_shifts) == [1, 1]
+    assert sorted(res.shifts(0)) == [1, 1]
     assert res.shifts(1) == (2,)
     assert certify_exact(res)
 
@@ -59,7 +58,7 @@ def test_koszul_resolution_of_two_variables():
 def test_zero_module_resolution():
     mod = ring_module(2, MonomialOrder((1, 1)))
     res = free_resolution(mod, [])
-    assert res.length == 0 and res.f0_shifts == ()
+    assert res.length == 0 and res.shifts(0) == ()
     assert alternating_degree_sum(res) == 0
     assert alternating_rank_sum(res) == 0
 
@@ -74,7 +73,7 @@ def test_resolution_is_exact_for_conic():
     res = conic_resolution()
     assert certify_exact(res)
     assert res.length == 0
-    assert sorted(res.f0_shifts) == [1, 1]
+    assert sorted(res.shifts(0)) == [1, 1]
 
 
 # --- minimize -----------------------------------------------------------------
@@ -85,7 +84,7 @@ def test_minimize_fixed_point():
     assert res.is_minimal()
     out = minimize(res)
     assert out.all_shifts() == res.all_shifts()
-    assert [m.columns for m in out.maps] == [m.columns for m in res.maps]
+    assert [m.columns for m in out.chain[1:]] == [m.columns for m in res.chain[1:]]
 
 
 def test_minimize_cancels_padding():
@@ -109,10 +108,10 @@ def test_minimize_redundant_generating_set():
     assert not res.is_minimal()
     assert certify_exact(res)
     out = minimize(res)
-    assert sorted(out.f0_shifts) == [1, 1]
+    assert sorted(out.shifts(0)) == [1, 1]
     assert out.length == 1 and out.shifts(1) == (2,)
     assert certify_exact(out)
-    assert module_equal(mod, list(out.generator_map.columns), [(P("x"),), (P("y"),)])
+    assert module_equal(mod, list(out.chain[0].columns), [(P("x"),), (P("y"),)])
 
 
 def test_betti_invariance_across_generating_sets():
@@ -200,7 +199,7 @@ def test_entry_degrees_equal_shift_differences():
         ),
     ]
     for res in instances:
-        chain = [res.generator_map] + list(res.maps)
+        chain = res.chain
         for m in chain:
             for j, col in enumerate(m.columns):
                 for i, entry in enumerate(col):
@@ -224,25 +223,14 @@ def test_length_bound_stays_within_variable_count():
         assert certify_exact(res)
 
 
-def test_presentation_resolution_of_quotient():
+def test_minimize_duplicated_generator():
+    # F_0 = S(-1)^2 -> <x> with the unit syzygy (1, -1); one copy cancels
     mod = ring_module(2, MonomialOrder((1, 1)))
-    res = presentation_resolution(mod, [(P("x"),), (P("y"),)])
-    assert res.f0_shifts == (0,)
-    assert res.length == 2
-    assert sorted(res.shifts(1)) == [1, 1]
-    assert res.shifts(2) == (2,)
-    assert alternating_rank_sum(res) == 1 - 2 + 1
-
-
-def test_minimize_presentation_with_redundant_relations():
-    from logderiv.hilbert import chi, hp_from_resolution
-
-    mod = ring_module(2, MonomialOrder((1, 1)))
-    res = presentation_resolution(mod, [(P("x"),), (P("x"),)])
+    res = free_resolution(mod, [(P("x"),), (P("x"),)])
     assert not res.is_minimal()
     out = minimize(res)
     assert out.is_minimal()
-    assert out.f0_shifts == (0,)
-    assert out.shifts(1) == (1,)
-    assert out.length == 1
-    assert chi(hp_from_resolution(out)).value == chi(hp_from_resolution(res)).value
+    assert out.shifts(0) == (1,)
+    assert out.length == 0
+    assert certify_exact(out)
+    assert module_equal(mod, list(out.chain[0].columns), [(P("x"),)])
