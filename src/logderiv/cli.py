@@ -262,6 +262,10 @@ def cmd_homogenize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.random < 0:
+        raise UsageError(f"--random must be an instance count >= 0, got {args.random}")
+    if args.max_vars < 2:
+        raise UsageError(f"--max-vars must be >= 2, got {args.max_vars}")
     report = run_harness(
         args.random,
         max_vars=args.max_vars,

@@ -9,6 +9,9 @@ of slots; it is the one elimination mechanism, used both for syzygies and
 for intersections (in F ⊕ F).  `FreeModule.desc_key` is the one definition
 of this order: ascending in it is descending term order.
 
+`GroebnerBasis` is the one Buchberger engine: a reduced basis with its leads
+prepared for division, grown in place by `add`.
+
 Everything is exact over Q and deterministic: bases are fully interreduced,
 made monic and sorted, so the reduced basis of a module under a fixed order
 is unique and normal forms are canonical.
@@ -160,10 +163,6 @@ class _Prepared:
         self.key = module.desc_key(lead)
 
 
-def _prepare(module: FreeModule, vectors) -> list[_Prepared]:
-    return [_Prepared(module, flatten(v)) for v in vectors if not vec_is_zero(v)]
-
-
 def _divide_flat(
     module: FreeModule,
     flat: dict[FlatTerm, Fraction],
@@ -222,8 +221,8 @@ def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Vector]
     """Divide vec by the basis, returning (quotients, remainder) with
     vec == sum(q_i * b_i) + remainder."""
     basis = list(basis_vectors)
-    prepared = _prepare(module, basis)
     live = [i for i, b in enumerate(basis) if not vec_is_zero(b)]
+    prepared = [_Prepared(module, flatten(basis[i])) for i in live]
     quotients_flat, rem = _divide_flat(module, flatten(vec), prepared, want_quotients=True)
     quotients = [Polynomial.zero(module.nvars) for _ in basis]
     for pos, qf in zip(live, quotients_flat):
@@ -231,17 +230,8 @@ def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Vector]
     return quotients, unflatten(module, rem)
 
 
-@dataclass
-class GroebnerBasis:
-    """Reduced Groebner basis: monic elements, sorted by lead descending."""
-
-    module: FreeModule
-    elements: tuple[Vector, ...]
-
-
 def normal_form(module: FreeModule, vec: Vector, gb: GroebnerBasis) -> Vector:
-    prepared = _prepare(module, gb.elements)
-    _, rem = _divide_flat(module, flatten(vec), prepared)
+    _, rem = _divide_flat(module, flatten(vec), gb.basis)
     return unflatten(module, rem)
 
 
@@ -264,32 +254,51 @@ def _spoly_flat(module: FreeModule, a: _Prepared, b: _Prepared) -> dict[FlatTerm
     return {k: v for k, v in out.items() if v}
 
 
-def _monic_flat(flat: dict[FlatTerm, Fraction], lead_coeff: Fraction) -> dict:
-    inv = Fraction(1) / lead_coeff
-    return {k: v * inv for k, v in flat.items()}
-
-
 def _ascending(key: tuple) -> tuple:
     """Negate a desc_key: ascending in the result is ascending term order."""
     block, wdeg, rexps, slot = key
     return (-block, -wdeg, tuple(-e for e in rexps), -slot)
 
 
-def buchberger(module: FreeModule, gens) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by gens.
+class GroebnerBasis:
+    """Reduced Groebner basis of a submodule, grown in place by `add`.
 
-    Pairs are processed in increasing order of the lcm term (normal
-    strategy); the coprime-lcm criterion is applied only in rank-1 ambients,
-    where it is valid.  Homogeneous input yields homogeneous output for any
-    order, since S-vectors and reduction steps preserve degrees.
+    `basis` is the reduced basis (monic, sorted by lead descending) between
+    calls.  `add` reduces new generators into it, processes S-pairs in
+    increasing order of their lcm term (normal strategy; the coprime-lcm
+    criterion only in rank 1, where it is valid) and interreduces.
+    Homogeneous input yields homogeneous output for any order.
     """
-    basis: list[_Prepared] = []
-    pairs: list[tuple[tuple, int, int]] = []
 
-    def push_pairs(new_idx: int):
-        b = basis[new_idx]
-        for i in range(new_idx):
-            a = basis[i]
+    def __init__(self, module: FreeModule, gens=()):
+        self.module = module
+        self.basis: list[_Prepared] = []
+        self._pairs: list[tuple[tuple, int, int]] = []
+        self.add(gens)
+
+    @property
+    def elements(self) -> tuple[Vector, ...]:
+        return tuple(unflatten(self.module, b.flat) for b in self.basis)
+
+    def add(self, gens) -> None:
+        for g in gens:
+            if not vec_is_zero(g):
+                self._reduce_and_append(flatten(g))
+        while self._pairs:
+            _, i, j = heapq.heappop(self._pairs)
+            s = _spoly_flat(self.module, self.basis[i], self.basis[j])
+            if s:
+                self._reduce_and_append(s)
+        self.basis = _interreduce(self.module, self.basis)
+
+    def _reduce_and_append(self, flat: dict[FlatTerm, Fraction]) -> None:
+        module, basis = self.module, self.basis
+        _, rem = _divide_flat(module, flat, basis)
+        if not rem:
+            return
+        inv = 1 / rem[min(rem, key=module.desc_key)]
+        b = _Prepared(module, {t: c * inv for t, c in rem.items()})
+        for i, a in enumerate(basis):
             if a.slot != b.slot:
                 continue
             if module.rank == 1 and all(
@@ -297,30 +306,18 @@ def buchberger(module: FreeModule, gens) -> GroebnerBasis:
             ):
                 continue
             lcm = mono_lcm(a.exps, b.exps)
-            heapq.heappush(pairs, (_ascending(module.desc_key((a.slot, lcm))), i, new_idx))
-
-    def reduce_and_add(flat: dict[FlatTerm, Fraction]):
-        _, rem = _divide_flat(module, flat, basis)
-        if rem:
-            lead = min(rem, key=module.desc_key)
-            basis.append(_Prepared(module, _monic_flat(rem, rem[lead])))
-            push_pairs(len(basis) - 1)
-
-    for g in gens:
-        if not vec_is_zero(g):
-            reduce_and_add(flatten(g))
-
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        s = _spoly_flat(module, basis[i], basis[j])
-        if s:
-            reduce_and_add(s)
-
-    return GroebnerBasis(module, _interreduce(module, basis))
+            pair_key = _ascending(module.desc_key((a.slot, lcm)))
+            heapq.heappush(self._pairs, (pair_key, i, len(basis)))
+        basis.append(b)
 
 
-def _interreduce(module: FreeModule, basis: list[_Prepared]) -> tuple[Vector, ...]:
-    """Reduce a Groebner basis to the reduced basis.
+def buchberger(module: FreeModule, gens) -> GroebnerBasis:
+    """Reduced Groebner basis of the submodule generated by gens."""
+    return GroebnerBasis(module, gens)
+
+
+def _interreduce(module: FreeModule, basis: list[_Prepared]) -> list[_Prepared]:
+    """Reduce a Groebner basis to the reduced basis, sorted by lead descending.
 
     First drop every element whose lead is divisible by the lead of another
     kept element (processing leads in ascending order, so divisors are seen
@@ -339,21 +336,18 @@ def _interreduce(module: FreeModule, basis: list[_Prepared]) -> tuple[Vector, ..
         )
         if not redundant:
             kept.append(b)
-    out = []
-    for i, b in enumerate(kept):
-        _, rem = _divide_flat(module, b.flat, kept[:i] + kept[i + 1 :])
-        out.append(unflatten(module, rem))
+    out = [
+        _Prepared(module, _divide_flat(module, b.flat, kept[:i] + kept[i + 1 :])[1])
+        for i, b in enumerate(kept)
+    ]
     # kept is in ascending term order with distinct leads
-    return tuple(reversed(out))
+    out.reverse()
+    return out
 
 
 def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     """Equality of generated submodules via reduced-basis uniqueness."""
-    gb_a = buchberger(module, gens_a)
-    gb_b = buchberger(module, gens_b)
-    return [vec_sort_key(v) for v in gb_a.elements] == [
-        vec_sort_key(v) for v in gb_b.elements
-    ]
+    return buchberger(module, gens_a).elements == buchberger(module, gens_b).elements
 
 
 def _eliminate(module: FreeModule, tail_shifts: tuple[int, ...], ext_gens) -> list[Vector]:

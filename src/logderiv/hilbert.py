@@ -266,6 +266,8 @@ def _oracle_claim(
 ) -> dict:
     hp = hp_from_resolution(res)
     lo = min([0, hp.min_exponent()] + [vector_degree(module, g) for g in gens])
+    if d_max < lo:
+        raise ValueError(f"the slice oracle's degree range {lo}..{d_max} is empty")
     expansion = hp_expand(hp, lo, d_max)
     brute = hp_bruteforce(module, gens, lo, d_max)
     return claim(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .poly import Polynomial
 from .groebner import (
     FreeModule,
+    GroebnerBasis,
     Vector,
-    buchberger,
     module_equal,
     normal_form,
     syzygies,
@@ -116,18 +116,16 @@ def minimal_generators(
     Returns the kept vectors and their shifts.
     """
     gens = [g for g in gens if not vec_is_zero(g)]
-    if graded:
-        degree_of = {id(g): vector_degree(module, g) for g in gens}
-    else:
-        degree_of = {id(g): vector_degree_bound(module, g) for g in gens}
+    degree = vector_degree if graded else vector_degree_bound
+    degree_of = {id(g): degree(module, g) for g in gens}
     gens.sort(key=lambda g: (degree_of[id(g)], vec_sort_key(g)))
     kept: list[Vector] = []
-    gb = None
+    gb = GroebnerBasis(module)
     for g in gens:
-        if gb is not None and vec_is_zero(normal_form(module, g, gb)):
+        if vec_is_zero(normal_form(module, g, gb)):
             continue
         kept.append(g)
-        gb = buchberger(module, kept)
+        gb.add([g])
     return kept, [degree_of[id(g)] for g in kept]
 
 

@@ -4,7 +4,7 @@ arrangements have D(f) free on generators of the textbook exponents, with a
 Saito certificate, and a generic arrangement has its known resolution."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -35,12 +35,17 @@ def unit(n, i):
     return tuple(int(k == i) for k in range(n))
 
 
-def coxeter_b(n):
-    """x_i and x_i +- x_j for i < j."""
-    return [unit(n, i) for i in range(n)] + [
+def coxeter_d(n):
+    """x_i +- x_j for i < j."""
+    return [
         tuple(a + s * b for a, b in zip(unit(n, i), unit(n, j)))
         for i, j in combinations(range(n), 2) for s in (1, -1)
     ]
+
+
+def coxeter_b(n):
+    """x_i and x_i +- x_j for i < j."""
+    return [unit(n, i) for i in range(n)] + coxeter_d(n)
 
 
 FREE = {
@@ -48,6 +53,8 @@ FREE = {
     "A3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1)],
            None, [1, 2, 3]),
     "B4": (coxeter_b(4), None, [1, 3, 5, 7]),
+    "D4": (coxeter_d(4), None, [1, 3, 3, 5]),
+    "D5": (coxeter_d(5), None, [1, 3, 4, 5, 7]),
     # x^2 y^3 (x+y) (x-y)^2 (x+2y)^3: a rank-2 multiarrangement
     "x2y3(x+y)(x-y)2(x+2y)3": ([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)],
                                (2, 3, 1, 2, 3), [5, 6]),
@@ -66,6 +73,23 @@ def test_free_arrangement_has_textbook_exponents_and_saito_basis(name):
     basis, shifts = minimal_generators(mod.module, mod.gens, graded=True)
     assert sorted(shifts) == exponents
     assert saito_check(basis, fp).is_basis
+
+
+def three_lines_exponents(m):
+    """Exponents of the multiarrangement x^m1 y^m2 (x+y)^m3 (Wakamiko 2007)."""
+    k1, k2, k3 = sorted(m)
+    if k3 >= k1 + k2 - 1:
+        return sorted([k1 + k2, k3])
+    total = sum(m)
+    return [total // 2, (total + 1) // 2]
+
+
+def test_three_line_multiarrangements_have_closed_form_exponents():
+    ctx = GradedContext.standard(2)
+    for m in product(range(1, 6), repeat=3):
+        mod = LogModule.of(arrangement([(1, 0), (0, 1), (1, 1)], m), ctx)
+        _, shifts = minimal_generators(mod.module, mod.gens, graded=True)
+        assert sorted(shifts) == three_lines_exponents(m), m
 
 
 def test_generic_four_planes_in_three_space_resolution():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from logderiv.cli import main
 
 
@@ -206,3 +208,23 @@ def test_json_reports_are_deterministic(capsys):
     _, third, _ = run(capsys, *args2)
     _, fourth, _ = run(capsys, *args2)
     assert third == fourth
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("chi", "x^2+y^2", "--vars", "x,y", "--u", "1,1", "--v", "0,0", "--dmax", "-3"),
+         "degree range 0..-3 is empty"),
+        (("verify", "--random", "2", "--dmax", "-5"), "is empty"),
+        (("verify", "--random", "-3"), "--random must be an instance count >= 0"),
+        (("verify", "--max-vars", "1"), "--max-vars must be >= 2"),
+    ],
+    ids=["chi-dmax-negative", "verify-dmax-negative", "verify-random-negative",
+         "verify-max-vars-1"],
+)
+def test_bad_verify_and_oracle_bounds_are_usage_errors(capsys, argv, message):
+    # each of these used to pass silently or end in a traceback
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from logderiv.poly import MonomialOrder, Polynomial, mono_divides, mono_lcm, parse_poly
 from logderiv.groebner import (
     FreeModule,
+    GroebnerBasis,
     buchberger,
     divide,
     exact_div,
@@ -21,6 +22,7 @@ from logderiv.groebner import (
     syzygies,
     unflatten,
     vec_is_zero,
+    vec_poly_mul,
     vector_degree,
 )
 
@@ -692,3 +694,55 @@ def test_reduced_basis_is_a_fixed_point_of_buchberger(name):
         assert module_equal(module, list(gb.elements), gens)
         sizes.append(len(gb.elements))
     assert max(sizes) > 3  # some draws are not already Groebner bases
+
+
+# --- the basis grows in place ------------------------------------------------------
+
+
+def random_vectors(rng, module, count):
+    return [
+        unflatten(module, random_flat(rng, module, rng.randint(2, 3), 2))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_adding_generators_in_chunks_gives_the_one_shot_basis(name):
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"chunks-{name}")
+    changed = 0
+    for _ in range(12):
+        gens = random_vectors(rng, module, rng.randint(3, 4))
+        cuts = sorted(rng.sample(range(1, len(gens)), rng.randint(1, 2)))
+        gb = GroebnerBasis(module)
+        for start, end in zip([0] + cuts, cuts + [len(gens)]):
+            before = gb.elements
+            gb.add(gens[start:end])
+            assert_reduced(module, gb.elements)
+            # read between two adds, the elements are those of the gens so far
+            assert gb.elements == buchberger(module, gens[:end]).elements
+            changed += start > 0 and gb.elements != before
+        assert gb.elements == buchberger(module, gens).elements
+    assert changed >= 12  # later chunks do change the basis
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_normal_form_is_the_remainder_of_division_by_the_elements(name):
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"normal-form-{name}")
+    zeros = 0
+    for _ in range(16):
+        gens = random_vectors(rng, module, rng.randint(2, 3))
+        gb = buchberger(module, gens)
+        member = module.zero_vector()
+        for g in gens:
+            factor = Polynomial(module.nvars, {
+                random_term(rng, module, 1)[1]: Fraction(rng.choice([-1, 2])) for _ in range(2)
+            })
+            member = tuple(a + b for a, b in zip(member, vec_poly_mul(g, factor)))
+        other = unflatten(module, random_flat(rng, module, rng.randint(1, 8), 4))
+        for vec in (member, other):
+            _, remainder = divide(module, vec, gb.elements)
+            assert normal_form(module, vec, gb) == remainder
+            zeros += vec_is_zero(remainder)
+    assert 16 <= zeros < 32  # members reduce to zero, most other vectors do not

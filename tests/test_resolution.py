@@ -1,10 +1,25 @@
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from logderiv.poly import MonomialOrder, Polynomial, parse_poly
-from logderiv.groebner import FreeModule, buchberger, module_equal, ring_module
+from logderiv.poly import MonomialOrder, Polynomial, degree_order, parse_poly
+from logderiv.groebner import (
+    FreeModule,
+    buchberger,
+    module_equal,
+    normal_form,
+    ring_module,
+    syzygies,
+    vec_is_zero,
+    vec_poly_mul,
+    vec_sort_key,
+    vector_degree,
+    vector_degree_bound,
+)
 from logderiv.derivmod import FactoredPolynomial, GradedContext, generalized_log_module
+from logderiv.harness import random_instance
 from logderiv.resolution import (
     BettiTable,
     alternating_degree_sum,
@@ -12,6 +27,7 @@ from logderiv.resolution import (
     betti_numbers,
     certify_exact,
     free_resolution,
+    minimal_generators,
     minimize,
     pad_with_trivial_pair,
 )
@@ -234,3 +250,73 @@ def test_minimize_duplicated_generator():
     assert out.length == 0
     assert certify_exact(out)
     assert module_equal(mod, list(out.chain[0].columns), [(P("x"),)])
+
+
+# --- minimal generators against the restart loop -------------------------------------
+
+
+def restart_minimal_generators(module, gens, graded):
+    """Reference: the same greedy scan, with Buchberger rerun from scratch
+    on the kept generators after each one it keeps."""
+    gens = [g for g in gens if not vec_is_zero(g)]
+    if graded:
+        degree_of = {id(g): vector_degree(module, g) for g in gens}
+    else:
+        degree_of = {id(g): vector_degree_bound(module, g) for g in gens}
+    gens.sort(key=lambda g: (degree_of[id(g)], vec_sort_key(g)))
+    kept = []
+    gb = None
+    for g in gens:
+        if gb is not None and vec_is_zero(normal_form(module, g, gb)):
+            continue
+        kept.append(g)
+        gb = buchberger(module, kept)
+    return kept, [degree_of[id(g)] for g in kept]
+
+
+def test_minimal_generators_match_the_restart_loop_graded():
+    # D(f) generators of seeded harness instances, with a multiple of one
+    # of them mixed in, and the first syzygies of the generators
+    rng = random.Random("minimal-graded")
+    dropped = 0
+    for _ in range(20):
+        fp, ctx = random_instance(rng)
+        dm = ctx.derivation_module()
+        gens = generalized_log_module(fp, ctx, validate=False)
+        degrees = tuple(vector_degree(dm, g) for g in gens)
+        syz_module, syz = syzygies(dm, gens, degrees=degrees)
+        variable = Polynomial.variable(rng.randrange(ctx.nvars), ctx.nvars)
+        multiple = vec_poly_mul(rng.choice(gens), variable)
+        for module, candidates in ((dm, gens + [multiple]), (syz_module, syz)):
+            expected = restart_minimal_generators(module, candidates, True)
+            assert minimal_generators(module, candidates, True) == expected
+            dropped += len(candidates) - len(expected[0])
+    assert dropped > 20
+
+
+def random_poly(rng, nvars, nterms):
+    return Polynomial(nvars, {
+        tuple(rng.randint(0, 2) for _ in range(nvars)): Fraction(rng.choice([-2, -1, 1, 3]))
+        for _ in range(nterms)
+    })
+
+
+def test_minimal_generators_match_the_restart_loop_ungraded():
+    # non-homogeneous draws under the degree order, with redundant
+    # combinations of earlier candidates mixed in
+    rng = random.Random("minimal-ungraded")
+    dropped = 0
+    for _ in range(20):
+        nvars = rng.randint(2, 3)
+        shifts = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+        module = FreeModule(nvars, shifts, degree_order(nvars))
+        gens = [tuple(random_poly(rng, nvars, rng.randint(0, 2)) for _ in shifts)
+                for _ in range(rng.randint(2, 4))]
+        for _ in range(2):
+            a, b = rng.sample(gens, 2)
+            factor = random_poly(rng, nvars, 2)
+            gens.append(tuple(p * factor + q for p, q in zip(a, b)))
+        expected = restart_minimal_generators(module, gens, False)
+        assert minimal_generators(module, gens, False) == expected
+        dropped += len(gens) - len(expected[0])
+    assert dropped > 20
