@@ -92,10 +92,7 @@ def _build_inputs(args) -> tuple[list[str], FactoredPolynomial, GradedContext]:
     else:
         u = (1,) * n
     if args.v:
-        v = _parse_int_list(args.v, n, "--v")
-        ks = {a + b for a, b in zip(u, v)}
-        k = ks.pop() if len(ks) == 1 else None
-        ctx = GradedContext(u, v, k)
+        ctx = GradedContext(u, _parse_int_list(args.v, n, "--v"))
     else:
         ctx = GradedContext.from_uk(u, max(u))
     return names, factored, ctx
@@ -245,6 +242,8 @@ def cmd_saito(args) -> int:
 
 
 def cmd_homogenize(args) -> int:
+    if args.u or args.v or args.infer_weights:
+        raise UsageError("homogenize uses the standard grading: no --u, --v or --infer-weights")
     names, factored, ctx = _build_inputs(args)
     mix = None
     if args.mix:
@@ -266,6 +265,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--random must be an instance count >= 0, got {args.random}")
     if args.max_vars < 2:
         raise UsageError(f"--max-vars must be >= 2, got {args.max_vars}")
+    if args.max_degree < 2:
+        raise UsageError(f"--max-degree must be >= 2, got {args.max_degree}")
     report = run_harness(
         args.random,
         max_vars=args.max_vars,
@@ -312,8 +313,6 @@ def _add_common(parser, poly_required=True):
         help="infer the weight vector from the polynomial",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--dmax", type=int, default=12,
-                        help="expansion bound for the series oracle")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="chi invariant and the degree identity")
     _add_common(p)
+    p.add_argument("--dmax", type=int, default=12,
+                   help="expansion bound for the series oracle")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("hilbert", help="Hilbert-Poincare series")

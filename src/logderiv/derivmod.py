@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import (
-    MonomialOrder,
-    NotQuasiHomogeneous,
-    Polynomial,
-    partial_derivative,
-    squarefree_test,
-    u_degree,
-)
+from .poly import MonomialOrder, Polynomial, partial_derivative, squarefree_test
 from .groebner import (
     FreeModule,
     Vector,
@@ -45,13 +38,10 @@ from .resolution import Resolution, free_resolution, minimize
 
 @dataclass(frozen=True)
 class GradedContext:
-    """Weights u on the variables, shifts v on the derivation slots and,
-    when u + v is constant, the common value k required by the graded
-    theory."""
+    """Weights u on the variables and shifts v on the derivation slots."""
 
     u: tuple[int, ...]
     v: tuple[int, ...]
-    k: int | None = None
 
     def __post_init__(self):
         if any(w <= 0 for w in self.u):
@@ -60,16 +50,21 @@ class GradedContext:
             raise NonPositiveWeightError(f"weights must be positive, got {self.u}")
         if len(self.u) != len(self.v):
             raise ValueError("u and v must have the same length")
-        if self.k is not None and any(a + b != self.k for a, b in zip(self.u, self.v)):
-            raise ValueError(f"u + v must equal ({self.k},...,{self.k})")
 
     @classmethod
     def from_uk(cls, u: tuple[int, ...], k: int) -> "GradedContext":
-        return cls(tuple(u), tuple(k - w for w in u), k)
+        return cls(tuple(u), tuple(k - w for w in u))
 
     @classmethod
     def standard(cls, n: int) -> "GradedContext":
-        return cls((1,) * n, (0,) * n, 1)
+        return cls((1,) * n, (0,) * n)
+
+    @property
+    def k(self) -> int | None:
+        """The common value of u_i + v_i required by the graded theory, or
+        None when u + v is not constant."""
+        ks = {a + b for a, b in zip(self.u, self.v)}
+        return ks.pop() if len(ks) == 1 else None
 
     @property
     def nvars(self) -> int:
@@ -222,8 +217,8 @@ def log_derivations(f: Polynomial, k: int, ctx: GradedContext) -> list[Vector]:
     """Generators of the derivations delta with delta(f) in <f^k>.
 
     Computed as syzygies of (df/dx_1, ..., df/dx_n, f^k) projected onto the
-    first n slots; when f is u-homogeneous the generators are homogeneous in
-    the (u, v)-grading.
+    first n slots (a column is zero when f lacks the variable); when f is
+    u-homogeneous the generators are homogeneous in the (u, v)-grading.
     """
     if f.is_constant():
         raise ValueError("constant polynomial")
@@ -234,12 +229,7 @@ def log_derivations(f: Polynomial, k: int, ctx: GradedContext) -> list[Vector]:
         raise ValueError("variable count mismatch with the context")
     ring = ring_module(n, ctx.order())
     columns = [(partial_derivative(f, i),) for i in range(n)] + [(f ** k,)]
-    try:
-        d = u_degree(f, ctx.u)
-        degrees = tuple(d - ctx.u[i] for i in range(n)) + (k * d,)
-    except NotQuasiHomogeneous:
-        degrees = None
-    _, syz = syzygies(ring, columns, degrees=degrees)
+    _, syz = syzygies(ring, columns)
     return [s[:n] for s in syz if not vec_is_zero(s[:n])]
 
 
@@ -289,8 +279,7 @@ class LogModule:
 
     @cached_property
     def resolution(self) -> Resolution:
-        graded = all(try_vector_degree(self.module, g) is not None for g in self.gens)
-        return free_resolution(self.module, self.gens, graded=graded)
+        return free_resolution(self.module, self.gens)
 
     @cached_property
     def minimal(self) -> Resolution:

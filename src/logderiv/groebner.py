@@ -6,8 +6,9 @@ weighted degree first (so a graded order on the module refines the grading),
 then by the ring order, with lower slot index winning ties.  An optional
 block split turns the order into an elimination order for the leading block
 of slots; it is the one elimination mechanism, used both for syzygies and
-for intersections (in F ⊕ F).  `FreeModule.desc_key` is the one definition
-of this order: ascending in it is descending term order.
+for intersections (in F ⊕ F); `syzygies` homogenizes inhomogeneous input
+first.  `FreeModule.desc_key` is the one definition of this order:
+ascending in it is descending term order.
 
 `GroebnerBasis` is the one Buchberger engine: a reduced basis with its leads
 prepared for division, grown in place by `add`.
@@ -113,41 +114,36 @@ def unflatten(module: FreeModule, flat: dict[FlatTerm, Fraction]) -> Vector:
     return tuple(Polynomial._raw(module.nvars, d) for d in comps)
 
 
-def vector_degree(module: FreeModule, vec: Vector) -> int:
-    """Common shifted weighted degree of all terms; raises on mixed degrees
-    or on the zero vector."""
-    degree = None
-    for slot, p in enumerate(vec):
-        for exps in p.terms:
-            d = weighted_degree(exps, module.order.weights) + module.shifts[slot]
-            if degree is None:
-                degree = d
-            elif d != degree:
-                raise ValueError(f"element is not homogeneous: degrees {degree} and {d}")
-    if degree is None:
-        raise ValueError("the zero vector has no degree")
-    return degree
+def vector_grading(module: FreeModule, vec: Vector) -> tuple[int, bool]:
+    """Largest shifted weighted degree of vec's terms (0 for the zero
+    vector), and whether every term has it."""
+    weights = module.order.weights
+    degrees = {
+        weighted_degree(exps, weights) + shift
+        for shift, p in zip(module.shifts, vec)
+        for exps in p.terms
+    }
+    return max(degrees, default=0), len(degrees) < 2
 
 
 def try_vector_degree(module: FreeModule, vec: Vector) -> int | None:
-    try:
-        return vector_degree(module, vec)
-    except ValueError:
-        return None
+    """Common shifted weighted degree of all terms; None for the zero vector
+    or mixed degrees."""
+    degree, homogeneous = vector_grading(module, vec)
+    return degree if homogeneous and not vec_is_zero(vec) else None
+
+
+def vector_degree(module: FreeModule, vec: Vector) -> int:
+    degree = try_vector_degree(module, vec)
+    if degree is None:
+        raise ValueError("only a nonzero homogeneous element has a degree")
+    return degree
 
 
 def vector_degree_bound(module: FreeModule, vec: Vector) -> int:
-    """Max shifted total degree over all terms (the filtration bound used
-    when the element is not homogeneous)."""
-    bound = None
-    for slot, p in enumerate(vec):
-        if p.is_zero():
-            continue
-        d = p.total_degree() + module.shifts[slot]
-        bound = d if bound is None else max(bound, d)
-    if bound is None:
-        raise ValueError("the zero vector has no degree bound")
-    return bound
+    """Largest shifted weighted degree of vec's terms: its degree when it is
+    homogeneous, and its filtration bound otherwise (0 for zero)."""
+    return vector_grading(module, vec)[0]
 
 
 class _Prepared:
@@ -280,16 +276,22 @@ class GroebnerBasis:
     def elements(self) -> tuple[Vector, ...]:
         return tuple(unflatten(self.module, b.flat) for b in self.basis)
 
-    def add(self, gens) -> None:
+    def add(self, gens) -> bool:
+        """Add generators and return whether the module grew.  If none was
+        appended, no pair was queued and the basis is still reduced."""
+        size = len(self.basis)
         for g in gens:
             if not vec_is_zero(g):
                 self._reduce_and_append(flatten(g))
+        if len(self.basis) == size:
+            return False
         while self._pairs:
             _, i, j = heapq.heappop(self._pairs)
             s = _spoly_flat(self.module, self.basis[i], self.basis[j])
             if s:
                 self._reduce_and_append(s)
         self.basis = _interreduce(self.module, self.basis)
+        return True
 
     def _reduce_and_append(self, flat: dict[FlatTerm, Fraction]) -> None:
         module, basis = self.module, self.basis
@@ -367,22 +369,35 @@ def _eliminate(module: FreeModule, tail_shifts: tuple[int, ...], ext_gens) -> li
     return [tuple(e[rank:]) for e in gb.elements if vec_is_zero(e[:rank])]
 
 
-def syzygies(
-    module: FreeModule, gens, degrees: tuple[int, ...] | None = None
-) -> tuple[FreeModule, list[Vector]]:
-    """Generators of the syzygy module of gens.
+def syzygies(module: FreeModule, gens) -> tuple[FreeModule, list[Vector]]:
+    """Generators of the syzygies of gens, in the free module whose slot i
+    carries the degree of gens[i] (`vector_grading`).
 
-    Eliminates the ambient block from the extended module (ambient + one
-    slot per generator) generated by (g_i, e_i).  When gens are homogeneous
-    and `degrees` lists their degrees, the syzygies are homogeneous in the
-    shifted free module on those degrees.
+    Eliminates the ambient block from the module generated by (g_i, e_i) in
+    the ambient ⊕ that free module.  Homogeneous gens give the reduced basis
+    of their syzygies, which are homogeneous.  Otherwise the gens are first
+    homogenized to their degrees with a new last variable h of weight 1, and
+    h is set to 1 in the result, a generating set: homogenizing to a fixed
+    degree is linear, so every syzygy s lifts to the graded syzygy h^a * s^h.
     """
     gens = list(gens)
-    if degrees is None:
-        degrees = (0,) * len(gens)
-    syz_module = FreeModule(module.nvars, tuple(degrees), module.order)
-    ext_gens = [tuple(g) + syz_module.unit_vector(i) for i, g in enumerate(gens)]
-    return syz_module, _eliminate(module, syz_module.shifts, ext_gens)
+    gradings = [vector_grading(module, g) for g in gens]
+    degrees = tuple(d for d, _ in gradings)
+    syz_module = FreeModule(module.nvars, degrees, module.order)
+    homogeneous = all(h for _, h in gradings)
+    if not homogeneous:
+        weights = module.order.weights
+        gens = [
+            tuple(p.homogenize(d - s, weights) for p, s in zip(g, module.shifts))
+            for g, d in zip(gens, degrees)
+        ]
+        module = FreeModule(module.nvars + 1, module.shifts, MonomialOrder(weights + (1,)))
+    units = FreeModule(module.nvars, degrees, module.order)
+    ext_gens = [tuple(g) + units.unit_vector(i) for i, g in enumerate(gens)]
+    syz = _eliminate(module, degrees, ext_gens)
+    if not homogeneous:
+        syz = [tuple(p.set_last_var_one() for p in s) for s in syz]
+    return syz_module, syz
 
 
 def intersect(module: FreeModule, gens_a, gens_b) -> list[Vector]:

@@ -118,9 +118,7 @@ def random_instance(
 
 
 def shift_context(ctx: GradedContext, by: int = 1) -> GradedContext:
-    return GradedContext(
-        ctx.u, tuple(x + by for x in ctx.v), None if ctx.k is None else ctx.k + by
-    )
+    return GradedContext(ctx.u, tuple(x + by for x in ctx.v))
 
 
 def instance_module(factored: FactoredPolynomial, ctx: GradedContext) -> LogModule:

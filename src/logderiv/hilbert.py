@@ -355,10 +355,7 @@ def quotient_presentation(
     """Presentation of L/M for M ⊆ L: F_0 is free on the given generators of
     L; the relations are the syzygies of L's generators together with the
     expressions of M's generators in terms of them."""
-    degrees = tuple(vector_degree(dm, g) for g in big_gens)
-    f0 = FreeModule(dm.nvars, degrees, dm.order)
-    _, syz = syzygies(dm, big_gens, degrees=degrees)
-    relations = list(syz)
+    f0, relations = syzygies(dm, big_gens)
     # membership division must land on zero, so the caller passes a reduced
     # basis as the generating set of L
     for m in sub_gens:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Polynomial, degree_order
+from .poly import FiltrationError, Polynomial, degree_order
 from .groebner import (
     FreeModule,
     Vector,
@@ -39,22 +39,10 @@ from .resolution import (
 from .hilbert import chi, claim, hp_from_resolution, report_ok
 
 
-class FiltrationError(ValueError):
-    """A column's actual degree exceeds its declared shift bound."""
-
-
 def homogenize_poly(p: Polynomial, target: int) -> Polynomial:
     """Pad every term of p with powers of a fresh last variable up to total
-    degree `target`."""
-    out = {}
-    for exps, c in p.terms.items():
-        gap = target - sum(exps)
-        if gap < 0:
-            raise FiltrationError(
-                f"term of degree {sum(exps)} exceeds the declared bound {target}"
-            )
-        out[exps + (gap,)] = c
-    return Polynomial(p.nvars + 1, out)
+    degree `target`; raises FiltrationError when a term exceeds it."""
+    return p.homogenize(target, (1,) * p.nvars)
 
 
 @dataclass(frozen=True)
@@ -148,7 +136,7 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
         for col, d in zip(m.columns, m.source_shifts):
             cols.append(homogenize_vector(col, m.target_shifts, degree=d).components)
         hchain.append(
-            ModuleMap(tuple(cols), m.source_shifts, m.target_shifts, True)
+            ModuleMap(tuple(cols), m.source_shifts, m.target_shifts)
         )
     h_ambient = extended_module(ambient)
     h_res = Resolution(tuple(hchain), h_ambient)
@@ -187,7 +175,7 @@ def affine_log_resolution(
     ctx = GradedContext.standard(n)
     dm = ctx.derivation_module()
     gens = generalized_log_module(factored, ctx)
-    gens, _ = minimal_generators(dm, gens, graded=False)
+    gens, _ = minimal_generators(dm, gens)
     if mix is not None:
         i, j = mix
         if not (0 <= i < len(gens) and 0 <= j < len(gens)):
@@ -196,7 +184,7 @@ def affine_log_resolution(
             )
         gens = list(gens)
         gens[i] = tuple(a + b for a, b in zip(gens[i], gens[j]))
-    res = free_resolution(dm, gens, graded=False)
+    res = free_resolution(dm, gens)
     return ctx, gens, res
 
 
@@ -215,7 +203,7 @@ def chi_homogenized(
     else:
         recomputed = True
         hmod, hgens = homogenize_module(ctx.derivation_module(), gens)
-        h_res = free_resolution(hmod, hgens, graded=True)
+        h_res = free_resolution(hmod, hgens)
     minimal = minimize(h_res)
     value = chi(hp_from_resolution(minimal)).value
     claims = [

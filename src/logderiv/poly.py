@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -52,8 +53,12 @@ class NotQuasiHomogeneous(ValueError):
         )
 
 
+class FiltrationError(ValueError):
+    """A term's degree exceeds the declared bound it is homogenized to."""
+
+
 def weighted_degree(exps: Exponents, u: Iterable[int]) -> int:
-    return sum(e * w for e, w in zip(exps, u))
+    return sum(map(mul, exps, u))
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -219,6 +224,19 @@ class Polynomial:
             else:
                 del out[key]
         return Polynomial._raw(self.nvars - 1, out)
+
+    def homogenize(self, target: int, weights: tuple[int, ...]) -> "Polynomial":
+        """Append a last variable of weight 1 to the power that brings every
+        term's weighted degree up to `target`; set_last_var_one inverts it."""
+        out: dict[Exponents, Fraction] = {}
+        for e, c in self.terms.items():
+            gap = target - weighted_degree(e, weights)
+            if gap < 0:
+                raise FiltrationError(
+                    f"term of degree {target - gap} exceeds the declared bound {target}"
+                )
+            out[e + (gap,)] = c
+        return Polynomial._raw(self.nvars + 1, out)
 
     def last_var_valuation(self) -> int:
         """Smallest exponent of the last variable over all terms (0 for the

@@ -4,14 +4,16 @@ numbers and the alternating degree/rank sums.
 A resolution of a submodule M of a shifted free module is the chain
 phi_0, phi_1, ..., phi_ell: phi_0 is the generator matrix into the ambient
 and the columns of every later map generate the kernel of the previous one,
-so the chain is exact by construction.  Shifts are the degrees of the chosen
-generators (graded case) or their componentwise max total degrees (the
-filtration bounds of the non-graded pipeline).
+so the chain is exact by construction.  Shifts are the largest shifted
+weighted degrees of the chosen generators: their degrees when they are
+homogeneous, and their filtration bounds otherwise.  Nothing declares the
+grading: a resolution is graded when the generators of M are homogeneous.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .poly import Polynomial
 from .groebner import (
@@ -19,25 +21,24 @@ from .groebner import (
     GroebnerBasis,
     Vector,
     module_equal,
-    normal_form,
     syzygies,
     vec_is_zero,
     vec_sort_key,
     vector_degree,
     vector_degree_bound,
+    vector_grading,
 )
 
 
 @dataclass(frozen=True)
 class ModuleMap:
     """Map between shifted free modules; columns are images of the source
-    basis expressed in target coordinates.  When homogeneous, the entry
-    (i, j) is zero or has degree source_shifts[j] - target_shifts[i]."""
+    basis expressed in target coordinates.  In a graded resolution entry
+    (i, j) is zero or of degree source_shifts[j] - target_shifts[i]."""
 
     columns: tuple[Vector, ...]
     source_shifts: tuple[int, ...]
     target_shifts: tuple[int, ...]
-    homogeneous: bool
 
     @property
     def source_rank(self) -> int:
@@ -74,7 +75,8 @@ class Resolution:
     chain[0] is phi_0, the generators of M as columns in ambient
     coordinates; chain[p] is phi_p: F_p -> F_{p-1}.  F_p carries the shifts
     chain[p].source_shifts.  The grading (weights) is the ambient's, and
-    the resolution is graded when phi_0 is homogeneous.
+    the resolution is graded when every column of phi_0 is homogeneous (a
+    zero column, as `pad_with_trivial_pair` adds, counts as homogeneous).
     """
 
     chain: tuple[ModuleMap, ...]
@@ -84,9 +86,9 @@ class Resolution:
     def weights(self) -> tuple[int, ...]:
         return self.ambient.order.weights
 
-    @property
+    @cached_property
     def graded(self) -> bool:
-        return self.chain[0].homogeneous
+        return all(vector_grading(self.ambient, col)[1] for col in self.chain[0].columns)
 
     @property
     def length(self) -> int:
@@ -106,54 +108,46 @@ class Resolution:
 
 
 def minimal_generators(
-    module: FreeModule, gens: list[Vector], graded: bool
+    module: FreeModule, gens: list[Vector], graded: bool = False
 ) -> tuple[list[Vector], list[int]]:
-    """Greedy irredundant generating set, processed by ascending degree.
+    """Greedy irredundant generating set, processed by ascending
+    `vector_degree_bound`; `graded` requires homogeneous generators.
 
-    In the graded case ascending-degree greedy produces a minimal generating
-    set (an element dependent on the kept ones modulo lower degrees would
-    itself have been dropped), which bounds the length of the resolution.
-    Returns the kept vectors and their shifts.
+    For homogeneous generators ascending-degree greedy produces a minimal
+    generating set (an element dependent on the kept ones modulo lower
+    degrees would itself have been dropped), which bounds the length of the
+    resolution.  Returns the kept vectors and their shifts.
     """
     gens = [g for g in gens if not vec_is_zero(g)]
     degree = vector_degree if graded else vector_degree_bound
     degree_of = {id(g): degree(module, g) for g in gens}
     gens.sort(key=lambda g: (degree_of[id(g)], vec_sort_key(g)))
-    kept: list[Vector] = []
     gb = GroebnerBasis(module)
-    for g in gens:
-        if vec_is_zero(normal_form(module, g, gb)):
-            continue
-        kept.append(g)
-        gb.add([g])
+    kept = [g for g in gens if gb.add([g])]
     return kept, [degree_of[id(g)] for g in kept]
 
 
-def free_resolution(module: FreeModule, gens, graded: bool = True) -> Resolution:
+def free_resolution(module: FreeModule, gens) -> Resolution:
     """Resolution of the submodule generated by gens.
 
-    phi_0 keeps the given generators verbatim (one column each); every
-    later map generates the syzygies of the previous one, pruned to an
+    phi_0 keeps the given nonzero generators verbatim (one column each);
+    every later map generates the syzygies of the previous one, pruned to an
     irredundant (graded: minimal) generating set, which guarantees
-    termination within the number of variables.
+    termination within the number of variables.  The shifts of F_p are the
+    degrees `syzygies` reads off the columns of phi_p.
     """
-    gens = tuple(tuple(g) for g in gens if not vec_is_zero(g))
-    degree = vector_degree if graded else vector_degree_bound
-    shifts = tuple(degree(module, g) for g in gens)
-    chain = [ModuleMap(gens, shifts, module.shifts, graded)]
+    columns = tuple(tuple(g) for g in gens if not vec_is_zero(g))
+    chain: list[ModuleMap] = []
     ambient = module
-    while chain[-1].columns:
-        prev = chain[-1]
-        syz_module, syz = syzygies(ambient, prev.columns, degrees=prev.source_shifts)
-        syz = [s for s in syz if not vec_is_zero(s)]
-        if not syz:
-            break
-        syz, shifts = minimal_generators(syz_module, syz, graded)
-        chain.append(ModuleMap(tuple(syz), tuple(shifts), prev.source_shifts, graded))
-        if len(chain) > module.nvars + 2:
+    while True:
+        syz_module, syz = syzygies(ambient, columns)
+        chain.append(ModuleMap(columns, syz_module.shifts, ambient.shifts))
+        columns = tuple(minimal_generators(syz_module, syz)[0])
+        if not columns:
+            return Resolution(tuple(chain), module)
+        if len(chain) > module.nvars + 1:
             raise RuntimeError("resolution exceeded the expected length bound")
         ambient = syz_module
-    return Resolution(tuple(chain), module)
 
 
 def alternating_degree_sum(res: Resolution) -> int:
@@ -297,7 +291,7 @@ def minimize(res: Resolution) -> Resolution:
 
     targets = [res.chain[0].target_shifts] + [tuple(s) for s in src_shifts[:-1]]
     chain = tuple(
-        ModuleMap(tuple(tuple(col) for col in c), tuple(s), t, True)
+        ModuleMap(tuple(tuple(col) for col in c), tuple(s), t)
         for c, s, t in zip(cols, src_shifts, targets)
     )
     return Resolution(chain, res.ambient)
@@ -318,7 +312,6 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
             tuple(col + (zero,) for col in m.columns),
             m.source_shifts,
             m.target_shifts + (d,),
-            m.homogeneous,
         )
 
     def widen_source(m: ModuleMap) -> ModuleMap:
@@ -327,12 +320,11 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
             m.columns + (new_col,),
             m.source_shifts + (d,),
             m.target_shifts,
-            m.homogeneous,
         )
 
     chain = list(res.chain)
     # identity block at step p, appended as a new map when p = length + 1
-    old = chain[p] if p < len(chain) else ModuleMap((), (), res.shifts(p - 1), res.graded)
+    old = chain[p] if p < len(chain) else ModuleMap((), (), res.shifts(p - 1))
     wide = widen_target(old)
     ident_col = tuple(zero for _ in range(old.target_rank)) + (one,)
     chain[p : p + 1] = [
@@ -340,7 +332,6 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
             wide.columns + (ident_col,),
             wide.source_shifts + (d,),
             wide.target_shifts,
-            wide.homogeneous,
         )
     ]
     # widen the neighbours
@@ -360,7 +351,7 @@ def certify_exact(res: Resolution) -> bool:
                 return False
     current = res.ambient
     for idx, m in enumerate(chain):
-        syz_mod, syz = syzygies(current, list(m.columns), degrees=m.source_shifts)
+        syz_mod, syz = syzygies(current, list(m.columns))
         expected = list(chain[idx + 1].columns) if idx + 1 < len(chain) else []
         if not module_equal(syz_mod, syz, expected):
             return False

@@ -218,9 +218,11 @@ def test_json_reports_are_deterministic(capsys):
         (("verify", "--random", "2", "--dmax", "-5"), "is empty"),
         (("verify", "--random", "-3"), "--random must be an instance count >= 0"),
         (("verify", "--max-vars", "1"), "--max-vars must be >= 2"),
+        (("verify", "--random", "3", "--max-degree", "-4"), "--max-degree must be >= 2"),
+        (("verify", "--max-degree", "1"), "--max-degree must be >= 2"),
     ],
     ids=["chi-dmax-negative", "verify-dmax-negative", "verify-random-negative",
-         "verify-max-vars-1"],
+         "verify-max-vars-1", "verify-max-degree-negative", "verify-max-degree-1"],
 )
 def test_bad_verify_and_oracle_bounds_are_usage_errors(capsys, argv, message):
     # each of these used to pass silently or end in a traceback
@@ -228,3 +230,54 @@ def test_bad_verify_and_oracle_bounds_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--u", "9,8,6"), ("--v", "0,1,3"), ("--infer-weights",)],
+    ids=["u", "v", "infer-weights"],
+)
+def test_homogenize_refuses_grading_flags(capsys, flags):
+    # homogenize computes under the standard grading; it used to echo these
+    # flags and ignore them
+    code, out, err = run(
+        capsys, "homogenize", "x^2*z+y^3+z^4", "--vars", "x,y,z", *flags, "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "standard grading" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derivations", "x^2+y^2"),
+        ("resolution", "x^2+y^2"),
+        ("betti", "x^2+y^2"),
+        ("hilbert",),
+        ("saito", "x^2+y^2", "--derivations", "basis.txt"),
+        ("homogenize", "x^2+y^2"),
+    ],
+    ids=["derivations", "resolution", "betti", "hilbert", "saito", "homogenize"],
+)
+def test_dmax_is_an_option_of_chi_only(capsys, argv):
+    # only chi (and verify, with its own flag) runs the series oracle
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--vars", "x,y", "--dmax", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dmax" in capsys.readouterr().err
+
+
+def test_resolution_bounds_of_an_inhomogeneous_input_are_weighted(capsys):
+    # x^2 + y is not quasi-homogeneous under u = (2, 3), v = (1, 0): the
+    # filtration bounds of the generators (x, 2y) and (-1/2, x) are their
+    # largest (u, v)-weighted degrees 3 and 2, not their total degrees
+    code, out, _ = run(
+        capsys, "resolution", "x^2+y", "--vars", "x,y", "--u", "2,3", "--format", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert not report["graded"]
+    assert report["matrices"] == [[["x", "-1/2"], ["2*y", "x"]]]
+    assert report["shifts"] == [[3, 2]]
+    assert report["alternating_degree_sum"] == 5

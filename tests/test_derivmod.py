@@ -36,7 +36,7 @@ def V(*texts, names=XY):
     return tuple(P(t, names) for t in texts)
 
 
-CTX2 = GradedContext((1, 1), (0, 0), 1)
+CTX2 = GradedContext((1, 1), (0, 0))
 CTX3W = GradedContext.from_uk((9, 8, 6), 9)
 
 
@@ -92,7 +92,7 @@ def test_conic_log_module_is_saito_basis():
 
 
 def test_hyperplane_module():
-    ctx = GradedContext((1, 1, 1), (0, 0, 0), 1)
+    ctx = GradedContext((1, 1, 1), (0, 0, 0))
     gens = log_derivations(P("x", XYZ), 1, ctx)
     dm = ctx.derivation_module()
     expected = [
@@ -138,7 +138,7 @@ def test_hamiltonian_derivations_are_members():
     from logderiv.poly import partial_derivative
 
     f = P("x^2*z+y^3+z^4", XYZ)
-    ctx = GradedContext((1, 1, 1), (0, 0, 0), 1)
+    ctx = GradedContext((1, 1, 1), (0, 0, 0))
     gens = generalized_log_module(FactoredPolynomial.single(f), ctx)
     dm = ctx.derivation_module()
     gb = buchberger(dm, gens)

@@ -214,7 +214,8 @@ def test_division_remultiplication_identity():
 
 def test_koszul_syzygy():
     mod = ring(2)
-    syz_mod, syz = syzygies(mod, [(P("x"),), (P("y"),)], degrees=(1, 1))
+    syz_mod, syz = syzygies(mod, [(P("x"),), (P("y"),)])
+    assert syz_mod.shifts == (1, 1)
     assert module_equal(syz_mod, syz, [(P("y"), -P("x"))])
 
 
@@ -242,7 +243,8 @@ def phi1_column():
 
 def test_syzygy_of_worked_example_columns():
     mod = FreeModule(3, (0, 0, 0), MonomialOrder((1, 1, 1)))
-    syz_mod, syz = syzygies(mod, phi0_columns(), degrees=(1, 2, 3, 3))
+    syz_mod, syz = syzygies(mod, phi0_columns())
+    assert syz_mod.shifts == (1, 2, 3, 3)
     assert module_equal(syz_mod, syz, [phi1_column()])
 
 
@@ -275,8 +277,7 @@ def test_homogeneous_inputs_give_homogeneous_basis():
 def test_homogeneous_inputs_give_homogeneous_syzygies():
     mod = FreeModule(2, (1, 1), MonomialOrder((1, 1)))
     gens = [(P("x"), P("y")), (P("y"), Polynomial.zero(2)), (P("x^2"), P("x*y"))]
-    degrees = tuple(vector_degree(mod, g) for g in gens)
-    syz_mod, syz = syzygies(mod, gens, degrees=degrees)
+    syz_mod, syz = syzygies(mod, gens)
     for s in syz:
         vector_degree(syz_mod, s)  # raises if inhomogeneous
 
@@ -717,13 +718,63 @@ def test_adding_generators_in_chunks_gives_the_one_shot_basis(name):
         gb = GroebnerBasis(module)
         for start, end in zip([0] + cuts, cuts + [len(gens)]):
             before = gb.elements
-            gb.add(gens[start:end])
+            # add reports whether the module grew, i.e. the basis changed
+            assert gb.add(gens[start:end]) == (gb.elements != before)
             assert_reduced(module, gb.elements)
             # read between two adds, the elements are those of the gens so far
             assert gb.elements == buchberger(module, gens[:end]).elements
             changed += start > 0 and gb.elements != before
         assert gb.elements == buchberger(module, gens).elements
     assert changed >= 12  # later chunks do change the basis
+
+
+# --- syzygies of inhomogeneous generators -----------------------------------------
+
+
+def block_elimination_syzygies(module, gens, degrees):
+    """Reference: eliminate the ambient block straight from the
+    inhomogeneous generators, without homogenizing them first."""
+    from logderiv.groebner import _eliminate
+
+    units = FreeModule(module.nvars, degrees, module.order)
+    return _eliminate(module, degrees, [tuple(g) + units.unit_vector(i) for i, g in enumerate(gens)])
+
+
+def term_degrees(module, vec):
+    return {
+        sum(e * w for e, w in zip(exps, module.order.weights)) + shift
+        for shift, p in zip(module.shifts, vec) for exps in p.terms
+    }
+
+
+@pytest.mark.parametrize("name", ["ring", "shifted"])
+def test_inhomogeneous_syzygies_match_block_elimination(name):
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"syzygies-{name}")
+    inhomogeneous = 0
+    for _ in range(16):
+        # exponents up to 1 keep the reference fast: with exponents up to 2,
+        # one ring draw takes minutes by block elimination and under a
+        # second here
+        gens = [
+            unflatten(module, random_flat(rng, module, rng.randint(2, 3), 1))
+            for _ in range(module.rank + rng.randint(1, 2))
+        ]
+        if rng.random() < 0.25:
+            gens.insert(rng.randrange(len(gens) + 1), module.zero_vector())
+        syz_module, syz = syzygies(module, gens)
+        # slot i carries the largest degree of gens[i], 0 for a zero generator
+        assert syz_module.shifts == tuple(max(term_degrees(module, g), default=0) for g in gens)
+        for s in syz:
+            assert not vec_is_zero(s)
+            total = module.zero_vector()
+            for coeff, g in zip(s, gens):
+                total = tuple(t + coeff * c for t, c in zip(total, g))
+            assert vec_is_zero(total)
+        reference = block_elimination_syzygies(module, gens, syz_module.shifts)
+        assert module_equal(syz_module, syz, reference)
+        inhomogeneous += any(len(term_degrees(module, g)) > 1 for g in gens)
+    assert inhomogeneous >= 14
 
 
 @pytest.mark.parametrize("name", AMBIENTS)

@@ -35,7 +35,7 @@ def V(*texts, names=XY):
     return tuple(P(t, names) for t in texts)
 
 
-CTX2 = GradedContext((1, 1), (0, 0), 1)
+CTX2 = GradedContext((1, 1), (0, 0))
 
 
 # --- free series -------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_verify_coprime_sum_linear_forms():
     f1 = FactoredPolynomial.single(P("x+y"))
     f2 = FactoredPolynomial.single(P("x-y"))
     for v in [(0, 0), (1, 1)]:
-        ctx = GradedContext((1, 1), v, 1 + v[0])
+        ctx = GradedContext((1, 1), v)
         report = verify_coprime_sum(f1, f2, ctx)
         assert report["ok"] and report["chi"] == sum(v)
 

@@ -43,7 +43,7 @@ def V(*texts, names=XY):
     return tuple(P(t, names) for t in texts)
 
 
-CTX2 = GradedContext((1, 1), (0, 0), 1)
+CTX2 = GradedContext((1, 1), (0, 0))
 
 
 def conic_resolution():
@@ -79,10 +79,14 @@ def test_zero_module_resolution():
     assert alternating_rank_sum(res) == 0
 
 
-def test_nonhomogeneous_input_rejected_in_graded_mode():
+def test_nonhomogeneous_input_gives_an_ungraded_resolution():
     mod = ring_module(2, MonomialOrder((1, 1)))
-    with pytest.raises(ValueError):
-        free_resolution(mod, [(P("x+x^2"),)], graded=True)
+    res = free_resolution(mod, [(P("x+x^2"),)])
+    assert not res.graded
+    assert res.shifts(0) == (2,)
+    with pytest.raises(ValueError, match="homogeneous"):
+        minimize(res)
+    assert free_resolution(mod, [(P("x^2"),), (P("x*y"),)]).graded
 
 
 def test_resolution_is_exact_for_conic():
@@ -283,8 +287,7 @@ def test_minimal_generators_match_the_restart_loop_graded():
         fp, ctx = random_instance(rng)
         dm = ctx.derivation_module()
         gens = generalized_log_module(fp, ctx, validate=False)
-        degrees = tuple(vector_degree(dm, g) for g in gens)
-        syz_module, syz = syzygies(dm, gens, degrees=degrees)
+        syz_module, syz = syzygies(dm, gens)
         variable = Polynomial.variable(rng.randrange(ctx.nvars), ctx.nvars)
         multiple = vec_poly_mul(rng.choice(gens), variable)
         for module, candidates in ((dm, gens + [multiple]), (syz_module, syz)):
