@@ -19,7 +19,9 @@ from .groebner import (
     FreeModule,
     GroebnerBasis,
     buchberger,
+    dehomogenize_vector,
     divide,
+    homogenize_vector,
     intersect,
     module_equal,
     module_quotient,
@@ -71,13 +73,9 @@ from .hilbert import (
 )
 from .homog import (
     HomogenizedComplex,
-    HomogenizedElement,
     chi_homogenized,
-    dehomogenize_vector,
     homogenize_module,
-    homogenize_poly,
     homogenize_resolution,
-    homogenize_vector,
     verify_lemma_intersection,
 )
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .poly import format_poly, infer_weights, parse_poly
-from .groebner import module_equal, try_vector_degree
+from .groebner import module_equal, vector_grading
 from .derivmod import (
     FactoredPolynomial,
     GradedContext,
@@ -139,7 +139,10 @@ def cmd_derivations(args) -> int:
         "coefficients": [
             [format_poly(p, names, ctx.order()) for p in g] for g in mod.gens
         ],
-        "degrees": [try_vector_degree(mod.module, g) for g in mod.gens],
+        "degrees": [
+            d if homogeneous else None
+            for d, homogeneous in (vector_grading(mod.module, g) for g in mod.gens)
+        ],
         "ok": True,
     }
     return _emit(args, report)
@@ -194,6 +197,17 @@ def cmd_hilbert(args) -> int:
     n = len(_parse_names(args.vars))
     u = _parse_int_list(args.u, n, "--u") if args.u else (1,) * n
     if not args.poly:
+        given = [
+            flag
+            for flag, value in (("--v", args.v), ("--k", args.k), ("--factors", args.factors),
+                                ("--infer-weights", args.infer_weights or None))
+            if value is not None
+        ]
+        if given:
+            raise UsageError(
+                "without a polynomial, hilbert gives the series of the polynomial ring "
+                f"and takes only --vars and --u; got {', '.join(given)}"
+            )
         hp = hp_free([0], u)
         report = {"series": format_series(hp), "ok": True}
         return _emit(args, report)
@@ -245,12 +259,7 @@ def cmd_homogenize(args) -> int:
     if args.u or args.v or args.infer_weights:
         raise UsageError("homogenize uses the standard grading: no --u, --v or --infer-weights")
     names, factored, ctx = _build_inputs(args)
-    mix = None
-    if args.mix:
-        parts = args.mix.split(",")
-        if len(parts) != 2:
-            raise UsageError("--mix takes two comma-separated generator indices")
-        mix = (int(parts[0]), int(parts[1]))
+    mix = None if args.mix is None else _parse_int_list(args.mix, 2, "--mix")
     report = chi_homogenized(factored, mix=mix)
     if args.check_intersection:
         lemma = verify_lemma_intersection(factored)

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import MonomialOrder, Polynomial, partial_derivative, squarefree_test
+from .poly import (
+    MonomialOrder,
+    NonPositiveWeightError,
+    Polynomial,
+    format_poly,
+    parse_poly,
+    partial_derivative,
+    squarefree_test,
+)
 from .groebner import (
     FreeModule,
     Vector,
@@ -30,7 +38,6 @@ from .groebner import (
     polynomial_gcd,
     ring_module,
     syzygies,
-    try_vector_degree,
     vec_is_zero,
 )
 from .resolution import Resolution, free_resolution, minimize
@@ -45,8 +52,6 @@ class GradedContext:
 
     def __post_init__(self):
         if any(w <= 0 for w in self.u):
-            from .poly import NonPositiveWeightError
-
             raise NonPositiveWeightError(f"weights must be positive, got {self.u}")
         if len(self.u) != len(self.v):
             raise ValueError("u and v must have the same length")
@@ -147,8 +152,6 @@ class FactoredPolynomial:
 def format_derivation(coeffs: Vector, names: list[str], order=None) -> str:
     """Derivations print as coefficient * d_variable terms, e.g.
     `9*x*d_x + 8*y*d_y + 6*z*d_z`."""
-    from .poly import format_poly
-
     pieces = []
     for name, a in zip(names, coeffs):
         if a.is_zero():
@@ -177,8 +180,6 @@ def format_derivation(coeffs: Vector, names: list[str], order=None) -> str:
 def parse_derivation(text: str, names: list[str]) -> Vector:
     """Inverse of format_derivation: the d_* symbols are parsed as extra
     variables, and every term must be linear in them."""
-    from .poly import parse_poly
-
     n = len(names)
     extended = list(names) + [f"d_{name}" for name in names]
     p = parse_poly(text, extended)
@@ -207,10 +208,6 @@ def euler_derivation(u: tuple[int, ...]) -> Vector:
     """sum(u_i * x_i * d_i); scales any u-homogeneous g of degree d to d*g."""
     n = len(u)
     return tuple(Polynomial.variable(i, n) * u[i] for i in range(n))
-
-
-def derivation_degree(ctx: GradedContext, coeffs: Vector) -> int | None:
-    return try_vector_degree(ctx.derivation_module(), coeffs)
 
 
 def log_derivations(f: Polynomial, k: int, ctx: GradedContext) -> list[Vector]:

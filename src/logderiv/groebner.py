@@ -6,9 +6,13 @@ weighted degree first (so a graded order on the module refines the grading),
 then by the ring order, with lower slot index winning ties.  An optional
 block split turns the order into an elimination order for the leading block
 of slots; it is the one elimination mechanism, used both for syzygies and
-for intersections (in F ⊕ F); `syzygies` homogenizes inhomogeneous input
-first.  `FreeModule.desc_key` is the one definition of this order:
-ascending in it is descending term order.
+for intersections (in F ⊕ F).  `FreeModule.desc_key` is the one definition
+of this order: ascending in it is descending term order.
+
+`vector_grading` is the one reader of an element's degree (its largest
+shifted weighted degree), and `homogenize_vector` the one way to pad an
+element up to a degree, with a new last variable h of weight 1
+(`homogenized`); `syzygies` and `homog` both homogenize through it.
 
 `GroebnerBasis` is the one Buchberger engine: a reduced basis with its leads
 prepared for division, grown in place by `add`.
@@ -126,24 +130,36 @@ def vector_grading(module: FreeModule, vec: Vector) -> tuple[int, bool]:
     return max(degrees, default=0), len(degrees) < 2
 
 
-def try_vector_degree(module: FreeModule, vec: Vector) -> int | None:
-    """Common shifted weighted degree of all terms; None for the zero vector
-    or mixed degrees."""
-    degree, homogeneous = vector_grading(module, vec)
-    return degree if homogeneous and not vec_is_zero(vec) else None
-
-
 def vector_degree(module: FreeModule, vec: Vector) -> int:
-    degree = try_vector_degree(module, vec)
-    if degree is None:
+    """The common degree of a nonzero homogeneous element (ValueError for
+    any other)."""
+    degree, homogeneous = vector_grading(module, vec)
+    if not homogeneous or vec_is_zero(vec):
         raise ValueError("only a nonzero homogeneous element has a degree")
     return degree
 
 
-def vector_degree_bound(module: FreeModule, vec: Vector) -> int:
-    """Largest shifted weighted degree of vec's terms: its degree when it is
-    homogeneous, and its filtration bound otherwise (0 for zero)."""
-    return vector_grading(module, vec)[0]
+def homogenized(module: FreeModule) -> FreeModule:
+    """The module with the same shifts over one more variable h, last, of
+    weight 1: where `homogenize_vector` puts the elements of module."""
+    weights = module.order.weights + (1,)
+    return FreeModule(module.nvars + 1, module.shifts, MonomialOrder(weights))
+
+
+def homogenize_vector(module: FreeModule, vec: Vector, degree: int | None = None) -> Vector:
+    """Pad every term of vec with a power of h up to shifted weighted degree
+    `degree` (default: the largest, `vector_grading`), which gives a
+    homogeneous element of `homogenized(module)`; raises FiltrationError
+    when a term is above `degree`.  The zero vector pads to zero."""
+    if degree is None:
+        degree = vector_grading(module, vec)[0]
+    weights = module.order.weights
+    return tuple(p.homogenize(degree - s, weights) for p, s in zip(vec, module.shifts))
+
+
+def dehomogenize_vector(vec: Vector) -> Vector:
+    """Set h to 1 in every slot; inverts `homogenize_vector`."""
+    return tuple(p.set_last_var_one() for p in vec)
 
 
 class _Prepared:
@@ -383,20 +399,15 @@ def syzygies(module: FreeModule, gens) -> tuple[FreeModule, list[Vector]]:
     gens = list(gens)
     gradings = [vector_grading(module, g) for g in gens]
     degrees = tuple(d for d, _ in gradings)
-    syz_module = FreeModule(module.nvars, degrees, module.order)
+    syz_module = units = FreeModule(module.nvars, degrees, module.order)
     homogeneous = all(h for _, h in gradings)
     if not homogeneous:
-        weights = module.order.weights
-        gens = [
-            tuple(p.homogenize(d - s, weights) for p, s in zip(g, module.shifts))
-            for g, d in zip(gens, degrees)
-        ]
-        module = FreeModule(module.nvars + 1, module.shifts, MonomialOrder(weights + (1,)))
-    units = FreeModule(module.nvars, degrees, module.order)
+        gens = [homogenize_vector(module, g, d) for g, d in zip(gens, degrees)]
+        module, units = homogenized(module), homogenized(syz_module)
     ext_gens = [tuple(g) + units.unit_vector(i) for i, g in enumerate(gens)]
     syz = _eliminate(module, degrees, ext_gens)
     if not homogeneous:
-        syz = [tuple(p.set_last_var_one() for p in s) for s in syz]
+        syz = [dehomogenize_vector(s) for s in syz]
     return syz_module, syz
 
 

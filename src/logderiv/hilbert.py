@@ -22,6 +22,7 @@ from .groebner import (
     buchberger,
     divide,
     normal_form,
+    polynomial_gcd,
     ring_module,
     syzygies,
     vec_is_zero,
@@ -335,8 +336,6 @@ def verify_coprime_sum(
 ) -> dict:
     """chi of the sum D(f1) + D(f2) equals |v| when the reduced parts of f1
     and f2 have no common factors."""
-    from .groebner import polynomial_gcd
-
     g = polynomial_gcd(f1.reduced(), f2.reduced())
     if not g.is_constant():
         raise ValueError("reduced parts share a common factor")

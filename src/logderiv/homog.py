@@ -1,28 +1,32 @@
-"""Homogenization of module elements, modules and resolutions, and the
-degree identity for arbitrary (not necessarily quasi-homogeneous) inputs.
+"""Homogenization of modules and resolutions, and the degree identity for
+arbitrary (not necessarily quasi-homogeneous) inputs.
 
-Everything here works over the standard total-degree grading: the extra
-variable is appended last with weight 1, and an element of a shifted free
-module is homogenized componentwise up to its recorded degree bound, so
-that setting the new variable to 1 recovers the original element.
+Elements are padded by `groebner.homogenize_vector` in the grading of
+their module: the new variable h is appended last with weight 1, and an
+element of a shifted free module is padded up to its degree bound (its
+largest shifted weighted degree), so that setting h to 1 recovers it.  The
+pipeline here runs on the derivation module of the standard grading (unit
+weights), where that bound is the total degree plus the shift.
 
 A filtration resolution of a module can be homogenized columnwise; the
 result is always a complex, and whenever each homogenized image contains
 the homogenization of the original image it is a genuine homogeneous free
-resolution of the homogenized module.  The degree bound recorded for a
-column is the componentwise max total degree, matching the shifts of the
-affine resolution.
+resolution of the homogenized module.  The degree bound of a column is the
+shift of its source slot, as the affine resolution records it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import FiltrationError, Polynomial, degree_order
+from .poly import FiltrationError  # re-exported: homogenize_vector raises it
 from .groebner import (
     FreeModule,
     Vector,
     buchberger,
+    homogenize_vector,
+    homogenized,
+    intersect,
     module_equal,
     normal_form,
     vec_is_zero,
@@ -39,59 +43,6 @@ from .resolution import (
 from .hilbert import chi, claim, hp_from_resolution, report_ok
 
 
-def homogenize_poly(p: Polynomial, target: int) -> Polynomial:
-    """Pad every term of p with powers of a fresh last variable up to total
-    degree `target`; raises FiltrationError when a term exceeds it."""
-    return p.homogenize(target, (1,) * p.nvars)
-
-
-@dataclass(frozen=True)
-class HomogenizedElement:
-    """Element of the extended-variable module together with the common
-    shifted degree it was homogenized to."""
-
-    components: Vector
-    degree: int
-
-
-def homogenize_vector(
-    vec: Vector, target_shifts: tuple[int, ...], degree: int | None = None
-) -> HomogenizedElement:
-    """Homogenize a free-module element: component i is padded so every term
-    reaches shifted degree `degree` (default: the element's max)."""
-    if vec_is_zero(vec):
-        raise ValueError("cannot homogenize the zero element")
-    if degree is None:
-        degree = max(
-            p.total_degree() + s for p, s in zip(vec, target_shifts) if not p.is_zero()
-        )
-    comps = []
-    for p, s in zip(vec, target_shifts):
-        if p.is_zero():
-            comps.append(Polynomial.zero(p.nvars + 1))
-        else:
-            comps.append(homogenize_poly(p, degree - s))
-    return HomogenizedElement(tuple(comps), degree)
-
-
-def dehomogenize_vector(vec: Vector) -> Vector:
-    """Substitute 1 for the last variable in every component."""
-    return tuple(p.set_last_var_one() for p in vec)
-
-
-def h_valuation(vec: Vector) -> int:
-    """Largest power of the last variable dividing the whole element."""
-    vals = [p.last_var_valuation() for p in vec if not p.is_zero()]
-    if not vals:
-        raise ValueError("the zero element has no valuation")
-    return min(vals)
-
-
-def extended_module(module: FreeModule) -> FreeModule:
-    n = module.nvars
-    return FreeModule(n + 1, module.shifts, degree_order(n + 1))
-
-
 def homogenize_module(
     module: FreeModule, gens: list[Vector]
 ) -> tuple[FreeModule, list[Vector]]:
@@ -99,11 +50,7 @@ def homogenize_module(
     reduced basis under a degree order.  Homogenizing an arbitrary
     generating set would in general give a strictly smaller module."""
     gb = buchberger(module, gens)
-    hmod = extended_module(module)
-    hgens = [
-        homogenize_vector(g, module.shifts).components for g in gb.elements
-    ]
-    return hmod, hgens
+    return homogenized(module), [homogenize_vector(module, g) for g in gb.elements]
 
 
 @dataclass
@@ -130,16 +77,16 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     the homogenized module.
     """
     ambient = res.ambient
-    hchain: list[ModuleMap] = []
-    for m in res.chain:
-        cols = []
-        for col, d in zip(m.columns, m.source_shifts):
-            cols.append(homogenize_vector(col, m.target_shifts, degree=d).components)
-        hchain.append(
-            ModuleMap(tuple(cols), m.source_shifts, m.target_shifts)
+    targets = [FreeModule(ambient.nvars, m.target_shifts, ambient.order) for m in res.chain]
+    hchain = [
+        ModuleMap(
+            tuple(homogenize_vector(t, col, d) for col, d in zip(m.columns, m.source_shifts)),
+            m.source_shifts,
+            m.target_shifts,
         )
-    h_ambient = extended_module(ambient)
-    h_res = Resolution(tuple(hchain), h_ambient)
+        for m, t in zip(res.chain, targets)
+    ]
+    h_res = Resolution(tuple(hchain), homogenized(ambient))
     # complex property: consecutive composites must vanish identically
     for upper, lower in zip(hchain, hchain[1:]):
         for col in upper.compose(lower):
@@ -147,12 +94,8 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
                 raise RuntimeError("homogenized chain failed to be a complex")
     image_ok = []
     witnesses: dict[int, Vector] = {}
-    for p, (m, hm) in enumerate(zip(res.chain, hchain)):
-        affine_target = FreeModule(ambient.nvars, m.target_shifts, ambient.order)
-        h_target = FreeModule(
-            ambient.nvars + 1, m.target_shifts, h_ambient.order
-        )
-        _, hom_image_gens = homogenize_module(affine_target, list(m.columns))
+    for p, (m, hm, target) in enumerate(zip(res.chain, hchain, targets)):
+        h_target, hom_image_gens = homogenize_module(target, list(m.columns))
         gb = buchberger(h_target, list(hm.columns))
         ok = True
         for g in hom_image_gens:
@@ -230,7 +173,7 @@ def homogenize_factored(factored: FactoredPolynomial) -> FactoredPolynomial:
     """Factorwise homogenization, preserving the multiplicity structure."""
     parts = []
     for f, e in factored.factors:
-        parts.append((homogenize_poly(f, f.total_degree()), e))
+        parts.append((f.homogenize(f.total_degree(), (1,) * f.nvars), e))
     return FactoredPolynomial(tuple(parts))
 
 
@@ -238,8 +181,6 @@ def verify_lemma_intersection(factored: FactoredPolynomial) -> dict:
     """Both sides of the identity: derivations of the homogenized polynomial
     that do not involve the new direction, against the homogenized module of
     derivations of the original, compared by reduced-basis equality."""
-    from .groebner import intersect
-
     n = factored.nvars
     ctx = GradedContext.standard(n)
     gens = generalized_log_module(factored, ctx)

@@ -238,13 +238,6 @@ class Polynomial:
             out[e + (gap,)] = c
         return Polynomial._raw(self.nvars + 1, out)
 
-    def last_var_valuation(self) -> int:
-        """Smallest exponent of the last variable over all terms (0 for the
-        zero polynomial)."""
-        if not self.terms:
-            return 0
-        return min(e[-1] for e in self.terms)
-
     def sort_key(self) -> tuple:
         """Deterministic total key, independent of any monomial order."""
         return tuple(sorted((e, c) for e, c in self.terms.items()))

@@ -25,7 +25,6 @@ from .groebner import (
     vec_is_zero,
     vec_sort_key,
     vector_degree,
-    vector_degree_bound,
     vector_grading,
 )
 
@@ -111,7 +110,8 @@ def minimal_generators(
     module: FreeModule, gens: list[Vector], graded: bool = False
 ) -> tuple[list[Vector], list[int]]:
     """Greedy irredundant generating set, processed by ascending
-    `vector_degree_bound`; `graded` requires homogeneous generators.
+    degree bound (`vector_grading`); `graded` requires homogeneous
+    generators.
 
     For homogeneous generators ascending-degree greedy produces a minimal
     generating set (an element dependent on the kept ones modulo lower
@@ -119,8 +119,10 @@ def minimal_generators(
     resolution.  Returns the kept vectors and their shifts.
     """
     gens = [g for g in gens if not vec_is_zero(g)]
-    degree = vector_degree if graded else vector_degree_bound
-    degree_of = {id(g): degree(module, g) for g in gens}
+    degree_of = {
+        id(g): vector_degree(module, g) if graded else vector_grading(module, g)[0]
+        for g in gens
+    }
     gens.sort(key=lambda g: (degree_of[id(g)], vec_sort_key(g)))
     gb = GroebnerBasis(module)
     kept = [g for g in gens if gb.add([g])]

@@ -281,3 +281,48 @@ def test_resolution_bounds_of_an_inhomogeneous_input_are_weighted(capsys):
     assert report["matrices"] == [[["x", "-1/2"], ["2*y", "x"]]]
     assert report["shifts"] == [[3, 2]]
     assert report["alternating_degree_sum"] == 5
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--v", "5,5"), ("--k", "2"), ("--factors", "x:2"), ("--infer-weights",)],
+    ids=["v", "k", "factors", "infer-weights"],
+)
+def test_hilbert_without_a_polynomial_refuses_polynomial_flags(capsys, flags):
+    # with no polynomial, hilbert prints the series of the ring; these flags
+    # used to be dropped with exit 0
+    code, out, err = run(
+        capsys, "hilbert", "--vars", "x,y", "--u", "1,2", *flags, "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "takes only --vars and --u" in err
+    assert f"got {flags[0]}" in err
+
+
+@pytest.mark.parametrize(
+    "mix, message",
+    [("a,b", "--mix must be a comma-separated integer list"),
+     ("0,1,2", "--mix must have 2 entries, got 3")],
+    ids=["not-integers", "three-entries"],
+)
+def test_bad_mix_names_the_flag(capsys, mix, message):
+    code, out, err = run(
+        capsys, "homogenize", "x^2*z+y^3+z^4", "--vars", "x,y,z", "--mix", mix,
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_degree_of_an_inhomogeneous_generator_is_null(capsys):
+    # under u = (2, 3), v = (1, 0) the generator (x, 2y) of x^2 + y has
+    # degree 3, and (-1/2, x) mixes degrees 1 and 2
+    code, out, _ = run(
+        capsys, "derivations", "x^2+y", "--vars", "x,y", "--u", "2,3", "--format", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    degrees = dict(zip(report["generators"], report["degrees"]))
+    assert degrees == {"x*d_x + 2*y*d_y": 3, "-1/2*d_x + x*d_y": None}

@@ -5,14 +5,24 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from logderiv.poly import MonomialOrder, Polynomial, mono_divides, mono_lcm, parse_poly
+from logderiv.poly import (
+    FiltrationError,
+    MonomialOrder,
+    Polynomial,
+    mono_divides,
+    mono_lcm,
+    parse_poly,
+)
 from logderiv.groebner import (
     FreeModule,
     GroebnerBasis,
     buchberger,
+    dehomogenize_vector,
     divide,
     exact_div,
     flatten,
+    homogenize_vector,
+    homogenized,
     intersect,
     module_equal,
     module_quotient,
@@ -24,6 +34,7 @@ from logderiv.groebner import (
     vec_is_zero,
     vec_poly_mul,
     vector_degree,
+    vector_grading,
 )
 
 XY = ["x", "y"]
@@ -775,6 +786,40 @@ def test_inhomogeneous_syzygies_match_block_elimination(name):
         assert module_equal(syz_module, syz, reference)
         inhomogeneous += any(len(term_degrees(module, g)) > 1 for g in gens)
     assert inhomogeneous >= 14
+
+
+# --- homogenizing elements -----------------------------------------------------------
+
+
+WEIGHTED = {
+    "shifted": (3, (1, 0, 1), MonomialOrder((1, 2, 1))),
+    "weighted": (2, (0, 3), MonomialOrder((2, 3))),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHTED)
+def test_homogenize_vector_pads_to_the_weighted_degree(name):
+    module = FreeModule(*WEIGHTED[name])
+    h_module = homogenized(module)
+    assert h_module.shifts == module.shifts
+    assert h_module.order.weights == module.order.weights + (1,)
+    h = Polynomial.variable(module.nvars, module.nvars + 1)
+    rng = random.Random(f"homogenize-{name}")
+    inhomogeneous = 0
+    for _ in range(24):
+        vec = unflatten(module, random_flat(rng, module, rng.randint(1, 5), 3))
+        degree = vector_grading(module, vec)[0]
+        padded = homogenize_vector(module, vec)
+        assert term_degrees(h_module, padded) == {degree}
+        assert dehomogenize_vector(padded) == vec
+        # padding two degrees higher multiplies by h^2
+        assert homogenize_vector(module, vec, degree + 2) == vec_poly_mul(padded, h**2)
+        with pytest.raises(FiltrationError):
+            homogenize_vector(module, vec, degree - 1)
+        inhomogeneous += len(term_degrees(module, vec)) > 1
+    assert inhomogeneous >= 12
+    # the zero vector pads to zero
+    assert homogenize_vector(module, module.zero_vector()) == h_module.zero_vector()
 
 
 @pytest.mark.parametrize("name", AMBIENTS)

@@ -4,6 +4,8 @@ from logderiv.poly import MonomialOrder, Polynomial, parse_poly
 from logderiv.groebner import (
     FreeModule,
     buchberger,
+    dehomogenize_vector,
+    homogenize_vector,
     module_equal,
     normal_form,
     ring_module,
@@ -15,12 +17,8 @@ from logderiv.homog import (
     FiltrationError,
     affine_log_resolution,
     chi_homogenized,
-    dehomogenize_vector,
-    h_valuation,
     homogenize_module,
-    homogenize_poly,
     homogenize_resolution,
-    homogenize_vector,
     verify_lemma_intersection,
 )
 
@@ -28,6 +26,7 @@ XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
 XYH = ["x", "y", "h"]
 XYZH = ["x", "y", "z", "h"]
+R2 = ring_module(2, MonomialOrder((1, 1)))
 
 
 def P(text, names=XY):
@@ -42,33 +41,33 @@ def worked_example():
 
 def test_homogenize_simple_polynomial():
     p = P("x^2+y")
-    h = homogenize_poly(p, 2)
+    h = homogenize_vector(R2, (p,), 2)[0]
     assert h == parse_poly("x^2+y*h", XYH)
 
 
 def test_homogenize_already_homogeneous_fixed_point():
     p = P("x^2+y^2")
-    h = homogenize_poly(p, 2)
+    h = homogenize_vector(R2, (p,), 2)[0]
     assert h == parse_poly("x^2+y^2", XYH)
 
 
 def test_homogenize_vector_with_shifts():
     # mixed-degree column padded to the column degree
     col = (P("8*y-2*x*z", XYZ), P("6*z", XYZ))
-    he = homogenize_vector(col, (0, 0))
-    assert he.degree == 2
-    assert he.components[0] == parse_poly("8*y*h-2*x*z", XYZH)
-    assert he.components[1] == parse_poly("6*z*h", XYZH)
+    module = FreeModule(3, (0, 0), MonomialOrder((1, 1, 1)))
+    he = homogenize_vector(module, col)
+    assert he[0] == parse_poly("8*y*h-2*x*z", XYZH)
+    assert he[1] == parse_poly("6*z*h", XYZH)
 
 
 def test_filtration_violation_detected():
     with pytest.raises(FiltrationError):
-        homogenize_vector((P("x^2"),), (0,), degree=1)
+        homogenize_vector(R2, (P("x^2"),), degree=1)
 
 
 def test_dehomogenize_inverts_homogenization():
     p = P("x^2+y")
-    h = homogenize_poly(p, 4)
+    (h,) = homogenize_vector(R2, (p,), 4)
     assert h.set_last_var_one() == p
 
 
@@ -77,14 +76,13 @@ def test_dehomogenize_collapses_pure_powers():
     assert h.set_last_var_one() == P("x")
 
 
-def test_round_trip_with_valuation():
+def test_round_trip_up_to_a_power_of_h():
+    # xi is h times the homogenization of its dehomogenization
     xi = (parse_poly("x^2*h+y*h^2", XYH), parse_poly("x*h^2", XYH))
-    ell = h_valuation(xi)
-    assert ell == 1
     dropped = dehomogenize_vector(xi)
-    again = homogenize_vector(dropped, (0, 0))
+    again = homogenize_vector(FreeModule(2, (0, 0), MonomialOrder((1, 1))), dropped)
     h = Polynomial.variable(2, 3)
-    rebuilt = tuple(c * h ** ell for c in again.components)
+    rebuilt = tuple(c * h for c in again)
     assert rebuilt == xi
 
 

@@ -16,7 +16,7 @@ from logderiv.groebner import (
     vec_poly_mul,
     vec_sort_key,
     vector_degree,
-    vector_degree_bound,
+    vector_grading,
 )
 from logderiv.derivmod import FactoredPolynomial, GradedContext, generalized_log_module
 from logderiv.harness import random_instance
@@ -266,7 +266,7 @@ def restart_minimal_generators(module, gens, graded):
     if graded:
         degree_of = {id(g): vector_degree(module, g) for g in gens}
     else:
-        degree_of = {id(g): vector_degree_bound(module, g) for g in gens}
+        degree_of = {id(g): vector_grading(module, g)[0] for g in gens}
     gens.sort(key=lambda g: (degree_of[id(g)], vec_sort_key(g)))
     kept = []
     gb = None
