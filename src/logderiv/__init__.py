@@ -57,7 +57,6 @@ from .resolution import (
     pad_with_trivial_pair,
 )
 from .hilbert import (
-    ChiValue,
     HPSeries,
     chi,
     chi_additivity_check,

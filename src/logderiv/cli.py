@@ -152,10 +152,10 @@ def cmd_resolution(args) -> int:
     names, factored, ctx = _build_inputs(args)
     res = LogModule.of(factored, ctx).resolution
     matrices = []
-    for m in res.chain:
+    for p, m in enumerate(res.chain):
         matrices.append(
             [[format_poly(m.entry(i, j), names, ctx.order()) for j in range(m.source_rank)]
-             for i in range(m.target_rank)]
+             for i in range(len(res.target_shifts(p)))]
         )
     report = {
         "inputs": _echo(args, ctx),
@@ -187,7 +187,6 @@ def cmd_betti(args) -> int:
 
 def cmd_chi(args) -> int:
     names, factored, ctx = _build_inputs(args)
-    ctx.require_constraint()
     report = verify_degree_identity(factored, ctx, d_max=args.dmax)
     report = {"inputs": _echo(args, ctx), **report}
     return _emit(args, report)
@@ -219,7 +218,7 @@ def cmd_hilbert(args) -> int:
     report = {
         "inputs": _echo(args, ctx),
         "series": format_series(hp),
-        "chi": chi(hp).value,
+        "chi": chi(hp),
         "ok": True,
     }
     return _emit(args, report)

@@ -117,8 +117,8 @@ def random_instance(
         return FactoredPolynomial(tuple(factors)), ctx
 
 
-def shift_context(ctx: GradedContext, by: int = 1) -> GradedContext:
-    return GradedContext(ctx.u, tuple(x + by for x in ctx.v))
+def shift_context(ctx: GradedContext) -> GradedContext:
+    return GradedContext(ctx.u, tuple(x + 1 for x in ctx.v))
 
 
 def instance_module(factored: FactoredPolynomial, ctx: GradedContext) -> LogModule:
@@ -134,7 +134,7 @@ def verify_v_shift(mod: LogModule, chi_value: int) -> dict:
     claims = [
         claim(
             "shifting v by 1 changes chi by the variable count",
-            chi(hp_from_resolution(shifted.resolution)).value - chi_value,
+            chi(hp_from_resolution(shifted.resolution)) - chi_value,
             mod.ctx.nvars,
         )
     ]

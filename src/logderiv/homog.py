@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import FiltrationError  # re-exported: homogenize_vector raises it
 from .groebner import (
     FreeModule,
     Vector,
@@ -77,12 +76,14 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     the homogenized module.
     """
     ambient = res.ambient
-    targets = [FreeModule(ambient.nvars, m.target_shifts, ambient.order) for m in res.chain]
+    targets = [
+        FreeModule(ambient.nvars, res.target_shifts(p), ambient.order)
+        for p in range(res.length + 1)
+    ]
     hchain = [
         ModuleMap(
             tuple(homogenize_vector(t, col, d) for col, d in zip(m.columns, m.source_shifts)),
             m.source_shifts,
-            m.target_shifts,
         )
         for m, t in zip(res.chain, targets)
     ]
@@ -148,7 +149,7 @@ def chi_homogenized(
         hmod, hgens = homogenize_module(ctx.derivation_module(), gens)
         h_res = free_resolution(hmod, hgens)
     minimal = minimize(h_res)
-    value = chi(hp_from_resolution(minimal)).value
+    value = chi(hp_from_resolution(minimal))
     claims = [
         claim("chi of the homogenized module equals deg(f)", value, degree),
         claim(

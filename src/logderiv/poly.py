@@ -14,6 +14,7 @@ reverse-lexicographic tiebreak.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import mul
 from fractions import Fraction
@@ -333,7 +334,12 @@ def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return rows
 
 
-def infer_weights(p: Polynomial, search_bound: int = 8) -> tuple[int, ...] | None:
+# coordinate range searched by infer_weights when the solution space of
+# the weight equations has dimension above 1
+WEIGHT_SEARCH_BOUND = 8
+
+
+def infer_weights(p: Polynomial) -> tuple[int, ...] | None:
     """Find a positive integer weight vector making p quasi-homogeneous.
 
     Solves the linear system equating the weighted degrees of all monomials
@@ -374,7 +380,9 @@ def infer_weights(p: Polynomial, search_bound: int = 8) -> tuple[int, ...] | Non
     if k == 1:
         candidates = iter([(1,), (-1,)])
     else:
-        raw = itertools.product(range(-search_bound, search_bound + 1), repeat=k)
+        raw = itertools.product(
+            range(-WEIGHT_SEARCH_BOUND, WEIGHT_SEARCH_BOUND + 1), repeat=k
+        )
         candidates = iter(
             sorted(
                 (t for t in raw if any(t)),
@@ -384,22 +392,11 @@ def infer_weights(p: Polynomial, search_bound: int = 8) -> tuple[int, ...] | Non
     for t in candidates:
         u = point({j: Fraction(v) for j, v in zip(free, t)})
         if all(x > 0 for x in u):
-            denom_lcm = 1
-            for x in u:
-                denom_lcm = denom_lcm * x.denominator // _gcd_int(denom_lcm, x.denominator)
+            denom_lcm = math.lcm(*(x.denominator for x in u))
             ints = [int(x * denom_lcm) for x in u]
-            g = 0
-            for x in ints:
-                g = _gcd_int(g, x)
+            g = math.gcd(*ints)
             return tuple(x // g for x in ints)
     return None
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def squarefree_test(p: Polynomial) -> tuple[bool, Polynomial]:

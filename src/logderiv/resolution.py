@@ -31,21 +31,18 @@ from .groebner import (
 
 @dataclass(frozen=True)
 class ModuleMap:
-    """Map between shifted free modules; columns are images of the source
-    basis expressed in target coordinates.  In a graded resolution entry
-    (i, j) is zero or of degree source_shifts[j] - target_shifts[i]."""
+    """Map from a shifted free module; columns are images of the source
+    basis expressed in target coordinates.  In a resolution chain[p] holds
+    the shifts of F_p, its source, and only those: the shifts of its target
+    F_{p-1} live in chain[p - 1] (in the ambient for p = 0), where
+    `Resolution.target_shifts` reads them."""
 
     columns: tuple[Vector, ...]
     source_shifts: tuple[int, ...]
-    target_shifts: tuple[int, ...]
 
     @property
     def source_rank(self) -> int:
         return len(self.source_shifts)
-
-    @property
-    def target_rank(self) -> int:
-        return len(self.target_shifts)
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.columns[j][i]
@@ -72,10 +69,14 @@ class Resolution:
     """0 <- M <- F_0 <- F_1 <- ... <- F_ell <- 0 for a submodule M of ambient.
 
     chain[0] is phi_0, the generators of M as columns in ambient
-    coordinates; chain[p] is phi_p: F_p -> F_{p-1}.  F_p carries the shifts
-    chain[p].source_shifts.  The grading (weights) is the ambient's, and
-    the resolution is graded when every column of phi_0 is homogeneous (a
-    zero column, as `pad_with_trivial_pair` adds, counts as homogeneous).
+    coordinates; chain[p] is phi_p: F_p -> F_{p-1}.  The shifts of F_p live
+    once, in chain[p].source_shifts; `target_shifts(p)` reads those of the
+    target of phi_p from there (from the ambient for p = 0).  In a graded
+    resolution entry (i, j) of phi_p is zero or of degree
+    shifts(p)[j] - target_shifts(p)[i].  The grading (weights) is the
+    ambient's, and the resolution is graded when every column of phi_0 is
+    homogeneous (a zero column, as `pad_with_trivial_pair` adds, counts as
+    homogeneous).
     """
 
     chain: tuple[ModuleMap, ...]
@@ -95,6 +96,9 @@ class Resolution:
 
     def shifts(self, p: int) -> tuple[int, ...]:
         return self.chain[p].source_shifts
+
+    def target_shifts(self, p: int) -> tuple[int, ...]:
+        return self.ambient.shifts if p == 0 else self.shifts(p - 1)
 
     def all_shifts(self) -> list[tuple[int, ...]]:
         return [self.shifts(p) for p in range(self.length + 1)]
@@ -143,7 +147,7 @@ def free_resolution(module: FreeModule, gens) -> Resolution:
     ambient = module
     while True:
         syz_module, syz = syzygies(ambient, columns)
-        chain.append(ModuleMap(columns, syz_module.shifts, ambient.shifts))
+        chain.append(ModuleMap(columns, syz_module.shifts))
         columns = tuple(minimal_generators(syz_module, syz)[0])
         if not columns:
             return Resolution(tuple(chain), module)
@@ -173,9 +177,6 @@ class BettiTable:
     """Graded Betti numbers b_{j,p}, keyed by (j, p) with shift d = j + p."""
 
     entries: dict[tuple[int, int], int]
-
-    def total(self, p: int) -> int:
-        return sum(b for (j, q), b in self.entries.items() if q == p)
 
     def weighted_alternating_sum(self) -> int:
         total = 0
@@ -291,10 +292,9 @@ def minimize(res: Resolution) -> Resolution:
             cols.pop()
             src_shifts.pop()
 
-    targets = [res.chain[0].target_shifts] + [tuple(s) for s in src_shifts[:-1]]
     chain = tuple(
-        ModuleMap(tuple(tuple(col) for col in c), tuple(s), t)
-        for c, s, t in zip(cols, src_shifts, targets)
+        ModuleMap(tuple(tuple(col) for col in c), tuple(s))
+        for c, s in zip(cols, src_shifts)
     )
     return Resolution(chain, res.ambient)
 
@@ -308,38 +308,27 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
     nvars = res.ambient.nvars
     zero = Polynomial.zero(nvars)
     one = Polynomial.constant(1, nvars)
-
-    def widen_target(m: ModuleMap) -> ModuleMap:
-        return ModuleMap(
-            tuple(col + (zero,) for col in m.columns),
-            m.source_shifts,
-            m.target_shifts + (d,),
-        )
-
-    def widen_source(m: ModuleMap) -> ModuleMap:
-        new_col = tuple(zero for _ in range(m.target_rank))
-        return ModuleMap(
-            m.columns + (new_col,),
-            m.source_shifts + (d,),
-            m.target_shifts,
-        )
-
     chain = list(res.chain)
-    # identity block at step p, appended as a new map when p = length + 1
-    old = chain[p] if p < len(chain) else ModuleMap((), (), res.shifts(p - 1))
-    wide = widen_target(old)
-    ident_col = tuple(zero for _ in range(old.target_rank)) + (one,)
+    # F_{p-1} gains a basis element S(-d) that phi_{p-1} sends to zero
+    below = chain[p - 1]
+    chain[p - 1] = ModuleMap(
+        below.columns + ((zero,) * len(res.target_shifts(p - 1)),),
+        below.source_shifts + (d,),
+    )
+    # F_p gains S(-d) mapping identically onto it, a new map when p = length + 1
+    old = chain[p] if p < len(chain) else ModuleMap((), ())
+    ident_col = (zero,) * len(res.shifts(p - 1)) + (one,)
     chain[p : p + 1] = [
         ModuleMap(
-            wide.columns + (ident_col,),
-            wide.source_shifts + (d,),
-            wide.target_shifts,
+            tuple(col + (zero,) for col in old.columns) + (ident_col,),
+            old.source_shifts + (d,),
         )
     ]
-    # widen the neighbours
-    chain[p - 1] = widen_source(chain[p - 1])
     if p + 1 < len(chain):
-        chain[p + 1] = widen_target(chain[p + 1])
+        above = chain[p + 1]
+        chain[p + 1] = ModuleMap(
+            tuple(col + (zero,) for col in above.columns), above.source_shifts
+        )
     return Resolution(tuple(chain), res.ambient)
 
 

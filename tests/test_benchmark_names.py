@@ -67,3 +67,20 @@ def test_workload_names_exist_with_the_keywords_they_are_called_with():
         for kw in node.keywords:
             if kw.arg is not None:
                 assert kw.arg in params, f"{ast.unparse(func)}({kw.arg}=...)"
+
+
+def test_tracer_observers_read_what_the_package_returns():
+    # the observers read attributes of results (basis elements, resolution
+    # ranks, image verdicts); one homogenize call exercises all of them
+    from logderiv import homog
+    from logderiv.derivmod import FactoredPolynomial
+    from logderiv.poly import parse_poly
+
+    tracer = load_tracer()
+    f = FactoredPolynomial.single(parse_poly("x^2+y^3+x*y", ["x", "y"]))
+    with tracer.Tracer() as t:
+        homog.chi_homogenized(f)
+    for name in tracer.OBSERVERS:
+        assert t.observations[name], name
+    metrics = t.layer_metrics()
+    assert metrics["homog.chi_homogenized.calls"] == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from logderiv.poly import MonomialOrder, Polynomial, parse_poly
+from logderiv.poly import FiltrationError, MonomialOrder, Polynomial, parse_poly
 from logderiv.groebner import (
     FreeModule,
     buchberger,
@@ -14,7 +14,6 @@ from logderiv.groebner import (
 )
 from logderiv.derivmod import FactoredPolynomial
 from logderiv.homog import (
-    FiltrationError,
     affine_log_resolution,
     chi_homogenized,
     homogenize_module,
@@ -168,7 +167,7 @@ def test_kernel_commutes_with_homogenization_on_example():
     _, _, res = affine_log_resolution(worked_example())
     hom = homogenize_resolution(res)
     phi0h = hom.resolution.chain[0]
-    h_f0 = FreeModule(4, phi0h.target_shifts, MonomialOrder((1, 1, 1, 1)))
+    h_f0 = FreeModule(4, hom.resolution.target_shifts(0), MonomialOrder((1, 1, 1, 1)))
     syz_mod, syz = syzygies(h_f0, list(phi0h.columns))
     expected = list(hom.resolution.chain[1].columns)
     syz_module = FreeModule(4, phi0h.source_shifts, MonomialOrder((1, 1, 1, 1)))

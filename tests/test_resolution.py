@@ -207,26 +207,41 @@ def test_corollary_betti_form_matches_degree_sum():
 def test_entry_degrees_equal_shift_differences():
     # graded maps: entry (i, j) is zero or homogeneous of degree
     # source_shift[j] - target_shift[i]
+    from logderiv.homog import affine_log_resolution, homogenize_resolution
     from logderiv.poly import u_degree
 
+    dm = CTX2.derivation_module()
+    gens = generalized_log_module(FactoredPolynomial.single(P("x^3+x*y^2")), CTX2)
+    redundant = free_resolution(dm, list(gens) + [vec_poly_mul(gens[0], P("x"))])
+    longer = pad_with_trivial_pair(redundant, redundant.length + 1, 6)
+    _, _, affine = affine_log_resolution(FactoredPolynomial.single(P("x^2+y^3+x*y")))
     instances = [
         conic_resolution(),
-        free_resolution(
-            CTX2.derivation_module(),
-            generalized_log_module(
-                FactoredPolynomial.single(P("x^3+x*y^2")), CTX2
-            ),
-        ),
+        free_resolution(dm, gens),
+        redundant,
+        minimize(redundant),
+        homogenize_resolution(affine).resolution,
+    ] + [
+        pad_with_trivial_pair(res, p, 4)
+        for res in (redundant, longer)
+        for p in range(1, res.length + 2)
     ]
     for res in instances:
-        chain = res.chain
-        for m in chain:
+        for p, m in enumerate(res.chain):
             for j, col in enumerate(m.columns):
                 for i, entry in enumerate(col):
                     if entry.is_zero():
                         continue
-                    expected = m.source_shifts[j] - m.target_shifts[i]
+                    expected = m.source_shifts[j] - res.target_shifts(p)[i]
                     assert u_degree(entry, res.weights) == expected
+    # F_p's shifts are stored once: phi_p maps into F_{p-1}, and every
+    # column has one entry per basis element of that target
+    for res in instances:
+        assert res.target_shifts(0) == res.ambient.shifts
+        for p, m in enumerate(res.chain):
+            if p >= 1:
+                assert res.target_shifts(p) == res.shifts(p - 1)
+            assert all(len(col) == len(res.target_shifts(p)) for col in m.columns)
 
 
 def test_length_bound_stays_within_variable_count():
