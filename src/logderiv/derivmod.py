@@ -5,14 +5,15 @@ element of the rank-n free module whose slot i carries the shift v_i: under
 the weighting u on variables and v on derivation slots, the degree of
 a_i * d_i is udeg(a_i) + v_i.
 
-The module of derivations preserving the ideal powers of a factored
-polynomial is computed as a syzygy kernel: delta(f) = h * f^k is exactly a
-syzygy of (df/dx_1, ..., df/dx_n, f^k), and the factored module is the
-intersection over the factors.
+The module D(f) of derivations preserving the ideal powers of a factored
+polynomial f = f_1^{e_1} ... f_r^{e_r} is one syzygy kernel: delta lies in
+D(f) exactly when its coefficients are a syzygy of the columns
+(df_1/dx_i, ..., df_r/dx_i) modulo f_j^{e_j} in slot j.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,13 +26,13 @@ from .poly import (
     parse_poly,
     partial_derivative,
     squarefree_test,
+    weighted_degree,
 )
 from .groebner import (
     FreeModule,
     Vector,
     buchberger,
     exact_div,
-    intersect,
     module_equal,
     module_quotient,
     normal_form,
@@ -210,46 +211,44 @@ def euler_derivation(u: tuple[int, ...]) -> Vector:
     return tuple(Polynomial.variable(i, n) * u[i] for i in range(n))
 
 
-def log_derivations(f: Polynomial, k: int, ctx: GradedContext) -> list[Vector]:
-    """Generators of the derivations delta with delta(f) in <f^k>.
+def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContext) -> list[Vector]:
+    """Generators of the derivations delta with delta(f) in <f^e> for every
+    factor (f, e).
 
-    Computed as syzygies of (df/dx_1, ..., df/dx_n, f^k) projected onto the
-    first n slots (a column is zero when f lacks the variable); when f is
-    u-homogeneous the generators are homogeneous in the (u, v)-grading.
+    Computed as the syzygies of the columns (df_1/dx_i, ..., df_r/dx_i)
+    modulo f_j^{e_j} in slot j.  Slot j carries -deg f_j (the largest
+    u-weighted degree), so column i has degree -u_i and u-homogeneous
+    factors give homogeneous input and homogeneous generators.
     """
-    if f.is_constant():
-        raise ValueError("constant polynomial")
-    if k < 1:
-        raise ValueError("power must be >= 1")
     n = ctx.nvars
-    if f.nvars != n:
-        raise ValueError("variable count mismatch with the context")
-    ring = ring_module(n, ctx.order())
-    columns = [(partial_derivative(f, i),) for i in range(n)] + [(f ** k,)]
-    _, syz = syzygies(ring, columns)
-    return [s[:n] for s in syz if not vec_is_zero(s[:n])]
+    for f, e in factors:
+        if f.is_constant():
+            raise ValueError("constant polynomial")
+        if e < 1:
+            raise ValueError("power must be >= 1")
+        if f.nvars != n:
+            raise ValueError("variable count mismatch with the context")
+    shifts = tuple(-max(weighted_degree(exps, ctx.u) for exps in f.terms) for f, _ in factors)
+    ambient = FreeModule(n, shifts, ctx.order())
+    columns = [tuple(partial_derivative(f, i) for f, _ in factors) for i in range(n)]
+    zero = Polynomial.zero(n)
+    relations = [
+        tuple(f ** e if slot == j else zero for slot in range(len(factors)))
+        for j, (f, e) in enumerate(factors)
+    ]
+    return syzygies(ambient, columns, relations)[1]
 
 
 def generalized_log_module(
     factored: FactoredPolynomial, ctx: GradedContext, validate: bool = True
 ) -> list[Vector]:
-    """Canonical (reduced-basis) generators of the intersection over the
-    factors of the per-factor logarithmic derivation modules.  An empty
-    factorization denotes a nonzero constant, whose module is everything."""
-    dm = ctx.derivation_module()
-    if not factored.factors:
-        return [dm.unit_vector(i) for i in range(dm.rank)]
+    """Canonical (reduced-basis) generators of D(f), the derivations delta
+    with delta(f_i) in <f_i^{e_i}> for every factor.  An empty factorization
+    denotes a nonzero constant, whose module is everything."""
     if validate:
         factored.validate()
-    (f, e), *rest = factored.factors
-    gens = log_derivations(f, e, ctx)
-    if not rest:
-        # a projected syzygy basis is not reduced
-        return list(buchberger(dm, gens).elements)
-    for f, e in rest:
-        gens = intersect(dm, gens, log_derivations(f, e, ctx))
-    # intersect already returns the reduced basis in dm's order
-    return gens
+    gens = log_derivations(factored.factors, ctx)
+    return list(buchberger(ctx.derivation_module(), gens).elements)
 
 
 @dataclass(frozen=True, eq=False)

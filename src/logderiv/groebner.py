@@ -5,9 +5,13 @@ an element is a pair (slot, exponents); terms are compared by shifted
 weighted degree first (so a graded order on the module refines the grading),
 then by the ring order, with lower slot index winning ties.  An optional
 block split turns the order into an elimination order for the leading block
-of slots; it is the one elimination mechanism, used both for syzygies and
-for intersections (in F ⊕ F).  `FreeModule.desc_key` is the one definition
-of this order: ascending in it is descending term order.
+of slots.  `FreeModule.desc_key` is the one definition of this order:
+ascending in it is descending term order.
+
+`syzygies(module, gens, relations)` is the one kernel routine, and the only
+one that eliminates: it returns the c with sum(c_i * gens[i]) in the
+submodule generated by relations (Singular's `modulo`).  `intersect`,
+`module_quotient` and `polynomial_gcd` are calls to it.
 
 `vector_grading` is the one reader of an element's degree (its largest
 shifted weighted degree), and `homogenize_vector` the one way to pad an
@@ -93,10 +97,6 @@ def ring_module(nvars: int, order: MonomialOrder) -> FreeModule:
 
 def vec_is_zero(vec: Vector) -> bool:
     return all(p.is_zero() for p in vec)
-
-
-def vec_poly_mul(a: Vector, p: Polynomial) -> Vector:
-    return tuple(q * p for q in a)
 
 
 def vec_sort_key(vec: Vector) -> tuple:
@@ -368,59 +368,54 @@ def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     return buchberger(module, gens_a).elements == buchberger(module, gens_b).elements
 
 
-def _eliminate(module: FreeModule, tail_shifts: tuple[int, ...], ext_gens) -> list[Vector]:
-    """Tails of the part of a submodule of `module` ⊕ F that lies in 0 ⊕ F.
+def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list[Vector]]:
+    """Generators of {c : sum(c_i * gens[i]) lies in the submodule generated
+    by relations}, the syzygies of gens modulo relations, in the free module
+    whose slot i carries the degree of gens[i] (`vector_grading`).
 
-    `ext_gens` generate the submodule; F has slot shifts `tail_shifts`.
-    Under the block split eliminating `module`'s slots, the reduced basis
-    elements whose leading block vanishes form a reduced basis of that part.
+    Eliminates the ambient block from the module generated by (g_i, e_i) and
+    (r, 0) in the ambient ⊕ that free module; this is the one place a block
+    split is built.  Homogeneous input gives the reduced basis of the
+    result, which is homogeneous.  Otherwise every generator and relation is
+    first homogenized to its degree with a new last variable h of weight 1,
+    and h is set to 1 in the result, a generating set: homogenizing to a
+    fixed degree is linear, so every solution c, with sum(c_i g_i) =
+    sum(a_j r_j), lifts to a graded one.
     """
     if module.block_split is not None:
         raise ValueError("nested block splits are not supported")
-    if not ext_gens:
-        return []
-    rank = module.rank
-    ext = FreeModule(module.nvars, module.shifts + tail_shifts, module.order, block_split=rank)
-    gb = buchberger(ext, ext_gens)
-    return [tuple(e[rank:]) for e in gb.elements if vec_is_zero(e[:rank])]
-
-
-def syzygies(module: FreeModule, gens) -> tuple[FreeModule, list[Vector]]:
-    """Generators of the syzygies of gens, in the free module whose slot i
-    carries the degree of gens[i] (`vector_grading`).
-
-    Eliminates the ambient block from the module generated by (g_i, e_i) in
-    the ambient ⊕ that free module.  Homogeneous gens give the reduced basis
-    of their syzygies, which are homogeneous.  Otherwise the gens are first
-    homogenized to their degrees with a new last variable h of weight 1, and
-    h is set to 1 in the result, a generating set: homogenizing to a fixed
-    degree is linear, so every syzygy s lifts to the graded syzygy h^a * s^h.
-    """
-    gens = list(gens)
+    gens, relations = list(gens), list(relations)
     gradings = [vector_grading(module, g) for g in gens]
     degrees = tuple(d for d, _ in gradings)
     syz_module = units = FreeModule(module.nvars, degrees, module.order)
-    homogeneous = all(h for _, h in gradings)
+    homogeneous = all(h for _, h in gradings + [vector_grading(module, r) for r in relations])
     if not homogeneous:
         gens = [homogenize_vector(module, g, d) for g, d in zip(gens, degrees)]
+        relations = [homogenize_vector(module, r) for r in relations]
         module, units = homogenized(module), homogenized(syz_module)
+    rank = module.rank
+    ext = FreeModule(module.nvars, module.shifts + degrees, module.order, block_split=rank)
     ext_gens = [tuple(g) + units.unit_vector(i) for i, g in enumerate(gens)]
-    syz = _eliminate(module, degrees, ext_gens)
+    ext_gens += [tuple(r) + units.zero_vector() for r in relations]
+    syz = [e[rank:] for e in buchberger(ext, ext_gens).elements if vec_is_zero(e[:rank])]
     if not homogeneous:
         syz = [dehomogenize_vector(s) for s in syz]
     return syz_module, syz
 
 
 def intersect(module: FreeModule, gens_a, gens_b) -> list[Vector]:
-    """Reduced Groebner basis of the intersection of two submodules.
-
-    Eliminates the first block of F ⊕ F from the submodule generated by
-    (a, a) for a in A and (b, 0) for b in B: an element (0, w) has w in
-    both A and B.  Output is homogeneous whenever both inputs are.
-    """
-    zero = module.zero_vector()
-    ext_gens = [tuple(a) + tuple(a) for a in gens_a] + [tuple(b) + zero for b in gens_b]
-    return _eliminate(module, module.shifts, ext_gens)
+    """Reduced Groebner basis of the intersection of two submodules: the
+    combinations sum(c_i * a_i) over the syzygies c of A modulo B.  Output
+    is homogeneous whenever both inputs are."""
+    gens_a = list(gens_a)
+    _, syz = syzygies(module, gens_a, gens_b)
+    combinations = []
+    for c in syz:
+        total = module.zero_vector()
+        for coeff, a in zip(c, gens_a):
+            total = tuple(t + coeff * p for t, p in zip(total, a))
+        combinations.append(total)
+    return list(buchberger(module, combinations).elements)
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
@@ -435,7 +430,8 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 
 
 def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd via the principal-ideal intersection <p> ∩ <q> = <lcm>."""
+    """Monic gcd: the syzygies of p modulo q form the ideal (q : p), which
+    is generated by q / gcd(p, q)."""
     if p.is_zero():
         return _monic(q)
     if q.is_zero():
@@ -443,11 +439,10 @@ def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.is_constant() or q.is_constant():
         return Polynomial.constant(1, p.nvars)
     module = ring_module(p.nvars, degree_order(p.nvars))
-    inter = intersect(module, [(p,)], [(q,)])
-    if len(inter) != 1:
-        raise RuntimeError("intersection of principal ideals is not principal")
-    lcm = inter[0][0]
-    return _monic(exact_div(p * q, lcm))
+    _, syz = syzygies(module, [(p,)], [(q,)])
+    if len(syz) != 1:
+        raise RuntimeError("the syzygies of p modulo q are not principal")
+    return _monic(exact_div(q, syz[0][0]))
 
 
 def _monic(p: Polynomial) -> Polynomial:
@@ -458,26 +453,14 @@ def _monic(p: Polynomial) -> Polynomial:
 
 
 def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:
-    """Ideal (N : M) = {s : s*M ⊆ N}, via N ∩ S*g for each generator g of M
-    followed by ideal intersection."""
-    gens_m = [g for g in gens_m if not vec_is_zero(g)]
-    if not gens_m:
-        return [Polynomial.constant(1, module.nvars)]
-    ideal: list[Polynomial] | None = None
+    """Ideal (N : M) = {s : s*M ⊆ N}: the intersection over the generators
+    g of M of (N : g), the syzygies of g modulo N."""
+    gens_n = list(gens_n)
     ring = ring_module(module.nvars, module.order)
+    ideal = None
     for g in gens_m:
-        inter = intersect(module, gens_n, [g])
-        pivot = next(i for i, p in enumerate(g) if not p.is_zero())
-        colon = []
-        for w in inter:
-            h = exact_div(w[pivot], g[pivot])
-            if vec_poly_mul(g, h) != tuple(w):
-                raise RuntimeError("intersection element is not a multiple of g")
-            colon.append(h)
-        if ideal is None:
-            ideal = colon
-        else:
-            inter_ideal = intersect(ring, [(a,) for a in ideal], [(b,) for b in colon])
-            ideal = [v[0] for v in inter_ideal]
-    gb = buchberger(ring, [(p,) for p in ideal])
-    return [v[0] for v in gb.elements]
+        _, colon = syzygies(module, [g], gens_n)
+        ideal = colon if ideal is None else intersect(ring, ideal, colon)
+    if ideal is None:
+        return [Polynomial.constant(1, module.nvars)]
+    return [v[0] for v in buchberger(ring, ideal).elements]

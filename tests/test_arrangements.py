@@ -102,8 +102,8 @@ def test_generic_four_planes_in_three_space_resolution():
 
 @pytest.mark.parametrize("name", sorted(FREE))
 def test_intersected_log_module_is_already_reduced(name):
-    # D(f) of several factors ends in an intersection, whose output is the
-    # reduced basis; generalized_log_module returns it without a rerun
+    # generalized_log_module returns the reduced basis of D(f), so Buchberger
+    # on its output changes nothing
     normals, mults, _ = FREE[name]
     ctx = GradedContext.standard(len(normals[0]))
     dm = ctx.derivation_module()

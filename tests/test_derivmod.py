@@ -1,12 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from logderiv.poly import Polynomial, parse_poly, u_degree
+from logderiv.poly import Polynomial, parse_poly, partial_derivative, u_degree
 from logderiv.groebner import (
+    FreeModule,
     buchberger,
     module_equal,
     normal_form,
+    ring_module,
+    syzygies,
     vec_is_zero,
     vector_degree,
 )
@@ -23,6 +28,8 @@ from logderiv.derivmod import (
     log_derivations,
     saito_check,
 )
+from logderiv.harness import random_instance
+from test_arrangements import FREE, arrangement
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -86,14 +93,14 @@ def test_monomial_factor_modules():
 
 
 def test_conic_log_module_is_saito_basis():
-    gens = log_derivations(P("x^2+y^2"), 1, CTX2)
+    gens = log_derivations([(P("x^2+y^2"), 1)], CTX2)
     dm = CTX2.derivation_module()
     assert module_equal(dm, gens, [V("x", "y"), V("y", "-x")])
 
 
 def test_hyperplane_module():
     ctx = GradedContext((1, 1, 1), (0, 0, 0))
-    gens = log_derivations(P("x", XYZ), 1, ctx)
+    gens = log_derivations([(P("x", XYZ), 1)], ctx)
     dm = ctx.derivation_module()
     expected = [
         V("x", "0", "0", names=XYZ),
@@ -107,7 +114,7 @@ def test_single_reduced_factor_matches_log_derivations():
     f = P("x^2+y^2")
     fp = FactoredPolynomial.single(f)
     dm = CTX2.derivation_module()
-    assert module_equal(dm, generalized_log_module(fp, CTX2), log_derivations(f, 1, CTX2))
+    assert module_equal(dm, generalized_log_module(fp, CTX2), log_derivations([(f, 1)], CTX2))
 
 
 def test_common_factor_rejected():
@@ -118,7 +125,58 @@ def test_common_factor_rejected():
 
 def test_constant_rejected():
     with pytest.raises(ValueError):
-        log_derivations(P("5"), 1, CTX2)
+        log_derivations([(P("5"), 1)], CTX2)
+
+
+def per_factor_log_module(factored, ctx):
+    """Reference: D(f) the long way.  Each factor's module is the projection
+    onto the first n slots of the syzygies of (df/dx_1, ..., df/dx_n, f^e);
+    the modules are folded by intersection in F + F, eliminating the first
+    block from (a, a) for a in A and (b, 0) for b in B."""
+    n = ctx.nvars
+    dm = ctx.derivation_module()
+    ring = ring_module(n, ctx.order())
+    double = FreeModule(n, dm.shifts * 2, dm.order, block_split=n)
+    module = None
+    for f, e in factored.factors:
+        columns = [(partial_derivative(f, i),) for i in range(n)] + [(f ** e,)]
+        gens = [s[:n] for s in syzygies(ring, columns)[1] if not vec_is_zero(s[:n])]
+        if module is not None:
+            ext = [a + a for a in module] + [b + dm.zero_vector() for b in gens]
+            gens = [w[n:] for w in buchberger(double, ext).elements if vec_is_zero(w[:n])]
+        module = gens
+    return list(buchberger(dm, module).elements)
+
+
+def two_factor_harness_draws(count):
+    rng = random.Random(7)
+    draws = []
+    while len(draws) < count:
+        factored, ctx = random_instance(rng)
+        if len(factored.factors) == 2:
+            draws.append((factored, ctx))
+    return draws
+
+
+ROUTE_CASES = {
+    **{name: (arrangement(normals, mults), GradedContext.standard(len(normals[0])))
+       for name, (normals, mults, _) in FREE.items()},
+    **{f"harness-{i}": draw for i, draw in enumerate(two_factor_harness_draws(6))},
+    "(x^2+y^3+z)(x*y+z^2+1)": (
+        FactoredPolynomial(((P("x^2+y^3+z", XYZ), 1), (P("x*y+z^2+1", XYZ), 1))),
+        GradedContext.standard(3),
+    ),
+    "(x+y^2)(y+z+1)^2(x*z-1)": (
+        FactoredPolynomial(((P("x+y^2", XYZ), 1), (P("y+z+1", XYZ), 2), (P("x*z-1", XYZ), 1))),
+        GradedContext.standard(3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_one_kernel_matches_the_per_factor_intersection_route(name):
+    factored, ctx = ROUTE_CASES[name]
+    assert generalized_log_module(factored, ctx) == per_factor_log_module(factored, ctx)
 
 
 def test_f_times_partials_are_members():

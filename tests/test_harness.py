@@ -36,7 +36,7 @@ def test_harness_computes_each_module_once(monkeypatch):
 
 
 def test_two_factor_log_modules_are_already_reduced():
-    # the intersection that ends D(f) of two factors returns a reduced basis
+    # D(f) of two factors, one syzygy kernel, comes back as a reduced basis
     rng = random.Random(7)
     checked = 0
     while checked < 6:

@@ -13,7 +13,6 @@ from logderiv.groebner import (
     ring_module,
     syzygies,
     vec_is_zero,
-    vec_poly_mul,
     vec_sort_key,
     vector_degree,
     vector_grading,
@@ -212,7 +211,7 @@ def test_entry_degrees_equal_shift_differences():
 
     dm = CTX2.derivation_module()
     gens = generalized_log_module(FactoredPolynomial.single(P("x^3+x*y^2")), CTX2)
-    redundant = free_resolution(dm, list(gens) + [vec_poly_mul(gens[0], P("x"))])
+    redundant = free_resolution(dm, list(gens) + [tuple(p * P("x") for p in gens[0])])
     longer = pad_with_trivial_pair(redundant, redundant.length + 1, 6)
     _, _, affine = affine_log_resolution(FactoredPolynomial.single(P("x^2+y^3+x*y")))
     instances = [
@@ -304,7 +303,7 @@ def test_minimal_generators_match_the_restart_loop_graded():
         gens = generalized_log_module(fp, ctx, validate=False)
         syz_module, syz = syzygies(dm, gens)
         variable = Polynomial.variable(rng.randrange(ctx.nvars), ctx.nvars)
-        multiple = vec_poly_mul(rng.choice(gens), variable)
+        multiple = tuple(p * variable for p in rng.choice(gens))
         for module, candidates in ((dm, gens + [multiple]), (syz_module, syz)):
             expected = restart_minimal_generators(module, candidates, True)
             assert minimal_generators(module, candidates, True) == expected
