@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .poly import format_poly, infer_weights, parse_poly
+from .poly import Polynomial, format_poly, infer_weights, parse_poly
 from .groebner import module_equal, vector_grading
 from .derivmod import (
     FactoredPolynomial,
@@ -61,6 +61,26 @@ def _parse_names(text: str) -> list[str]:
     return names
 
 
+def _parse_factors(text: str, names: list[str]) -> tuple[tuple[Polynomial, int], ...]:
+    """factor:multiplicity pairs; a bare factor has multiplicity 1."""
+    factors = []
+    for part in text.split(","):
+        base, sep, mult = part.rpartition(":")
+        if not sep:
+            base, mult = part, "1"
+        if not base.strip():
+            raise UsageError(f"--factors has an empty factor in {text!r}")
+        try:
+            mult = int(mult)
+        except ValueError as exc:
+            raise UsageError(f"--factors multiplicity must be an integer, got {part!r}") from exc
+        try:
+            factors.append((parse_poly(base, names), mult))
+        except ValueError as exc:
+            raise UsageError(f"--factors entry {part!r}: {exc}") from exc
+    return tuple(factors)
+
+
 def _build_inputs(args) -> tuple[list[str], FactoredPolynomial, GradedContext]:
     names = _parse_names(args.vars)
     if args.k is not None and args.k < 1:
@@ -70,14 +90,10 @@ def _build_inputs(args) -> tuple[list[str], FactoredPolynomial, GradedContext]:
     if f.is_constant():
         raise UsageError("constant input: the polynomial must be nonconstant")
     if args.factors:
-        factors = []
-        for part in args.factors.split(","):
-            if ":" in part:
-                text, mult = part.rsplit(":", 1)
-                factors.append((parse_poly(text, names), int(mult)))
-            else:
-                factors.append((parse_poly(part, names), 1))
-        factored = FactoredPolynomial(tuple(factors))
+        if args.k is not None:
+            raise UsageError("--k and --factors cannot be combined: give the power "
+                             "as a multiplicity in --factors")
+        factored = FactoredPolynomial(_parse_factors(args.factors, names))
         if factored.expand() != f:
             raise UsageError("the factorization does not multiply out to the polynomial")
     else:
@@ -313,8 +329,8 @@ def _add_common(parser, poly_required=True):
     parser.add_argument("--v", help="comma-separated derivation-slot shifts")
     parser.add_argument(
         "--k", type=int,
-        help="power e >= 1 of the single polynomial (the JSON field inputs.k is "
-        "the grading constant u_i + v_i, not this power)",
+        help="power e >= 1 of the single polynomial, not with --factors (the JSON "
+        "field inputs.k is the grading constant u_i + v_i, not this power)",
     )
     parser.add_argument(
         "--infer-weights", action="store_true",

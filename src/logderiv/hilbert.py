@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import comb
 
 from .poly import NonPositiveWeightError, Polynomial, u_degree
 from .groebner import (
     FreeModule,
     Vector,
     buchberger,
-    divide,
+    normal_form,
     polynomial_gcd,
     ring_module,
     syzygies,
@@ -147,30 +149,16 @@ def hp_expand(hp: HPSeries, lo: int, hi: int) -> dict[int, int]:
 
 def dimension_via_pole(hp: HPSeries) -> int:
     """Pole order at t = 1: number of variables minus the multiplicity of
-    (t - 1) in the numerator."""
-    coeffs = hp.numerator_dict()
-    if not coeffs:
+    t = 1 as a root of the numerator.  With the numerator shifted to a
+    polynomial sum(c_e * t^(e + shift)), that multiplicity is the least k
+    whose Taylor coefficient at t = 1, sum(c_e * C(e + shift, k)), is
+    nonzero."""
+    if not any(c for _, c in hp.numerator):
         raise ValueError("the zero series has no pole order")
     shift = -hp.min_exponent()
-    poly = {}
-    for e, c in coeffs.items():
-        poly[e + shift] = c
-    multiplicity = 0
-    while True:
-        if sum(poly.values()) != 0:
-            break
-        # divide by (t - 1): synthetic division at t = 1
-        degree = max(poly)
-        dense = [poly.get(i, 0) for i in range(degree + 1)]
-        out = [0] * degree
-        acc = 0
-        for i in range(degree, 0, -1):
-            acc += dense[i]
-            out[i - 1] = acc
-        poly = {i: c for i, c in enumerate(out) if c}
-        multiplicity += 1
-        if not poly:
-            raise ValueError("numerator vanished identically")
+    multiplicity = next(
+        k for k in count() if sum(c * comb(e + shift, k) for e, c in hp.numerator) != 0
+    )
     return len(hp.weights) - multiplicity
 
 
@@ -340,35 +328,21 @@ def verify_coprime_sum(
     return {"chi": value, "claims": claims, "ok": report_ok(claims)}
 
 
-def quotient_presentation(
-    dm: FreeModule, sub_gens: list[Vector], big_gens: list[Vector]
-) -> tuple[FreeModule, list[Vector]]:
-    """Presentation of L/M for M ⊆ L: F_0 is free on the given generators of
-    L; the relations are the syzygies of L's generators together with the
-    expressions of M's generators in terms of them."""
-    f0, relations = syzygies(dm, big_gens)
-    # membership division must land on zero, so the caller passes a reduced
-    # basis as the generating set of L
-    for m in sub_gens:
-        quotients, rem = divide(dm, m, big_gens)
-        if not vec_is_zero(rem):
-            raise ValueError("not a submodule: generator fails membership")
-        relations.append(tuple(quotients))
-    return f0, relations
-
-
 def chi_additivity_check(
     sub_gens: list[Vector], big_gens: list[Vector], ctx: GradedContext
 ) -> dict:
     """chi(L) = chi(M) + chi(L/M) via independent resolutions of all three.
 
-    The generators of L are replaced by the reduced basis so that membership
-    division expresses M over exactly the chosen basis of F_0.
+    L/M is presented on F_0, free on the reduced basis of L, by the
+    syzygies of that basis modulo M.
     """
     dm = ctx.derivation_module()
-    big = list(buchberger(dm, big_gens).elements)
-    # the membership test of the presentation runs before any resolution
-    f0, relations = quotient_presentation(dm, sub_gens, big)
+    gb = buchberger(dm, big_gens)
+    # the membership test runs before any resolution
+    if not all(vec_is_zero(normal_form(dm, m, gb)) for m in sub_gens):
+        raise ValueError("not a submodule: generator fails membership")
+    big = list(gb.elements)
+    f0, relations = syzygies(dm, big, sub_gens)
     chi_l = chi(hp_from_resolution(free_resolution(dm, big)))
     sub_canonical = list(buchberger(dm, sub_gens).elements)
     chi_m = chi(hp_from_resolution(free_resolution(dm, sub_canonical)))

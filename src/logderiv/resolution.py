@@ -8,6 +8,10 @@ so the chain is exact by construction.  Shifts are the largest shifted
 weighted degrees of the chosen generators: their degrees when they are
 homogeneous, and their filtration bounds otherwise.  Nothing declares the
 grading: a resolution is graded when the generators of M are homogeneous.
+
+`minimize` splits off unit pivots.  The chain conditions are stated here
+once: `Resolution.is_complex`, `certify_exact` on top of it, and the complex
+condition at each pivot `minimize` splits.
 """
 
 from __future__ import annotations
@@ -49,19 +53,17 @@ class ModuleMap:
 
     def compose(self, other: "ModuleMap") -> tuple[Vector, ...]:
         """Columns of the composite map (other feeds into self)."""
-        out = []
-        for col in other.columns:
-            acc = None
-            for coeff, image in zip(col, self.columns):
-                part = tuple(coeff * p for p in image)
-                acc = part if acc is None else tuple(a + b for a, b in zip(acc, part))
-            out.append(acc if acc is not None else ())
-        return tuple(out)
+        return tuple(_apply(self.columns, col) for col in other.columns)
 
-    def has_constant_entry(self) -> bool:
-        return any(
-            p.constant_coefficient() != 0 for col in self.columns for p in col
-        )
+
+def _apply(columns, coeffs) -> Vector:
+    """Image of the coefficient vector under the map with these columns:
+    sum(coeffs[k] * columns[k])."""
+    acc = None
+    for coeff, image in zip(coeffs, columns):
+        part = tuple(coeff * p for p in image)
+        acc = part if acc is None else tuple(a + b for a, b in zip(acc, part))
+    return acc if acc is not None else ()
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ class Resolution:
     shifts(p)[j] - target_shifts(p)[i].  The grading (weights) is the
     ambient's, and the resolution is graded when every column of phi_0 is
     homogeneous (a zero column, as `pad_with_trivial_pair` adds, counts as
-    homogeneous).
+    homogeneous).  It is minimal when no phi_p with p >= 1 has a unit entry
+    (`first_unit`, the one scan `minimize` pivots on too).
     """
 
     chain: tuple[ModuleMap, ...]
@@ -106,8 +109,27 @@ class Resolution:
     def ranks(self) -> list[int]:
         return [len(s) for s in self.all_shifts()]
 
+    def first_unit(self) -> tuple[int, int, int] | None:
+        """(p, i, j) of the first unit (nonzero constant) entry phi_p[i][j]
+        with p >= 1, scanning maps, then columns, then rows; None when there
+        is none, that is, when the resolution is minimal."""
+        for p in range(1, len(self.chain)):
+            for j, col in enumerate(self.chain[p].columns):
+                for i, entry in enumerate(col):
+                    if entry.constant_coefficient() != 0:
+                        return p, i, j
+        return None
+
     def is_minimal(self) -> bool:
-        return not any(m.has_constant_entry() for m in self.chain[1:])
+        return self.first_unit() is None
+
+    def is_complex(self) -> bool:
+        """Every composite phi_{p-1} phi_p vanishes."""
+        return all(
+            vec_is_zero(col)
+            for upper, lower in zip(self.chain, self.chain[1:])
+            for col in upper.compose(lower)
+        )
 
 
 def minimal_generators(
@@ -222,81 +244,60 @@ def betti_numbers(res: Resolution) -> BettiTable:
 
 
 def minimize(res: Resolution) -> Resolution:
-    """Cancel trivial S(-d) -> S(-d) summands until no map phi_p, p >= 1,
-    carries a unit (nonzero constant) entry.  The module is unchanged: every
-    step is an invertible basis change followed by dropping a split exact
-    pair."""
+    """Split off trivial S(-d) -> S(-d) summands until no map phi_p, p >= 1,
+    carries a unit (nonzero constant) entry; the module is unchanged.
+
+    At a unit a = phi_p[i0][j0], each other column of phi_p becomes its Schur
+    complement col - (col[i0] / a) * pivot with row i0 dropped; phi_{p-1}
+    loses column i0, phi_{p+1} row j0, and both shifts go.  The split is
+    exact when the chain is a complex at the pivot, which is checked there.
+    """
     if not res.graded:
         raise ValueError("minimalization requires a homogeneous resolution")
-    cols = [[list(col) for col in m.columns] for m in res.chain]
-    src_shifts = [list(m.source_shifts) for m in res.chain]
+    while (unit := res.first_unit()) is not None:
+        res = _split_unit(res, *unit)
+    return res
 
-    def find_unit():
-        for p in range(1, len(cols)):
-            for j, col in enumerate(cols[p]):
-                for i, entry in enumerate(col):
-                    if entry.constant_coefficient() != 0:
-                        return p, i, j, entry
-        return None
 
-    while (found := find_unit()) is not None:
-        p, i0, j0, entry = found
-        if not entry.is_constant():
-            raise ValueError("non-homogeneous entry with a constant term")
-        a = entry.constant_coefficient()
-        block = cols[p]
-        # column ops on this map clear row i0; the basis change of the
-        # source module is mirrored on the rows of the next map
-        coeffs = {}
-        for j, col in enumerate(block):
-            if j != j0 and not col[i0].is_zero():
-                coeffs[j] = col[i0] * (1 / a)
-        for j, c in coeffs.items():
-            pivot_col = block[j0]
-            block[j] = [x - c * y for x, y in zip(block[j], pivot_col)]
-        if p + 1 < len(cols):
-            for col in cols[p + 1]:
-                bump = None
-                for j, c in coeffs.items():
-                    part = c * col[j]
-                    bump = part if bump is None else bump + part
-                if bump is not None:
-                    col[j0] = col[j0] + bump
-        # row ops clear column j0 (rows other than i0 only meet column j0,
-        # since row i0 is now zero elsewhere); the basis change of the
-        # target module is mirrored on the columns of the previous map
-        dcoeffs = {}
-        for i in range(len(block[j0])):
-            if i != i0 and not block[j0][i].is_zero():
-                dcoeffs[i] = block[j0][i] * (1 / a)
-        block[j0] = [
-            entry if i == i0 else Polynomial.zero(entry.nvars)
-            for i in range(len(block[j0]))
-        ]
-        prev = cols[p - 1]
-        for i, d in dcoeffs.items():
-            prev[i0] = [x + d * y for x, y in zip(prev[i0], prev[i])]
-        # drop the split pair: source basis j0, target basis i0
-        if p + 1 < len(cols):
-            for col in cols[p + 1]:
-                if not col[j0].is_zero():
-                    raise RuntimeError("pivot row of the next map did not vanish")
-            cols[p + 1] = [col[:j0] + col[j0 + 1 :] for col in cols[p + 1]]
-        cols[p] = [col[:i0] + col[i0 + 1 :] for j, col in enumerate(block) if j != j0]
-        del src_shifts[p][j0]
-        if any(not x.is_zero() for x in prev[i0]):
-            raise RuntimeError("pivot column of the previous map did not vanish")
-        del prev[i0]
-        del src_shifts[p - 1][i0]
-        while len(cols) > 1 and not cols[-1]:
-            cols.pop()
-            src_shifts.pop()
+def _split_unit(res: Resolution, p: int, i0: int, j0: int) -> Resolution:
+    chain = list(res.chain)
+    phi = chain[p]
+    pivot = phi.columns[j0]
+    if not pivot[i0].is_constant():
+        raise ValueError("non-homogeneous entry with a constant term")
+    if not vec_is_zero(_apply(chain[p - 1].columns, pivot)):
+        raise RuntimeError("pivot column of the previous map did not vanish")
+    pivot_row = [(col[i0],) for col in phi.columns]
+    if p + 1 < len(chain) and not all(
+        vec_is_zero(_apply(pivot_row, col)) for col in chain[p + 1].columns
+    ):
+        raise RuntimeError("pivot row of the next map did not vanish")
+    inverse = 1 / pivot[i0].constant_coefficient()
 
-    chain = tuple(
-        ModuleMap(tuple(tuple(col) for col in c), tuple(s))
-        for c, s in zip(cols, src_shifts)
+    def complement(col: Vector) -> Vector:
+        if not col[i0].is_zero():
+            c = col[i0] * inverse
+            col = tuple(x - c * y for x, y in zip(col, pivot))
+        return _drop(col, i0)
+
+    below = chain[p - 1]
+    chain[p - 1] = ModuleMap(_drop(below.columns, i0), _drop(below.source_shifts, i0))
+    chain[p] = ModuleMap(
+        tuple(complement(col) for j, col in enumerate(phi.columns) if j != j0),
+        _drop(phi.source_shifts, j0),
     )
-    return Resolution(chain, res.ambient)
+    if p + 1 < len(chain):
+        above = chain[p + 1]
+        chain[p + 1] = ModuleMap(
+            tuple(_drop(col, j0) for col in above.columns), above.source_shifts
+        )
+    while len(chain) > 1 and not chain[-1].columns:
+        chain.pop()
+    return Resolution(tuple(chain), res.ambient)
+
+
+def _drop(items: tuple, k: int) -> tuple:
+    return items[:k] + items[k + 1 :]
 
 
 def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
@@ -335,11 +336,9 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
 def certify_exact(res: Resolution) -> bool:
     """Consecutive composites vanish and each map's columns generate the
     full syzygy module of the previous step's columns."""
+    if not res.is_complex():
+        return False
     chain = res.chain
-    for upper, lower in zip(chain, chain[1:]):
-        for col in upper.compose(lower):
-            if not vec_is_zero(col):
-                return False
     current = res.ambient
     for idx, m in enumerate(chain):
         syz_mod, syz = syzygies(current, list(m.columns))

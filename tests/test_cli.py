@@ -326,3 +326,29 @@ def test_degree_of_an_inhomogeneous_generator_is_null(capsys):
     report = json.loads(out)
     degrees = dict(zip(report["generators"], report["degrees"]))
     assert degrees == {"x*d_x + 2*y*d_y": 3, "-1/2*d_x + x*d_y": None}
+
+
+def test_power_with_factors_is_usage_error(capsys):
+    # --k used to be dropped when --factors was given, printing D(x^2 y)
+    code, out, err = run(
+        capsys, "derivations", "x^2*y", "--vars", "x,y", "--factors", "x:2,y:1", "--k", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--k and --factors" in err
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [("x^2+y^2:a", "--factors multiplicity must be an integer, got 'x^2+y^2:a'"),
+     ("x,y,", "--factors has an empty factor in 'x,y,'"),
+     ("x+:2", "--factors entry 'x+:2'")],
+    ids=["multiplicity-not-integer", "trailing-comma", "bad-factor"],
+)
+def test_malformed_factors_name_the_flag(capsys, factors, message):
+    code, out, err = run(
+        capsys, "derivations", "x^2+y^2", "--vars", "x,y", "--factors", factors
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err

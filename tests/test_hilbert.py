@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from logderiv.poly import (
@@ -155,8 +157,6 @@ def test_chi_shifted_free_line():
 
 
 def test_chi_of_derivation_ambient_is_v_sum():
-    import random
-
     rng = random.Random(7)
     for _ in range(20):
         n = rng.choice([2, 3])
@@ -166,8 +166,6 @@ def test_chi_of_derivation_ambient_is_v_sum():
 
 
 def test_chi_quotient_by_coprime_pair_is_zero():
-    import random
-
     rng = random.Random(11)
     cases = [
         (P("x"), P("y"), CTX2),
@@ -218,6 +216,72 @@ def test_pole_order_point():
 def test_pole_order_hypersurface():
     hp = quotient_ring_hp([P("x^2+y^2")], CTX2)
     assert dimension_via_pole(hp) == 1
+
+
+def division_pole_order(hp):
+    """Reference: divide the numerator by (t - 1) synthetically until its
+    value at t = 1 is nonzero."""
+    shift = -hp.min_exponent()
+    poly = {e + shift: c for e, c in hp.numerator}
+    multiplicity = 0
+    while sum(poly.values()) == 0:
+        dense = [poly.get(i, 0) for i in range(max(poly) + 1)]
+        out, acc = [0] * (len(dense) - 1), 0
+        for i in range(len(dense) - 1, 0, -1):
+            acc += dense[i]
+            out[i - 1] = acc
+        poly = {i: c for i, c in enumerate(out) if c}
+        multiplicity += 1
+    return len(hp.weights) - multiplicity
+
+
+def test_pole_order_matches_synthetic_division():
+    # the quotient_ring_hp series of the harness annihilator checks (every
+    # HEAVY_EVERY-th instance of the seed-0 run), and the series of this module
+    from logderiv.harness import HEAVY_EVERY, random_instance
+
+    rng = random.Random(0)
+    series = []
+    for index in range(100):
+        fp, ctx = random_instance(rng)
+        if index % HEAVY_EVERY == 0:
+            series.append(quotient_ring_hp([fp.expand()], ctx))
+    assert len(series) == 10
+    koszul = free_resolution(ring_module(2, MonomialOrder((1, 1))), [(P("x"),), (P("y"),)])
+    conic = generalized_log_module(FactoredPolynomial.single(P("x^2+y^2")), CTX2)
+    series += [
+        hp_free([0], (1,)),
+        hp_free([0], (1, 2)),
+        hp_free([0], (1, 2, 3)),
+        hp_free([2, -1, 2], (1, 1)),
+        hp_free([1, 3], (1, 1)),
+        hp_from_resolution(koszul),
+        hp_from_resolution(free_resolution(CTX2.derivation_module(), conic)),
+        hp_quotient(FreeModule(2, (0, 3), MonomialOrder((1, 2))), []),
+        quotient_ring_hp([P("x"), P("y")], CTX2),
+        quotient_ring_hp([P("x"), P("y"), P("x+y")], CTX2),
+        quotient_ring_hp([P("x^2+y^2")], CTX2),
+        quotient_ring_hp([P("x^2+y^2"), P("x*y")], CTX2),
+        quotient_ring_hp([P("x^3"), P("y^2")], CTX2),
+        quotient_ring_hp([P("x^2"), P("x+y^2")], GradedContext.from_uk((2, 1), 2)),
+    ]
+    series += [
+        HPSeries.from_dict({e + d: c for e, c in hp.numerator}, hp.weights)
+        for hp in list(series)
+        for d in (-3, 2)
+    ]
+    for hp in series:
+        assert dimension_via_pole(hp) == division_pole_order(hp), hp
+
+
+@pytest.mark.parametrize(
+    "hp",
+    [hp_free([], (1, 1)), HPSeries(((0, 0), (2, 0)), (1, 1))],
+    ids=["empty", "zero-coefficients"],
+)
+def test_pole_order_of_the_zero_series_is_refused(hp):
+    with pytest.raises(ValueError, match="zero series"):
+        dimension_via_pole(hp)
 
 
 # --- verification operations -----------------------------------------------------------

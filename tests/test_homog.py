@@ -134,12 +134,7 @@ def test_worked_example_homogenizes_to_resolution():
     _, _, res = affine_log_resolution(worked_example())
     hom = homogenize_resolution(res)
     assert hom.is_resolution
-    for upper, lower in zip(
-        hom.resolution.chain,
-        hom.resolution.chain[1:],
-    ):
-        for col in upper.compose(lower):
-            assert vec_is_zero(col)
+    assert hom.resolution.is_complex()
 
 
 def test_basis_change_gives_complex_only():

@@ -21,6 +21,8 @@ from logderiv.derivmod import FactoredPolynomial, GradedContext, generalized_log
 from logderiv.harness import random_instance
 from logderiv.resolution import (
     BettiTable,
+    ModuleMap,
+    Resolution,
     alternating_degree_sum,
     alternating_rank_sum,
     betti_numbers,
@@ -337,3 +339,150 @@ def test_minimal_generators_match_the_restart_loop_ungraded():
         assert minimal_generators(module, gens, False) == expected
         dropped += len(gens) - len(expected[0])
     assert dropped > 20
+
+
+# --- minimize against the row/column reference ------------------------------------
+
+
+def row_column_minimize(res):
+    """Reference: at each unit pivot, column operations clear its row and
+    row operations its column, mirrored on the rows of the next map and the
+    columns of the previous one, and then the split pair is dropped."""
+    cols = [[list(col) for col in m.columns] for m in res.chain]
+    src_shifts = [list(m.source_shifts) for m in res.chain]
+
+    def find_unit():
+        for p in range(1, len(cols)):
+            for j, col in enumerate(cols[p]):
+                for i, entry in enumerate(col):
+                    if entry.constant_coefficient() != 0:
+                        return p, i, j, entry
+        return None
+
+    while (found := find_unit()) is not None:
+        p, i0, j0, entry = found
+        a = entry.constant_coefficient()
+        block = cols[p]
+        coeffs = {}
+        for j, col in enumerate(block):
+            if j != j0 and not col[i0].is_zero():
+                coeffs[j] = col[i0] * (1 / a)
+        for j, c in coeffs.items():
+            pivot_col = block[j0]
+            block[j] = [x - c * y for x, y in zip(block[j], pivot_col)]
+        if p + 1 < len(cols):
+            for col in cols[p + 1]:
+                bump = None
+                for j, c in coeffs.items():
+                    part = c * col[j]
+                    bump = part if bump is None else bump + part
+                if bump is not None:
+                    col[j0] = col[j0] + bump
+        dcoeffs = {}
+        for i in range(len(block[j0])):
+            if i != i0 and not block[j0][i].is_zero():
+                dcoeffs[i] = block[j0][i] * (1 / a)
+        block[j0] = [
+            entry if i == i0 else Polynomial.zero(entry.nvars)
+            for i in range(len(block[j0]))
+        ]
+        prev = cols[p - 1]
+        for i, d in dcoeffs.items():
+            prev[i0] = [x + d * y for x, y in zip(prev[i0], prev[i])]
+        if p + 1 < len(cols):
+            assert all(col[j0].is_zero() for col in cols[p + 1])
+            cols[p + 1] = [col[:j0] + col[j0 + 1 :] for col in cols[p + 1]]
+        cols[p] = [col[:i0] + col[i0 + 1 :] for j, col in enumerate(block) if j != j0]
+        del src_shifts[p][j0]
+        assert all(x.is_zero() for x in prev[i0])
+        del prev[i0]
+        del src_shifts[p - 1][i0]
+        while len(cols) > 1 and not cols[-1]:
+            cols.pop()
+            src_shifts.pop()
+
+    chain = tuple(
+        ModuleMap(tuple(tuple(col) for col in c), tuple(s))
+        for c, s in zip(cols, src_shifts)
+    )
+    return Resolution(chain, res.ambient)
+
+
+def assert_minimize_matches_reference(resolutions):
+    """minimize and the reference give the same columns and shifts; returns
+    the number of pivots split off at p = 1 and at p >= 2."""
+    pivots = [0, 0]
+    for res in resolutions:
+        out, expected = minimize(res), row_column_minimize(res)
+        assert [m.columns for m in out.chain] == [m.columns for m in expected.chain]
+        assert out.all_shifts() == expected.all_shifts()
+        assert out.ambient == expected.ambient
+        assert out.is_minimal()
+        drops = [a - b for a, b in zip(res.ranks(), out.ranks() + [0] * res.length)]
+        pivots[0] += drops[0]
+        pivots[1] += (sum(drops[1:]) - drops[0]) // 2
+    return pivots
+
+
+def test_minimize_matches_the_reference_on_padded_harness_resolutions():
+    # seeded harness instances and, with a redundant generator f * e_0 mixed
+    # in (the harness's own redundancy), longer ones; each also padded at
+    # every valid p
+    rng = random.Random("minimize-reference")
+    resolutions = []
+    for _ in range(12):
+        fp, ctx = random_instance(rng)
+        dm = ctx.derivation_module()
+        gens = generalized_log_module(fp, ctx, validate=False)
+        res = free_resolution(dm, gens)
+        zero = Polynomial.zero(ctx.nvars)
+        f = fp.expand()
+        redundant = free_resolution(
+            dm, list(gens) + [tuple(f if i == 0 else zero for i in range(ctx.nvars))]
+        )
+        d = max(res.shifts(0)) + rng.randint(0, 2)
+        for r in (res, redundant):
+            resolutions.append(r)
+            resolutions += [pad_with_trivial_pair(r, p, d) for p in range(1, r.length + 2)]
+    low, high = assert_minimize_matches_reference(resolutions)
+    assert low > 40 and high > 10
+
+
+def test_minimize_matches_the_reference_on_homogenized_surfaces():
+    from logderiv.homog import affine_log_resolution, homogenize_module, homogenize_resolution
+
+    xyz = ["x", "y", "z"]
+    resolutions = []
+    for text in ("x^2*z+y^3+z^4", "x^2+y^3+x*y", "x*y*z+x^3+y^2"):
+        fp = FactoredPolynomial.single(parse_poly(text, xyz))
+        for mix in (None, (0, 1)):
+            ctx, gens, res = affine_log_resolution(fp, mix=mix)
+            hmod, hgens = homogenize_module(ctx.derivation_module(), gens)
+            resolutions += [
+                homogenize_resolution(res).resolution,
+                free_resolution(hmod, hgens),
+            ]
+    low, _ = assert_minimize_matches_reference(resolutions)
+    assert low > 0
+
+
+def test_minimize_refuses_a_chain_that_is_not_a_complex_at_the_pivot():
+    ring = ring_module(2, MonomialOrder((1, 1)))
+    x, y, one = P("x"), P("y"), P("1")
+    # phi_0 phi_1 = x: the pivot column (1) is not a cycle
+    column_fails = Resolution(
+        (ModuleMap(((x,),), (1,)), ModuleMap(((one,),), (1,))), ring
+    )
+    # phi_0 phi_1 = 0, but phi_1 phi_2 = (y, -y): row 0 of phi_1 meets phi_2
+    row_fails = Resolution(
+        (
+            ModuleMap(((x,), (x,)), (1, 1)),
+            ModuleMap(((one, -one),), (1,)),
+            ModuleMap(((y,),), (2,)),
+        ),
+        ring,
+    )
+    for res, message in ((column_fails, "pivot column"), (row_fails, "pivot row")):
+        assert res.graded and not res.is_complex()
+        with pytest.raises(RuntimeError, match=message):
+            minimize(res)
