@@ -74,6 +74,8 @@ def _parse_factors(text: str, names: list[str]) -> tuple[tuple[Polynomial, int],
             mult = int(mult)
         except ValueError as exc:
             raise UsageError(f"--factors multiplicity must be an integer, got {part!r}") from exc
+        if mult < 1:
+            raise UsageError(f"--factors multiplicity must be >= 1, got {part!r}")
         try:
             factors.append((parse_poly(base, names), mult))
         except ValueError as exc:

@@ -9,10 +9,9 @@ pipeline here runs on the derivation module of the standard grading (unit
 weights), where that bound is the total degree plus the shift.
 
 A filtration resolution of a module can be homogenized columnwise; the
-result is always a complex, and whenever each homogenized image contains
-the homogenization of the original image it is a genuine homogeneous free
-resolution of the homogenized module.  The degree bound of a column is the
-shift of its source slot, as the affine resolution records it.
+result is always a complex, and a homogeneous free resolution of the
+homogenized module exactly when h saturates the image of every homogenized
+map.  The degree bound of a column is the shift of its source slot.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ from .groebner import (
     FreeModule,
     Vector,
     buchberger,
+    dehomogenize_vector,
     homogenize_vector,
     homogenized,
     intersect,
     module_equal,
-    normal_form,
-    vec_is_zero,
 )
 from .derivmod import FactoredPolynomial, GradedContext, generalized_log_module
 from .resolution import (
@@ -54,8 +52,8 @@ def homogenize_module(
 
 @dataclass
 class HomogenizedComplex:
-    """Columnwise homogenization of a filtration resolution, with the
-    per-step verdicts of the image-equality test."""
+    """Columnwise homogenization of a filtration resolution, with the image
+    test's per-step verdicts and a witness g / h^a where a step fails."""
 
     resolution: Resolution
     image_ok: tuple[bool, ...]
@@ -70,10 +68,9 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     """Homogenize each map columnwise to its recorded shift bounds.
 
     The output chain is verified to be a complex (this always holds when the
-    shifts respect the degree filtration).  At every step the inclusion of
-    the homogenized image in the image of the homogenized map is tested by
-    membership; when it holds everywhere the complex is a free resolution of
-    the homogenized module.
+    shifts respect the degree filtration).  Step p passes when h divides no
+    element of the reduced basis of the homogenized map's image; when every
+    step passes the complex is a free resolution of the homogenized module.
     """
     ambient = res.ambient
     targets = [
@@ -90,19 +87,19 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     h_res = Resolution(tuple(hchain), homogenized(ambient))
     if not h_res.is_complex():
         raise RuntimeError("homogenized chain failed to be a complex")
-    image_ok = []
     witnesses: dict[int, Vector] = {}
-    for p, (m, hm, target) in enumerate(zip(res.chain, hchain, targets)):
-        h_target, hom_image_gens = homogenize_module(target, list(m.columns))
-        gb = buchberger(h_target, list(hm.columns))
-        ok = True
-        for g in hom_image_gens:
-            if not vec_is_zero(normal_form(h_target, g, gb)):
-                ok = False
-                witnesses[p] = g
-                break
-        image_ok.append(ok)
-    return HomogenizedComplex(h_res, tuple(image_ok), witnesses)
+    for p, (hm, target) in enumerate(zip(hchain, targets)):
+        # The homogenized affine image is N : h^inf, N the image of hm.  h is
+        # the last variable, so revlex ranks its lowest power first, before
+        # slots: h divides a homogeneous element when it divides its lead, and
+        # h divided out of N's reduced basis leaves a basis of N : h^inf.  If
+        # h^a divides g, a > 0, g / h^a is outside N: no lead divides another.
+        gb = buchberger(homogenized(target), list(hm.columns))
+        divisible = [g for g in gb.elements if all(e[-1] for q in g for e in q.terms)]
+        if divisible:
+            witnesses[p] = homogenize_vector(target, dehomogenize_vector(divisible[0]))
+    image_ok = tuple(p not in witnesses for p in range(len(hchain)))
+    return HomogenizedComplex(h_res, image_ok, witnesses)
 
 
 def affine_log_resolution(

@@ -515,8 +515,8 @@ class _Parser:
             if self.peek()[0] == "slash":
                 self.next()
                 k2, v2, p2 = self.next()
-                if k2 != "int":
-                    raise ParseError("expected integer denominator", p2)
+                if k2 != "int" or int(v2) == 0:
+                    raise ParseError("expected nonzero integer denominator", p2)
                 return Polynomial.constant(Fraction(num, int(v2)), self.nvars)
             return Polynomial.constant(num, self.nvars)
         if kind == "name":

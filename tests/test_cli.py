@@ -44,6 +44,13 @@ def test_parse_error_is_usage_error(capsys):
     assert code == 2
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    code, out, err = run(capsys, "derivations", "1/0*x", "--vars", "x")
+    assert code == 2
+    assert out == ""
+    assert "nonzero integer denominator" in err
+
+
 def test_bad_factorization_rejected(capsys):
     code, _, err = run(
         capsys, "derivations", "x^2*y^3", "--vars", "x,y", "--factors", "x:1,y:3"
@@ -342,8 +349,11 @@ def test_power_with_factors_is_usage_error(capsys):
     "factors, message",
     [("x^2+y^2:a", "--factors multiplicity must be an integer, got 'x^2+y^2:a'"),
      ("x,y,", "--factors has an empty factor in 'x,y,'"),
-     ("x+:2", "--factors entry 'x+:2'")],
-    ids=["multiplicity-not-integer", "trailing-comma", "bad-factor"],
+     ("x+:2", "--factors entry 'x+:2'"),
+     ("x:0,y", "--factors multiplicity must be >= 1, got 'x:0'"),
+     ("x:-1,y", "--factors multiplicity must be >= 1, got 'x:-1'")],
+    ids=["multiplicity-not-integer", "trailing-comma", "bad-factor", "multiplicity-zero",
+         "multiplicity-negative"],
 )
 def test_malformed_factors_name_the_flag(capsys, factors, message):
     code, out, err = run(

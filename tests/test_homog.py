@@ -1,6 +1,16 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from logderiv.poly import FiltrationError, MonomialOrder, Polynomial, parse_poly
+from logderiv.poly import (
+    FiltrationError,
+    MonomialOrder,
+    Polynomial,
+    infer_weights,
+    parse_poly,
+    squarefree_test,
+)
 from logderiv.groebner import (
     FreeModule,
     buchberger,
@@ -13,6 +23,7 @@ from logderiv.groebner import (
     vec_is_zero,
 )
 from logderiv.derivmod import FactoredPolynomial
+from logderiv.resolution import pad_with_trivial_pair
 from logderiv.homog import (
     affine_log_resolution,
     chi_homogenized,
@@ -26,6 +37,8 @@ XYZ = ["x", "y", "z"]
 XYH = ["x", "y", "h"]
 XYZH = ["x", "y", "z", "h"]
 R2 = ring_module(2, MonomialOrder((1, 1)))
+README_SURFACES = ("x^2*z+y^3+z^4", "x^3+y^4+z^5+x*y*z")
+SLOW_SUPPORT = "-2*x^2*y*z-2*x*y+3*y^2+2*x*z"
 
 
 def P(text, names=XY):
@@ -169,6 +182,61 @@ def test_kernel_commutes_with_homogenization_on_example():
     assert module_equal(syz_module, syz, expected)
 
 
+def membership_image_ok(res, hom):
+    """The image test by membership: at each step, the homogenization of a
+    degree-order reduced basis of the affine image (`homogenize_module`)
+    reduced against the reduced basis of the homogenized map's image."""
+    verdicts = []
+    for p, (m, hm) in enumerate(zip(res.chain, hom.resolution.chain)):
+        target = FreeModule(res.ambient.nvars, res.target_shifts(p), res.ambient.order)
+        h_target, hom_image = homogenize_module(target, list(m.columns))
+        gb = buchberger(h_target, list(hm.columns))
+        verdicts.append(all(vec_is_zero(normal_form(h_target, g, gb)) for g in hom_image))
+        if p in hom.witnesses:
+            # the witness lies in the homogenized image, outside hm's image
+            w = hom.witnesses[p]
+            assert vec_is_zero(normal_form(h_target, w, buchberger(h_target, hom_image)))
+            assert not vec_is_zero(normal_form(h_target, w, gb))
+    return tuple(verdicts)
+
+
+def seeded_surfaces(count):
+    """Squarefree, not quasi-homogeneous surfaces with 3-4 terms of degree
+    2-5."""
+    rng = random.Random("image-test")
+    out = []
+    while len(out) < count:
+        size = rng.randint(3, 4)
+        support = set()
+        while len(support) < size:
+            d = rng.randint(2, 5)
+            a = rng.randint(0, d)
+            b = rng.randint(0, d - a)
+            support.add((a, b, d - a - b))
+        p = Polynomial(3, {m: Fraction(rng.choice((-2, -1, 1, 2, 3))) for m in support})
+        if infer_weights(p) is None and squarefree_test(p)[0]:
+            out.append(p)
+    return out
+
+
+def test_saturation_image_test_matches_membership():
+    # README surfaces, the slow support and seeded surfaces, plain and
+    # mixed, each also padded by a trivial pair at every valid p
+    surfaces = [P(text, XYZ) for text in README_SURFACES + (SLOW_SUPPORT,)]
+    failing = [0, 0]  # failing steps at p = 0 and at p >= 1
+    for f in surfaces + seeded_surfaces(12):
+        for mix in (None, (0, 1)):
+            _, _, res = affine_log_resolution(FactoredPolynomial.single(f), mix=mix)
+            d = max(res.shifts(0)) + 1
+            for r in [res] + [pad_with_trivial_pair(res, p, d) for p in range(1, res.length + 2)]:
+                hom = homogenize_resolution(r)
+                assert hom.image_ok == membership_image_ok(r, hom)
+                assert set(hom.witnesses) == {p for p, ok in enumerate(hom.image_ok) if not ok}
+                for p, ok in enumerate(hom.image_ok):
+                    failing[p > 0] += not ok
+    assert failing[0] >= 50 and failing[1] >= 15, failing
+
+
 # --- chi of the homogenized module ---------------------------------------------------
 
 def test_chi_homogenized_worked_example():
@@ -194,7 +262,7 @@ def test_chi_homogenized_hyperplane():
 def test_chi_homogenized_on_the_slow_support(mix):
     # The support perfbench leaves out of its homogenize pool: block
     # elimination of its inhomogeneous columns took minutes per call.
-    fp = FactoredPolynomial.single(P("-2*x^2*y*z-2*x*y+3*y^2+2*x*z", XYZ))
+    fp = FactoredPolynomial.single(P(SLOW_SUPPORT, XYZ))
     report = chi_homogenized(fp, mix=mix)
     assert report["ok"] and report["chi"] == report["degree"] == 4
     assert report["shifts"] == [[2, 2, 3, 3, 3, 3], [4, 4, 4]]

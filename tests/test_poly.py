@@ -57,6 +57,12 @@ def test_parse_unknown_variable():
         P("x+w")
 
 
+def test_parse_zero_denominator_is_a_parse_error_at_the_denominator():
+    with pytest.raises(ParseError) as err:
+        P("x+1/0*y")
+    assert err.value.position == 4
+
+
 def test_parse_syntax_error_has_position():
     with pytest.raises(ParseError) as err:
         P("x^")
