@@ -24,6 +24,7 @@ from .derivmod import (
 )
 from .resolution import alternating_degree_sum, alternating_rank_sum, betti_numbers
 from .hilbert import (
+    DEFAULT_ORACLE_DEGREE,
     chi,
     claim,
     format_series,
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="chi invariant and the degree identity")
     _add_common(p)
-    p.add_argument("--dmax", type=int, default=12,
+    p.add_argument("--dmax", type=int, default=DEFAULT_ORACLE_DEGREE,
                    help="expansion bound for the series oracle")
     p.set_defaults(func=cmd_chi)
 
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vars", type=int, default=3)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dmax", type=int, default=12)
+    p.add_argument("--dmax", type=int, default=DEFAULT_ORACLE_DEGREE)
     p.add_argument("--inject-fault", action="store_true",
                    help="negative control: corrupt one resolution")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -24,6 +24,7 @@ from .derivmod import (
     generalized_log_module,
 )
 from .hilbert import (
+    DEFAULT_ORACLE_DEGREE,
     _monomials_of_weighted_degree,
     chi,
     claim,
@@ -84,9 +85,7 @@ def random_instance(
 ) -> tuple[FactoredPolynomial, GradedContext]:
     """One admissible harness instance; retries draws until the factored
     polynomial passes the squarefree and coprimality requirements and the
-    total weighted degree stays desk sized.  These rejection tests are the
-    checks of FactoredPolynomial.validate, so an instance needs no further
-    validation."""
+    total weighted degree stays desk sized."""
     while True:
         n = rng.randint(2, max_vars)
         ctx = random_context(rng, n)
@@ -121,27 +120,20 @@ def shift_context(ctx: GradedContext) -> GradedContext:
     return GradedContext(ctx.u, tuple(x + 1 for x in ctx.v))
 
 
-def instance_module(factored: FactoredPolynomial, ctx: GradedContext) -> LogModule:
-    """D(f) of a drawn instance, whose factorization random_instance has
-    already checked."""
-    return LogModule(factored, ctx, generalized_log_module(factored, ctx, validate=False))
-
-
-def verify_v_shift(mod: LogModule, chi_value: int) -> dict:
+def verify_v_shift(mod: LogModule, chi_value: int) -> list[dict]:
     """Recompute chi with v replaced by v + 1; the difference from the
-    instance's chi must be the variable count."""
-    shifted = instance_module(mod.factored, shift_context(mod.ctx))
-    claims = [
-        claim(
-            "shifting v by 1 changes chi by the variable count",
-            chi(hp_from_resolution(shifted.resolution)) - chi_value,
-            mod.ctx.nvars,
-        )
+    instance's chi must be the variable count.  The instance's generators
+    are reused: log_derivations never reads v, and v + 1 adds 1 to every
+    slot shift, so no desc_key comparison changes and Buchberger returns
+    the same reduced basis.  The resolution is computed under v + 1."""
+    shifted = LogModule(mod.factored, shift_context(mod.ctx), mod.gens)
+    return [
+        claim("shifting v by 1 changes chi by the variable count",
+              chi(hp_from_resolution(shifted.resolution)) - chi_value, mod.ctx.nvars),
     ]
-    return {"claims": claims, "ok": report_ok(claims)}
 
 
-def verify_resolution_independence(mod: LogModule) -> dict:
+def verify_resolution_independence(mod: LogModule) -> list[dict]:
     """A deliberately non-minimal resolution (redundant generators plus a
     padded trivial pair) and the default one agree on the alternating
     degree sum."""
@@ -153,25 +145,23 @@ def verify_resolution_independence(mod: LogModule) -> dict:
     res_redundant = free_resolution(mod.module, redundant)
     res_padded = pad_with_trivial_pair(res_redundant, 1, max(res.shifts(0)) + 1)
     base = alternating_degree_sum(res)
-    claims = [
+    return [
         claim("redundant-generator resolution has the same degree sum",
               alternating_degree_sum(res_redundant), base),
         claim("padded resolution has the same degree sum",
               alternating_degree_sum(res_padded), base),
     ]
-    return {"claims": claims, "ok": report_ok(claims)}
 
 
-def verify_annihilator_and_dimension(mod: LogModule) -> dict:
+def verify_annihilator_and_dimension(mod: LogModule) -> list[dict]:
     ann = annihilator_check(mod)
     hp = quotient_ring_hp([ann["f"]], mod.ctx)
-    claims = [
+    return [
         claim("the annihilator of the cokernel is the principal ideal of f",
               ann["ok"], True),
         claim("pole order of the hypersurface quotient is n - 1",
               dimension_via_pole(hp), mod.ctx.nvars - 1),
     ]
-    return {"claims": claims, "ok": report_ok(claims)}
 
 
 def corrupted_claims(mod: LogModule, expected: int) -> list[dict]:
@@ -197,14 +187,15 @@ def run_harness(
     max_vars: int = 3,
     max_degree: int = 6,
     seed: int = 0,
-    d_max: int = 12,
+    d_max: int = DEFAULT_ORACLE_DEGREE,
     inject_fault: bool = False,
 ) -> dict:
     """Generate seeded instances and run the identity checks on each.
 
-    D(f) and its resolutions are computed once per instance and shared by
-    the claims; the heavier claims run on every HEAVY_EVERY-th instance (at
-    least ten times across a hundred instances).  Fault injection appends a
+    D(f) is computed once per instance and shared by the claims, the v + 1
+    claim included; its resolutions under the instance's grading are too.
+    The heavier claims run on every HEAVY_EVERY-th instance (at least ten
+    times across a hundred instances).  Fault injection appends a
     deliberately failing claim to the first instance.
     """
     rng = random.Random(seed)
@@ -212,13 +203,14 @@ def run_harness(
     all_ok = True
     for index in range(n_instances):
         factored, ctx = random_instance(rng, max_vars, max_degree)
-        mod = instance_module(factored, ctx)
+        # random_instance's rejection tests are validate's checks
+        mod = LogModule(factored, ctx, generalized_log_module(factored, ctx, validate=False))
         report = verify_degree_identity(mod, ctx, d_max=d_max)
         claims = list(report["claims"])
-        claims.extend(verify_v_shift(mod, report["chi"])["claims"])
+        claims.extend(verify_v_shift(mod, report["chi"]))
         if index % HEAVY_EVERY == 0:
-            claims.extend(verify_resolution_independence(mod)["claims"])
-            claims.extend(verify_annihilator_and_dimension(mod)["claims"])
+            claims.extend(verify_resolution_independence(mod))
+            claims.extend(verify_annihilator_and_dimension(mod))
         if inject_fault and index == 0:
             claims.extend(corrupted_claims(mod, report["expected"]))
         ok = report_ok(claims)

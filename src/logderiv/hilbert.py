@@ -242,10 +242,7 @@ def report_ok(claims: list[dict]) -> bool:
     return all(c["verdict"] == "pass" for c in claims)
 
 
-def _oracle_claim(
-    module: FreeModule, gens, res: Resolution, d_max: int
-) -> dict:
-    hp = hp_from_resolution(res)
+def _oracle_claim(module: FreeModule, gens, hp: HPSeries, d_max: int) -> dict:
     lo = min([0, hp.min_exponent()] + [vector_degree(module, g) for g in gens])
     if d_max < lo:
         raise ValueError(f"the slice oracle's degree range {lo}..{d_max} is empty")
@@ -283,7 +280,8 @@ def verify_degree_identity(
     if mod is None:
         mod = LogModule.of(factored, ctx)
     res, minimal = mod.resolution, mod.minimal
-    value = chi(hp_from_resolution(res))
+    hp = hp_from_resolution(res)
+    value = chi(hp)
     betti = betti_numbers(minimal)
     claims = [
         claim("alternating degree sum equals deg(f) + |v|",
@@ -297,7 +295,7 @@ def verify_degree_identity(
               alternating_rank_sum(res), ctx.nvars),
     ]
     if with_oracle:
-        claims.append(_oracle_claim(mod.module, mod.gens, res, d_max))
+        claims.append(_oracle_claim(mod.module, mod.gens, hp, d_max))
     return {
         "degree": degree,
         "v_sum": ctx.v_sum,

@@ -59,6 +59,27 @@ def test_bad_factorization_rejected(capsys):
     assert "multiply out" in err
 
 
+def test_not_squarefree_message_is_capped(capsys):
+    # the repeated part (x+y+z)^39 has 820 terms; the message shows a few
+    code, out, err = run(capsys, "derivations", "(x+y+z)^40", "--vars", "x,y,z")
+    assert code == 2
+    assert out == ""
+    assert "not squarefree" in err
+    assert "820 terms" in err
+    assert len(err) < 300
+
+
+def test_shared_factor_message_is_capped(capsys):
+    g = "(x^3+y^3+z^3+x*y*z+x^2*y+y^2*z+1)"
+    code, out, err = run(
+        capsys, "derivations", f"{g}^2*x*y", "--vars", "x,y,z", "--factors", f"{g}*x,{g}*y"
+    )
+    assert code == 2
+    assert out == ""
+    assert "factors 0 and 1 share the common factor with 7 terms" in err
+    assert len(err) < 300
+
+
 def test_chi_command_passes_and_reports(capsys):
     code, out, _ = run(
         capsys, "chi", "x^2+y^2", "--vars", "x,y", "--u", "1,1", "--v", "0,0",
