@@ -252,18 +252,16 @@ def _spoly_flat(module: FreeModule, a: _Prepared, b: _Prepared) -> dict[FlatTerm
     elements are monic, so no coefficient scaling is needed."""
     lcm = mono_lcm(a.exps, b.exps)
     ga, gb = mono_div(lcm, a.exps), mono_div(lcm, b.exps)
-    out: dict[FlatTerm, Fraction] = {}
-    for (s, e), c in a.flat.items():
-        key = (s, mono_mul(e, ga))
-        out[key] = out.get(key, 0) + c
+    # multiplying by ga is injective, so these keys are distinct
+    out = {(s, mono_mul(e, ga)): c for (s, e), c in a.flat.items()}
     for (s, e), c in b.flat.items():
         key = (s, mono_mul(e, gb))
         v = out.get(key, 0) - c
         if v:
             out[key] = v
         else:
-            out.pop(key, None)
-    return {k: v for k, v in out.items() if v}
+            del out[key]
+    return out
 
 
 def _ascending(key: tuple) -> tuple:
@@ -277,15 +275,31 @@ class GroebnerBasis:
 
     `basis` is the reduced basis (monic, sorted by lead descending) between
     calls.  `add` reduces new generators into it, processes S-pairs in
-    increasing order of their lcm term (normal strategy; the coprime-lcm
-    criterion only in rank 1, where it is valid) and interreduces.
+    increasing order of their lcm term (normal strategy) and interreduces.
     Homogeneous input yields homogeneous output for any order.
+
+    Pairs form only between leads in one slot, and the Gebauer–Möller
+    update (Gebauer & Möller 1988, after Buchberger's 1979 chain criterion)
+    prunes them as each element b is appended:
+    - B drops a queued pair (i, j) when lead(b) divides lcm(i, j) and both
+      lcm(i, b) and lcm(j, b) differ from it;
+    - M drops a new pair (i, b) when another new pair's lcm properly
+      divides lcm(i, b);
+    - F keeps one new pair per lcm, and in rank 1 drops the whole group
+      when one of its pairs has coprime leads.
+    The coprime rule stays in rank 1 because it rests on the Koszul syzygy
+    g_b * g_i - g_i * g_b = 0, and two elements of a free module of higher
+    rank have no product: over equal shifts, (x, 1) and (y, 0) have coprime
+    leads x and y in slot 0, and their S-vector (0, y) is reducible by
+    neither.  Queued pairs live in `_queued`, (i, j) -> lcm term, beside
+    the heap; a popped pair no longer in it was pruned and is skipped.
     """
 
     def __init__(self, module: FreeModule, gens=()):
         self.module = module
         self.basis: list[_Prepared] = []
         self._pairs: list[tuple[tuple, int, int]] = []
+        self._queued: dict[tuple[int, int], FlatTerm] = {}
         self.add(gens)
 
     @property
@@ -303,6 +317,8 @@ class GroebnerBasis:
             return False
         while self._pairs:
             _, i, j = heapq.heappop(self._pairs)
+            if self._queued.pop((i, j), None) is None:
+                continue
             s = _spoly_flat(self.module, self.basis[i], self.basis[j])
             if s:
                 self._reduce_and_append(s)
@@ -316,16 +332,33 @@ class GroebnerBasis:
             return
         inv = 1 / rem[min(rem, key=module.desc_key)]
         b = _Prepared(module, {t: c * inv for t, c in rem.items()})
-        for i, a in enumerate(basis):
-            if a.slot != b.slot:
+        slot, t = b.slot, len(basis)
+        lcms = {i: mono_lcm(a.exps, b.exps) for i, a in enumerate(basis) if a.slot == slot}
+        queued = self._queued
+        # B: b links i and j by two pairs whose lcms properly divide lcm(i, j)
+        for pair in [
+            (i, j)
+            for (i, j), (s, lcm) in queued.items()
+            if s == slot
+            and mono_divides(b.exps, lcm)
+            and lcms[i] != lcm
+            and lcms[j] != lcm
+        ]:
+            del queued[pair]
+        # M keeps the new pairs of minimal lcm, F one pair per lcm
+        distinct = set(lcms.values())
+        kept: dict[Exponents, int] = {}
+        coprime: set[Exponents] = set()
+        for i, lcm in lcms.items():
+            if any(m != lcm and mono_divides(m, lcm) for m in distinct):
                 continue
-            if module.rank == 1 and all(
-                x == 0 or y == 0 for x, y in zip(a.exps, b.exps)
-            ):
-                continue
-            lcm = mono_lcm(a.exps, b.exps)
-            pair_key = _ascending(module.desc_key((a.slot, lcm)))
-            heapq.heappush(self._pairs, (pair_key, i, len(basis)))
+            kept.setdefault(lcm, i)
+            if module.rank == 1 and lcm == mono_mul(basis[i].exps, b.exps):
+                coprime.add(lcm)
+        for lcm, i in kept.items():
+            if lcm not in coprime:
+                queued[(i, t)] = (slot, lcm)
+                heapq.heappush(self._pairs, (_ascending(module.desc_key((slot, lcm))), i, t))
         basis.append(b)
 
 

@@ -741,6 +741,87 @@ def test_adding_generators_in_chunks_gives_the_one_shot_basis(name):
     assert changed >= 12  # later chunks do change the basis
 
 
+# --- Buchberger's criterion on the output ------------------------------------------
+
+
+# generators per draw and largest exponent: ring ideals of lower degree are
+# mostly the unit ideal, and the block-split module spreads its generators
+# over five slots, so each needs more for pairs to form
+CERTIFICATE_DRAWS = {"ring": (3, 4, 3), "shifted": (3, 4, 2), "block_split": (6, 8, 2)}
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_every_s_vector_of_the_reduced_basis_divides_to_zero(name):
+    # Buchberger's criterion, read off the output alone: whichever pairs
+    # `add` skipped, a basis is a Groebner basis exactly when the S-vector
+    # of each same-slot pair of it divides to zero by it.
+    from logderiv.groebner import _divide_flat, _spoly_flat
+
+    module = FreeModule(*AMBIENTS[name])
+    low, high, max_exp = CERTIFICATE_DRAWS[name]
+    rng = random.Random(f"certificate-{name}")
+    pairs = 0
+    for _ in range(40):
+        gens = [
+            unflatten(module, random_flat(rng, module, rng.randint(2, 3), max_exp))
+            for _ in range(rng.randint(low, high))
+        ]
+        basis = buchberger(module, gens).basis
+        for j, b in enumerate(basis):
+            for a in basis[:j]:
+                if a.slot == b.slot:
+                    _, rem = _divide_flat(module, _spoly_flat(module, a, b), basis)
+                    assert not rem, (a.flat, b.flat)
+                    pairs += 1
+    assert pairs >= 150
+
+
+# --- two slow cases of the engine before its pair criteria -------------------------
+
+
+FOUND_MODULE = (3, (1, 0, 1), MonomialOrder((1, 2, 1)))
+
+
+def vectors(*rows):
+    return [tuple(P(text, XYZ) for text in row) for row in rows]
+
+
+def test_a_vector_joining_a_finished_basis_gives_the_one_shot_basis():
+    module = FreeModule(*FOUND_MODULE)
+    gens = vectors(
+        ("x^2*y^2*z^2", "x^2*y^2*z^2", "0"),
+        ("-2*x^2", "x*z^2 - 2*y", "-x^2*y*z"),
+        ("0", "2*x*y + 2*z^2", "2*y^2*z^2 + x^2*y^2"),
+        ("1", "0", "-y^2*z"),
+        ("-x*y^2*z^2", "2*x*y*z", "2*x^2*y*z^2 - x^2*y"),
+    )
+    one_shot = buchberger(module, gens).elements
+    assert len(one_shot) == 28
+    gb = GroebnerBasis(module)
+    for start, end in [(0, 2), (2, 4), (4, 5)]:
+        gb.add(gens[start:end])
+    assert gb.elements == one_shot
+
+
+def test_syzygies_of_a_slow_inhomogeneous_draw():
+    module = FreeModule(*FOUND_MODULE)
+    gens = vectors(
+        ("0", "-x^2*z^2", "x^2*y^2*z^2"),
+        ("x^2*y", "x*y^2*z", "-2*y^2*z^2"),
+        ("-1", "0", "x^2*y*z^2 - x^2"),
+        ("0", "0", "-x^2*y^2*z^2 - y^2*z - x^2"),
+        ("0", "2*x*y^2*z^2 + x^2*z", "2*x*y^2*z"),
+    )
+    _, syz = syzygies(module, gens)
+    assert len(syz) == 9
+    for c in syz:
+        assert not vec_is_zero(c)
+        total = module.zero_vector()
+        for coeff, g in zip(c, gens):
+            total = tuple(t + coeff * p for t, p in zip(total, g))
+        assert vec_is_zero(total)
+
+
 # --- syzygies of inhomogeneous generators -----------------------------------------
 
 
