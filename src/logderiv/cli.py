@@ -278,9 +278,10 @@ def cmd_homogenize(args) -> int:
         raise UsageError("homogenize uses the standard grading: no --u, --v or --infer-weights")
     names, factored, ctx = _build_inputs(args)
     mix = None if args.mix is None else _parse_int_list(args.mix, 2, "--mix")
-    report = chi_homogenized(factored, mix=mix)
+    mod = LogModule.of(factored, ctx)
+    report = chi_homogenized(mod, mix=mix)
     if args.check_intersection:
-        lemma = verify_lemma_intersection(factored)
+        lemma = verify_lemma_intersection(mod)
         report["claims"] = report["claims"] + lemma["claims"]
         report["ok"] = report["ok"] and lemma["ok"]
     report = {"inputs": _echo(args, ctx), **report}

@@ -8,14 +8,20 @@ over the shifts, so N(t) is intrinsic and chi(M) = N'(1) is exact.  A slice
 dimension oracle expands the series degree by degree via exact linear
 algebra over the monomial basis; positive weights keep the slices finite
 dimensional, anything else is refused.
+
+The oracle eliminates fraction-free, on primitive integer rows.  A column
+(slot, exponents) is one int, its digits in a base B that exceeds every
+exponent that can occur (positive weights bound a multiplier's exponents by
+its degree), so multiplying a row by a monomial is one int add per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from itertools import count
-from math import comb
+from math import comb, gcd, lcm
+from operator import mul
 
 from .poly import NonPositiveWeightError, Polynomial, u_degree
 from .groebner import (
@@ -180,52 +186,90 @@ def _monomials_of_weighted_degree(u: tuple[int, ...], d: int):
     yield from rec(0, d)
 
 
+def _integer_row(g: Vector, slot_place: int, place: list[int]) -> dict[int, int]:
+    """g as a primitive integer row keyed by packed column codes: its
+    denominators cleared, then divided by the gcd of its coefficients."""
+    den = reduce(lcm, (c.denominator for p in g for c in p.terms.values()))
+    row = {
+        slot * slot_place + sum(map(mul, exps, place)): (c * den).numerator
+        for slot, p in enumerate(g)
+        for exps, c in p.terms.items()
+    }
+    content = reduce(gcd, row.values())
+    return {k: c // content for k, c in row.items()}
+
+
 def hp_bruteforce(
     module: FreeModule, gens: list[Vector], d_lo: int, d_hi: int
 ) -> dict[int, int]:
-    """Slice dimensions of the generated submodule for degrees d_lo..d_hi,
-    by Gaussian elimination over the monomial basis of each slice.
+    """Slice dimensions of the generated submodule for degrees d_lo..d_hi:
+    the rank of the rows alpha * g, over every generator g and every
+    monomial alpha of degree d - deg g, by exact fraction-free elimination.
+
+    Rows are primitive integer rows.  A row whose lead column holds a pivot
+    with lead coefficients a (row) and b (pivot) becomes (b/h) * row -
+    (a/h) * pivot, h = gcd(a, b), divided by its content; the rank over Q is
+    the number of pivots.  A column, a slot and an exponent vector, is the
+    int slot * B^n + sum(e_i * B^(n-1-i)).  Every exponent of a multiplier
+    alpha is at most its degree d - deg g <= d_hi - (least generator
+    degree), because weights are positive, so with B = (largest generator
+    exponent) + d_hi - (least generator degree) + 1 no digit overflows:
+    multiplying by alpha adds alpha's code to each column, and the largest
+    code is the largest (slot, exps) tuple.  The codes of the multipliers of
+    each degree are built once per call.
 
     Generators must be homogeneous; weights must be strictly positive (the
     module order enforces this), otherwise slices would be infinite
     dimensional.
     """
     u = module.order.weights
+    n = module.nvars
     degrees = [vector_degree(module, g) for g in gens]
+    top = max((e for g in gens for p in g for exps in p.terms for e in exps), default=0)
+    base = top + max(d_hi - min(degrees, default=d_hi), 0) + 1
+    place = [base ** (n - 1 - i) for i in range(n)]
+    rows = [_integer_row(g, base**n, place) for g in gens]
+    multipliers: dict[int, list[int]] = {}
     dims: dict[int, int] = {}
     for d in range(d_lo, d_hi + 1):
-        pivots: dict = {}
-        rank = 0
-        for g, dg in zip(gens, degrees):
+        pivots: dict[int, dict[int, int]] = {}
+        for g_row, dg in zip(rows, degrees):
             gap = d - dg
             if gap < 0:
                 continue
-            flat_g = [
-                (slot, exps, c)
-                for slot, p in enumerate(g)
-                for exps, c in p.terms.items()
-            ]
-            for alpha in _monomials_of_weighted_degree(u, gap):
-                row: dict = {}
-                for slot, exps, c in flat_g:
-                    key = (slot, tuple(a + b for a, b in zip(exps, alpha)))
-                    row[key] = row.get(key, Fraction(0)) + c
-                row = {k: v for k, v in row.items() if v}
+            codes = multipliers.get(gap)
+            if codes is None:
+                codes = multipliers[gap] = [
+                    sum(map(mul, alpha, place))
+                    for alpha in _monomials_of_weighted_degree(u, gap)
+                ]
+            for shift in codes:
+                row = {k + shift: c for k, c in g_row.items()}
                 while row:
                     lead = max(row)
-                    if lead in pivots:
-                        factor = row[lead] / pivots[lead][lead]
-                        for k, v in pivots[lead].items():
-                            newv = row.get(k, Fraction(0)) - factor * v
-                            if newv:
-                                row[k] = newv
-                            else:
-                                row.pop(k, None)
-                    else:
+                    pivot = pivots.get(lead)
+                    if pivot is None:
                         pivots[lead] = row
-                        rank += 1
                         break
-        dims[d] = rank
+                    a, b = row[lead], pivot[lead]
+                    h = gcd(a, b)
+                    a //= h
+                    b //= h
+                    if b != 1:
+                        row = {k: b * c for k, c in row.items()}
+                    for k, c in pivot.items():
+                        v = row.get(k, 0) - a * c
+                        if v:
+                            row[k] = v
+                        else:
+                            del row[k]
+                    if row:
+                        # reduce, not gcd(*values): an argument tuple per step
+                        # would fill the interpreter's cache of freed tuples
+                        content = reduce(gcd, row.values())
+                        if content != 1:
+                            row = {k: c // content for k, c in row.items()}
+        dims[d] = len(pivots)
     return dims
 
 

@@ -28,7 +28,7 @@ from .groebner import (
     intersect,
     module_equal,
 )
-from .derivmod import FactoredPolynomial, GradedContext, generalized_log_module
+from .derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from .resolution import (
     ModuleMap,
     Resolution,
@@ -102,18 +102,27 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     return HomogenizedComplex(h_res, image_ok, witnesses)
 
 
+def _standard_log_module(factored: FactoredPolynomial | LogModule) -> LogModule:
+    """D(f) under the standard grading, the grading of this pipeline: built
+    from a factorization, or a given LogModule, which must be under it."""
+    if not isinstance(factored, LogModule):
+        return LogModule.of(factored, GradedContext.standard(factored.nvars))
+    if factored.ctx != GradedContext.standard(factored.ctx.nvars):
+        raise ValueError("the LogModule was not built under the standard grading")
+    return factored
+
+
 def affine_log_resolution(
-    factored: FactoredPolynomial, mix: tuple[int, int] | None = None
+    factored: FactoredPolynomial | LogModule, mix: tuple[int, int] | None = None
 ) -> tuple[GradedContext, list[Vector], Resolution]:
     """Irredundant generators of the derivation module under the degree
     order (sorted by ascending degree bound) and a filtration resolution of
     them.  `mix` = (i, j) replaces generator i by generator i + generator j
-    first, which is how the basis-change counterexample is reproduced."""
-    n = factored.nvars
-    ctx = GradedContext.standard(n)
-    dm = ctx.derivation_module()
-    gens = generalized_log_module(factored, ctx)
-    gens, _ = minimal_generators(dm, gens)
+    first, which is how the basis-change counterexample is reproduced.
+    `factored` may be the LogModule of f under the standard grading."""
+    mod = _standard_log_module(factored)
+    dm = mod.module
+    gens, _ = minimal_generators(dm, mod.gens)
     if mix is not None:
         i, j = mix
         if not (0 <= i < len(gens) and 0 <= j < len(gens)):
@@ -123,17 +132,19 @@ def affine_log_resolution(
         gens = list(gens)
         gens[i] = tuple(a + b for a, b in zip(gens[i], gens[j]))
     res = free_resolution(dm, gens)
-    return ctx, gens, res
+    return mod.ctx, gens, res
 
 
 def chi_homogenized(
-    factored: FactoredPolynomial, mix: tuple[int, int] | None = None
+    factored: FactoredPolynomial | LogModule, mix: tuple[int, int] | None = None
 ) -> dict:
     """Degree identity for arbitrary f: homogenize a filtration resolution
     of the derivation module (or recompute one for the homogenized module
-    when the image test fails) and compare chi with deg f."""
+    when the image test fails) and compare chi with deg f.  `factored` may
+    be the LogModule of f under the standard grading."""
     ctx, gens, res = affine_log_resolution(factored, mix=mix)
-    degree = factored.expand().total_degree()
+    f = factored.factored if isinstance(factored, LogModule) else factored
+    degree = f.expand().total_degree()
     hom = homogenize_resolution(res)
     recomputed = False
     if hom.is_resolution:
@@ -172,16 +183,16 @@ def homogenize_factored(factored: FactoredPolynomial) -> FactoredPolynomial:
     return FactoredPolynomial(tuple(parts))
 
 
-def verify_lemma_intersection(factored: FactoredPolynomial) -> dict:
+def verify_lemma_intersection(factored: FactoredPolynomial | LogModule) -> dict:
     """Both sides of the identity: derivations of the homogenized polynomial
     that do not involve the new direction, against the homogenized module of
-    derivations of the original, compared by reduced-basis equality."""
-    n = factored.nvars
-    ctx = GradedContext.standard(n)
-    gens = generalized_log_module(factored, ctx)
-    hmod, rhs = homogenize_module(ctx.derivation_module(), gens)
+    derivations of the original, compared by reduced-basis equality.
+    `factored` may be the LogModule of f under the standard grading."""
+    mod = _standard_log_module(factored)
+    n = mod.ctx.nvars
+    hmod, rhs = homogenize_module(mod.module, mod.gens)
 
-    hfact = homogenize_factored(factored)
+    hfact = homogenize_factored(mod.factored)
     ctx_h = GradedContext.standard(n + 1)
     d_fh = generalized_log_module(hfact, ctx_h)
     dm_h = ctx_h.derivation_module()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from logderiv import derivmod
 from logderiv.cli import main
 
 
@@ -383,3 +384,24 @@ def test_malformed_factors_name_the_flag(capsys, factors, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_homogenize_check_intersection_computes_each_module_once(capsys, monkeypatch):
+    # one D(f) for the resolution and the lemma, one D(f^h) for the lemma
+    calls = []
+    inner = derivmod.log_derivations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(derivmod, "log_derivations", counted)
+    code, out, _ = run(
+        capsys, "homogenize", "x^2*z+y^3+z^4", "--vars", "x,y,z", "--check-intersection",
+        "--format", "json",
+    )
+    assert code == 0
+    assert len(calls) == 2
+    report = json.loads(out)
+    assert report["ok"] and report["chi"] == 4
+    assert report["claims"][-1]["claim"].startswith("derivations of f^h")

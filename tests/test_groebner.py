@@ -842,17 +842,18 @@ def term_degrees(module, vec):
     }
 
 
-@pytest.mark.parametrize("name", ["ring", "shifted"])
-def test_inhomogeneous_syzygies_match_block_elimination(name):
+# The reference sets the exponent cap: at cap 2 every ring draw takes at
+# most about a second by block elimination, but draw 12 of the shifted
+# ambient's stream takes over a minute there (and under a second by
+# `syzygies`), so the shifted draws keep cap 1.
+@pytest.mark.parametrize("name, max_exp", [("ring", 2), ("shifted", 1)], ids=["ring", "shifted"])
+def test_inhomogeneous_syzygies_match_block_elimination(name, max_exp):
     module = FreeModule(*AMBIENTS[name])
     rng = random.Random(f"syzygies-{name}")
     inhomogeneous = 0
     for _ in range(16):
-        # exponents up to 1 keep the reference fast: with exponents up to 2,
-        # one ring draw takes minutes by block elimination and under a
-        # second here
         gens = [
-            unflatten(module, random_flat(rng, module, rng.randint(2, 3), 1))
+            unflatten(module, random_flat(rng, module, rng.randint(2, 3), max_exp))
             for _ in range(module.rank + rng.randint(1, 2))
         ]
         if rng.random() < 0.25:

@@ -149,6 +149,34 @@ def test_bruteforce_ideal_xy():
     assert dims == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
 
 
+def test_bruteforce_cancels_over_q():
+    # x/2 + y/3 and 3x + 2y are proportional over Q; x/2 and x/3 + y/5 are not
+    mod = ring_module(2, MonomialOrder((1, 1)))
+    proportional = [(P("1/2*x + 1/3*y"),), (P("3*x + 2*y"),)]
+    independent = [(P("1/2*x"),), (P("1/3*x + 1/5*y"),)]
+    assert hp_bruteforce(mod, proportional, 0, 4) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+    assert hp_bruteforce(mod, independent, 0, 4) == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
+
+
+def test_bruteforce_column_codes_at_their_bound():
+    # Every truncation d_hi is asked for, so each time some multiplier
+    # exponent of the least-degree generator reaches the code base minus 1;
+    # one base less and slot 0's x^5 meets slot 1's unit vector in degree 3.
+    mod = FreeModule(3, (-2, 3), MonomialOrder((1, 2, 3)))
+    units = [mod.unit_vector(0), mod.unit_vector(1)]
+    expansion = hp_expand(hp_free(mod.shifts, mod.order.weights), -2, 15)
+    for d_hi in range(-2, 16):
+        dims = hp_bruteforce(mod, units, -2, d_hi)
+        assert dims == {d: expansion[d] for d in range(-2, d_hi + 1)}, d_hi
+
+
+def test_bruteforce_exponent_reaching_the_range_top():
+    # <x^7> in k[x, y]: x^d is in degree d's slice, of dimension d - 6 from d = 7
+    mod = ring_module(2, MonomialOrder((1, 1)))
+    dims = hp_bruteforce(mod, [(P("x^7"),)], 0, 40)
+    assert dims == {d: max(0, d - 6) for d in range(41)}
+
+
 # --- chi ----------------------------------------------------------------------------
 
 def test_chi_shifted_free_line():

@@ -22,7 +22,7 @@ from logderiv.groebner import (
     syzygies,
     vec_is_zero,
 )
-from logderiv.derivmod import FactoredPolynomial
+from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule
 from logderiv.resolution import pad_with_trivial_pair
 from logderiv.homog import (
     affine_log_resolution,
@@ -291,3 +291,20 @@ def test_lemma_intersection_worked_example():
 def test_lemma_intersection_inhomogeneous_plane_curve():
     f = P("x+x^2")
     assert verify_lemma_intersection(FactoredPolynomial.single(f))["ok"]
+
+
+def test_homogenization_pipeline_takes_the_log_module():
+    fp = worked_example()
+    mod = LogModule.of(fp, GradedContext.standard(3))
+    assert affine_log_resolution(mod) == affine_log_resolution(fp)
+    assert chi_homogenized(mod, mix=(0, 1)) == chi_homogenized(fp, mix=(0, 1))
+    assert verify_lemma_intersection(mod) == verify_lemma_intersection(fp)
+
+
+@pytest.mark.parametrize(
+    "call", [affine_log_resolution, chi_homogenized, verify_lemma_intersection]
+)
+def test_homogenization_pipeline_refuses_another_grading(call):
+    graded = LogModule.of(FactoredPolynomial.single(P("x^2+y^3")), GradedContext((3, 2), (0, 0)))
+    with pytest.raises(ValueError, match="standard grading"):
+        call(graded)
