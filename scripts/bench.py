@@ -11,6 +11,12 @@ file holds, per workload, the result line of the untraced run (`end_to_end`)
 and of the traced run (`per_layer`), each with `correct`, `attempted`,
 `failed` and the digest of the outputs, and the host the runs were made
 on.  The exit code is 0 only when every run was correct.
+
+The per-layer seconds are wall times, and the host's speed drifts by up to
+2x over hours, so each `per_layer` entry also holds `reference_s`: the mean
+of perfbench's reference work (`reference_seconds`) timed in this process
+just before and just after the traced run.  Divide a layer's seconds by it
+to compare files made at different times.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
 DIGEST = "output digest "
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import REFERENCE_WARMUP, reference_seconds  # noqa: E402
 
 
 def run(workload: str, trace: int) -> dict:
@@ -50,8 +59,13 @@ def main(argv=None) -> int:
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = {}
+    reference_seconds(REFERENCE_WARMUP)
     for workload in (w["name"] for w in spec["workloads"]):
-        workloads[workload] = {"end_to_end": run(workload, 0), "per_layer": run(workload, 1)}
+        end_to_end = run(workload, 0)
+        before = reference_seconds()
+        per_layer = run(workload, 1)
+        per_layer["reference_s"] = (before + reference_seconds()) / 2
+        workloads[workload] = {"end_to_end": end_to_end, "per_layer": per_layer}
         print(f"{workload}: correct "
               f"{[workloads[workload][k]['correct'] for k in ('end_to_end', 'per_layer')]}")
     report = {

@@ -3,10 +3,20 @@
 Elements of a free module of rank r are tuples of r polynomials.  A term of
 an element is a pair (slot, exponents); terms are compared by shifted
 weighted degree first (so a graded order on the module refines the grading),
-then by the ring order, with lower slot index winning ties.  An optional
-block split turns the order into an elimination order for the leading block
-of slots.  `FreeModule.desc_key` is the one definition of this order:
-ascending in it is descending term order.
+then by the ring order's reverse-lexicographic tie-break, with lower slot
+index winning ties.  An optional block split turns the order into an
+elimination order for the leading block of slots.
+
+Inside the engine (`GroebnerBasis`, division, S-vectors, interreduction) an
+element is an integer row: a dict from packed term to int.  A packed term
+is one int whose integer order is the term order (`_Packing`), so
+multiplying by a monomial is an int addition and the division heap holds
+bare ints.  Basis rows are primitive (content 1) with a positive lead
+coefficient, and division is fraction-free, so no Fraction arithmetic runs
+inside Buchberger's loop.  Rationals appear only at the edge: `add`,
+`divide` and `normal_form` clear the denominators of their input, and
+`elements`, `divide` and `normal_form` return Fraction polynomials; the
+elements are made monic there.
 
 `syzygies(module, gens, relations)` is the one kernel routine, and the only
 one that eliminates: it returns the c with sum(c_i * gens[i]) in the
@@ -29,18 +39,17 @@ is unique and normal forms are canonical.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .poly import (
     Exponents,
     MonomialOrder,
     Polynomial,
     degree_order,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     weighted_degree,
 )
 
@@ -60,27 +69,10 @@ class FreeModule:
     shifts: tuple[int, ...]
     order: MonomialOrder
     block_split: int | None = None
-    # desc_key memo; it lives and dies with this module
-    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.shifts)
-
-    def desc_key(self, term: FlatTerm) -> tuple:
-        """Sort key of a term: ascending in it is descending term order.
-
-        Leading block first, then shifted weighted degree, the ring order's
-        reverse-lexicographic tie-break, and lower slot first.
-        """
-        key = self._keys.get(term)
-        if key is None:
-            slot, exps = term
-            block = 1 if self.block_split is None or slot < self.block_split else 0
-            wdeg, tail = self.order.key_parts(exps)
-            key = (-block, -(wdeg + self.shifts[slot]), tuple(-e for e in tail), slot)
-            self._keys[term] = key
-        return key
 
     def zero_vector(self) -> Vector:
         return tuple(Polynomial.zero(self.nvars) for _ in range(self.rank))
@@ -101,21 +93,6 @@ def vec_is_zero(vec: Vector) -> bool:
 
 def vec_sort_key(vec: Vector) -> tuple:
     return tuple(p.sort_key() for p in vec)
-
-
-def flatten(vec: Vector) -> dict[FlatTerm, Fraction]:
-    flat: dict[FlatTerm, Fraction] = {}
-    for slot, p in enumerate(vec):
-        for exps, c in p.terms.items():
-            flat[(slot, exps)] = c
-    return flat
-
-
-def unflatten(module: FreeModule, flat: dict[FlatTerm, Fraction]) -> Vector:
-    comps: list[dict] = [{} for _ in range(module.rank)]
-    for (slot, exps), c in flat.items():
-        comps[slot][exps] = c
-    return tuple(Polynomial._raw(module.nvars, d) for d in comps)
 
 
 def vector_grading(module: FreeModule, vec: Vector) -> tuple[int, bool]:
@@ -162,71 +139,202 @@ def dehomogenize_vector(vec: Vector) -> Vector:
     return tuple(p.set_last_var_one() for p in vec)
 
 
+class FieldOverflow(ValueError):
+    """A term created inside a division outgrew its packed exponent field.
+    The engine catches it, widens the fields and starts the step again."""
+
+
+class _Packing:
+    """Packed terms of one module, for terms of shifted degree up to
+    `capacity`: the fields of a packing made for `degree` hold exponents up
+    to twice degree - min(shifts), so the lcm of two leads of that degree
+    fits too.
+
+    The term (slot, e) of shifted weighted degree d is the int
+
+        slot + sum(e_i << pos_i) + ((top - d) << deg_pos) + (lower << block_pos)
+
+    with e_0 in the lowest exponent field and lower = 1 in the block below a
+    block split.  Ascending in it is descending term order: leading block,
+    higher shifted degree, then smaller e_{n-1}, ..., e_0 (the reverse-
+    lexicographic tie-break), then lower slot.  The int is affine in e, so
+    multiplying a term by x^g adds one int (the code of g: a term minus the
+    code of 1 in its slot), and t - a is that code of t / a.
+
+    Each exponent field has `width` value bits and a guard bit above them
+    that no term sets.  In t - a a field with e_t < e_a borrows, and the
+    lowest such field sets its guard, so a divides t in one slot exactly
+    when (t - a) & divmask == 0 (divmask: every guard and the slot field).
+    A term of shifted degree at most capacity has every e_i at most
+    capacity - min(shifts), as weights are positive, so it fits.
+    """
+
+    __slots__ = ("module", "capacity", "width", "largest", "positions", "deg_pos",
+                 "top", "deg_mask", "slot_mask", "one", "place", "guard", "divmask")
+
+    def __init__(self, module: FreeModule, degree: int):
+        shifts, weights = module.shifts, module.order.weights
+        low = min(shifts, default=0)
+        self.module = module
+        self.width = max(2 * (degree - low), 1).bit_length()
+        self.largest = largest = (1 << self.width) - 1
+        self.capacity = low + largest
+        slot_bits = (module.rank - 1).bit_length()
+        field = self.width + 1
+        self.positions = tuple(slot_bits + i * field for i in range(module.nvars))
+        self.deg_pos = deg_pos = slot_bits + module.nvars * field
+        # the largest shifted degree of a term whose exponents all fit
+        self.top = top = largest * sum(weights) + max(shifts, default=0)
+        self.deg_mask = (1 << (top - low).bit_length()) - 1
+        block_pos = deg_pos + self.deg_mask.bit_length()
+        split = module.rank if module.block_split is None else module.block_split
+        self.slot_mask = (1 << slot_bits) - 1
+        self.one = tuple(
+            slot + ((top - shift) << deg_pos) + ((slot >= split) << block_pos)
+            for slot, shift in enumerate(shifts)
+        )
+        self.place = tuple((1 << p) - (w << deg_pos) for p, w in zip(self.positions, weights))
+        self.guard = sum(1 << (p + self.width) for p in self.positions)
+        self.divmask = self.guard | self.slot_mask
+
+    def wider(self) -> "_Packing":
+        """The smallest packing that fits a term past the capacity."""
+        return _Packing(self.module, self.capacity + 1)
+
+    def term(self, slot: int, exps: Exponents) -> int:
+        return self.one[slot] + sum(map(mul, exps, self.place))
+
+    def decode(self, code: int) -> FlatTerm:
+        largest = self.largest
+        return code & self.slot_mask, tuple([(code >> p) & largest for p in self.positions])
+
+    def degree(self, code: int) -> int:
+        """Shifted weighted degree of a term."""
+        return self.top - ((code >> self.deg_pos) & self.deg_mask)
+
+    def row(self, vec: Vector) -> dict[int, int]:
+        """vec times the lcm of its denominators (`_denominator`), as an
+        integer row.  Its terms must fit."""
+        den = _denominator(vec)
+        return {
+            self.term(slot, exps): c.numerator * (den // c.denominator)
+            for slot, p in enumerate(vec)
+            for exps, c in p.terms.items()
+        }
+
+    def vector(self, row: dict[int, int], den: int) -> Vector:
+        """The rational vector row / den."""
+        comps: list[dict] = [{} for _ in range(self.module.rank)]
+        for code, c in row.items():
+            slot, exps = self.decode(code)
+            comps[slot][exps] = Fraction(c) if den == 1 else Fraction(c, den)
+        nvars = self.module.nvars
+        zero = Polynomial.zero(nvars)
+        return tuple(Polynomial._raw(nvars, d) if d else zero for d in comps)
+
+
+def _denominator(vec: Vector) -> int:
+    return reduce(math.lcm, (c.denominator for p in vec for c in p.terms.values()), 1)
+
+
 class _Prepared:
-    """Basis element with cached lead data for the division loop."""
+    """Basis row with its lead split off for the division loop: the lead
+    term and coefficient, the other terms, and the lead's slot and exponents
+    for S-pair lcms."""
 
-    __slots__ = ("flat", "slot", "exps", "coeff", "key")
+    __slots__ = ("row", "lead", "coeff", "tail", "slot", "exps")
 
-    def __init__(self, module: FreeModule, flat: dict[FlatTerm, Fraction]):
-        self.flat = flat
-        lead = min(flat, key=module.desc_key)
-        self.slot, self.exps = lead
-        self.coeff = flat[lead]
-        self.key = module.desc_key(lead)
+    def __init__(self, row: dict[int, int], packing: _Packing):
+        self.row = row
+        self.lead = lead = min(row)
+        self.coeff = row[lead]
+        self.tail = [(k, c) for k, c in row.items() if k != lead]
+        self.slot, self.exps = packing.decode(lead)
 
 
-def _divide_flat(
-    module: FreeModule,
-    flat: dict[FlatTerm, Fraction],
+def _divide(
+    row: dict[int, int],
     basis: list[_Prepared],
+    divmask: int,
+    check: int = 0,
     want_quotients: bool = False,
 ):
-    """Full division: returns (quotients, remainder flat).
+    """Fraction-free full division: returns (scale, quotients, remainder)
+    with scale * row == sum(q_i * basis_i) + remainder, where q_i maps the
+    code of a monomial to its coefficient.  scale is a product of lead
+    coefficients, positive when they are.
 
     The remainder contains no term divisible by any basis lead; with a
-    reduced basis it is the canonical normal form.  Terms are taken largest
-    first from a heap of their desc_keys.  A reduction step only adds terms
-    below the one it removes, so each term is handled once and the remainder
-    is built in descending order.  A term that is cancelled and recreated
-    while its entry is still queued gets a second entry; the first one
-    popped handles it and the term leaves `work`, so the other is skipped.
+    reduced basis it is the canonical normal form up to scale.  A term c*t
+    reduced by a basis row b with lead coefficient a turns the work into
+    (a/h) * work - (c/h) * x^g * b, h = gcd(a, c), and scales the
+    remainder and quotients so far by a/h.  Terms are taken largest first
+    from a heap of their codes.  A reduction step only adds terms below the
+    one it removes, so each term is handled once and the remainder is built
+    in descending order.  A term that is cancelled and recreated while its
+    entry is still queued gets a second entry; the first one popped handles
+    it and the term leaves `work`, so the other is skipped.
+
+    With `check` (the packing's guard bits) every term the division creates
+    is checked for a field overflow (FieldOverflow); without it the caller
+    guarantees that none can occur.
     """
-    key = module.desc_key
-    work = dict(flat)
-    heap = [(key(t), t) for t in work]
+    work = dict(row)
+    heap = list(work)
     heapq.heapify(heap)
-    remainder: dict[FlatTerm, Fraction] = {}
-    quotients: list[dict[Exponents, Fraction]] = [{} for _ in basis] if want_quotients else []
+    heappop, heappush = heapq.heappop, heapq.heappush
+    scale = 1
+    remainder: dict[int, int] = {}
+    quotients: dict[_Prepared, dict[int, int]] = {b: {} for b in basis} if want_quotients else {}
     while heap:
-        term = heapq.heappop(heap)[1]
-        coeff = work.get(term)
-        if coeff is None:
+        t = heappop(heap)
+        c = work.pop(t, None)
+        if c is None:
             continue
-        slot, exps = term
-        for idx, b in enumerate(basis):
-            if b.slot == slot and mono_divides(b.exps, exps):
-                gamma = mono_div(exps, b.exps)
-                factor = coeff / b.coeff
-                for (s2, e2), c2 in b.flat.items():
-                    t2 = (s2, mono_mul(e2, gamma))
-                    old = work.get(t2)
-                    if old is None:
-                        work[t2] = -factor * c2
-                        heapq.heappush(heap, (key(t2), t2))
-                    else:
-                        s = old - factor * c2
-                        if s:
-                            work[t2] = s
-                        else:
-                            del work[t2]
-                if want_quotients:
-                    q = quotients[idx]
-                    q[gamma] = q.get(gamma, 0) + factor
-                break
+        for b in basis:
+            gamma = t - b.lead
+            if gamma & divmask:
+                continue
+            a = b.coeff
+            if a != 1:
+                h = math.gcd(a, c)
+                if h != a:
+                    m = a // h
+                    scale *= m
+                    work = {k: v * m for k, v in work.items()}
+                    remainder = {k: v * m for k, v in remainder.items()}
+                    for q in quotients.values():
+                        for k in q:
+                            q[k] *= m
+                c //= h
+            for k, v in b.tail:
+                k += gamma
+                p = c * v
+                old = work.get(k)
+                if old is None:
+                    if check and k & check:
+                        raise FieldOverflow("a term outgrew its packed exponent field")
+                    work[k] = -p
+                    heappush(heap, k)
+                elif old == p:
+                    del work[k]
+                else:
+                    work[k] = old - p
+            if want_quotients:
+                quotients[b][gamma] = c
+            break
         else:
-            remainder[term] = coeff
-            del work[term]
-    return quotients, remainder
+            remainder[t] = c
+    return scale, [quotients[b] for b in basis] if want_quotients else [], remainder
+
+
+def _grading(module: FreeModule, vectors: list[Vector]) -> tuple[int, bool]:
+    """The largest shifted degree of a term of vectors, and whether a
+    division by them can create a term above the degree of the term it
+    reduces: that takes a block split and an inhomogeneous element."""
+    gradings = [vector_grading(module, v) for v in vectors]
+    loose = module.block_split is not None and not all(h for _, h in gradings)
+    return max(d for d, _ in gradings), loose
 
 
 def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Vector], Vector]:
@@ -234,49 +342,47 @@ def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Vector]
     vec == sum(q_i * b_i) + remainder."""
     basis = list(basis_vectors)
     live = [i for i, b in enumerate(basis) if not vec_is_zero(b)]
-    prepared = [_Prepared(module, flatten(basis[i])) for i in live]
-    quotients_flat, rem = _divide_flat(module, flatten(vec), prepared, want_quotients=True)
+    degree, loose = _grading(module, [vec] + [basis[i] for i in live])
+    packing = _Packing(module, degree)
+    while True:
+        prepared = [_Prepared(packing.row(basis[i]), packing) for i in live]
+        try:
+            scale, quotient_rows, rem = _divide(
+                packing.row(vec), prepared, packing.divmask,
+                packing.guard if loose else 0, want_quotients=True,
+            )
+            break
+        except FieldOverflow:
+            packing = packing.wider()
+    den = scale * _denominator(vec)
     quotients = [Polynomial.zero(module.nvars) for _ in basis]
-    for pos, qf in zip(live, quotients_flat):
-        quotients[pos] = Polynomial._raw(module.nvars, {e: c for e, c in qf.items() if c})
-    return quotients, unflatten(module, rem)
+    for pos, q in zip(live, quotient_rows):
+        cleared = _denominator(basis[pos])
+        quotients[pos] = Polynomial._raw(module.nvars, {
+            packing.decode(g + packing.one[0])[1]: Fraction(c * cleared, den)
+            for g, c in q.items()
+        })
+    return quotients, packing.vector(rem, den)
 
 
 def normal_form(module: FreeModule, vec: Vector, gb: GroebnerBasis) -> Vector:
-    _, rem = _divide_flat(module, flatten(vec), gb.basis)
-    return unflatten(module, rem)
-
-
-def _spoly_flat(module: FreeModule, a: _Prepared, b: _Prepared) -> dict[FlatTerm, Fraction]:
-    """S-vector of two basis elements with leads in one slot; basis
-    elements are monic, so no coefficient scaling is needed."""
-    lcm = mono_lcm(a.exps, b.exps)
-    ga, gb = mono_div(lcm, a.exps), mono_div(lcm, b.exps)
-    # multiplying by ga is injective, so these keys are distinct
-    out = {(s, mono_mul(e, ga)): c for (s, e), c in a.flat.items()}
-    for (s, e), c in b.flat.items():
-        key = (s, mono_mul(e, gb))
-        v = out.get(key, 0) - c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-    return out
-
-
-def _ascending(key: tuple) -> tuple:
-    """Negate a desc_key: ascending in the result is ascending term order."""
-    block, wdeg, rexps, slot = key
-    return (-block, -wdeg, tuple(-e for e in rexps), -slot)
+    """The remainder of vec divided by the reduced basis gb: zero exactly
+    when vec lies in the submodule, and the same for any two vectors with
+    the same class modulo it."""
+    gb._fit(vector_grading(module, vec)[0])
+    scale, rem = gb._remainder(lambda: gb._packing.row(vec))
+    return gb._packing.vector(rem, scale * _denominator(vec))
 
 
 class GroebnerBasis:
     """Reduced Groebner basis of a submodule, grown in place by `add`.
 
-    `basis` is the reduced basis (monic, sorted by lead descending) between
-    calls.  `add` reduces new generators into it, processes S-pairs in
-    increasing order of their lcm term (normal strategy) and interreduces.
-    Homogeneous input yields homogeneous output for any order.
+    `basis` is the reduced basis (primitive integer rows with positive lead
+    coefficients, sorted by lead descending) between calls, and `elements`
+    the same basis made monic.  `add` reduces new generators into it,
+    processes S-pairs in increasing order of their lcm term (normal
+    strategy) and interreduces.  Homogeneous input yields homogeneous output
+    for any order.
 
     Pairs form only between leads in one slot, and the Gebauer–Möller
     update (Gebauer & Möller 1988, after Buchberger's 1979 chain criterion)
@@ -292,108 +398,190 @@ class GroebnerBasis:
     rank have no product: over equal shifts, (x, 1) and (y, 0) have coprime
     leads x and y in slot 0, and their S-vector (0, y) is reducible by
     neither.  Queued pairs live in `_queued`, (i, j) -> lcm term, beside
-    the heap; a popped pair no longer in it was pruned and is skipped.
+    the heap of (-lcm, i, j); a popped pair no longer in it was pruned and
+    is skipped.
+
+    The packing is sized from the data and widened (every row, queued lcm
+    and the pair heap repacked) when an input term or a queued lcm is above
+    its capacity.  In a graded order a division never creates a term above
+    the degree of the term it reduces, and an S-vector none above its lcm.
+    With a block split and an inhomogeneous generator (`_loose`) a lower
+    block tail can rise above its lead, so there every created term is
+    checked and an overflowing step is widened and started again.
     """
 
     def __init__(self, module: FreeModule, gens=()):
         self.module = module
         self.basis: list[_Prepared] = []
-        self._pairs: list[tuple[tuple, int, int]] = []
-        self._queued: dict[tuple[int, int], FlatTerm] = {}
+        self._pairs: list[tuple[int, int, int]] = []
+        self._queued: dict[tuple[int, int], int] = {}
+        self._packing: _Packing | None = None
+        self._loose = False
+        self._elements: tuple[Vector, ...] | None = ()
         self.add(gens)
 
     @property
     def elements(self) -> tuple[Vector, ...]:
-        return tuple(unflatten(self.module, b.flat) for b in self.basis)
+        if self._elements is None:
+            self._elements = tuple(self._packing.vector(b.row, b.coeff) for b in self.basis)
+        return self._elements
 
     def add(self, gens) -> bool:
         """Add generators and return whether the module grew.  If none was
         appended, no pair was queued and the basis is still reduced."""
+        gens = [g for g in gens if not vec_is_zero(g)]
+        if not gens:
+            return False
+        degree, loose = _grading(self.module, gens)
+        self._fit(degree)
+        self._loose |= loose
         size = len(self.basis)
         for g in gens:
-            if not vec_is_zero(g):
-                self._reduce_and_append(flatten(g))
+            self._reduce_and_append(lambda: self._packing.row(g))
         if len(self.basis) == size:
             return False
         while self._pairs:
             _, i, j = heapq.heappop(self._pairs)
-            if self._queued.pop((i, j), None) is None:
-                continue
-            s = _spoly_flat(self.module, self.basis[i], self.basis[j])
-            if s:
-                self._reduce_and_append(s)
-        self.basis = _interreduce(self.module, self.basis)
+            if self._queued.pop((i, j), None) is not None:
+                self._reduce_and_append(lambda: self._spoly(i, j))
+        self._interreduce()
+        self._elements = None
         return True
 
-    def _reduce_and_append(self, flat: dict[FlatTerm, Fraction]) -> None:
-        module, basis = self.module, self.basis
-        _, rem = _divide_flat(module, flat, basis)
+    def _fit(self, degree: int) -> None:
+        if self._packing is None:
+            self._packing = _Packing(self.module, degree)
+        elif degree > self._packing.capacity:
+            self._widen(_Packing(self.module, degree))
+
+    def _widen(self, new: _Packing) -> None:
+        old, self._packing = self._packing, new
+
+        def move(code: int) -> int:
+            return new.term(*old.decode(code))
+
+        self.basis = [_Prepared({move(k): c for k, c in b.row.items()}, new) for b in self.basis]
+        self._queued = {pair: move(lcm) for pair, lcm in self._queued.items()}
+        self._pairs = [(-lcm, i, j) for (i, j), lcm in self._queued.items()]
+        heapq.heapify(self._pairs)
+
+    def _remainder(self, make_row, skip: int | None = None) -> tuple[int, dict[int, int]]:
+        """(scale, remainder) of the row make_row() builds, divided by the
+        basis less element `skip`.  On a field overflow the packing is
+        widened and the row built and divided again."""
+        while True:
+            packing = self._packing
+            basis = self.basis if skip is None else self.basis[:skip] + self.basis[skip + 1:]
+            try:
+                scale, _, rem = _divide(
+                    make_row(), basis, packing.divmask, packing.guard if self._loose else 0
+                )
+                return scale, rem
+            except FieldOverflow:
+                self._widen(packing.wider())
+
+    def _spoly(self, i: int, j: int) -> dict[int, int]:
+        """S-vector (lc_b/h) * x^ga * a - (lc_a/h) * x^gb * b of basis
+        elements i and j, leads in one slot, h = gcd(lc_a, lc_b)."""
+        a, b = self.basis[i], self.basis[j]
+        packing = self._packing
+        lcm = packing.term(a.slot, tuple(map(max, a.exps, b.exps)))
+        h = math.gcd(a.coeff, b.coeff)
+        ma, mb = b.coeff // h, a.coeff // h
+        ga, gb = lcm - a.lead, lcm - b.lead
+        # multiplying by ga is injective, so these keys are distinct
+        out = {k + ga: ma * c for k, c in a.tail}
+        for k, c in b.tail:
+            k += gb
+            v = out.get(k, 0) - mb * c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        if self._loose and any(k & packing.guard for k in out):
+            raise FieldOverflow("an S-vector term outgrew its packed exponent field")
+        return out
+
+    def _primitive(self, row: dict[int, int]) -> _Prepared:
+        """The row divided by its content, signed to a positive lead."""
+        content = reduce(math.gcd, row.values())
+        if row[min(row)] < 0:
+            content = -content
+        if content != 1:
+            row = {k: c // content for k, c in row.items()}
+        return _Prepared(row, self._packing)
+
+    def _reduce_and_append(self, make_row) -> None:
+        rem = self._remainder(make_row)[1]
         if not rem:
             return
-        inv = 1 / rem[min(rem, key=module.desc_key)]
-        b = _Prepared(module, {t: c * inv for t, c in rem.items()})
-        slot, t = b.slot, len(basis)
-        lcms = {i: mono_lcm(a.exps, b.exps) for i, a in enumerate(basis) if a.slot == slot}
-        queued = self._queued
+        b = self._primitive(rem)
+        packing, basis, queued = self._packing, self.basis, self._queued
+        divmask = packing.divmask
+        slot, lead, t = b.slot, b.lead, len(basis)
+        lcms = {
+            i: packing.term(slot, tuple(map(max, a.exps, b.exps)))
+            for i, a in enumerate(basis)
+            if a.slot == slot
+        }
         # B: b links i and j by two pairs whose lcms properly divide lcm(i, j)
         for pair in [
             (i, j)
-            for (i, j), (s, lcm) in queued.items()
-            if s == slot
-            and mono_divides(b.exps, lcm)
-            and lcms[i] != lcm
-            and lcms[j] != lcm
+            for (i, j), lcm in queued.items()
+            if not (lcm - lead) & divmask and lcms[i] != lcm and lcms[j] != lcm
         ]:
             del queued[pair]
         # M keeps the new pairs of minimal lcm, F one pair per lcm
         distinct = set(lcms.values())
-        kept: dict[Exponents, int] = {}
-        coprime: set[Exponents] = set()
+        kept: dict[int, int] = {}
+        coprime: set[int] = set()
+        one = packing.one[slot]
         for i, lcm in lcms.items():
-            if any(m != lcm and mono_divides(m, lcm) for m in distinct):
+            if any(m != lcm and not (lcm - m) & divmask for m in distinct):
                 continue
             kept.setdefault(lcm, i)
-            if module.rank == 1 and lcm == mono_mul(basis[i].exps, b.exps):
+            if self.module.rank == 1 and lcm == basis[i].lead + lead - one:
                 coprime.add(lcm)
-        for lcm, i in kept.items():
-            if lcm not in coprime:
-                queued[(i, t)] = (slot, lcm)
-                heapq.heappush(self._pairs, (_ascending(module.desc_key((slot, lcm))), i, t))
+        new = [(lcm, i) for lcm, i in kept.items() if lcm not in coprime]
+        for lcm, i in new:
+            queued[(i, t)] = lcm
+            heapq.heappush(self._pairs, (-lcm, i, t))
         basis.append(b)
+        if new:
+            self._fit(max(packing.degree(lcm) for lcm, _ in new))
+
+    def _interreduce(self) -> None:
+        """Reduce the Groebner basis to the reduced basis, sorted by lead
+        descending.
+
+        First drop every element whose lead is divisible by the lead of
+        another kept element (processing leads in ascending order, so
+        divisors are seen first).  Then divide each kept element with a
+        reducible tail term by the others, in place.  On this minimal basis
+        no lead divides another, so every lead survives its division, and
+        whether a tail term is reducible depends only on the leads (a lead
+        never divides a term below it); each remainder therefore has an
+        irreducible tail, and a second pass would change nothing.
+        """
+        divmask = self._packing.divmask
+        kept: list[_Prepared] = []
+        for b in sorted(self.basis, key=lambda b: b.lead, reverse=True):
+            if all((b.lead - k.lead) & divmask for k in kept):
+                kept.append(b)
+        # kept is in ascending term order with distinct leads
+        kept.reverse()
+        self.basis = kept
+        for i in range(len(kept)):
+            divmask = self._packing.divmask
+            leads = [a.lead for a in self.basis]
+            if any(not (k - lead) & divmask for k, _ in self.basis[i].tail for lead in leads):
+                rem = self._remainder(lambda: self.basis[i].row, skip=i)[1]
+                self.basis[i] = self._primitive(rem)
 
 
 def buchberger(module: FreeModule, gens) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by gens."""
     return GroebnerBasis(module, gens)
-
-
-def _interreduce(module: FreeModule, basis: list[_Prepared]) -> list[_Prepared]:
-    """Reduce a Groebner basis to the reduced basis, sorted by lead descending.
-
-    First drop every element whose lead is divisible by the lead of another
-    kept element (processing leads in ascending order, so divisors are seen
-    first).  Then one pass divides each kept element by the others.  On this
-    minimal basis no lead divides another, so every lead survives its
-    division, and whether a tail term is reducible depends only on the
-    leads; each remainder therefore has an irreducible tail, and a second
-    pass would change nothing.  Basis elements are monic and keep their
-    leads, so the remainders are monic too.
-    """
-    items = sorted(basis, key=lambda b: b.key, reverse=True)
-    kept: list[_Prepared] = []
-    for b in items:
-        redundant = any(
-            k.slot == b.slot and mono_divides(k.exps, b.exps) for k in kept
-        )
-        if not redundant:
-            kept.append(b)
-    out = [
-        _Prepared(module, _divide_flat(module, b.flat, kept[:i] + kept[i + 1 :])[1])
-        for i, b in enumerate(kept)
-    ]
-    # kept is in ascending term order with distinct leads
-    out.reverse()
-    return out
 
 
 def module_equal(module: FreeModule, gens_a, gens_b) -> bool:

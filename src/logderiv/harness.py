@@ -124,7 +124,7 @@ def verify_v_shift(mod: LogModule, chi_value: int) -> list[dict]:
     """Recompute chi with v replaced by v + 1; the difference from the
     instance's chi must be the variable count.  The instance's generators
     are reused: log_derivations never reads v, and v + 1 adds 1 to every
-    slot shift, so no desc_key comparison changes and Buchberger returns
+    slot shift, so no term comparison changes and Buchberger returns
     the same reduced basis.  The resolution is computed under v + 1."""
     shifted = LogModule(mod.factored, shift_context(mod.ctx), mod.gens)
     return [

@@ -66,20 +66,6 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    """Exponents of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients."""
 
@@ -403,8 +389,9 @@ def squarefree_test(p: Polynomial) -> tuple[bool, Polynomial]:
     """True iff gcd(p, dp/dx_1, ..., dp/dx_n) is constant.
 
     Returns the gcd as a witness.  The gcd runs through the Groebner engine
-    (principal-ideal intersection), imported lazily to keep this module the
-    bottom of the dependency stack.
+    (`groebner.polynomial_gcd` reads it off the syzygies of one argument
+    modulo the other), imported lazily to keep this module the bottom of
+    the dependency stack.
     """
     from .groebner import polynomial_gcd
 

@@ -34,6 +34,20 @@ def test_derivations_factored_monomial(capsys):
     assert sorted(report["generators"]) == ["x^2*d_x", "y^3*d_y"]
 
 
+def test_derivations_of_a_sum_of_high_powers(capsys):
+    # exponents far past any fixed packed field width in the Groebner engine
+    code, out, err = run(
+        capsys, "derivations", "x^40000+y^40000", "--vars", "x,y", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"coefficients":[["-y^39999","x^39999"],["x","y"]],"command":"derivations",'
+        '"degrees":[39999,1],"generators":["-y^39999*d_x + x^39999*d_y","x*d_x + y*d_y"],'
+        '"inputs":{"k":1,"poly":"x^40000+y^40000","u":[1,1],"v":[0,0],"vars":"x,y"},'
+        '"ok":true,"schema":1}\n'
+    )
+
+
 def test_constant_input_is_usage_error(capsys):
     code, _, err = run(capsys, "derivations", "5", "--vars", "x,y")
     assert code == 2

@@ -9,18 +9,19 @@ from logderiv.poly import (
     FiltrationError,
     MonomialOrder,
     Polynomial,
-    mono_divides,
-    mono_lcm,
+    mono_mul,
     parse_poly,
 )
 from logderiv.groebner import (
     FreeModule,
     GroebnerBasis,
+    _divide,
+    _Packing,
+    _Prepared,
     buchberger,
     dehomogenize_vector,
     divide,
     exact_div,
-    flatten,
     homogenize_vector,
     homogenized,
     intersect,
@@ -30,7 +31,6 @@ from logderiv.groebner import (
     polynomial_gcd,
     ring_module,
     syzygies,
-    unflatten,
     vec_is_zero,
     vector_degree,
     vector_grading,
@@ -42,6 +42,27 @@ XYZ = ["x", "y", "z"]
 
 def P(text, names=XY):
     return parse_poly(text, names)
+
+
+def mono_divides(a, b):
+    """True iff x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def flatten(vec):
+    """An element as a dict (slot, exponents) -> coefficient."""
+    return {(slot, exps): c for slot, p in enumerate(vec) for exps, c in p.terms.items()}
+
+
+def unflatten(module, flat):
+    comps = [{} for _ in range(module.rank)]
+    for (slot, exps), c in flat.items():
+        comps[slot][exps] = c
+    return tuple(Polynomial(module.nvars, d) for d in comps)
 
 
 def ring(n, weights=None):
@@ -180,17 +201,16 @@ def test_membership_three_variables_to_degree_10():
 def test_buchberger_certificate_spairs_reduce_to_zero():
     gens = [(P("x^2+y^2"),), (P("x*y"),), (P("y^3-x"),)]
     gb = buchberger(ring(2), gens)
-    elems = list(gb.elements)
-    from logderiv.groebner import _Prepared, _divide_flat, _spoly_flat
-
-    prepared = [_Prepared(gb.module, flatten(v)) for v in elems]
-    for i in range(len(prepared)):
-        for j in range(i):
-            if prepared[i].slot != prepared[j].slot:
+    basis = gb.basis
+    pairs = 0
+    for j in range(len(basis)):
+        for i in range(j):
+            if basis[i].slot != basis[j].slot:
                 continue
-            s = _spoly_flat(gb.module, prepared[i], prepared[j])
-            _, rem = _divide_flat(gb.module, s, prepared)
+            _, _, rem = _divide(gb._spoly(i, j), basis, gb._packing.divmask)
             assert not rem
+            pairs += 1
+    assert pairs == 1
 
 
 # --- normal form -----------------------------------------------------------------
@@ -558,9 +578,7 @@ def reference_divide(module, flat, basis):
 
 # Arguments of FreeModule for the three kinds of ambient the pipeline divides
 # in: a ring, a shifted module and the block-split module `syzygies` and
-# `intersect` build.  Repeated shifts
-# make terms tie up to the slot.  Each test builds its own module, so no
-# test sees another's key memo.
+# `intersect` build.  Repeated shifts make terms tie up to the slot.
 AMBIENTS = {
     "ring": (3, (0,), MonomialOrder((1, 1, 1))),
     "shifted": (3, (1, 0, 1), MonomialOrder((1, 2, 1))),
@@ -573,66 +591,112 @@ def random_term(rng, module, max_exp):
     return (slot, tuple(rng.randint(0, max_exp) for _ in range(module.nvars)))
 
 
-def random_flat(rng, module, nterms, max_exp):
+def random_flat(rng, module, nterms, max_exp, coeffs=(-2, -1, 1, 2)):
     return {
-        random_term(rng, module, max_exp): Fraction(rng.choice([-2, -1, 1, 2]))
+        random_term(rng, module, max_exp): Fraction(rng.choice(coeffs))
         for _ in range(nterms)
     }
 
 
+def term_degree(module, term):
+    slot, exps = term
+    return sum(e * w for e, w in zip(exps, module.order.weights)) + module.shifts[slot]
+
+
+def packed_rows(module, flats):
+    """The packing that fits every term of flats, and each (integral) flat
+    as an integer row on it."""
+    packing = _Packing(module, max(term_degree(module, t) for f in flats for t in f))
+    return packing, [{packing.term(*t): int(c) for t, c in f.items()} for f in flats]
+
+
+def unpacked(packing, row, scale):
+    """An integer row as a flat dict, divided by scale."""
+    return {packing.decode(t): Fraction(c, scale) for t, c in row.items()}
+
+
+def unpacked_quotient(packing, q, scale):
+    """Quotient codes are monomial codes: term minus the code of 1."""
+    return {packing.decode(g + packing.one[0])[1]: Fraction(c, scale) for g, c in q.items()}
+
+
 @pytest.mark.parametrize("name", AMBIENTS)
 def test_heap_division_matches_max_scan_reference(name):
-    from logderiv.groebner import _Prepared, _divide_flat
-
     module = FreeModule(*AMBIENTS[name])
     rng = random.Random(f"divide-{name}")
-    reduced_steps = 0
-    for _ in range(40):
-        basis = [random_flat(rng, module, rng.randint(1, 4), 2) for _ in range(rng.randint(1, 4))]
+    reduced_steps = scaled = 0
+    for draw in range(60):
+        # the last draws have leading coefficients other than +-1 and +-2
+        coeffs = (-2, -1, 1, 2) if draw < 40 else (-3, 2, 3, 5)
+        basis = [
+            random_flat(rng, module, rng.randint(1, 4), 2, coeffs)
+            for _ in range(rng.randint(1, 4))
+        ]
         flat = random_flat(rng, module, rng.randint(1, 10), 4)
         ref_q, ref_rem = reference_divide(module, flat, basis)
-        prepared = [_Prepared(module, b) for b in basis]
-        quotients, remainder = _divide_flat(module, flat, prepared, want_quotients=True)
-        assert quotients == ref_q
-        assert remainder == ref_rem
-        assert list(remainder) == list(ref_rem)
-        _, plain = _divide_flat(module, flat, prepared)
-        assert list(plain.items()) == list(ref_rem.items())
+        packing, (row, *rows) = packed_rows(module, [flat] + basis)
+        prepared = [_Prepared(r, packing) for r in rows]
+        scale, quotients, remainder = _divide(
+            row, prepared, packing.divmask, want_quotients=True
+        )
+        assert [unpacked_quotient(packing, q, scale) for q in quotients] == ref_q
+        assert unpacked(packing, remainder, scale) == ref_rem
+        assert list(unpacked(packing, remainder, scale)) == list(ref_rem)
+        assert _divide(row, prepared, packing.divmask) == (scale, [], remainder)
         reduced_steps += sum(len(q) for q in ref_q)
+        scaled += abs(scale) > 1
     assert reduced_steps > 40  # the draws exercise reduction, not just copying
+    assert scaled >= 10  # and the fraction-free scaling
 
 
 def test_division_handles_a_cancelled_then_recreated_term():
     # Reducing x^2 cancels the queued x*z; reducing y^2 then creates it
     # again, so x*z is queued twice and must reach the remainder once.
-    from logderiv.groebner import _Prepared, _divide_flat
-
     module = ring(3)
     b1 = flatten((P("x^2+x*z", XYZ),))
     b2 = flatten((P("y^2+x*z", XYZ),))
     flat = flatten((P("x^2+y^2+x*z", XYZ),))
-    prepared = [_Prepared(module, b1), _Prepared(module, b2)]
-    quotients, remainder = _divide_flat(module, flat, prepared, want_quotients=True)
-    assert quotients == [{(0, 0, 0): 1}, {(0, 0, 0): 1}]
-    assert remainder == {(0, (1, 0, 1)): -1}
-    assert reference_divide(module, flat, [b1, b2]) == (quotients, remainder)
+    packing, (r1, r2, row) = packed_rows(module, [b1, b2, flat])
+    prepared = [_Prepared(r1, packing), _Prepared(r2, packing)]
+    scale, quotients, remainder = _divide(row, prepared, packing.divmask, want_quotients=True)
+    assert (scale, quotients) == (1, [{0: 1}, {0: 1}])
+    assert unpacked(packing, remainder, 1) == {(0, (1, 0, 1)): -1}
+    assert reference_divide(module, flat, [b1, b2]) == (
+        [unpacked_quotient(packing, q, 1) for q in quotients], unpacked(packing, remainder, 1)
+    )
 
 
-@pytest.mark.parametrize("name", AMBIENTS)
-def test_desc_key_sorts_in_descending_term_order(name):
-    module = FreeModule(*AMBIENTS[name])
+# the packed order also on negative shifts, under a block split
+ORDERED = dict(AMBIENTS, negative=(2, (-3, 0, 2, -1), MonomialOrder((2, 1)), 2))
+
+
+@pytest.mark.parametrize("name", ORDERED)
+def test_packed_order_equals_old_term_key_order(name):
+    module = FreeModule(*ORDERED[name])
     rng = random.Random(f"keys-{name}")
     terms = list({random_term(rng, module, 3) for _ in range(300)})
-    ascending = sorted(terms, key=module.desc_key)
-    assert ascending == sorted(terms, key=lambda t: old_term_key(module, t), reverse=True)
-
-
-def test_key_memo_is_not_part_of_module_identity():
-    a = FreeModule(2, (0, 1), MonomialOrder((1, 1)))
-    b = FreeModule(2, (0, 1), MonomialOrder((1, 1)))
-    a.desc_key((1, (2, 0)))
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) == repr(b)
+    expected = sorted(terms, key=lambda t: old_term_key(module, t), reverse=True)
+    fitting = _Packing(module, max(term_degree(module, t) for t in terms))
+    divisible = 0
+    for packing in (fitting, fitting.wider()):
+        assert sorted(terms, key=lambda t: packing.term(*t)) == expected
+        codes = {t: packing.term(*t) for t in terms}
+        for t, code in codes.items():
+            assert packing.decode(code) == t
+            assert packing.degree(code) == term_degree(module, t)
+        # one subtraction and one mask test divisibility in one slot, and
+        # the difference multiplies a term by the quotient monomial
+        for a in terms[:60]:
+            for b, c in zip(terms[:60], terms[60:]):
+                divides = a[0] == b[0] and mono_divides(a[1], b[1])
+                assert (not (codes[b] - codes[a]) & packing.divmask) == divides
+                if divides:
+                    gamma = tuple(y - x for x, y in zip(a[1], b[1]))
+                    product = (c[0], mono_mul(c[1], gamma))
+                    if term_degree(module, product) <= packing.capacity:
+                        assert codes[c] + codes[b] - codes[a] == packing.term(*product)
+                    divisible += 1
+    assert divisible >= 40
 
 
 # --- rank-1 reduced bases against sympy -------------------------------------------
@@ -649,31 +713,50 @@ def random_ideal(rng, nvars):
     return gens
 
 
+def sympy_reduced_basis(sympy, gens, nvars):
+    """The reduced grevlex basis of an ideal by sympy, each element as a set
+    of (exponents, coefficient) made monic, as ours are."""
+    symbols = sympy.symbols(f"x1:{nvars + 1}")
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+            s**e for s, e in zip(symbols, exps)) for exps, c in g.terms.items())
+        for g in gens
+    ]
+    theirs = sympy.groebner(exprs, *symbols, order="grevlex", domain="QQ")
+    expected = set()
+    for poly in theirs.polys:
+        lead = poly.LC(order="grevlex")
+        expected.add(frozenset(
+            (exps, Fraction(str(c / lead))) for exps, c in poly.as_dict().items()
+        ))
+    return expected
+
+
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_reduced_basis_matches_sympy_grevlex(nvars):
     sympy = pytest.importorskip("sympy")
-    symbols = sympy.symbols(f"x1:{nvars + 1}")
     rng = random.Random(f"sympy-{nvars}")
     sizes = []
     for _ in range(12):
         gens = [g for g in random_ideal(rng, nvars) if not g.is_zero()]
         ours = buchberger(ring(nvars), [(g,) for g in gens])
-        exprs = [
-            sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(
-                s**e for s, e in zip(symbols, exps)) for exps, c in g.terms.items())
-            for g in gens
-        ]
-        theirs = sympy.groebner(exprs, *symbols, order="grevlex", domain="QQ")
-        expected = set()
-        for poly in theirs.polys:  # made monic in grevlex, as ours are
-            lead = poly.LC(order="grevlex")
-            expected.add(frozenset(
-                (exps, Fraction(str(c / lead))) for exps, c in poly.as_dict().items()
-            ))
         got = {frozenset(p.terms.items()) for (p,) in ours.elements}
-        assert got == expected
+        assert got == sympy_reduced_basis(sympy, gens, nvars)
         sizes.append(len(got))
     assert max(sizes) > 2  # some draws are not already Groebner bases
+
+
+def test_an_s_pair_lcm_above_the_field_capacity_widens_the_fields():
+    # Degree 15 gets 5-bit fields (exponents up to 31), which fit every lcm
+    # of two input leads; later pairs need more, and their S-vectors have
+    # exponents past 31.
+    sympy = pytest.importorskip("sympy")
+    module = ring(3)
+    gens = [P("x^2*y^9*z^4 - x^3*y^12", XYZ), P("3*x^10*y^4*z + 3*x^14*y", XYZ)]
+    gb = buchberger(module, [(g,) for g in gens])
+    assert _Packing(module, 15).width == 5 < gb._packing.width
+    got = {frozenset(p.terms.items()) for (p,) in gb.elements}
+    assert got == sympy_reduced_basis(sympy, gens, 3)
 
 
 # --- reduced bases on every ambient -----------------------------------------------
@@ -682,7 +765,7 @@ def test_reduced_basis_matches_sympy_grevlex(nvars):
 def assert_reduced(module, elements):
     """Monic, and no term but an element's own lead is divisible by a lead
     in its slot."""
-    leads = [min(flatten(e), key=module.desc_key) for e in elements]
+    leads = [max(flatten(e), key=lambda t: old_term_key(module, t)) for e in elements]
     for i, e in enumerate(elements):
         flat = flatten(e)
         assert flat[leads[i]] == 1
@@ -755,8 +838,6 @@ def test_every_s_vector_of_the_reduced_basis_divides_to_zero(name):
     # Buchberger's criterion, read off the output alone: whichever pairs
     # `add` skipped, a basis is a Groebner basis exactly when the S-vector
     # of each same-slot pair of it divides to zero by it.
-    from logderiv.groebner import _divide_flat, _spoly_flat
-
     module = FreeModule(*AMBIENTS[name])
     low, high, max_exp = CERTIFICATE_DRAWS[name]
     rng = random.Random(f"certificate-{name}")
@@ -766,12 +847,13 @@ def test_every_s_vector_of_the_reduced_basis_divides_to_zero(name):
             unflatten(module, random_flat(rng, module, rng.randint(2, 3), max_exp))
             for _ in range(rng.randint(low, high))
         ]
-        basis = buchberger(module, gens).basis
+        gb = buchberger(module, gens)
+        basis = gb.basis
         for j, b in enumerate(basis):
-            for a in basis[:j]:
+            for i, a in enumerate(basis[:j]):
                 if a.slot == b.slot:
-                    _, rem = _divide_flat(module, _spoly_flat(module, a, b), basis)
-                    assert not rem, (a.flat, b.flat)
+                    _, _, rem = _divide(gb._spoly(i, j), basis, gb._packing.divmask)
+                    assert not rem, (a.row, b.row)
                     pairs += 1
     assert pairs >= 150
 
@@ -871,6 +953,39 @@ def test_inhomogeneous_syzygies_match_block_elimination(name, max_exp):
         assert module_equal(syz_module, syz, reference)
         inhomogeneous += any(len(term_degrees(module, g)) > 1 for g in gens)
     assert inhomogeneous >= 14
+
+
+def test_a_lower_block_tail_past_the_field_capacity_widens_the_fields(monkeypatch):
+    # Under a block split an element's lower-block tail can sit above its
+    # lead, and it grows with each reduction by such an element.  Degree 6
+    # gets 4-bit fields (exponents up to 15): (x*y^5 + z, 0) reduced by
+    # (x, y^6) gives (z, -y^11), and dividing (y^5*z, 0) by that creates
+    # (0, y^16).  The eliminated part {a*y^6 : (a, b, c) a syzygy of
+    # (x, x*y^5 + z, y^5*z)} is checked against `syzygies`, which
+    # homogenizes instead.
+    import logderiv.groebner as groebner
+
+    raised = []
+    division = groebner._divide
+
+    def recording(*args, **kwargs):
+        try:
+            return division(*args, **kwargs)
+        except groebner.FieldOverflow:
+            raised.append(args[0])
+            raise
+
+    monkeypatch.setattr(groebner, "_divide", recording)
+    module = ring(3)
+    gs = [P("x", XYZ), P("x*y^5 + z", XYZ), P("y^5*z", XYZ)]
+    tails = [P("y^6", XYZ), P("0", XYZ), P("0", XYZ)]
+    ext = FreeModule(3, (0, 0), module.order, block_split=1)
+    gb = buchberger(ext, list(zip(gs, tails)))
+    assert raised and _Packing(ext, 6).width == 4 < gb._packing.width
+    eliminated = [(e[1],) for e in gb.elements if e[0].is_zero()]
+    _, syz = syzygies(module, [(g,) for g in gs])
+    expected = [(sum((a * t for a, t in zip(c, tails)), P("0", XYZ)),) for c in syz]
+    assert eliminated and module_equal(module, eliminated, expected)
 
 
 # --- homogenizing elements -----------------------------------------------------------
