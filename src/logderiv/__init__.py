@@ -12,6 +12,7 @@ from .poly import (
     infer_weights,
     parse_poly,
     partial_derivative,
+    polynomial_gcd,
     squarefree_test,
     u_degree,
 )
@@ -26,7 +27,6 @@ from .groebner import (
     module_equal,
     module_quotient,
     normal_form,
-    polynomial_gcd,
     syzygies,
 )
 from .derivmod import (

@@ -22,9 +22,11 @@ from .poly import (
     MonomialOrder,
     NonPositiveWeightError,
     Polynomial,
+    exact_div,
     format_poly,
     parse_poly,
     partial_derivative,
+    polynomial_gcd,
     squarefree_test,
     weighted_degree,
 )
@@ -32,11 +34,9 @@ from .groebner import (
     FreeModule,
     Vector,
     buchberger,
-    exact_div,
     module_equal,
     module_quotient,
     normal_form,
-    polynomial_gcd,
     ring_module,
     syzygies,
     vec_is_zero,

@@ -20,8 +20,9 @@ elements are made monic there.
 
 `syzygies(module, gens, relations)` is the one kernel routine, and the only
 one that eliminates: it returns the c with sum(c_i * gens[i]) in the
-submodule generated by relations (Singular's `modulo`).  `intersect`,
-`module_quotient` and `polynomial_gcd` are calls to it.
+submodule generated by relations (Singular's `modulo`).  `intersect` and
+`module_quotient` are calls to it.  Polynomial gcds and exact division by
+one polynomial need no Groebner basis; they live in `poly`.
 
 `vector_grading` is the one reader of an element's degree (its largest
 shifted weighted degree), and `homogenize_vector` the one way to pad an
@@ -49,9 +50,11 @@ from .poly import (
     Exponents,
     MonomialOrder,
     Polynomial,
-    degree_order,
     weighted_degree,
 )
+# The gcd needs no Groebner basis and lives in poly.  perfbench's tracer
+# finds it under this module's name, and wraps every name bound to it.
+from .poly import polynomial_gcd  # noqa: F401
 
 Vector = tuple[Polynomial, ...]
 FlatTerm = tuple[int, Exponents]
@@ -618,7 +621,10 @@ def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list[V
     ext = FreeModule(module.nvars, module.shifts + degrees, module.order, block_split=rank)
     ext_gens = [tuple(g) + units.unit_vector(i) for i, g in enumerate(gens)]
     ext_gens += [tuple(r) + units.zero_vector() for r in relations]
-    syz = [e[rank:] for e in buchberger(ext, ext_gens).elements if vec_is_zero(e[:rank])]
+    # an element has a zero leading block exactly when its lead is below
+    # the split, so only those rows are made monic vectors
+    gb = buchberger(ext, ext_gens)
+    syz = [gb._packing.vector(b.row, b.coeff)[rank:] for b in gb.basis if b.slot >= rank]
     if not homogeneous:
         syz = [dehomogenize_vector(s) for s in syz]
     return syz_module, syz
@@ -637,40 +643,6 @@ def intersect(module: FreeModule, gens_a, gens_b) -> list[Vector]:
             total = tuple(t + coeff * p for t, p in zip(total, a))
         combinations.append(total)
     return list(buchberger(module, combinations).elements)
-
-
-def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Exact quotient p/d; raises if d does not divide p."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    module = ring_module(p.nvars, degree_order(p.nvars))
-    quotients, rem = divide(module, (p,), [(d,)])
-    if not rem[0].is_zero():
-        raise ValueError("division is not exact")
-    return quotients[0]
-
-
-def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd: the syzygies of p modulo q form the ideal (q : p), which
-    is generated by q / gcd(p, q)."""
-    if p.is_zero():
-        return _monic(q)
-    if q.is_zero():
-        return _monic(p)
-    if p.is_constant() or q.is_constant():
-        return Polynomial.constant(1, p.nvars)
-    module = ring_module(p.nvars, degree_order(p.nvars))
-    _, syz = syzygies(module, [(p,)], [(q,)])
-    if len(syz) != 1:
-        raise RuntimeError("the syzygies of p modulo q are not principal")
-    return _monic(exact_div(q, syz[0][0]))
-
-
-def _monic(p: Polynomial) -> Polynomial:
-    if p.is_zero():
-        return p
-    exps = max(p.terms, key=degree_order(p.nvars).key_parts)
-    return p * (Fraction(1) / p.terms[exps])
 
 
 def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:

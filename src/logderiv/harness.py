@@ -14,8 +14,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
-from .poly import Polynomial, squarefree_test, u_degree
-from .groebner import polynomial_gcd
+from .poly import Polynomial, polynomial_gcd, squarefree_test, u_degree
 from .derivmod import (
     FactoredPolynomial,
     GradedContext,

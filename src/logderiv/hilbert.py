@@ -23,13 +23,12 @@ from itertools import count
 from math import comb, gcd, lcm
 from operator import mul
 
-from .poly import NonPositiveWeightError, Polynomial, u_degree
+from .poly import NonPositiveWeightError, Polynomial, polynomial_gcd, u_degree
 from .groebner import (
     FreeModule,
     Vector,
     buchberger,
     normal_form,
-    polynomial_gcd,
     ring_module,
     syzygies,
     vec_is_zero,

@@ -13,11 +13,13 @@ reverse-lexicographic tiebreak.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
 from fractions import Fraction
+from functools import reduce
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
@@ -385,16 +387,324 @@ def infer_weights(p: Polynomial) -> tuple[int, ...] | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# Exact division and gcds on integer polynomials: dicts from exponent tuple
+# to nonzero int.  Rationals meet them only at the edge (`exact_div`,
+# `polynomial_gcd`).
+# ---------------------------------------------------------------------------
+
+IntTerms = dict[Exponents, int]
+
+# evaluation points `_heuristic_gcd` tries before giving up
+_HEURISTIC_POINTS = 6
+
+
+def _integer_terms(p: Polynomial) -> tuple[int, IntTerms]:
+    """(den, den * p), den the lcm of p's denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+
+
+def _primitive(p: IntTerms) -> IntTerms:
+    """p divided by the (positive) gcd of its coefficients."""
+    content = reduce(math.gcd, p.values())
+    return p if content == 1 else {e: c // content for e, c in p.items()}
+
+
+def _is_constant(p: IntTerms) -> bool:
+    return len(p) == 1 and not any(next(iter(p)))
+
+
+def _negated(e: Exponents) -> Exponents:
+    return tuple([-x for x in e])
+
+
+def _divide_exact(p: IntTerms, d: IntTerms) -> IntTerms | None:
+    """p / d when it lies in Z[x], else None.
+
+    One polynomial is its own Groebner basis, so d divides p exactly when
+    the division meets no term that d's lead fails to divide.  Terms are
+    taken lexicographically largest first, and a step only adds terms below
+    the one it removes.  The loop runs on negated exponents, so the heap's
+    least key is the largest term and a monomial product is still a tuple
+    sum.  A term cancelled and recreated while its entry is queued gets a
+    second entry, which finds it gone and is skipped.  With d primitive, d
+    divides p over Q exactly when it does in Z[x] (Gauss's lemma).
+    """
+    top = max(d)
+    a = d[top]
+    lead = _negated(top)
+    tail = [(_negated(e), c) for e, c in d.items() if e != top]
+    work = {_negated(e): c for e, c in p.items()}
+    heap = list(work)
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        t = heapq.heappop(heap)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        g = tuple(map(sub, t, lead))
+        if max(g) > 0:
+            return None
+        c, r = divmod(c, a)
+        if r:
+            return None
+        quotient[g] = c
+        for e, v in tail:
+            k = tuple(map(add, g, e))
+            old = work.get(k)
+            if old is None:
+                work[k] = -c * v
+                heapq.heappush(heap, k)
+            elif old == c * v:
+                del work[k]
+            else:
+                work[k] = old - c * v
+    return {_negated(g): c for g, c in quotient.items()}
+
+
+def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
+    """Exact quotient p/d; raises ValueError if d does not divide p."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    den_p, num = _integer_terms(p)
+    den_d, divisor = _integer_terms(d)
+    content = reduce(math.gcd, divisor.values())
+    # p / d = (num / primitive divisor) * den_d / (den_p * content)
+    quotient = _divide_exact(num, {e: c // content for e, c in divisor.items()})
+    if quotient is None:
+        raise ValueError("division is not exact")
+    scale = Fraction(den_d, den_p * content)
+    return Polynomial._raw(p.nvars, {e: c * scale for e, c in quotient.items()})
+
+
+def _multiply_into(out: IntTerms, p: IntTerms, q: IntTerms, sign: int) -> None:
+    """out += sign * p * q, in place."""
+    for e, a in p.items():
+        a *= sign
+        for f, b in q.items():
+            k = tuple(map(add, e, f))
+            v = out.get(k, 0) + a * b
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+
+
+def _coefficients(p: IntTerms, x: int) -> dict[int, IntTerms]:
+    """p as a polynomial in x_x: degree -> coefficient (x_x's exponent 0)."""
+    out: dict[int, IntTerms] = {}
+    for e, c in p.items():
+        out.setdefault(e[x], {})[e[:x] + (0,) + e[x + 1:]] = c
+    return out
+
+
+def _gcd_all(polys: list[IntTerms]) -> IntTerms:
+    """Primitive gcd of nonzero polynomials, smallest first, stopping at a
+    constant."""
+    polys = sorted(polys, key=len)
+    g = polys[0]
+    for h in polys[1:]:
+        if _is_constant(g):
+            break
+        g = _gcd(g, h)
+    return _primitive(g)
+
+
+def _primitive_part(p: IntTerms, x: int) -> IntTerms:
+    """p divided by its content as a polynomial in x_x over Z[other vars]."""
+    content = _gcd_all(list(_coefficients(p, x).values()))
+    if _is_constant(content):
+        return _primitive(p)
+    return _primitive(_divide_exact(p, content))
+
+
+def _pseudo_remainder(a: IntTerms, b: IntTerms, x: int) -> IntTerms:
+    """A remainder of lc(b)^k * a on division by b in x_x, where lc(b) is
+    b's leading coefficient in x_x: degree below b's in x_x, and equal to
+    a modulo b up to a factor in Z[other vars]."""
+    by_degree = _coefficients(b, x)
+    db = max(by_degree)
+    lead_b = by_degree[db]
+    tail_b = {e: c for e, c in b.items() if e[x] < db}
+    r = a
+    while r:
+        dr = max(e[x] for e in r)
+        if dr < db:
+            break
+        lead_r: IntTerms = {}
+        rest: IntTerms = {}
+        for e, c in r.items():
+            if e[x] == dr:
+                lead_r[e[:x] + (dr - db,) + e[x + 1:]] = c
+            else:
+                rest[e] = c
+        # lc(b) * r - lc(r) * x^(dr - db) * b, whose x^dr terms cancel
+        r = {}
+        _multiply_into(r, lead_b, rest, 1)
+        _multiply_into(r, lead_r, tail_b, -1)
+    return r
+
+
+def _shifted(p: IntTerms, by: list[int], sign: int) -> IntTerms:
+    """p times x^by (sign 1) or divided by it (sign -1)."""
+    op = add if sign > 0 else sub
+    return {tuple(map(op, e, by)): c for e, c in p.items()}
+
+
+def _gcd(p: IntTerms, q: IntTerms) -> IntTerms:
+    """A primitive gcd of nonzero p and q in Z[x]: the monomial factors
+    apart, then `_gcd_prs`."""
+    low_p = [min(col) for col in zip(*p)]
+    low_q = [min(col) for col in zip(*q)]
+    if any(low_p):
+        p = _shifted(p, low_p, -1)
+    if any(low_q):
+        q = _shifted(q, low_q, -1)
+    g = _gcd_prs(p, q)
+    low = list(map(min, low_p, low_q))
+    return _shifted(g, low, 1) if any(low) else g
+
+
+def _evaluate(p: IntTerms, x: int, value: int) -> IntTerms:
+    """p with x_x set to value."""
+    out: IntTerms = {}
+    for e, c in p.items():
+        k = e[:x] + (0,) + e[x + 1:]
+        out[k] = out.get(k, 0) + c * value ** e[x]
+    return {k: c for k, c in out.items() if c}
+
+
+def _heuristic_gcd(f: IntTerms, g: IntTerms) -> IntTerms | None:
+    """gcd(f, g) in Z[x] up to sign, for nonzero f and g, or None when
+    the evaluation points tried fail (GCDHEU: Char, Geddes & Gonnet 1989,
+    "GCDHEU: Heuristic polynomial GCD algorithm based on integer GCD
+    computation").
+
+    The last variable x that occurs is set to an integer xi, the gcd of
+    the two images is taken recursively, and its coefficients, written in
+    balanced base xi, give the coefficients of x^0, x^1, ... of a
+    candidate.  With xi at least twice the smaller largest coefficient of
+    f and g plus 2, the candidate's primitive part is the gcd as soon as
+    it divides both: a cofactor h of positive degree in x would have
+    |h(xi)| beyond the candidate's content, which h(xi) divides.  A
+    candidate that fails the division test only costs a larger xi.
+    """
+    content = math.gcd(reduce(math.gcd, f.values()), reduce(math.gcd, g.values()))
+    if content != 1:
+        f = {e: c // content for e, c in f.items()}
+        g = {e: c // content for e, c in g.items()}
+    occurring = [i for i, col in enumerate(zip(*f, *g)) if any(col)]
+    if not occurring:
+        return {next(iter(f)): content}
+    x = occurring[-1]
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEURISTIC_POINTS):
+        fx, gx = _evaluate(f, x, xi), _evaluate(g, x, xi)
+        h = _heuristic_gcd(fx, gx) if fx and gx else None
+        if h is not None:
+            candidate: IntTerms = {}
+            half = xi // 2
+            for e, c in h.items():
+                k = 0
+                while c:
+                    digit = c % xi
+                    if digit > half:
+                        digit -= xi
+                    if digit:
+                        candidate[e[:x] + (k,) + e[x + 1:]] = digit
+                    c = (c - digit) // xi
+                    k += 1
+            candidate = _primitive(candidate)
+            if _divide_exact(f, candidate) is not None and _divide_exact(g, candidate) is not None:
+                return {e: c * content for e, c in candidate.items()}
+        # the next point, larger by a factor of about 2.7 * xi^(1/4)
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _gcd_prs(p: IntTerms, q: IntTerms) -> IntTerms:
+    """A primitive gcd of nonzero p and q in Z[x].  Past degree 1 in the
+    main variable it is an argument that divides the other, or what
+    `_heuristic_gcd` finds; otherwise, and whenever the heuristic gives
+    up, the recursive primitive PRS (Brown 1971; Knuth, TAOCP vol. 2,
+    4.6.1) finds it: contents in the main variable recursively, then
+    pseudo-remainders made primitive."""
+    dp = [max(col) for col in zip(*p)]
+    dq = [max(col) for col in zip(*q)]
+    one = {(0,) * len(dp): 1}
+    if not any(dp) or not any(dq):
+        return one
+    # a variable of one argument only: the gcd divides its content there
+    for x, (a, b) in enumerate(zip(dp, dq)):
+        if a and not b:
+            return _gcd_all([q, *_coefficients(p, x).values()])
+        if b and not a:
+            return _gcd_all([p, *_coefficients(q, x).values()])
+    shared = [i for i, a in enumerate(dp) if a]
+    x = min(shared, key=lambda i: dp[i] + dq[i])
+    # At degree 1 one pseudo-remainder decides, faster than evaluation.
+    if min(dp[x], dq[x]) > 1:
+        # An argument that divides the other is the gcd, as for a power and
+        # its derivative; evaluation would rebuild it from huge integers.
+        for large, small, d_large, d_small in ((p, q, dp, dq), (q, p, dq, dp)):
+            if all(map(le, d_small, d_large)):
+                small = _primitive(small)
+                if _divide_exact(large, small) is not None:
+                    return small
+        g = _heuristic_gcd(p, q)
+        if g is not None:
+            return _primitive(g)
+    cp = _gcd_all(list(_coefficients(p, x).values()))
+    cq = _gcd_all(list(_coefficients(q, x).values()))
+    content = _gcd(cp, cq)
+    a = _primitive(p if _is_constant(cp) else _divide_exact(p, cp))
+    b = _primitive(q if _is_constant(cq) else _divide_exact(q, cq))
+    if dp[x] < dq[x]:
+        a, b = b, a
+    while True:
+        r = _pseudo_remainder(a, b, x)
+        if not r:
+            break
+        if not any(e[x] for e in r):
+            b = one
+            break
+        a, b = b, _primitive_part(r, x)
+    if _is_constant(content):
+        return _primitive(b)
+    g: IntTerms = {}
+    _multiply_into(g, content, b, 1)
+    return _primitive(g)
+
+
+def _monic(nvars: int, p: IntTerms, exps: list[Exponents]) -> Polynomial:
+    """p scaled to leading coefficient 1 under the degree order, with its
+    terms in the order of exps."""
+    if not p:
+        return Polynomial.zero(nvars)
+    lead = p[max(exps, key=degree_order(nvars).key_parts)]
+    return Polynomial._raw(nvars, {e: Fraction(p[e], lead) for e in exps})
+
+
+def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The gcd over Q, monic under the degree order, its terms descending:
+    gcd(0, q) is q made monic (terms in q's order), and a nonzero constant
+    argument gives 1."""
+    if p.is_zero() or q.is_zero():
+        g = _integer_terms(q if p.is_zero() else p)[1]
+        return _monic(p.nvars, g, list(g))
+    if p.is_constant() or q.is_constant():
+        return Polynomial.constant(1, p.nvars)
+    g = _gcd(_integer_terms(p)[1], _integer_terms(q)[1])
+    return _monic(p.nvars, g, sorted(g, key=degree_order(p.nvars).key_parts, reverse=True))
+
+
 def squarefree_test(p: Polynomial) -> tuple[bool, Polynomial]:
     """True iff gcd(p, dp/dx_1, ..., dp/dx_n) is constant.
 
-    Returns the gcd as a witness.  The gcd runs through the Groebner engine
-    (`groebner.polynomial_gcd` reads it off the syzygies of one argument
-    modulo the other), imported lazily to keep this module the bottom of
-    the dependency stack.
+    Returns the gcd as a witness.
     """
-    from .groebner import polynomial_gcd
-
     if p.is_constant():
         raise ValueError("squarefreeness is undefined for constant input")
     g = p

@@ -208,7 +208,7 @@ def test_criterion_8_chi_properties():
         v = tuple(rng.randint(-3, 3) for _ in range(n))
         ok = ok and chi(hp_free(v, u)) == sum(v)
     # random homogeneous ideals with two coprime members
-    from logderiv.groebner import polynomial_gcd
+    from logderiv.poly import polynomial_gcd
     from logderiv.harness import random_qh_polynomial
 
     count = 0

@@ -9,8 +9,10 @@ from logderiv.poly import (
     FiltrationError,
     MonomialOrder,
     Polynomial,
+    exact_div,
     mono_mul,
     parse_poly,
+    polynomial_gcd,
 )
 from logderiv.groebner import (
     FreeModule,
@@ -21,14 +23,12 @@ from logderiv.groebner import (
     buchberger,
     dehomogenize_vector,
     divide,
-    exact_div,
     homogenize_vector,
     homogenized,
     intersect,
     module_equal,
     module_quotient,
     normal_form,
-    polynomial_gcd,
     ring_module,
     syzygies,
     vec_is_zero,
@@ -434,14 +434,51 @@ def test_gcd_via_intersection():
     assert polynomial_gcd(P("x^2+y^2"), P("x")).is_constant()
 
 
-def random_poly(rng, nvars, nterms, max_exp):
+RATIONALS = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(5, 4))
+
+
+def random_poly(rng, nvars, nterms, max_exp, variables=None):
+    """nterms random terms in the given variables (default: all)."""
+    variables = range(nvars) if variables is None else variables
     terms = {}
     for _ in range(nterms):
-        terms[tuple(rng.randint(0, max_exp) for _ in range(nvars))] = rng.choice([-3, -1, 1, 2])
+        exps = [0] * nvars
+        for i in variables:
+            exps[i] = rng.randint(0, max_exp)
+        terms[tuple(exps)] = rng.choice(RATIONALS)
     return Polynomial(nvars, terms)
 
 
-@pytest.mark.parametrize("nvars", [2, 3])
+def monic(p):
+    """p scaled to leading coefficient 1 under the degree order."""
+    if p.is_zero():
+        return p
+    lead = max(p.terms, key=MonomialOrder((1,) * p.nvars).key_parts)
+    return p * (1 / p.terms[lead])
+
+
+def gcd_cases(rng, nvars):
+    """Pairs with planted common factors: in every variable, in all but one
+    (so in the content in that variable) and monomial; and coprime pairs.
+    Degrees reach 3 per variable in each factor, coefficients are rational."""
+    for case in range(12):
+        a = random_poly(rng, nvars, 3, 3)
+        b = random_poly(rng, nvars, 3, 3)
+        kind = case % 4
+        if kind == 0:
+            common = random_poly(rng, nvars, 3, 2)
+        elif kind == 1:
+            skip = rng.randrange(nvars)
+            common = random_poly(rng, nvars, 2, 2, [i for i in range(nvars) if i != skip])
+        elif kind == 2:
+            common = Polynomial.monomial(tuple(rng.randint(0, 2) for _ in range(nvars)),
+                                         rng.choice(RATIONALS), nvars)
+        else:
+            common = Polynomial.constant(1, nvars)
+        yield a * common, b * common, common
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
 def test_gcd_matches_sympy(nvars):
     sympy = pytest.importorskip("sympy")
     symbols = sympy.symbols(f"x1:{nvars + 1}")
@@ -458,22 +495,79 @@ def test_gcd_matches_sympy(nvars):
 
     rng = random.Random(f"gcd-{nvars}")
     nontrivial = 0
-    for case in range(16):
-        a, b = random_poly(rng, nvars, 2, 2), random_poly(rng, nvars, 2, 2)
-        if case % 2 == 0:  # plant a common factor; odd cases are often coprime
-            common = random_poly(rng, nvars, 2, 1)
-            a, b = a * common, b * common
+    zero = Polynomial.zero(nvars)
+    for a, b, common in gcd_cases(rng, nvars):
         if a.is_zero() or b.is_zero():
             continue
         ours = polynomial_gcd(a, b)
-        theirs = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
-        assert exact_div(ours, theirs).is_constant()
-        assert exact_div(theirs, ours).is_constant()
-        # the colon ideal (<b> : a) is generated by b / gcd(a, b)
-        colon = module_quotient(ring(nvars), [(b,)], [(a,)])
-        assert module_equal(ring(nvars), [(q,) for q in colon], [(exact_div(b, theirs),)])
+        assert ours == monic(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+        assert polynomial_gcd(b, a) == ours
+        exact_div(ours, common)  # the planted factor divides the gcd
         nontrivial += not ours.is_constant()
-    assert 4 <= nontrivial < 16  # planted factors show up, coprime pairs too
+        # zero and constant arguments
+        assert polynomial_gcd(a, zero) == polynomial_gcd(zero, a) == monic(a)
+        assert polynomial_gcd(a, Polynomial.constant(Fraction(-2, 3), nvars)).is_constant()
+        if nvars < 4:
+            # the colon ideal (<b> : a) is generated by b / gcd(a, b)
+            colon = module_quotient(ring(nvars), [(b,)], [(a,)])
+            assert module_equal(ring(nvars), [(q,) for q in colon], [(exact_div(b, ours),)])
+    assert polynomial_gcd(zero, zero).is_zero()
+    assert nontrivial >= 6
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_gcd_by_the_remainder_sequence_alone(nvars, monkeypatch):
+    # past degree 1 the evaluation heuristic finds almost every gcd; when its
+    # points fail, the primitive remainder sequence must give the same gcd
+    from logderiv import poly
+
+    cases = list(gcd_cases(random.Random(f"gcd-{nvars}"), nvars))
+    expected = [polynomial_gcd(a, b) for a, b, _ in cases]
+    monkeypatch.setattr(poly, "_heuristic_gcd", lambda f, g: None)
+    assert [polynomial_gcd(a, b) for a, b, _ in cases] == expected
+
+
+def gcd_by_colon_ideal(p, q):
+    """The monic gcd through the Groebner engine: (<q> : p) = <q / gcd(p, q)>,
+    so q divided by the colon ideal's generator is the gcd."""
+    module = ring(p.nvars)
+    (h,) = module_quotient(module, [(q,)], [(p,)])
+    (quotient,), remainder = divide(module, (q,), [(h,)])
+    assert vec_is_zero(remainder)
+    return monic(quotient)
+
+
+def test_gcd_matches_the_colon_ideal_on_harness_and_arrangement_pairs(monkeypatch):
+    # every gcd the seed-0 draws of 100 harness instances ask for (their
+    # factor pairs and squarefree-derivative pairs, rejected draws too),
+    # and every pair of planes of the 8-plane generic arrangement
+    from logderiv import harness, poly
+
+    pairs = []
+    original = poly.polynomial_gcd
+
+    def recording(p, q):
+        pairs.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(harness, "polynomial_gcd", recording)
+    monkeypatch.setattr(poly, "polynomial_gcd", recording)
+    rng = random.Random(0)
+    for _ in range(100):
+        harness.random_instance(rng)
+    monkeypatch.undo()
+    planes = [P(t, ["x", "y", "z", "w"]) for t in
+              ["x", "y", "z", "w", "x+y+z", "x+2*y+3*w", "y+z+w", "x-z+2*w"]]
+    arrangement_pairs = [(a, b) for i, a in enumerate(planes) for b in planes[i + 1:]]
+    assert len(pairs) > 200 and len(arrangement_pairs) == 28
+    nontrivial = 0
+    for p, q in pairs + arrangement_pairs:
+        ours = polynomial_gcd(p, q)
+        if p.is_zero() or q.is_zero() or p.is_constant() or q.is_constant():
+            continue
+        assert ours == gcd_by_colon_ideal(p, q), (p, q)
+        nontrivial += not ours.is_constant()
+    assert nontrivial > 50
 
 
 @settings(max_examples=15, deadline=None)

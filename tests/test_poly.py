@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,12 @@ from logderiv.poly import (
     ParseError,
     Polynomial,
     ZeroPolynomialError,
+    exact_div,
     format_poly,
     infer_weights,
     parse_poly,
     partial_derivative,
+    polynomial_gcd,
     squarefree_test,
     u_degree,
 )
@@ -142,8 +146,6 @@ def test_squarefree_fails_with_witness():
     ok, g = squarefree_test(P("x^2*y^3"))
     assert not ok
     # witness must be divisible by x*y^2
-    from logderiv.groebner import exact_div
-
     exact_div(g, P("x*y^2"))
 
 
@@ -155,6 +157,84 @@ def test_squarefree_linear():
 def test_squarefree_constant_rejected():
     with pytest.raises(ValueError):
         squarefree_test(P("5"))
+
+
+# --- exact division and layering ----------------------------------------------
+
+def test_exact_div_over_q():
+    assert exact_div(P("1/2*x^2 - 1/2"), P("2/3*x + 2/3")) == P("3/4*x - 3/4")
+    assert exact_div(P("x+1"), P("2*x+2")) == P("1/2")
+    assert exact_div(P("0"), P("x+y")).is_zero()
+    # x^2*y^3 - y^5 = (x*y - y^2) * (x*y^2 + y^3)
+    assert exact_div(P("x^2*y^3 - y^5"), P("x*y - y^2")) == P("x*y^2 + y^3")
+
+
+def test_exact_div_refuses_a_non_multiple():
+    # the first two leads divide, the remainder y + 1 is left
+    with pytest.raises(ValueError):
+        exact_div(P("x^2+y"), P("x+1"))
+    with pytest.raises(ValueError):
+        exact_div(P("x"), P("y"))
+    # every lead divides, but 2 does not divide the coefficient 3 (over Q
+    # the quotient would be 3/2 with remainder -1/2)
+    with pytest.raises(ValueError):
+        exact_div(P("3*x+1"), P("2*x+1"))
+    with pytest.raises(ZeroDivisionError):
+        exact_div(P("x"), P("0"))
+
+
+def test_heuristic_gcd_over_the_integers():
+    from logderiv.poly import _heuristic_gcd
+
+    # over Z the contents count: gcd(6x + 4, 4x + 2) = 2
+    assert _heuristic_gcd({(1,): 6, (0,): 4}, {(1,): 4, (0,): 2}) in ({(0,): 2}, {(0,): -2})
+    # x^2 + 1 and x^2 - 36 are coprime, but at the first point, 31, their
+    # values 962 and 925 share 37 = 31 + 6; the candidate x + 6 divides only
+    # x^2 - 36, so another point is tried
+    assert _heuristic_gcd({(2,): 1, (0,): 1}, {(2,): 1, (0,): -36}) in ({(0,): 1}, {(0,): -1})
+    assert polynomial_gcd(P("x^2+1"), P("x^2-36")).is_constant()
+
+
+def test_a_gcd_dividing_the_other_argument_skips_evaluation(monkeypatch):
+    # each derivative of (x+y+z)^20 divides it, and evaluation would rebuild
+    # (x+y+z)^19 from integers of about 31 * 21^3 bits (0.6 s against
+    # milliseconds by one exact division)
+    from logderiv import poly
+
+    def refuse(f, g):
+        raise AssertionError("evaluated a pair where one argument divides the other")
+
+    monkeypatch.setattr(poly, "_heuristic_gcd", refuse)
+    ok, g = squarefree_test(P("(x+y+z)^20", XYZ))
+    assert not ok and g == P("(x+y+z)^19", XYZ)
+
+
+def test_sparse_high_degree_gcds_evaluate():
+    # degree up to 25 in each variable but only 9 terms: the heuristic shows
+    # in milliseconds that f is coprime to its derivatives, where the
+    # remainder sequence alone ran past 20 s
+    f = P("x^25*y^3*z^9 + 2*x^4*y^25*z^11 - 3*x^17*y^8*z^25 + 5*x^12*y^19*z^3"
+          " - x^7*y^2*z^14 + 2*x^21*y^11 + 3*y^6*z^22 - x^9*z^5 + 1", XYZ)
+    assert squarefree_test(f)[0]
+
+
+def test_poly_imports_nothing_from_groebner():
+    # poly is the bottom of the stack: the gcd and exact division need no
+    # Groebner basis
+    import logderiv.groebner
+    import logderiv.poly
+
+    tree = ast.parse(Path(logderiv.poly.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "groebner" not in (node.module or ""), ast.unparse(node)
+            assert all("groebner" not in alias.name for alias in node.names), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert all("groebner" not in alias.name for alias in node.names), ast.unparse(node)
+    # perfbench's tracer wraps groebner.polynomial_gcd under every name bound
+    # to it, squarefree_test's call in poly included, so both names must be
+    # the one function
+    assert logderiv.groebner.polynomial_gcd is logderiv.poly.polynomial_gcd
 
 
 # --- printing ------------------------------------------------------------------
@@ -198,6 +278,12 @@ def polys(draw, nvars=2, max_terms=4):
         if c:
             terms[e] = terms.get(e, 0) + c
     return Polynomial(nvars, {e: Fraction(c) for e, c in terms.items() if c})
+
+
+@given(polys(nvars=3), polys(nvars=3))
+def test_exact_div_recovers_the_cofactor(a, b):
+    if not b.is_zero():
+        assert exact_div(a * b, b) == a
 
 
 @given(polys(), polys(), polys())
