@@ -249,10 +249,26 @@ def generalized_log_module(
 ) -> list[Vector]:
     """Canonical (reduced-basis) generators of D(f), the derivations delta
     with delta(f_i) in <f_i^{e_i}> for every factor.  An empty factorization
-    denotes a nonzero constant, whose module is everything."""
+    denotes a nonzero constant, whose module is everything.
+
+    `log_derivations` returns the reduced basis of D(f) in the free module
+    whose slot i carries the degree of column i.  That degree is -u_i when
+    every factor is u-homogeneous and x_i occurs in one (a zero column has
+    degree 0).  With u + v = k constant, the slot shifts v_i = k - u_i then
+    differ from those by k alone, the two orders agree, and that basis is
+    returned as it is; otherwise it is reduced again under D(f)'s order.
+    """
     if validate:
         factored.validate()
     gens = log_derivations(factored.factors, ctx)
+    polys = [f for f, _ in factored.factors]
+    same_order = (
+        ctx.k is not None
+        and all(len({weighted_degree(e, ctx.u) for e in f.terms}) == 1 for f in polys)
+        and all(any(e[i] for f in polys for e in f.terms) for i in range(ctx.nvars))
+    )
+    if same_order:
+        return gens
     return list(buchberger(ctx.derivation_module(), gens).elements)
 
 

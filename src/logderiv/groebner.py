@@ -30,7 +30,12 @@ element up to a degree, with a new last variable h of weight 1
 (`homogenized`); `syzygies` and `homog` both homogenize through it.
 
 `GroebnerBasis` is the one Buchberger engine: a reduced basis with its leads
-prepared for division, grown in place by `add`.
+prepared for division, grown in place by `add`.  Its rows are also kept
+grouped by the slot of their lead, and a division tries a term only against
+the rows of the term's slot.  `add` interreduces only against the leads
+appended since it started, as the rows it starts from are already reduced.
+`grow` keeps a basis that is not interreduced and, for graded input,
+truncated at a degree: enough to decide membership.
 
 Everything is exact over Q and deterministic: bases are fully interreduced,
 made monic and sorted, so the reduced basis of a module under a fixed order
@@ -255,17 +260,28 @@ class _Prepared:
         self.slot, self.exps = packing.decode(lead)
 
 
+def _by_slot(basis: list[_Prepared], rank: int) -> list[list[_Prepared]]:
+    """The rows grouped by the slot of their lead, each group in basis
+    order: only a lead in a term's slot can divide it."""
+    slots: list[list[_Prepared]] = [[] for _ in range(rank)]
+    for b in basis:
+        slots[b.slot].append(b)
+    return slots
+
+
 def _divide(
     row: dict[int, int],
-    basis: list[_Prepared],
-    divmask: int,
+    divisors: list[list[_Prepared]],
+    packing: _Packing,
     check: int = 0,
     want_quotients: bool = False,
 ):
-    """Fraction-free full division: returns (scale, quotients, remainder)
-    with scale * row == sum(q_i * basis_i) + remainder, where q_i maps the
-    code of a monomial to its coefficient.  scale is a product of lead
-    coefficients, positive when they are.
+    """Fraction-free full division by the rows of `divisors` (`_by_slot`):
+    returns (scale, quotients, remainder) with scale * row ==
+    sum(q_b * b) + remainder, where quotients maps each row b to q_b, a
+    dict from the code of a monomial to its coefficient (an empty dict
+    without `want_quotients`).  scale is a product of lead coefficients,
+    positive when they are.
 
     The remainder contains no term divisible by any basis lead; with a
     reduced basis it is the canonical normal form up to scale.  A term c*t
@@ -278,25 +294,33 @@ def _divide(
     entry is still queued gets a second entry; the first one popped handles
     it and the term leaves `work`, so the other is skipped.
 
+    A term t is tried only against the rows of its slot, t & slot_mask, in
+    basis order, so it meets the same first divisor as in a scan of the
+    whole basis.  Within one slot a lead divides t exactly when no guard
+    bit of t - lead is set.
+
     With `check` (the packing's guard bits) every term the division creates
     is checked for a field overflow (FieldOverflow); without it the caller
     guarantees that none can occur.
     """
+    guard, slot_mask = packing.guard, packing.slot_mask
     work = dict(row)
     heap = list(work)
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     scale = 1
     remainder: dict[int, int] = {}
-    quotients: dict[_Prepared, dict[int, int]] = {b: {} for b in basis} if want_quotients else {}
+    quotients: dict[_Prepared, dict[int, int]] = (
+        {b: {} for slot in divisors for b in slot} if want_quotients else {}
+    )
     while heap:
         t = heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        for b in basis:
+        for b in divisors[t & slot_mask]:
             gamma = t - b.lead
-            if gamma & divmask:
+            if gamma & guard:
                 continue
             a = b.coeff
             if a != 1:
@@ -328,7 +352,7 @@ def _divide(
             break
         else:
             remainder[t] = c
-    return scale, [quotients[b] for b in basis] if want_quotients else [], remainder
+    return scale, quotients, remainder
 
 
 def _grading(module: FreeModule, vectors: list[Vector]) -> tuple[int, bool]:
@@ -351,7 +375,7 @@ def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Vector]
         prepared = [_Prepared(packing.row(basis[i]), packing) for i in live]
         try:
             scale, quotient_rows, rem = _divide(
-                packing.row(vec), prepared, packing.divmask,
+                packing.row(vec), _by_slot(prepared, module.rank), packing,
                 packing.guard if loose else 0, want_quotients=True,
             )
             break
@@ -359,8 +383,8 @@ def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Vector]
             packing = packing.wider()
     den = scale * _denominator(vec)
     quotients = [Polynomial.zero(module.nvars) for _ in basis]
-    for pos, q in zip(live, quotient_rows):
-        cleared = _denominator(basis[pos])
+    for pos, b in zip(live, prepared):
+        q, cleared = quotient_rows[b], _denominator(basis[pos])
         quotients[pos] = Polynomial._raw(module.nvars, {
             packing.decode(g + packing.one[0])[1]: Fraction(c * cleared, den)
             for g, c in q.items()
@@ -381,11 +405,13 @@ class GroebnerBasis:
     """Reduced Groebner basis of a submodule, grown in place by `add`.
 
     `basis` is the reduced basis (primitive integer rows with positive lead
-    coefficients, sorted by lead descending) between calls, and `elements`
+    coefficients, sorted by lead descending) between calls of `add` (`grow`
+    leaves a basis that is not reduced), and `elements`
     the same basis made monic.  `add` reduces new generators into it,
     processes S-pairs in increasing order of their lcm term (normal
     strategy) and interreduces.  Homogeneous input yields homogeneous output
-    for any order.
+    for any order.  The rows are also kept grouped by the slot of their
+    lead (`_by_slot`), which is where a division looks for a divisor.
 
     Pairs form only between leads in one slot, and the Gebauer–Möller
     update (Gebauer & Möller 1988, after Buchberger's 1979 chain criterion)
@@ -416,6 +442,7 @@ class GroebnerBasis:
     def __init__(self, module: FreeModule, gens=()):
         self.module = module
         self.basis: list[_Prepared] = []
+        self._divisors: list[list[_Prepared]] = _by_slot([], module.rank)
         self._pairs: list[tuple[int, int, int]] = []
         self._queued: dict[tuple[int, int], int] = {}
         self._packing: _Packing | None = None
@@ -435,21 +462,41 @@ class GroebnerBasis:
         gens = [g for g in gens if not vec_is_zero(g)]
         if not gens:
             return False
+        self._fit_vectors(gens)
+        settled = len(self.basis)
+        for g in gens:
+            self._reduce_and_append(lambda: self._packing.row(g))
+        if len(self.basis) == settled:
+            return False
+        self._close()
+        self._interreduce(settled)
+        self._elements = None
+        return True
+
+    def grow(self, g: Vector, degree: int | None = None) -> bool:
+        """Whether the nonzero g lies outside the submodule; if it does, its
+        remainder is appended.  First the queued pairs are processed: all of
+        them, or with `degree` those whose lcm has degree at most that.
+
+        This grows a Groebner basis that is not interreduced, truncated at
+        `degree` when that is given (Kreuzer & Robbiano 2005, 4.5.B).  For
+        homogeneous rows in an order that compares degrees first, an S-vector
+        is homogeneous of its lcm's degree, so a basis closed up to degree d
+        divides an element of degree at most d to zero exactly when it lies
+        in the submodule.  The basis serves further calls of `grow` only:
+        `add` and `elements` need the reduced basis.
+        """
+        self._fit_vectors([g])
+        self._close(degree)
+        size = len(self.basis)
+        self._reduce_and_append(lambda: self._packing.row(g))
+        self._elements = None
+        return len(self.basis) > size
+
+    def _fit_vectors(self, gens: list[Vector]) -> None:
         degree, loose = _grading(self.module, gens)
         self._fit(degree)
         self._loose |= loose
-        size = len(self.basis)
-        for g in gens:
-            self._reduce_and_append(lambda: self._packing.row(g))
-        if len(self.basis) == size:
-            return False
-        while self._pairs:
-            _, i, j = heapq.heappop(self._pairs)
-            if self._queued.pop((i, j), None) is not None:
-                self._reduce_and_append(lambda: self._spoly(i, j))
-        self._interreduce()
-        self._elements = None
-        return True
 
     def _fit(self, degree: int) -> None:
         if self._packing is None:
@@ -464,20 +511,32 @@ class GroebnerBasis:
             return new.term(*old.decode(code))
 
         self.basis = [_Prepared({move(k): c for k, c in b.row.items()}, new) for b in self.basis]
+        self._divisors = _by_slot(self.basis, self.module.rank)
         self._queued = {pair: move(lcm) for pair, lcm in self._queued.items()}
         self._pairs = [(-lcm, i, j) for (i, j), lcm in self._queued.items()]
         heapq.heapify(self._pairs)
 
-    def _remainder(self, make_row, skip: int | None = None) -> tuple[int, dict[int, int]]:
+    def _close(self, degree: int | None = None) -> None:
+        """Reduce the S-vectors of the queued pairs in increasing order of
+        their lcm: all of them, or those whose lcm has degree at most
+        `degree` (the first ones popped when the order compares degrees
+        first)."""
+        while self._pairs and (
+            degree is None or self._packing.degree(-self._pairs[0][0]) <= degree
+        ):
+            _, i, j = heapq.heappop(self._pairs)
+            if self._queued.pop((i, j), None) is not None:
+                self._reduce_and_append(lambda: self._spoly(i, j))
+
+    def _remainder(self, make_row) -> tuple[int, dict[int, int]]:
         """(scale, remainder) of the row make_row() builds, divided by the
-        basis less element `skip`.  On a field overflow the packing is
-        widened and the row built and divided again."""
+        basis.  On a field overflow the packing is widened and the row built
+        and divided again."""
         while True:
             packing = self._packing
-            basis = self.basis if skip is None else self.basis[:skip] + self.basis[skip + 1:]
             try:
                 scale, _, rem = _divide(
-                    make_row(), basis, packing.divmask, packing.guard if self._loose else 0
+                    make_row(), self._divisors, packing, packing.guard if self._loose else 0
                 )
                 return scale, rem
             except FieldOverflow:
@@ -550,36 +609,51 @@ class GroebnerBasis:
             queued[(i, t)] = lcm
             heapq.heappush(self._pairs, (-lcm, i, t))
         basis.append(b)
+        self._divisors[slot].append(b)
         if new:
             self._fit(max(packing.degree(lcm) for lcm, _ in new))
 
-    def _interreduce(self) -> None:
+    def _interreduce(self, settled: int) -> None:
         """Reduce the Groebner basis to the reduced basis, sorted by lead
         descending.
 
-        First drop every element whose lead is divisible by the lead of
-        another kept element (processing leads in ascending order, so
-        divisors are seen first).  Then divide each kept element with a
-        reducible tail term by the others, in place.  On this minimal basis
-        no lead divides another, so every lead survives its division, and
-        whether a tail term is reducible depends only on the leads (a lead
-        never divides a term below it); each remainder therefore has an
-        irreducible tail, and a second pass would change nothing.
+        It rests on one invariant.  The first `settled` rows are the
+        reduced basis `add` started from, so no lead among them divides a
+        term of another; each row appended since is the remainder of its
+        division by every row before it, so no earlier lead divides any of
+        its terms.  A lead that divides a term of row i is therefore the
+        lead of a row appended after i and after the settled rows, and only
+        those leads are checked.  They are not filtered by slot: a tail term
+        can lie in another slot than its row's lead.
+
+        First drop every row whose lead such a later lead divides: leads
+        are distinct, and those kept are the minimal ones.  Then divide the
+        tail of each kept row with a term divisible by a later lead by the
+        basis and put the lead back.  No lead divides a term below it, so
+        whether a tail term is reducible depends only on the leads; each new
+        tail is irreducible, and a second pass would change nothing.
         """
         divmask = self._packing.divmask
+        leads = [b.lead for b in self.basis]
         kept: list[_Prepared] = []
-        for b in sorted(self.basis, key=lambda b: b.lead, reverse=True):
-            if all((b.lead - k.lead) & divmask for k in kept):
-                kept.append(b)
-        # kept is in ascending term order with distinct leads
-        kept.reverse()
+        stale: set[_Prepared] = set()
+        for i, b in enumerate(self.basis):
+            later = leads[max(i + 1, settled):]
+            if any(not (b.lead - lead) & divmask for lead in later):
+                continue
+            kept.append(b)
+            if any(not (k - lead) & divmask for k, _ in b.tail for lead in later):
+                stale.add(b)
+        kept.sort(key=lambda b: b.lead)
         self.basis = kept
-        for i in range(len(kept)):
-            divmask = self._packing.divmask
-            leads = [a.lead for a in self.basis]
-            if any(not (k - lead) & divmask for k, _ in self.basis[i].tail for lead in leads):
-                rem = self._remainder(lambda: self.basis[i].row, skip=i)[1]
-                self.basis[i] = self._primitive(rem)
+        self._divisors = _by_slot(kept, self.module.rank)
+        for p in [p for p, b in enumerate(kept) if b in stale]:
+            # a row is no divisor of its own tail, so it may stay in the basis
+            scale, rem = self._remainder(lambda: dict(self.basis[p].tail))
+            b = self.basis[p]
+            self.basis[p] = self._primitive({b.lead: b.coeff * scale} | rem)
+        if stale:
+            self._divisors = _by_slot(self.basis, self.module.rank)
 
 
 def buchberger(module: FreeModule, gens) -> GroebnerBasis:

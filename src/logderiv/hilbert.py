@@ -317,8 +317,10 @@ def verify_degree_identity(
         if mod.ctx != ctx:
             raise ValueError("the LogModule was built under another grading")
         factored = mod.factored
-    f = factored.expand() if factored.factors else None
-    degree = u_degree(f, ctx.u) if f is not None else 0
+    # the degree of a product, without expanding it; u_degree raises
+    # NotQuasiHomogeneous on a factor that is not quasi-homogeneous, as it
+    # would on the product
+    degree = sum(e * u_degree(f, ctx.u) for f, e in factored.factors)
     expected = degree + ctx.v_sum
     if mod is None:
         mod = LogModule.of(factored, ctx)

@@ -690,13 +690,23 @@ def _monic(nvars: int, p: IntTerms, exps: list[Exponents]) -> Polynomial:
 def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """The gcd over Q, monic under the degree order, its terms descending:
     gcd(0, q) is q made monic (terms in q's order), and a nonzero constant
-    argument gives 1."""
+    argument gives 1.
+
+    A form of total degree 1 is irreducible, so its gcd with the other
+    argument is itself when it divides that, and 1 otherwise: one exact
+    division decides."""
     if p.is_zero() or q.is_zero():
         g = _integer_terms(q if p.is_zero() else p)[1]
         return _monic(p.nvars, g, list(g))
     if p.is_constant() or q.is_constant():
         return Polynomial.constant(1, p.nvars)
-    g = _gcd(_integer_terms(p)[1], _integer_terms(q)[1])
+    form, other = (p, q) if p.total_degree() == 1 else (q, p)
+    if form.total_degree() == 1:
+        a = _primitive(_integer_terms(form)[1])
+        divides = _divide_exact(_integer_terms(other)[1], a) is not None
+        g = a if divides else {(0,) * p.nvars: 1}
+    else:
+        g = _gcd(_integer_terms(p)[1], _integer_terms(q)[1])
     return _monic(p.nvars, g, sorted(g, key=degree_order(p.nvars).key_parts, reverse=True))
 
 

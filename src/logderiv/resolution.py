@@ -143,6 +143,15 @@ def minimal_generators(
     generating set (an element dependent on the kept ones modulo lower
     degrees would itself have been dropped), which bounds the length of the
     resolution.  Returns the kept vectors and their shifts.
+
+    One basis of the kept generators grows as they are kept
+    (`GroebnerBasis.grow`).  When every generator is homogeneous and the
+    order compares degrees first (no block split), a candidate of degree d
+    is tested against the basis closed up to degree d only: the pairs of
+    higher lcm wait for later candidates, and those above the last one are
+    never reduced.  Otherwise the basis is closed completely before each
+    candidate, since an S-vector of inhomogeneous rows can reduce to an
+    element of lower degree, and the truncated basis could miss it.
     """
     gens = [g for g in gens if not vec_is_zero(g)]
     degree_of = {
@@ -150,8 +159,11 @@ def minimal_generators(
         for g in gens
     }
     gens.sort(key=lambda g: (degree_of[id(g)], vec_sort_key(g)))
+    truncated = module.block_split is None and (
+        graded or all(vector_grading(module, g)[1] for g in gens)
+    )
     gb = GroebnerBasis(module)
-    kept = [g for g in gens if gb.add([g])]
+    kept = [g for g in gens if gb.grow(g, degree_of[id(g)] if truncated else None)]
     return kept, [degree_of[id(g)] for g in kept]
 
 

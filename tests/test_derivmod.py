@@ -345,3 +345,82 @@ def test_homogeneous_components_regroup():
     assert set(comps) == {1, 2}
     assert comps[1] == V("x", "0")
     assert comps[2] == V("0", "y")
+
+
+# --- the final reduction pass of generalized_log_module ---------------------------
+
+
+def recorded_passes(monkeypatch):
+    """The modules derivmod's `buchberger` runs in, recorded as it is called."""
+    from logderiv import derivmod
+
+    modules = []
+    original = derivmod.buchberger
+
+    def recording(module, gens):
+        modules.append(module)
+        return original(module, gens)
+
+    monkeypatch.setattr(derivmod, "buchberger", recording)
+    return modules
+
+
+def every_variable_occurs(factored, n):
+    return all(any(e[i] for f, _ in factored.factors for e in f.terms) for i in range(n))
+
+
+def terms_in_order(gens):
+    return [[list(p.terms.items()) for p in v] for v in gens]
+
+
+def test_log_derivations_are_d_f_s_reduced_basis_when_the_orders_agree(monkeypatch):
+    # u-homogeneous factors, u + v constant and every variable in a factor:
+    # the free arrangements, a 6-plane arrangement in general position and
+    # harness draws
+    cases = [(arrangement(normals, mults), GradedContext.standard(len(normals[0])))
+             for normals, mults, _ in FREE.values()]
+    cases.append((arrangement([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                               (1, 2, -1, 3), (-2, 1, 3, 1)]), GradedContext.standard(4)))
+    rng = random.Random("same-order")
+    while len(cases) < 20:
+        factored, ctx = random_instance(rng)
+        if every_variable_occurs(factored, ctx.nvars):
+            cases.append((factored, ctx))
+    for factored, ctx in cases:
+        passes = recorded_passes(monkeypatch)
+        got = generalized_log_module(factored, ctx)
+        assert passes == []
+        monkeypatch.undo()
+        dm = ctx.derivation_module()
+        expected = buchberger(dm, log_derivations(factored.factors, ctx)).elements
+        assert terms_in_order(got) == terms_in_order(expected)
+
+
+PASS_CASES = {
+    # x + x^2 in x, y: y occurs in no factor (and x + x^2 is not homogeneous)
+    "x+x^2": (FactoredPolynomial.single(P("x+x^2")), GradedContext.standard(2)),
+    # homogeneous, but y occurs in no factor, so column y has degree 0
+    "x^2+z^2": (FactoredPolynomial.single(P("x^2+z^2", XYZ)), GradedContext.standard(3)),
+    # quasi-homogeneous under u = (3, 2), with u + v = (3, 2) not constant
+    "u+v": (FactoredPolynomial.single(P("x^2+y^3")), GradedContext((3, 2), (0, 0))),
+    "u+v, two factors": (
+        FactoredPolynomial(((P("x^2+y^3"), 1), (P("x"), 2))), GradedContext((3, 2), (1, 0))
+    ),
+    # not quasi-homogeneous for any weights
+    "x^2*y+y^3+x": (FactoredPolynomial.single(P("x^2*y+y^3+x")), GradedContext.standard(2)),
+}
+
+
+def test_the_final_pass_runs_where_the_orders_may_differ(monkeypatch):
+    changed = 0
+    for factored, ctx in PASS_CASES.values():
+        dm = ctx.derivation_module()
+        passes = recorded_passes(monkeypatch)
+        got = generalized_log_module(factored, ctx)
+        assert passes == [dm]
+        monkeypatch.undo()
+        syz = log_derivations(factored.factors, ctx)
+        assert got == list(buchberger(dm, syz).elements)
+        assert tuple(got) == buchberger(dm, got).elements  # reduced under D(f)'s order
+        changed += got != syz
+    assert changed >= 2  # the pass does change some of them

@@ -17,6 +17,7 @@ from logderiv.poly import (
 from logderiv.groebner import (
     FreeModule,
     GroebnerBasis,
+    _by_slot,
     _divide,
     _Packing,
     _Prepared,
@@ -207,7 +208,7 @@ def test_buchberger_certificate_spairs_reduce_to_zero():
         for i in range(j):
             if basis[i].slot != basis[j].slot:
                 continue
-            _, _, rem = _divide(gb._spoly(i, j), basis, gb._packing.divmask)
+            _, _, rem = _divide(gb._spoly(i, j), _by_slot(basis, 1), gb._packing)
             assert not rem
             pairs += 1
     assert pairs == 1
@@ -570,6 +571,70 @@ def test_gcd_matches_the_colon_ideal_on_harness_and_arrangement_pairs(monkeypatc
     assert nontrivial > 50
 
 
+# a form of total degree 1 against the other argument, and the monic gcd
+LINEAR_GCDS = [
+    ("2*x+4*y", "-1/3*x-2/3*y", "x+2*y"),  # proportional forms
+    ("x+1", "x^2-1", "x+1"),
+    ("x^2-1", "x+1", "x+1"),
+    ("3*x-z", "(3*x-z)*(y+z)^2", "3*x-z"),
+    ("x+y", "x-y", "1"),  # coprime forms
+    ("x+y+z", "x*y+z^2", "1"),
+    ("y", "x^2*y+z", "1"),
+    ("z", "x*z^2", "z"),
+]
+
+
+def general_gcd(p, q):
+    """The monic gcd by the route for arguments of higher degree."""
+    from logderiv import poly
+
+    g = poly._gcd(poly._integer_terms(p)[1], poly._integer_terms(q)[1])
+    return poly._monic(p.nvars, g, sorted(g, key=MonomialOrder((1,) * p.nvars).key_parts,
+                                          reverse=True))
+
+
+@pytest.mark.parametrize("p, q, common", LINEAR_GCDS)
+def test_gcd_with_a_linear_form(p, q, common):
+    p, q = P(p, XYZ), P(q, XYZ)
+    ours = polynomial_gcd(p, q)
+    assert ours == monic(P(common, XYZ)) == polynomial_gcd(q, p)
+    assert ours == gcd_by_colon_ideal(p, q)
+    # the same terms, in the same order, as the general route
+    assert list(ours.terms.items()) == list(general_gcd(p, q).terms.items())
+
+
+def test_gcd_with_a_linear_form_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x1:5")
+
+    def to_sympy(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**e for s, e in zip(symbols, exps))
+            for exps, c in p.terms.items()
+        )
+
+    def from_sympy(expr):
+        terms = sympy.Poly(expr, *symbols).as_dict()
+        return Polynomial(4, {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items()})
+
+    rng = random.Random("gcd-linear")
+    nontrivial = 0
+    for _ in range(40):
+        form = Polynomial(4, {
+            tuple(int(i == j) for j in range(4)): rng.choice(RATIONALS)
+            for i in rng.sample(range(4), rng.randint(1, 4))
+        })
+        other = random_poly(rng, 4, rng.randint(1, 4), 2)
+        for q in (form * rng.choice(RATIONALS), form * other, other, other + form):
+            if q.is_constant():
+                continue
+            ours = polynomial_gcd(form, q)
+            assert ours == monic(from_sympy(sympy.gcd(to_sympy(form), to_sympy(q))))
+            assert ours == polynomial_gcd(q, form) == general_gcd(form, q)
+            nontrivial += not ours.is_constant()
+    assert nontrivial >= 80
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(
@@ -730,13 +795,12 @@ def test_heap_division_matches_max_scan_reference(name):
         ref_q, ref_rem = reference_divide(module, flat, basis)
         packing, (row, *rows) = packed_rows(module, [flat] + basis)
         prepared = [_Prepared(r, packing) for r in rows]
-        scale, quotients, remainder = _divide(
-            row, prepared, packing.divmask, want_quotients=True
-        )
-        assert [unpacked_quotient(packing, q, scale) for q in quotients] == ref_q
+        by_slot = _by_slot(prepared, module.rank)
+        scale, quotients, remainder = _divide(row, by_slot, packing, want_quotients=True)
+        assert [unpacked_quotient(packing, quotients[b], scale) for b in prepared] == ref_q
         assert unpacked(packing, remainder, scale) == ref_rem
         assert list(unpacked(packing, remainder, scale)) == list(ref_rem)
-        assert _divide(row, prepared, packing.divmask) == (scale, [], remainder)
+        assert _divide(row, by_slot, packing) == (scale, {}, remainder)
         reduced_steps += sum(len(q) for q in ref_q)
         scaled += abs(scale) > 1
     assert reduced_steps > 40  # the draws exercise reduction, not just copying
@@ -752,11 +816,14 @@ def test_division_handles_a_cancelled_then_recreated_term():
     flat = flatten((P("x^2+y^2+x*z", XYZ),))
     packing, (r1, r2, row) = packed_rows(module, [b1, b2, flat])
     prepared = [_Prepared(r1, packing), _Prepared(r2, packing)]
-    scale, quotients, remainder = _divide(row, prepared, packing.divmask, want_quotients=True)
-    assert (scale, quotients) == (1, [{0: 1}, {0: 1}])
+    scale, quotients, remainder = _divide(
+        row, _by_slot(prepared, 1), packing, want_quotients=True
+    )
+    assert (scale, [quotients[b] for b in prepared]) == (1, [{0: 1}, {0: 1}])
     assert unpacked(packing, remainder, 1) == {(0, (1, 0, 1)): -1}
     assert reference_divide(module, flat, [b1, b2]) == (
-        [unpacked_quotient(packing, q, 1) for q in quotients], unpacked(packing, remainder, 1)
+        [unpacked_quotient(packing, quotients[b], 1) for b in prepared],
+        unpacked(packing, remainder, 1),
     )
 
 
@@ -918,6 +985,24 @@ def test_adding_generators_in_chunks_gives_the_one_shot_basis(name):
     assert changed >= 12  # later chunks do change the basis
 
 
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_the_rows_a_division_looks_up_by_slot_are_the_basis_rows(name):
+    # after each add (interreduction included) and a widening of the fields
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"slots-{name}")
+    widened = 0
+    for _ in range(6):
+        gb = GroebnerBasis(module)
+        gens = random_vectors(rng, module, 4)
+        gens.append(unflatten(module, random_flat(rng, module, 2, 12)))
+        for g in gens:
+            width = gb._packing.width if gb._packing else None
+            gb.add([g])
+            assert gb._divisors == _by_slot(gb.basis, module.rank)
+            widened += width is not None and gb._packing.width > width
+    assert widened >= 3
+
+
 # --- Buchberger's criterion on the output ------------------------------------------
 
 
@@ -946,7 +1031,8 @@ def test_every_s_vector_of_the_reduced_basis_divides_to_zero(name):
         for j, b in enumerate(basis):
             for i, a in enumerate(basis[:j]):
                 if a.slot == b.slot:
-                    _, _, rem = _divide(gb._spoly(i, j), basis, gb._packing.divmask)
+                    by_slot = _by_slot(basis, module.rank)
+                    _, _, rem = _divide(gb._spoly(i, j), by_slot, gb._packing)
                     assert not rem, (a.row, b.row)
                     pairs += 1
     assert pairs >= 150

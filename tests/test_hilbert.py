@@ -5,12 +5,15 @@ import pytest
 from logderiv.poly import (
     MonomialOrder,
     NonPositiveWeightError,
+    NotQuasiHomogeneous,
     Polynomial,
     parse_poly,
+    u_degree,
 )
 from logderiv.groebner import FreeModule, ring_module
 from logderiv.derivmod import FactoredPolynomial, GradedContext, generalized_log_module
 from logderiv.resolution import free_resolution, minimize, pad_with_trivial_pair
+from logderiv.harness import random_instance
 from logderiv.hilbert import (
     HPSeries,
     chi,
@@ -335,6 +338,29 @@ def test_verify_degree_identity_constant():
     report = verify_degree_identity(fp, ctx)
     assert report["ok"]
     assert report["chi"] == ctx.v_sum == 1
+
+
+def test_verify_degree_identity_reads_deg_f_off_the_factors():
+    # sum(e_j * u_degree(f_j)) against the degree of the expanded product,
+    # on the free arrangements and on harness draws
+    from test_arrangements import FREE, arrangement
+
+    cases = [(arrangement(normals, mults), GradedContext.standard(len(normals[0])))
+             for normals, mults, _ in FREE.values()]
+    rng = random.Random("degree-of-f")
+    cases += [random_instance(rng) for _ in range(12)]
+    for fp, ctx in cases:
+        report = verify_degree_identity(fp, ctx, with_oracle=False)
+        assert report["degree"] == u_degree(fp.expand(), ctx.u)
+        assert report["ok"]
+
+
+def test_verify_degree_identity_rejects_a_factor_that_is_not_quasi_homogeneous():
+    fp = FactoredPolynomial(((P("x^2+y^2"), 1), (P("x+y^2"), 2)))
+    with pytest.raises(NotQuasiHomogeneous):
+        u_degree(fp.expand(), CTX2.u)
+    with pytest.raises(NotQuasiHomogeneous):
+        verify_degree_identity(fp, CTX2, with_oracle=False)
 
 
 def test_verify_degree_identity_needs_constraint():

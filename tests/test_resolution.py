@@ -341,6 +341,17 @@ def test_minimal_generators_match_the_restart_loop_ungraded():
     assert dropped > 20
 
 
+def test_minimal_generators_see_an_s_vector_that_drops_in_degree():
+    # y*(x^2 + y) - x*(x*y + 1) = y^2 - x: a pair of lcm degree 3 gives the
+    # third generator, of degree 2, so a basis closed only up to degree 2
+    # would keep it
+    module = ring_module(2, degree_order(2))
+    gens = [(P("x^2+y"),), (P("x*y+1"),), (P("y^2-x"),)]
+    kept, shifts = minimal_generators(module, gens)
+    assert (kept, shifts) == restart_minimal_generators(module, gens, False)
+    assert len(kept) == 2
+
+
 # --- minimize against the row/column reference ------------------------------------
 
 
