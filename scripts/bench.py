@@ -13,10 +13,13 @@ and of the traced run (`per_layer`), each with `correct`, `attempted`,
 on.  The exit code is 0 only when every run was correct.
 
 The per-layer seconds are wall times, and the host's speed drifts by up to
-2x over hours, so each `per_layer` entry also holds `reference_s`: the mean
-of perfbench's reference work (`reference_seconds`) timed in this process
-just before and just after the traced run.  Divide a layer's seconds by it
-to compare files made at different times.
+2x over hours.  Each `per_layer` entry also holds `reference_s`, the mean of
+perfbench's reference work (`reference_seconds`) timed in this process just
+before and just after the traced run, but dividing by it does not cancel
+that drift: homogenize layers so divided have read 1.09-1.22x an earlier
+file while paired untraced runs of the same two versions read 0.92x.  So a
+layer's seconds compare only against a parent traced on the same host in the
+same sitting, one run beside the other; the counts compare across files.
 """
 
 from __future__ import annotations

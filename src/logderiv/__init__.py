@@ -39,7 +39,6 @@ from .derivmod import (
     euler_derivation,
     format_derivation,
     generalized_log_module,
-    is_graded_submodule,
     log_derivations,
     parse_derivation,
     saito_check,

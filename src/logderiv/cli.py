@@ -103,6 +103,9 @@ def _build_inputs(args) -> tuple[list[str], FactoredPolynomial, GradedContext]:
         # with --k the polynomial is the base of a single-factor power
         factored = FactoredPolynomial.single(f, 1 if args.k is None else args.k)
     if getattr(args, "infer_weights", False):
+        if args.u:
+            raise UsageError("--u and --infer-weights cannot be combined: give the weights "
+                             "or infer them")
         u = infer_weights(f)
         if u is None:
             raise UsageError("no positive weight vector makes the input quasi-homogeneous")

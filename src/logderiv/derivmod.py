@@ -36,10 +36,8 @@ from .groebner import (
     buchberger,
     module_equal,
     module_quotient,
-    normal_form,
     ring_module,
     syzygies,
-    vec_is_zero,
 )
 from .resolution import Resolution, free_resolution, minimize
 
@@ -375,34 +373,3 @@ def annihilator_check(mod: LogModule) -> dict:
     ok = module_equal(ring, [(g,) for g in ideal], [(f,)])
     return {"ok": ok, "ideal": ideal, "f": f}
 
-
-def homogeneous_components(ctx: GradedContext, coeffs: Vector) -> dict[int, Vector]:
-    """Split a derivation by the common degree udeg(a_i) + v_i of its terms."""
-    n = ctx.nvars
-    buckets: dict[int, list[dict]] = {}
-    for slot, a in enumerate(coeffs):
-        for exps, c in a.terms.items():
-            d = sum(e * w for e, w in zip(exps, ctx.u)) + ctx.v[slot]
-            comp = buckets.setdefault(d, [dict() for _ in range(n)])
-            comp[slot][exps] = c
-    return {
-        d: tuple(Polynomial(n, comp[i]) for i in range(n))
-        for d, comp in sorted(buckets.items())
-    }
-
-
-def is_graded_submodule(
-    gens: list[Vector], ctx: GradedContext
-) -> tuple[bool, list[dict[int, Vector]]]:
-    """True iff every generator's homogeneous components stay in the module."""
-    dm = ctx.derivation_module()
-    gb = buchberger(dm, gens)
-    decompositions = []
-    graded = True
-    for g in gens:
-        comps = homogeneous_components(ctx, g)
-        decompositions.append(comps)
-        for comp in comps.values():
-            if not vec_is_zero(normal_form(dm, comp, gb)):
-                graded = False
-    return graded, decompositions

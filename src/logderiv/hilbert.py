@@ -9,7 +9,8 @@ dimension oracle expands the series degree by degree via exact linear
 algebra over the monomial basis; positive weights keep the slices finite
 dimensional, anything else is refused.
 
-The oracle eliminates fraction-free, on primitive integer rows.  A column
+The oracle eliminates fraction-free on primitive integer rows, by
+`poly.reduce_into`, which `poly.infer_weights` also uses.  A column
 (slot, exponents) is one int, its digits in a base B that exceeds every
 exponent that can occur (positive weights bound a multiplier's exponents by
 its degree), so multiplying a row by a monomial is one int add per term.
@@ -20,10 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import mul
 
-from .poly import NonPositiveWeightError, Polynomial, polynomial_gcd, u_degree
+from .poly import (
+    NonPositiveWeightError,
+    Polynomial,
+    polynomial_gcd,
+    primitive,
+    reduce_into,
+    u_degree,
+)
 from .groebner import (
     FreeModule,
     Vector,
@@ -189,13 +197,11 @@ def _integer_row(g: Vector, slot_place: int, place: list[int]) -> dict[int, int]
     """g as a primitive integer row keyed by packed column codes: its
     denominators cleared, then divided by the gcd of its coefficients."""
     den = reduce(lcm, (c.denominator for p in g for c in p.terms.values()))
-    row = {
+    return primitive({
         slot * slot_place + sum(map(mul, exps, place)): (c * den).numerator
         for slot, p in enumerate(g)
         for exps, c in p.terms.items()
-    }
-    content = reduce(gcd, row.values())
-    return {k: c // content for k, c in row.items()}
+    })
 
 
 def hp_bruteforce(
@@ -205,17 +211,15 @@ def hp_bruteforce(
     the rank of the rows alpha * g, over every generator g and every
     monomial alpha of degree d - deg g, by exact fraction-free elimination.
 
-    Rows are primitive integer rows.  A row whose lead column holds a pivot
-    with lead coefficients a (row) and b (pivot) becomes (b/h) * row -
-    (a/h) * pivot, h = gcd(a, b), divided by its content; the rank over Q is
-    the number of pivots.  A column, a slot and an exponent vector, is the
-    int slot * B^n + sum(e_i * B^(n-1-i)).  Every exponent of a multiplier
-    alpha is at most its degree d - deg g <= d_hi - (least generator
-    degree), because weights are positive, so with B = (largest generator
-    exponent) + d_hi - (least generator degree) + 1 no digit overflows:
-    multiplying by alpha adds alpha's code to each column, and the largest
-    code is the largest (slot, exps) tuple.  The codes of the multipliers of
-    each degree are built once per call.
+    Rows are primitive integer rows, reduced by `poly.reduce_into`; the
+    rank over Q is the number of pivots.  A column, a slot and an exponent
+    vector, is the int slot * B^n + sum(e_i * B^(n-1-i)).  Every exponent
+    of a multiplier alpha is at most its degree d - deg g <= d_hi - (least
+    generator degree), because weights are positive, so with B = (largest
+    generator exponent) + d_hi - (least generator degree) + 1 no digit
+    overflows: multiplying by alpha adds alpha's code to each column, and
+    the largest code is the largest (slot, exps) tuple.  The codes of the
+    multipliers of each degree are built once per call.
 
     Generators must be homogeneous; weights must be strictly positive (the
     module order enforces this), otherwise slices would be infinite
@@ -243,31 +247,7 @@ def hp_bruteforce(
                     for alpha in _monomials_of_weighted_degree(u, gap)
                 ]
             for shift in codes:
-                row = {k + shift: c for k, c in g_row.items()}
-                while row:
-                    lead = max(row)
-                    pivot = pivots.get(lead)
-                    if pivot is None:
-                        pivots[lead] = row
-                        break
-                    a, b = row[lead], pivot[lead]
-                    h = gcd(a, b)
-                    a //= h
-                    b //= h
-                    if b != 1:
-                        row = {k: b * c for k, c in row.items()}
-                    for k, c in pivot.items():
-                        v = row.get(k, 0) - a * c
-                        if v:
-                            row[k] = v
-                        else:
-                            del row[k]
-                    if row:
-                        # reduce, not gcd(*values): an argument tuple per step
-                        # would fill the interpreter's cache of freed tuples
-                        content = reduce(gcd, row.values())
-                        if content != 1:
-                            row = {k: c // content for k, c in row.items()}
+                reduce_into(pivots, {k + shift: c for k, c in g_row.items()})
         dims[d] = len(pivots)
     return dims
 

@@ -14,7 +14,6 @@ reverse-lexicographic tiebreak.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,92 +292,104 @@ def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     return Polynomial._raw(p.nvars, out)
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q (in place on copies)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+def primitive(row: dict) -> dict:
+    """An integer row (or polynomial) divided by the positive gcd of its
+    values; the row itself when that gcd is 1."""
+    content = reduce(math.gcd, row.values())
+    return row if content == 1 else {k: c // content for k, c in row.items()}
+
+
+def reduce_into(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Reduce an integer row by an echelon basis, fraction-free, and keep
+    what is left as a new pivot.
+
+    `pivots` maps the lead of each of its rows, the largest key, to the row.
+    While the row's lead holds a pivot, with lead coefficients a (row) and
+    b (pivot), the row becomes (b/h) * row - (a/h) * pivot, h = gcd(a, b),
+    divided by its content.  So len(pivots) is the rank over Q of the rows
+    reduced into it, and its leads are the pivot columns of their echelon
+    form, taking columns by descending key.  The row is consumed.
+    """
+    while row:
+        lead = max(row)
+        pivot = pivots.get(lead)
         if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        pr = rows[pivot_row]
-        inv = Fraction(1) / pr[col]
-        rows[pivot_row] = [x * inv for x in pr]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return rows
+            pivots[lead] = row
+            return
+        a, b = row[lead], pivot[lead]
+        h = math.gcd(a, b)
+        a //= h
+        b //= h
+        if b != 1:
+            row = {k: b * c for k, c in row.items()}
+        for k, c in pivot.items():
+            v = row.get(k, 0) - a * c
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+        if row:
+            # inline, not primitive(row): a call per step costs the slice
+            # oracle measurable time; reduce, not gcd(*values): an argument
+            # tuple per step would fill the interpreter's cache of freed tuples
+            content = reduce(math.gcd, row.values())
+            if content != 1:
+                row = {k: c // content for k, c in row.items()}
 
 
-# coordinate range searched by infer_weights when the solution space of
-# the weight equations has dimension above 1
+# largest free coordinate tried by infer_weights
 WEIGHT_SEARCH_BOUND = 8
+
+
+def _positive_points(k: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """The points of [1, bound]^k by increasing sum, then lexicographically."""
+
+    def with_sum(k: int, s: int) -> Iterator[tuple[int, ...]]:
+        if k == 1:
+            yield (s,)
+            return
+        for x in range(max(1, s - bound * (k - 1)), min(bound, s - k + 1) + 1):
+            for rest in with_sum(k - 1, s - x):
+                yield (x, *rest)
+
+    for s in range(k, bound * k + 1):
+        yield from with_sum(k, s)
 
 
 def infer_weights(p: Polynomial) -> tuple[int, ...] | None:
     """Find a positive integer weight vector making p quasi-homogeneous.
 
-    Solves the linear system equating the weighted degrees of all monomials
-    and returns the first strictly positive integer point, normalized by its
-    content.  When the solution space is a ray this is its minimal positive
-    integer point; higher-dimensional solution spaces are searched over small
-    integer combinations in a deterministic order.  Returns None when no
-    positive solution exists (within the search bound).
+    The weights u solve (m - m_0) . u = 0 for every monomial m of p, m_0 the
+    least.  Each free variable of the system is a coordinate of u, so it is
+    given a value 1..WEIGHT_SEARCH_BOUND, by increasing sum and then
+    lexicographically; the first assignment whose solution is strictly
+    positive is returned, divided by its content.  When the solution space
+    is a ray this is its minimal positive integer point.  Returns None when
+    no positive solution exists (within the search bound).
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot infer weights for the zero polynomial")
     n = p.nvars
     monos = sorted(p.terms)
-    rows = [
-        [Fraction(b - a) for a, b in zip(monos[0], m)] for m in monos[1:]
-    ]
-    rref = [r for r in _rref(rows) if any(x != 0 for x in r)]
-    pivots = []
-    for r in rref:
-        for j, x in enumerate(r):
-            if x != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(n) if j not in pivots]
+    # column i is keyed n - 1 - i, so each lead is its row's leftmost nonzero
+    # column and the leads are the pivot columns of the reduced echelon form
+    pivots: dict[int, dict[int, int]] = {}
+    for m in monos[1:]:
+        diff = {n - 1 - i: b - a for i, (a, b) in enumerate(zip(monos[0], m)) if a != b}
+        reduce_into(pivots, diff)
+    free = [i for i in range(n) if n - 1 - i not in pivots]
     if not free:
         return None
-
-    def point(assign: dict[int, Fraction]) -> list[Fraction]:
+    # a pivot row's other keys are below its lead, so in increasing lead
+    # order back substitution finds each of them free or already solved
+    solve = sorted(pivots.items())
+    for t in _positive_points(len(free), WEIGHT_SEARCH_BOUND):
         u = [Fraction(0)] * n
-        for j, t in assign.items():
-            u[j] = t
-        for r, j in zip(rref, pivots):
-            u[j] = -sum(r[c] * u[c] for c in free)
-        return u
-
-    k = len(free)
-    candidates: Iterator[tuple[int, ...]]
-    if k == 1:
-        candidates = iter([(1,), (-1,)])
-    else:
-        raw = itertools.product(
-            range(-WEIGHT_SEARCH_BOUND, WEIGHT_SEARCH_BOUND + 1), repeat=k
-        )
-        candidates = iter(
-            sorted(
-                (t for t in raw if any(t)),
-                key=lambda t: (sum(abs(x) for x in t), t),
-            )
-        )
-    for t in candidates:
-        u = point({j: Fraction(v) for j, v in zip(free, t)})
+        for i, x in zip(free, t):
+            u[i] = Fraction(x)
+        for lead, row in solve:
+            s = sum(c * u[n - 1 - k] for k, c in row.items() if k != lead)
+            u[n - 1 - lead] = -s / row[lead]
         if all(x > 0 for x in u):
             denom_lcm = math.lcm(*(x.denominator for x in u))
             ints = [int(x * denom_lcm) for x in u]
@@ -403,12 +414,6 @@ def _integer_terms(p: Polynomial) -> tuple[int, IntTerms]:
     """(den, den * p), den the lcm of p's denominators."""
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     return den, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-
-
-def _primitive(p: IntTerms) -> IntTerms:
-    """p divided by the (positive) gcd of its coefficients."""
-    content = reduce(math.gcd, p.values())
-    return p if content == 1 else {e: c // content for e, c in p.items()}
 
 
 def _is_constant(p: IntTerms) -> bool:
@@ -509,15 +514,15 @@ def _gcd_all(polys: list[IntTerms]) -> IntTerms:
         if _is_constant(g):
             break
         g = _gcd(g, h)
-    return _primitive(g)
+    return primitive(g)
 
 
 def _primitive_part(p: IntTerms, x: int) -> IntTerms:
     """p divided by its content as a polynomial in x_x over Z[other vars]."""
     content = _gcd_all(list(_coefficients(p, x).values()))
     if _is_constant(content):
-        return _primitive(p)
-    return _primitive(_divide_exact(p, content))
+        return primitive(p)
+    return primitive(_divide_exact(p, content))
 
 
 def _pseudo_remainder(a: IntTerms, b: IntTerms, x: int) -> IntTerms:
@@ -616,7 +621,7 @@ def _heuristic_gcd(f: IntTerms, g: IntTerms) -> IntTerms | None:
                         candidate[e[:x] + (k,) + e[x + 1:]] = digit
                     c = (c - digit) // xi
                     k += 1
-            candidate = _primitive(candidate)
+            candidate = primitive(candidate)
             if _divide_exact(f, candidate) is not None and _divide_exact(g, candidate) is not None:
                 return {e: c * content for e, c in candidate.items()}
         # the next point, larger by a factor of about 2.7 * xi^(1/4)
@@ -650,17 +655,17 @@ def _gcd_prs(p: IntTerms, q: IntTerms) -> IntTerms:
         # its derivative; evaluation would rebuild it from huge integers.
         for large, small, d_large, d_small in ((p, q, dp, dq), (q, p, dq, dp)):
             if all(map(le, d_small, d_large)):
-                small = _primitive(small)
+                small = primitive(small)
                 if _divide_exact(large, small) is not None:
                     return small
         g = _heuristic_gcd(p, q)
         if g is not None:
-            return _primitive(g)
+            return primitive(g)
     cp = _gcd_all(list(_coefficients(p, x).values()))
     cq = _gcd_all(list(_coefficients(q, x).values()))
     content = _gcd(cp, cq)
-    a = _primitive(p if _is_constant(cp) else _divide_exact(p, cp))
-    b = _primitive(q if _is_constant(cq) else _divide_exact(q, cq))
+    a = primitive(p if _is_constant(cp) else _divide_exact(p, cp))
+    b = primitive(q if _is_constant(cq) else _divide_exact(q, cq))
     if dp[x] < dq[x]:
         a, b = b, a
     while True:
@@ -672,10 +677,10 @@ def _gcd_prs(p: IntTerms, q: IntTerms) -> IntTerms:
             break
         a, b = b, _primitive_part(r, x)
     if _is_constant(content):
-        return _primitive(b)
+        return primitive(b)
     g: IntTerms = {}
     _multiply_into(g, content, b, 1)
-    return _primitive(g)
+    return primitive(g)
 
 
 def _monic(nvars: int, p: IntTerms, exps: list[Exponents]) -> Polynomial:
@@ -702,7 +707,7 @@ def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return Polynomial.constant(1, p.nvars)
     form, other = (p, q) if p.total_degree() == 1 else (q, p)
     if form.total_degree() == 1:
-        a = _primitive(_integer_terms(form)[1])
+        a = primitive(_integer_terms(form)[1])
         divides = _divide_exact(_integer_terms(other)[1], a) is not None
         g = a if divides else {(0,) * p.nvars: 1}
     else:

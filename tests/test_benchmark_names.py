@@ -72,17 +72,20 @@ def test_workload_names_exist_with_the_keywords_they_are_called_with():
 def test_tracer_observers_read_what_the_package_returns():
     # the observers read attributes of results (basis elements, resolution
     # ranks, image verdicts, normal forms); one homogenize call exercises all
-    # of them but normal_form, which a graded-submodule test runs
-    from logderiv import derivmod, homog
+    # of them but normal_form, called here through its module so that the
+    # tracer's wrapper sees it
+    from logderiv import derivmod, groebner, homog
     from logderiv.derivmod import FactoredPolynomial, GradedContext
     from logderiv.poly import parse_poly
 
     tracer = load_tracer()
     f = FactoredPolynomial.single(parse_poly("x^2+y^3+x*y", ["x", "y"]))
     ctx = GradedContext.standard(2)
+    dm = ctx.derivation_module()
     with tracer.Tracer() as t:
         homog.chi_homogenized(f)
-        derivmod.is_graded_submodule(derivmod.generalized_log_module(f, ctx), ctx)
+        gb = groebner.buchberger(dm, derivmod.generalized_log_module(f, ctx))
+        groebner.normal_form(dm, dm.unit_vector(0), gb)
     for name in tracer.OBSERVERS:
         assert t.observations[name], name
     metrics = t.layer_metrics()

@@ -117,6 +117,17 @@ def test_chi_with_inferred_weights(capsys):
     assert report["ok"] is True
 
 
+def test_given_and_inferred_weights_are_refused_together(capsys):
+    # --infer-weights used to win silently over --u
+    code, out, err = run(
+        capsys, "derivations", "x^2+y^3", "--vars", "x,y", "--u", "1,1", "--infer-weights",
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--u and --infer-weights" in err
+
+
 def test_hilbert_free_ring(capsys):
     code, out, _ = run(capsys, "hilbert", "--vars", "x,y", "--u", "1,2")
     assert code == 0

@@ -1,4 +1,7 @@
 import ast
+import json
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from logderiv.poly import (
     parse_poly,
     partial_derivative,
     polynomial_gcd,
+    reduce_into,
     squarefree_test,
     u_degree,
 )
@@ -113,6 +117,52 @@ def test_infer_weights_impossible():
 
 def test_infer_weights_single_monomial():
     assert infer_weights(P("x*y")) == (1, 1)
+
+
+def test_infer_weights_of_a_monomial_in_six_variables():
+    # six free dimensions: the answer is the first point the search tries,
+    # so it must not build its whole box of candidates first
+    names = [f"x{i}" for i in range(1, 7)]
+    assert infer_weights(parse_poly("*".join(names), names)) == (1,) * 6
+
+
+def test_infer_weights_matches_its_recorded_pool():
+    # 300 term sets in 1-4 variables drawn with random.Random(19), half of
+    # them of one weighted degree; the answers were recorded from the dense
+    # Fraction RREF that infer_weights solved with before `reduce_into`.
+    # Solution spaces of 0 to 4 free dimensions occur, and 2 and 3 free
+    # dimensions both with and without a positive point.
+    path = Path(__file__).parent / "golden" / "infer_weights.json"
+    records = json.loads(path.read_text(encoding="utf-8"))
+    assert len(records) == 300
+    for monos, expected in records:
+        p = Polynomial(len(monos[0]), {tuple(m): Fraction(1) for m in monos})
+        u = infer_weights(p)
+        assert u == (None if expected is None else tuple(expected)), monos
+        if u is not None:
+            assert min(u) > 0 and math.gcd(*u) == 1, monos
+            u_degree(p, u)
+
+
+def test_reduce_into_rank_and_pivots_match_sympy():
+    # column j keyed ncols - 1 - j, as infer_weights keys its variables: the
+    # leads are then the pivot columns of the reduced row echelon form
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("reduce-into")
+    for _ in range(200):
+        nrows, ncols, rank = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.choice((0, 0, 1, -2, 5)) for _ in range(ncols)] for _ in range(rank)]
+        matrix = [
+            [sum(row[t] * right[t][j] for t in range(rank)) for j in range(ncols)]
+            for row in left
+        ]
+        pivots: dict[int, dict[int, int]] = {}
+        for r in matrix:
+            reduce_into(pivots, {ncols - 1 - j: x for j, x in enumerate(r) if x})
+        m = sympy.Matrix(matrix)
+        assert len(pivots) == m.rank(), matrix
+        assert sorted(ncols - 1 - k for k in pivots) == list(m.rref()[1]), matrix
 
 
 # --- derivatives -------------------------------------------------------------
