@@ -320,8 +320,6 @@ def _echo(args, ctx: GradedContext) -> dict:
         echo["k"] = ctx.k
     if getattr(args, "factors", None):
         echo["factors"] = args.factors
-    if getattr(args, "seed", None) is not None:
-        echo["seed"] = args.seed
     return echo
 
 

@@ -24,6 +24,7 @@ from .poly import (
     Polynomial,
     exact_div,
     format_poly,
+    join_terms,
     parse_poly,
     partial_derivative,
     polynomial_gcd,
@@ -160,25 +161,13 @@ def format_derivation(coeffs: Vector, names: list[str], order=None) -> str:
     for name, a in zip(names, coeffs):
         if a.is_zero():
             continue
-        text = format_poly(a, names, order)
-        if text == "1":
-            piece = f"d_{name}"
-        elif text == "-1":
-            piece = f"-d_{name}"
-        elif len(a.terms) == 1:
-            piece = f"{text}*d_{name}"
-        else:
-            piece = f"({text})*d_{name}"
-        pieces.append(piece)
-    if not pieces:
-        return "0"
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
-        else:
-            out += f" + {piece}"
-    return out
+        sign, text = "+", format_poly(a, names, order)
+        if len(a.terms) > 1:
+            text = f"({text})"
+        elif text.startswith("-"):
+            sign, text = "-", text[1:]
+        pieces.append((sign, f"d_{name}" if text == "1" else f"{text}*d_{name}"))
+    return join_terms(pieces)
 
 
 def parse_derivation(text: str, names: list[str]) -> Vector:

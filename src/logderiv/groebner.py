@@ -21,8 +21,9 @@ elements are made monic there.
 `syzygies(module, gens, relations)` is the one kernel routine, and the only
 one that eliminates: it returns the c with sum(c_i * gens[i]) in the
 submodule generated by relations (Singular's `modulo`).  `intersect` and
-`module_quotient` are calls to it.  Polynomial gcds and exact division by
-one polynomial need no Groebner basis; they live in `poly`.
+`module_quotient` are one call to it each, and `combination` is the one
+linear combination sum(c_i * v_i) of vectors.  Polynomial gcds and exact
+division by one polynomial need no Groebner basis; they live in `poly`.
 
 `vector_grading` is the one reader of an element's degree (its largest
 shifted weighted degree), and `homogenize_vector` the one way to pad an
@@ -101,6 +102,18 @@ def vec_is_zero(vec: Vector) -> bool:
 
 def vec_sort_key(vec: Vector) -> tuple:
     return tuple(p.sort_key() for p in vec)
+
+
+def combination(coeffs, vectors) -> Vector:
+    """sum(coeffs[k] * vectors[k]), slot by slot, skipping zero
+    coefficients; () for no vectors."""
+    if not vectors:
+        return ()
+    terms = [(c, v) for c, v in zip(coeffs, vectors) if not c.is_zero()]
+    return tuple(
+        sum((c * v[slot] for c, v in terms), Polynomial.zero(p.nvars))
+        for slot, p in enumerate(vectors[0])
+    )
 
 
 def vector_grading(module: FreeModule, vec: Vector) -> tuple[int, bool]:
@@ -420,13 +433,8 @@ class GroebnerBasis:
       lcm(i, b) and lcm(j, b) differ from it;
     - M drops a new pair (i, b) when another new pair's lcm properly
       divides lcm(i, b);
-    - F keeps one new pair per lcm, and in rank 1 drops the whole group
-      when one of its pairs has coprime leads.
-    The coprime rule stays in rank 1 because it rests on the Koszul syzygy
-    g_b * g_i - g_i * g_b = 0, and two elements of a free module of higher
-    rank have no product: over equal shifts, (x, 1) and (y, 0) have coprime
-    leads x and y in slot 0, and their S-vector (0, y) is reducible by
-    neither.  Queued pairs live in `_queued`, (i, j) -> lcm term, beside
+    - F keeps one new pair per lcm.
+    Queued pairs live in `_queued`, (i, j) -> lcm term, beside
     the heap of (-lcm, i, j); a popped pair no longer in it was pruned and
     is skipped.
 
@@ -596,22 +604,16 @@ class GroebnerBasis:
         # M keeps the new pairs of minimal lcm, F one pair per lcm
         distinct = set(lcms.values())
         kept: dict[int, int] = {}
-        coprime: set[int] = set()
-        one = packing.one[slot]
         for i, lcm in lcms.items():
-            if any(m != lcm and not (lcm - m) & divmask for m in distinct):
-                continue
-            kept.setdefault(lcm, i)
-            if self.module.rank == 1 and lcm == basis[i].lead + lead - one:
-                coprime.add(lcm)
-        new = [(lcm, i) for lcm, i in kept.items() if lcm not in coprime]
-        for lcm, i in new:
+            if not any(m != lcm and not (lcm - m) & divmask for m in distinct):
+                kept.setdefault(lcm, i)
+        for lcm, i in kept.items():
             queued[(i, t)] = lcm
             heapq.heappush(self._pairs, (-lcm, i, t))
         basis.append(b)
         self._divisors[slot].append(b)
-        if new:
-            self._fit(max(packing.degree(lcm) for lcm, _ in new))
+        if kept:
+            self._fit(max(map(packing.degree, kept)))
 
     def _interreduce(self, settled: int) -> None:
         """Reduce the Groebner basis to the reduced basis, sorted by lead
@@ -623,8 +625,9 @@ class GroebnerBasis:
         division by every row before it, so no earlier lead divides any of
         its terms.  A lead that divides a term of row i is therefore the
         lead of a row appended after i and after the settled rows, and only
-        those leads are checked.  They are not filtered by slot: a tail term
-        can lie in another slot than its row's lead.
+        those leads are checked, each term against those in its own slot
+        as in a division (a tail term can lie in another slot than its
+        row's lead).
 
         First drop every row whose lead such a later lead divides: leads
         are distinct, and those kept are the minimal ones.  Then divide the
@@ -633,17 +636,17 @@ class GroebnerBasis:
         whether a tail term is reducible depends only on the leads; each new
         tail is irreducible, and a second pass would change nothing.
         """
-        divmask = self._packing.divmask
-        leads = [b.lead for b in self.basis]
+        divmask, slot_mask = self._packing.divmask, self._packing.slot_mask
+        later: list[list[int]] = [[] for _ in range(self.module.rank)]
         kept: list[_Prepared] = []
         stale: set[_Prepared] = set()
-        for i, b in enumerate(self.basis):
-            later = leads[max(i + 1, settled):]
-            if any(not (b.lead - lead) & divmask for lead in later):
-                continue
-            kept.append(b)
-            if any(not (k - lead) & divmask for k, _ in b.tail for lead in later):
-                stale.add(b)
+        for i, b in reversed(list(enumerate(self.basis))):
+            if not any(not (b.lead - a) & divmask for a in later[b.slot]):
+                kept.append(b)
+                if any(not (k - a) & divmask for k, _ in b.tail for a in later[k & slot_mask]):
+                    stale.add(b)
+            if i >= settled:
+                later[b.slot].append(b.lead)
         kept.sort(key=lambda b: b.lead)
         self.basis = kept
         self._divisors = _by_slot(kept, self.module.rank)
@@ -710,24 +713,20 @@ def intersect(module: FreeModule, gens_a, gens_b) -> list[Vector]:
     is homogeneous whenever both inputs are."""
     gens_a = list(gens_a)
     _, syz = syzygies(module, gens_a, gens_b)
-    combinations = []
-    for c in syz:
-        total = module.zero_vector()
-        for coeff, a in zip(c, gens_a):
-            total = tuple(t + coeff * p for t, p in zip(total, a))
-        combinations.append(total)
-    return list(buchberger(module, combinations).elements)
+    return list(buchberger(module, [combination(c, gens_a) for c in syz]).elements)
 
 
 def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:
-    """Ideal (N : M) = {s : s*M ⊆ N}: the intersection over the generators
-    g of M of (N : g), the syzygies of g modulo N."""
-    gens_n = list(gens_n)
-    ring = ring_module(module.nvars, module.order)
-    ideal = None
-    for g in gens_m:
-        _, colon = syzygies(module, [g], gens_n)
-        ideal = colon if ideal is None else intersect(ring, ideal, colon)
-    if ideal is None:
+    """Reduced basis of the ideal (N : M) = {s : s*M ⊆ N}, [1] when M has
+    no generators: the kernel of s -> (s*g_1, ..., s*g_k) into k copies of
+    F/N (Greuel & Pfister, A Singular Introduction to Commutative Algebra,
+    2.8), that is, the syzygies of the stacked element (g_1, ..., g_k) of
+    F^k modulo N placed in each copy."""
+    gens_n, gens_m = list(gens_n), list(gens_m)
+    if not gens_m:
         return [Polynomial.constant(1, module.nvars)]
-    return [v[0] for v in buchberger(ring, ideal).elements]
+    zero, k = module.zero_vector(), len(gens_m)
+    stacked = FreeModule(module.nvars, module.shifts * k, module.order)
+    relations = [zero * j + tuple(n) + zero * (k - 1 - j) for j in range(k) for n in gens_n]
+    _, colon = syzygies(stacked, [sum(map(tuple, gens_m), ())], relations)
+    return [v[0] for v in buchberger(ring_module(module.nvars, module.order), colon).elements]

@@ -27,6 +27,7 @@ from operator import mul
 from .poly import (
     NonPositiveWeightError,
     Polynomial,
+    join_terms,
     polynomial_gcd,
     primitive,
     reduce_into,
@@ -133,10 +134,7 @@ def format_series(hp: HPSeries) -> str:
         else:
             body = f"{a}*{mono}"
         parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    num = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        num += f" {sign} {body}"
+    num = join_terms(parts)
     if len(parts) > 1 or num.startswith("-"):
         num = f"({num})"
     denom = "".join(

@@ -365,7 +365,8 @@ def infer_weights(p: Polynomial) -> tuple[int, ...] | None:
     lexicographically; the first assignment whose solution is strictly
     positive is returned, divided by its content.  When the solution space
     is a ray this is its minimal positive integer point.  Returns None when
-    no positive solution exists (within the search bound).
+    no positive solution exists (within the search bound), without a scan
+    when a row of the echelon form has entries of one sign.
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot infer weights for the zero polynomial")
@@ -378,7 +379,8 @@ def infer_weights(p: Polynomial) -> tuple[int, ...] | None:
         diff = {n - 1 - i: b - a for i, (a, b) in enumerate(zip(monos[0], m)) if a != b}
         reduce_into(pivots, diff)
     free = [i for i in range(n) if n - 1 - i not in pivots]
-    if not free:
+    # a row of one sign (a single entry too) is nonzero at every positive u
+    if not free or any(len({c > 0 for c in row.values()}) == 1 for row in pivots.values()):
         return None
     # a pivot row's other keys are below its lead, so in increasing lead
     # order back substitution finds each of them free or already solved
@@ -858,10 +860,17 @@ def _format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+def join_terms(terms) -> str:
+    """(sign, body) pairs, sign "+" or "-", as the text `a - b + c`: a
+    leading sign only when it is "-"; "0" for no terms."""
+    text = ""
+    for sign, body in terms:
+        text += f" {sign} {body}" if text else ("-" if sign == "-" else "") + body
+    return text or "0"
+
+
 def format_poly(p: Polynomial, names: list[str], order: MonomialOrder | None = None) -> str:
     """Canonical text: terms descending under the order, explicit * and ^."""
-    if p.is_zero():
-        return "0"
     if order is None:
         order = degree_order(p.nvars)
     parts = []
@@ -882,8 +891,4 @@ def format_poly(p: Polynomial, names: list[str], order: MonomialOrder | None = N
         else:
             body = f"{_format_coeff(ac)}*{mono}"
         parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return join_terms(parts)

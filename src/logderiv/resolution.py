@@ -24,6 +24,7 @@ from .groebner import (
     FreeModule,
     GroebnerBasis,
     Vector,
+    combination,
     module_equal,
     syzygies,
     vec_is_zero,
@@ -53,17 +54,7 @@ class ModuleMap:
 
     def compose(self, other: "ModuleMap") -> tuple[Vector, ...]:
         """Columns of the composite map (other feeds into self)."""
-        return tuple(_apply(self.columns, col) for col in other.columns)
-
-
-def _apply(columns, coeffs) -> Vector:
-    """Image of the coefficient vector under the map with these columns:
-    sum(coeffs[k] * columns[k])."""
-    acc = None
-    for coeff, image in zip(coeffs, columns):
-        part = tuple(coeff * p for p in image)
-        acc = part if acc is None else tuple(a + b for a, b in zip(acc, part))
-    return acc if acc is not None else ()
+        return tuple(combination(col, self.columns) for col in other.columns)
 
 
 @dataclass(frozen=True)
@@ -277,11 +268,11 @@ def _split_unit(res: Resolution, p: int, i0: int, j0: int) -> Resolution:
     pivot = phi.columns[j0]
     if not pivot[i0].is_constant():
         raise ValueError("non-homogeneous entry with a constant term")
-    if not vec_is_zero(_apply(chain[p - 1].columns, pivot)):
+    if not vec_is_zero(combination(pivot, chain[p - 1].columns)):
         raise RuntimeError("pivot column of the previous map did not vanish")
     pivot_row = [(col[i0],) for col in phi.columns]
     if p + 1 < len(chain) and not all(
-        vec_is_zero(_apply(pivot_row, col)) for col in chain[p + 1].columns
+        vec_is_zero(combination(col, pivot_row)) for col in chain[p + 1].columns
     ):
         raise RuntimeError("pivot row of the next map did not vanish")
     inverse = 1 / pivot[i0].constant_coefficient()

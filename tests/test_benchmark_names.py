@@ -61,12 +61,14 @@ def test_workload_names_exist_with_the_keywords_they_are_called_with():
             target = imported[func.id]
         else:
             continue
-        if inspect.isclass(target):
-            continue
-        params = inspect.signature(target).parameters
-        for kw in node.keywords:
-            if kw.arg is not None:
-                assert kw.arg in params, f"{ast.unparse(func)}({kw.arg}=...)"
+        # the argument count and keyword names, so that an arity change
+        # fails here too; the AST nodes stand in for the values
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        assert all(kw.arg is not None for kw in node.keywords), ast.unparse(node)
+        try:
+            inspect.signature(target).bind(*node.args, **{kw.arg: kw for kw in node.keywords})
+        except TypeError as err:
+            raise AssertionError(f"{ast.unparse(node)}: {err}") from None
 
 
 def test_tracer_observers_read_what_the_package_returns():

@@ -22,6 +22,7 @@ from logderiv.groebner import (
     _Packing,
     _Prepared,
     buchberger,
+    combination,
     dehomogenize_vector,
     divide,
     homogenize_vector,
@@ -416,6 +417,49 @@ def test_module_quotient_by_itself_is_unit():
     gens = [(P("x"), P("y")), (P("y"), P("0"))]
     out = module_quotient(mod, gens, gens)
     assert module_equal(ring(2), [(q,) for q in out], [(P("1"),)])
+
+
+def quotient_by_fold(module, gens_n, gens_m):
+    """(N : M) folded from one colon per generator: (N : g), the syzygies
+    of g modulo N, intersected one after another."""
+    ring = ring_module(module.nvars, module.order)
+    ideal = None
+    for g in gens_m:
+        _, colon = syzygies(module, [g], gens_n)
+        ideal = colon if ideal is None else intersect(ring, ideal, colon)
+    return [v[0] for v in buchberger(ring, ideal).elements]
+
+
+def test_module_quotient_is_the_intersection_of_the_colons_by_each_generator():
+    # (D(f) : D) on harness draws, where D has 2 or 3 generators of unequal
+    # degrees, (0 : D), and the colon of a unit line by generators of D(f)
+    from logderiv.derivmod import generalized_log_module
+    from logderiv.harness import random_instance
+
+    rng = random.Random(0)
+    ranks = set()
+    for _ in range(10):
+        factored, ctx = random_instance(rng)
+        dm = ctx.derivation_module()
+        gens = generalized_log_module(factored, ctx)
+        units = [dm.unit_vector(i) for i in range(dm.rank)]
+        for gens_n, gens_m in [(gens, units), ([], units), (units[:1], gens[:3])]:
+            assert module_quotient(dm, gens_n, gens_m) == quotient_by_fold(dm, gens_n, gens_m)
+        assert module_quotient(dm, [], units) == []
+        ranks.add(dm.rank)
+    assert ranks == {2, 3}
+
+
+def test_module_quotient_of_inhomogeneous_ideals_is_the_fold():
+    rng = random.Random("quotient")
+    for _ in range(8):
+        gens_n = [(random_poly(rng, 2, 3, 2),) for _ in range(2)]
+        gens_m = [(random_poly(rng, 2, 2, 2),) for _ in range(rng.randint(2, 3))]
+        assert module_quotient(ring(2), gens_n, gens_m) == quotient_by_fold(ring(2), gens_n, gens_m)
+
+
+def test_module_quotient_by_no_generators_is_the_unit_ideal():
+    assert module_quotient(ring(2), [(P("x"),)], []) == [P("1")]
 
 
 def test_annihilator_of_conic_quotient():
@@ -952,6 +996,27 @@ def test_reduced_basis_is_a_fixed_point_of_buchberger(name):
         assert module_equal(module, list(gb.elements), gens)
         sizes.append(len(gb.elements))
     assert max(sizes) > 3  # some draws are not already Groebner bases
+
+
+# --- linear combinations ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_combination_is_the_sum_of_the_scaled_vectors(name):
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"combination-{name}")
+    zero = Polynomial.zero(module.nvars)
+    for _ in range(20):
+        vectors = random_vectors(rng, module, rng.randint(1, 4))
+        vectors.insert(rng.randrange(len(vectors) + 1), module.zero_vector())
+        coeffs = [random_poly(rng, module.nvars, rng.randint(1, 3), 2) for _ in vectors]
+        coeffs[rng.randrange(len(coeffs))] = zero
+        expected = module.zero_vector()
+        for c, v in zip(coeffs, vectors):
+            expected = tuple(e + c * p for e, p in zip(expected, v))
+        assert combination(coeffs, vectors) == expected
+        assert combination([zero] * len(vectors), vectors) == module.zero_vector()
+    assert combination([], []) == ()
 
 
 # --- the basis grows in place ------------------------------------------------------

@@ -19,6 +19,7 @@ from logderiv.hilbert import (
     chi,
     chi_additivity_check,
     dimension_via_pole,
+    format_series,
     hp_bruteforce,
     hp_expand,
     hp_free,
@@ -64,6 +65,17 @@ def test_hp_free_shifted_sum():
 def test_hp_rejects_nonpositive_weights():
     with pytest.raises(NonPositiveWeightError):
         HPSeries(((0, 1),), (1, -1))
+
+
+def test_format_series_brackets_a_sum_or_a_negative_numerator():
+    assert format_series(HPSeries(((1, 1), (3, -2)), (1,))) == "(-2*t^3 + t)/((1-t))"
+    assert format_series(HPSeries(((-1, 3), (0, -1), (4, 1)), (2, 1))) == (
+        "(t^4 - 1 + 3*t^-1)/((1-t)(1-t^2))"
+    )
+    assert format_series(HPSeries(((2, -1),), (1,))) == "(-t^2)/((1-t))"
+    assert format_series(HPSeries(((2, 1),), (1,))) == "t^2/((1-t))"
+    assert format_series(HPSeries(((0, 1),), (2, 1))) == "1/((1-t)(1-t^2))"
+    assert format_series(HPSeries((), (1, 1))) == "0"
 
 
 # --- series from resolutions ---------------------------------------------------

@@ -19,6 +19,7 @@ from logderiv.poly import (
     exact_div,
     format_poly,
     infer_weights,
+    join_terms,
     parse_poly,
     partial_derivative,
     polynomial_gcd,
@@ -124,6 +125,14 @@ def test_infer_weights_of_a_monomial_in_six_variables():
     # so it must not build its whole box of candidates first
     names = [f"x{i}" for i in range(1, 7)]
     assert infer_weights(parse_poly("*".join(names), names)) == (1,) * 6
+
+
+@pytest.mark.parametrize("text, nvars", [("x0*x1-x0", 8), ("x0*x1+1", 7)])
+def test_infer_weights_refuses_a_one_signed_row_without_a_scan(text, nvars):
+    # u_1 = 0 and u_0 + u_1 = 0 have no positive solution; the scan of
+    # [1, 8]^k would try 8^(nvars - 1) points before it said so
+    names = [f"x{i}" for i in range(nvars)]
+    assert infer_weights(parse_poly(text, names)) is None
 
 
 def test_infer_weights_matches_its_recorded_pool():
@@ -296,6 +305,13 @@ def test_format_canonical():
 
 def test_format_signs_and_fractions():
     assert format_poly(P("-x + 1/2"), XY) == "-x + 1/2"
+
+
+def test_join_terms_writes_a_leading_sign_only_when_negative():
+    assert join_terms([("-", "a"), ("+", "b"), ("-", "c")]) == "-a + b - c"
+    assert join_terms([("+", "a"), ("-", "b")]) == "a - b"
+    assert join_terms([("+", "a")]) == "a"
+    assert join_terms([]) == "0"
 
 
 # --- orders ----------------------------------------------------------------------
