@@ -19,6 +19,7 @@ from .poly import (
 from .groebner import (
     FreeModule,
     GroebnerBasis,
+    Row,
     buchberger,
     dehomogenize_vector,
     divide,

@@ -7,22 +7,32 @@ then by the ring order's reverse-lexicographic tie-break, with lower slot
 index winning ties.  An optional block split turns the order into an
 elimination order for the leading block of slots.
 
-Inside the engine (`GroebnerBasis`, division, S-vectors, interreduction) an
-element is an integer row: a dict from packed term to int.  A packed term
-is one int whose integer order is the term order (`_Packing`), so
-multiplying by a monomial is an int addition and the division heap holds
-bare ints.  Basis rows are primitive (content 1) with a positive lead
-coefficient, and division is fraction-free, so no Fraction arithmetic runs
-inside Buchberger's loop.  Rationals appear only at the edge: `add`,
-`divide` and `normal_form` clear the denominators of their input, and
-`elements`, `divide` and `normal_form` return Fraction polynomials; the
-elements are made monic there.
+An element has two forms.  A `Vector`, a tuple of Fraction polynomials, is
+the documented one: parsing, printing and the library API use it.  A `Row`
+is the one the routines compute with: integer coefficients on (slot,
+exponents) terms over one positive denominator, in lowest terms.  The
+routines a resolution runs through take either form (`as_row`), and
+`syzygies`, `homogenize_vector` and `dehomogenize_vector` return Rows when
+given Rows and Vectors when given Vectors.  So a resolution runs from its
+generators to its Betti table on Rows, and Fractions are made only where a
+caller asks for Vectors (`Row.of` and `Row.vector` are the two
+conversions).
+
+Inside the engine (`GroebnerBasis`, division, S-vectors, interreduction) a
+Row is packed: a dict from packed term to int.  A packed term is one int
+whose integer order is the term order (`_Packing`), so multiplying by a
+monomial is an int addition and the division heap holds bare ints.  Basis
+rows are primitive (content 1) with a positive lead coefficient, and
+division is fraction-free, so no Fraction arithmetic runs inside
+Buchberger's loop.  A packing belongs to one basis: a Row is packed as it
+enters one and unpacked (`_Packing.element`) as it leaves, the basis made
+monic there.
 
 `syzygies(module, gens, relations)` is the one kernel routine, and the only
 one that eliminates: it returns the c with sum(c_i * gens[i]) in the
 submodule generated by relations (Singular's `modulo`).  `intersect` and
 `module_quotient` are one call to it each, and `combination` is the one
-linear combination sum(c_i * v_i) of vectors.  Polynomial gcds and exact
+linear combination sum(c_i * v_i), on Rows.  Polynomial gcds and exact
 division by one polynomial need no Groebner basis; they live in `poly`.
 
 `vector_grading` is the one reader of an element's degree (its largest
@@ -50,13 +60,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 from .poly import (
     Exponents,
+    FiltrationError,
     MonomialOrder,
     Polynomial,
-    weighted_degree,
 )
 # The gcd needs no Groebner basis and lives in poly.  perfbench's tracer
 # finds it under this module's name, and wraps every name bound to it.
@@ -96,43 +106,101 @@ def ring_module(nvars: int, order: MonomialOrder) -> FreeModule:
     return FreeModule(nvars, (0,), order)
 
 
+@dataclass(slots=True)
+class Row:
+    """The element terms / den of a free module of rank `rank` over `nvars`
+    variables.  terms maps (slot, exponents) to a nonzero int, and den > 0
+    is the least common denominator of the element's coefficients: the
+    content of terms is prime to den, so equal elements have equal Rows."""
+
+    terms: dict[FlatTerm, int]
+    den: int
+    rank: int
+    nvars: int
+
+    @classmethod
+    def lowest(cls, terms: dict[FlatTerm, int], den: int, rank: int, nvars: int) -> "Row":
+        """The Row of terms / den, den a nonzero int."""
+        if den < 0:
+            terms, den = {k: -c for k, c in terms.items()}, -den
+        if den != 1:
+            g = reduce(math.gcd, terms.values(), den)
+            if g != 1:
+                terms, den = {k: c // g for k, c in terms.items()}, den // g
+        return cls(terms, den, rank, nvars)
+
+    @classmethod
+    def of(cls, vec: Vector) -> "Row":
+        """The Row of a Vector."""
+        den = reduce(math.lcm, (c.denominator for p in vec for c in p.terms.values()), 1)
+        return cls(
+            {
+                (slot, exps): c.numerator * (den // c.denominator)
+                for slot, p in enumerate(vec)
+                for exps, c in p.terms.items()
+            },
+            den,
+            len(vec),
+            vec[0].nvars if vec else 0,
+        )
+
+    def vector(self) -> Vector:
+        """The Vector of the Row: terms[t] / den at each term t."""
+        comps: list[dict] = [{} for _ in range(self.rank)]
+        den = self.den
+        for (slot, exps), c in self.terms.items():
+            comps[slot][exps] = Fraction(c) if den == 1 else Fraction(c, den)
+        nvars = self.nvars
+        return tuple(Polynomial._raw(nvars, d) for d in comps)
+
+
+def as_row(elem: Row | Vector) -> Row:
+    """The element as a Row (`Row.of` for a Vector)."""
+    return elem if isinstance(elem, Row) else Row.of(elem)
+
+
 def vec_is_zero(vec: Vector) -> bool:
     return all(p.is_zero() for p in vec)
 
 
-def vec_sort_key(vec: Vector) -> tuple:
-    return tuple(p.sort_key() for p in vec)
-
-
-def combination(coeffs, vectors) -> Vector:
-    """sum(coeffs[k] * vectors[k]), slot by slot, skipping zero
-    coefficients; () for no vectors."""
+def combination(coeffs: Row, vectors) -> Row:
+    """sum(coeffs[k] * vectors[k]) over the slots k of coeffs, where
+    coeffs[k] is the polynomial in slot k; the zero Row of rank 0 for no
+    vectors.  The one linear combination: every term product is a tuple
+    sum of exponents and an int product over one common denominator."""
     if not vectors:
-        return ()
-    terms = [(c, v) for c, v in zip(coeffs, vectors) if not c.is_zero()]
-    return tuple(
-        sum((c * v[slot] for c, v in terms), Polynomial.zero(p.nvars))
-        for slot, p in enumerate(vectors[0])
-    )
+        return Row({}, 1, 0, coeffs.nvars)
+    common = reduce(math.lcm, {vectors[k].den for k, _ in coeffs.terms}, 1)
+    out: dict[FlatTerm, int] = {}
+    get = out.get
+    for (k, e), c in coeffs.terms.items():
+        v = vectors[k]
+        c *= common // v.den
+        for (slot, f), a in v.terms.items():
+            key = (slot, tuple(map(add, e, f)))
+            out[key] = get(key, 0) + c * a
+    first = vectors[0]
+    out = {k: c for k, c in out.items() if c}
+    return Row.lowest(out, coeffs.den * common, first.rank, first.nvars)
 
 
-def vector_grading(module: FreeModule, vec: Vector) -> tuple[int, bool]:
-    """Largest shifted weighted degree of vec's terms (0 for the zero
-    vector), and whether every term has it."""
-    weights = module.order.weights
+def vector_grading(module: FreeModule, elem: Row | Vector) -> tuple[int, bool]:
+    """Largest shifted weighted degree of the element's terms (0 for zero),
+    and whether every term has it."""
+    weights, shifts = module.order.weights, module.shifts
     degrees = {
-        weighted_degree(exps, weights) + shift
-        for shift, p in zip(module.shifts, vec)
-        for exps in p.terms
+        shifts[slot] + sum(map(mul, exps, weights))
+        for slot, exps in as_row(elem).terms
     }
     return max(degrees, default=0), len(degrees) < 2
 
 
-def vector_degree(module: FreeModule, vec: Vector) -> int:
+def vector_degree(module: FreeModule, elem: Row | Vector) -> int:
     """The common degree of a nonzero homogeneous element (ValueError for
     any other)."""
-    degree, homogeneous = vector_grading(module, vec)
-    if not homogeneous or vec_is_zero(vec):
+    row = as_row(elem)
+    degree, homogeneous = vector_grading(module, row)
+    if not homogeneous or not row.terms:
         raise ValueError("only a nonzero homogeneous element has a degree")
     return degree
 
@@ -144,20 +212,43 @@ def homogenized(module: FreeModule) -> FreeModule:
     return FreeModule(module.nvars + 1, module.shifts, MonomialOrder(weights))
 
 
-def homogenize_vector(module: FreeModule, vec: Vector, degree: int | None = None) -> Vector:
-    """Pad every term of vec with a power of h up to shifted weighted degree
-    `degree` (default: the largest, `vector_grading`), which gives a
-    homogeneous element of `homogenized(module)`; raises FiltrationError
-    when a term is above `degree`.  The zero vector pads to zero."""
+def homogenize_vector(
+    module: FreeModule, elem: Row | Vector, degree: int | None = None
+) -> Row | Vector:
+    """Pad every term of the element with a power of h up to shifted
+    weighted degree `degree` (default: the largest, `vector_grading`), which
+    gives a homogeneous element of `homogenized(module)`; raises
+    FiltrationError when a term is above `degree`.  Zero pads to zero."""
+    row = as_row(elem)
     if degree is None:
-        degree = vector_grading(module, vec)[0]
-    weights = module.order.weights
-    return tuple(p.homogenize(degree - s, weights) for p, s in zip(vec, module.shifts))
+        degree = vector_grading(module, row)[0]
+    weights, shifts = module.order.weights, module.shifts
+    terms: dict[FlatTerm, int] = {}
+    for (slot, exps), c in row.terms.items():
+        bound = degree - shifts[slot]
+        gap = bound - sum(map(mul, exps, weights))
+        if gap < 0:
+            raise FiltrationError(
+                f"term of degree {bound - gap} exceeds the declared bound {bound}"
+            )
+        terms[(slot, exps + (gap,))] = c
+    out = Row(terms, row.den, row.rank, row.nvars + 1)
+    return out if isinstance(elem, Row) else out.vector()
 
 
-def dehomogenize_vector(vec: Vector) -> Vector:
-    """Set h to 1 in every slot; inverts `homogenize_vector`."""
-    return tuple(p.set_last_var_one() for p in vec)
+def dehomogenize_vector(elem: Row | Vector) -> Row | Vector:
+    """Set h, the last variable, to 1; inverts `homogenize_vector`."""
+    row = as_row(elem)
+    terms: dict[FlatTerm, int] = {}
+    for (slot, exps), c in row.terms.items():
+        key = (slot, exps[:-1])
+        s = terms.get(key, 0) + c
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
+    out = Row.lowest(terms, row.den, row.rank, row.nvars - 1)
+    return out if isinstance(elem, Row) else out.vector()
 
 
 class FieldOverflow(ValueError):
@@ -233,29 +324,22 @@ class _Packing:
         """Shifted weighted degree of a term."""
         return self.top - ((code >> self.deg_pos) & self.deg_mask)
 
-    def row(self, vec: Vector) -> dict[int, int]:
-        """vec times the lcm of its denominators (`_denominator`), as an
-        integer row.  Its terms must fit."""
-        den = _denominator(vec)
-        return {
-            self.term(slot, exps): c.numerator * (den // c.denominator)
-            for slot, p in enumerate(vec)
-            for exps, c in p.terms.items()
+    def row(self, row: Row) -> dict[int, int]:
+        """The integer terms of a Row, packed (its denominator dropped).
+        Its terms must fit."""
+        one, place = self.one, self.place
+        return {one[slot] + sum(map(mul, exps, place)): c
+                for (slot, exps), c in row.terms.items()}
+
+    def element(self, packed: dict[int, int], den: int, low: int = 0) -> Row:
+        """The Row packed / den, of the slots from `low` on, numbered from
+        0; packed has no term in a slot below `low`."""
+        mask, largest, positions = self.slot_mask, self.largest, self.positions
+        terms = {
+            ((code & mask) - low, tuple([(code >> p) & largest for p in positions])): c
+            for code, c in packed.items()
         }
-
-    def vector(self, row: dict[int, int], den: int) -> Vector:
-        """The rational vector row / den."""
-        comps: list[dict] = [{} for _ in range(self.module.rank)]
-        for code, c in row.items():
-            slot, exps = self.decode(code)
-            comps[slot][exps] = Fraction(c) if den == 1 else Fraction(c, den)
-        nvars = self.module.nvars
-        zero = Polynomial.zero(nvars)
-        return tuple(Polynomial._raw(nvars, d) if d else zero for d in comps)
-
-
-def _denominator(vec: Vector) -> int:
-    return reduce(math.lcm, (c.denominator for p in vec for c in p.terms.values()), 1)
+        return Row.lowest(terms, den, self.module.rank - low, self.module.nvars)
 
 
 class _Prepared:
@@ -368,50 +452,52 @@ def _divide(
     return scale, quotients, remainder
 
 
-def _grading(module: FreeModule, vectors: list[Vector]) -> tuple[int, bool]:
-    """The largest shifted degree of a term of vectors, and whether a
+def _grading(module: FreeModule, rows: list[Row]) -> tuple[int, bool]:
+    """The largest shifted degree of a term of rows, and whether a
     division by them can create a term above the degree of the term it
     reduces: that takes a block split and an inhomogeneous element."""
-    gradings = [vector_grading(module, v) for v in vectors]
+    gradings = [vector_grading(module, r) for r in rows]
     loose = module.block_split is not None and not all(h for _, h in gradings)
     return max(d for d, _ in gradings), loose
 
 
-def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Vector], Vector]:
+def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Polynomial], Vector]:
     """Divide vec by the basis, returning (quotients, remainder) with
     vec == sum(q_i * b_i) + remainder."""
-    basis = list(basis_vectors)
-    live = [i for i, b in enumerate(basis) if not vec_is_zero(b)]
-    degree, loose = _grading(module, [vec] + [basis[i] for i in live])
+    row = Row.of(vec)
+    basis = [Row.of(b) for b in basis_vectors]
+    live = [i for i, b in enumerate(basis) if b.terms]
+    degree, loose = _grading(module, [row] + [basis[i] for i in live])
     packing = _Packing(module, degree)
     while True:
         prepared = [_Prepared(packing.row(basis[i]), packing) for i in live]
         try:
             scale, quotient_rows, rem = _divide(
-                packing.row(vec), _by_slot(prepared, module.rank), packing,
+                packing.row(row), _by_slot(prepared, module.rank), packing,
                 packing.guard if loose else 0, want_quotients=True,
             )
             break
         except FieldOverflow:
             packing = packing.wider()
-    den = scale * _denominator(vec)
+    den = scale * row.den
     quotients = [Polynomial.zero(module.nvars) for _ in basis]
     for pos, b in zip(live, prepared):
-        q, cleared = quotient_rows[b], _denominator(basis[pos])
+        q, cleared = quotient_rows[b], basis[pos].den
         quotients[pos] = Polynomial._raw(module.nvars, {
             packing.decode(g + packing.one[0])[1]: Fraction(c * cleared, den)
             for g, c in q.items()
         })
-    return quotients, packing.vector(rem, den)
+    return quotients, packing.element(rem, den).vector()
 
 
 def normal_form(module: FreeModule, vec: Vector, gb: GroebnerBasis) -> Vector:
     """The remainder of vec divided by the reduced basis gb: zero exactly
     when vec lies in the submodule, and the same for any two vectors with
     the same class modulo it."""
-    gb._fit(vector_grading(module, vec)[0])
-    scale, rem = gb._remainder(lambda: gb._packing.row(vec))
-    return gb._packing.vector(rem, scale * _denominator(vec))
+    row = Row.of(vec)
+    gb._fit(vector_grading(module, row)[0])
+    scale, rem = gb._remainder(lambda: gb._packing.row(row))
+    return gb._packing.element(rem, scale * row.den).vector()
 
 
 class GroebnerBasis:
@@ -419,8 +505,9 @@ class GroebnerBasis:
 
     `basis` is the reduced basis (primitive integer rows with positive lead
     coefficients, sorted by lead descending) between calls of `add` (`grow`
-    leaves a basis that is not reduced), and `elements`
-    the same basis made monic.  `add` reduces new generators into it,
+    leaves a basis that is not reduced), and `rows` and `elements` the same
+    basis made monic, as Rows and as Vectors.  Generators may be Rows or
+    Vectors.  `add` reduces new generators into it,
     processes S-pairs in increasing order of their lcm term (normal
     strategy) and interreduces.  Homogeneous input yields homogeneous output
     for any order.  The rows are also kept grouped by the slot of their
@@ -455,22 +542,32 @@ class GroebnerBasis:
         self._queued: dict[tuple[int, int], int] = {}
         self._packing: _Packing | None = None
         self._loose = False
-        self._elements: tuple[Vector, ...] | None = ()
+        self._rows: tuple[Row, ...] | None = None
+        self._elements: tuple[Vector, ...] | None = None
         self.add(gens)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        if self._rows is None:
+            self._rows = tuple(self._packing.element(b.row, b.coeff) for b in self.basis)
+        return self._rows
 
     @property
     def elements(self) -> tuple[Vector, ...]:
         if self._elements is None:
-            self._elements = tuple(self._packing.vector(b.row, b.coeff) for b in self.basis)
+            self._elements = tuple(r.vector() for r in self.rows)
         return self._elements
+
+    def _changed(self) -> None:
+        self._rows = self._elements = None
 
     def add(self, gens) -> bool:
         """Add generators and return whether the module grew.  If none was
         appended, no pair was queued and the basis is still reduced."""
-        gens = [g for g in gens if not vec_is_zero(g)]
+        gens = [r for r in map(as_row, gens) if r.terms]
         if not gens:
             return False
-        self._fit_vectors(gens)
+        self._fit_rows(gens)
         settled = len(self.basis)
         for g in gens:
             self._reduce_and_append(lambda: self._packing.row(g))
@@ -478,10 +575,10 @@ class GroebnerBasis:
             return False
         self._close()
         self._interreduce(settled)
-        self._elements = None
+        self._changed()
         return True
 
-    def grow(self, g: Vector, degree: int | None = None) -> bool:
+    def grow(self, g: Row | Vector, degree: int | None = None) -> bool:
         """Whether the nonzero g lies outside the submodule; if it does, its
         remainder is appended.  First the queued pairs are processed: all of
         them, or with `degree` those whose lcm has degree at most that.
@@ -494,14 +591,15 @@ class GroebnerBasis:
         in the submodule.  The basis serves further calls of `grow` only:
         `add` and `elements` need the reduced basis.
         """
-        self._fit_vectors([g])
+        g = as_row(g)
+        self._fit_rows([g])
         self._close(degree)
         size = len(self.basis)
         self._reduce_and_append(lambda: self._packing.row(g))
-        self._elements = None
+        self._changed()
         return len(self.basis) > size
 
-    def _fit_vectors(self, gens: list[Vector]) -> None:
+    def _fit_rows(self, gens: list[Row]) -> None:
         degree, loose = _grading(self.module, gens)
         self._fit(degree)
         self._loose |= loose
@@ -666,13 +764,14 @@ def buchberger(module: FreeModule, gens) -> GroebnerBasis:
 
 def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     """Equality of generated submodules via reduced-basis uniqueness."""
-    return buchberger(module, gens_a).elements == buchberger(module, gens_b).elements
+    return buchberger(module, gens_a).rows == buchberger(module, gens_b).rows
 
 
-def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list[Vector]]:
+def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list]:
     """Generators of {c : sum(c_i * gens[i]) lies in the submodule generated
     by relations}, the syzygies of gens modulo relations, in the free module
-    whose slot i carries the degree of gens[i] (`vector_grading`).
+    whose slot i carries the degree of gens[i] (`vector_grading`); Rows when
+    gens are Rows, Vectors otherwise.
 
     Eliminates the ambient block from the module generated by (g_i, e_i) and
     (r, 0) in the ambient ⊕ that free module; this is the one place a block
@@ -685,35 +784,39 @@ def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list[V
     """
     if module.block_split is not None:
         raise ValueError("nested block splits are not supported")
-    gens, relations = list(gens), list(relations)
+    gens = list(gens)
+    vectors = not all(isinstance(g, Row) for g in gens)
+    gens = [as_row(g) for g in gens]
+    relations = [as_row(r) for r in relations]
     gradings = [vector_grading(module, g) for g in gens]
     degrees = tuple(d for d, _ in gradings)
-    syz_module = units = FreeModule(module.nvars, degrees, module.order)
+    syz_module = FreeModule(module.nvars, degrees, module.order)
     homogeneous = all(h for _, h in gradings + [vector_grading(module, r) for r in relations])
     if not homogeneous:
         gens = [homogenize_vector(module, g, d) for g, d in zip(gens, degrees)]
         relations = [homogenize_vector(module, r) for r in relations]
-        module, units = homogenized(module), homogenized(syz_module)
-    rank = module.rank
+        module = homogenized(module)
+    rank, size, one = module.rank, module.rank + len(gens), (0,) * module.nvars
     ext = FreeModule(module.nvars, module.shifts + degrees, module.order, block_split=rank)
-    ext_gens = [tuple(g) + units.unit_vector(i) for i, g in enumerate(gens)]
-    ext_gens += [tuple(r) + units.zero_vector() for r in relations]
+    ext_gens = [Row(g.terms | {(rank + i, one): g.den}, g.den, size, module.nvars)
+                for i, g in enumerate(gens)]
+    ext_gens += [Row(r.terms, r.den, size, module.nvars) for r in relations]
     # an element has a zero leading block exactly when its lead is below
-    # the split, so only those rows are made monic vectors
+    # the split, and then every term is: only those rows are unpacked
     gb = buchberger(ext, ext_gens)
-    syz = [gb._packing.vector(b.row, b.coeff)[rank:] for b in gb.basis if b.slot >= rank]
+    syz = [gb._packing.element(b.row, b.coeff, rank) for b in gb.basis if b.slot >= rank]
     if not homogeneous:
         syz = [dehomogenize_vector(s) for s in syz]
-    return syz_module, syz
+    return syz_module, [s.vector() for s in syz] if vectors else syz
 
 
 def intersect(module: FreeModule, gens_a, gens_b) -> list[Vector]:
     """Reduced Groebner basis of the intersection of two submodules: the
     combinations sum(c_i * a_i) over the syzygies c of A modulo B.  Output
     is homogeneous whenever both inputs are."""
-    gens_a = list(gens_a)
-    _, syz = syzygies(module, gens_a, gens_b)
-    return list(buchberger(module, [combination(c, gens_a) for c in syz]).elements)
+    rows_a = [as_row(g) for g in gens_a]
+    _, syz = syzygies(module, rows_a, gens_b)
+    return list(buchberger(module, [combination(c, rows_a) for c in syz]).elements)
 
 
 def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:

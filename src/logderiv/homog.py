@@ -11,7 +11,10 @@ weights), where that bound is the total degree plus the shift.
 A filtration resolution of a module can be homogenized columnwise; the
 result is always a complex, and a homogeneous free resolution of the
 homogenized module exactly when h saturates the image of every homogenized
-map.  The degree bound of a column is the shift of its source slot.
+map.  The degree bound of a column is the shift of its source slot.  The
+columns stay Rows (`groebner.Row`) throughout: homogenizing a Row pads the
+h exponent of each term, dehomogenizing drops it, and the complex check and
+the image test read integer terms.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from .groebner import (
     homogenized,
     intersect,
     module_equal,
+    ring_module,
 )
+from .poly import degree_order
 from .derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from .resolution import (
     ModuleMap,
@@ -47,7 +52,7 @@ def homogenize_module(
     reduced basis under a degree order.  Homogenizing an arbitrary
     generating set would in general give a strictly smaller module."""
     gb = buchberger(module, gens)
-    return homogenized(module), [homogenize_vector(module, g) for g in gb.elements]
+    return homogenized(module), [homogenize_vector(module, g).vector() for g in gb.rows]
 
 
 @dataclass
@@ -79,7 +84,7 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     ]
     hchain = [
         ModuleMap(
-            tuple(homogenize_vector(t, col, d) for col, d in zip(m.columns, m.source_shifts)),
+            tuple(homogenize_vector(t, col, d) for col, d in zip(m.rows, m.source_shifts)),
             m.source_shifts,
         )
         for m, t in zip(res.chain, targets)
@@ -94,10 +99,10 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
         # slots: h divides a homogeneous element when it divides its lead, and
         # h divided out of N's reduced basis leaves a basis of N : h^inf.  If
         # h^a divides g, a > 0, g / h^a is outside N: no lead divides another.
-        gb = buchberger(homogenized(target), list(hm.columns))
-        divisible = [g for g in gb.elements if all(e[-1] for q in g for e in q.terms)]
+        gb = buchberger(homogenized(target), list(hm.rows))
+        divisible = [g for g in gb.rows if all(exps[-1] for _, exps in g.terms)]
         if divisible:
-            witnesses[p] = homogenize_vector(target, dehomogenize_vector(divisible[0]))
+            witnesses[p] = homogenize_vector(target, dehomogenize_vector(divisible[0])).vector()
     image_ok = tuple(p not in witnesses for p in range(len(hchain)))
     return HomogenizedComplex(h_res, image_ok, witnesses)
 
@@ -177,10 +182,10 @@ def chi_homogenized(
 
 def homogenize_factored(factored: FactoredPolynomial) -> FactoredPolynomial:
     """Factorwise homogenization, preserving the multiplicity structure."""
-    parts = []
-    for f, e in factored.factors:
-        parts.append((f.homogenize(f.total_degree(), (1,) * f.nvars), e))
-    return FactoredPolynomial(tuple(parts))
+    ring = ring_module(factored.nvars, degree_order(factored.nvars))
+    return FactoredPolynomial(
+        tuple((homogenize_vector(ring, (f,))[0], e) for f, e in factored.factors)
+    )
 
 
 def verify_lemma_intersection(factored: FactoredPolynomial | LogModule) -> dict:

@@ -201,31 +201,6 @@ class Polynomial:
             return Polynomial.constant(other, self.nvars)
         return NotImplemented
 
-    def set_last_var_one(self) -> "Polynomial":
-        """Substitute 1 for the last variable (dehomogenization)."""
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            key = e[:-1]
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return Polynomial._raw(self.nvars - 1, out)
-
-    def homogenize(self, target: int, weights: tuple[int, ...]) -> "Polynomial":
-        """Append a last variable of weight 1 to the power that brings every
-        term's weighted degree up to `target`; set_last_var_one inverts it."""
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            gap = target - weighted_degree(e, weights)
-            if gap < 0:
-                raise FiltrationError(
-                    f"term of degree {target - gap} exceeds the declared bound {target}"
-                )
-            out[e + (gap,)] = c
-        return Polynomial._raw(self.nvars + 1, out)
-
     def sort_key(self) -> tuple:
         """Deterministic total key, independent of any monomial order."""
         return tuple(sorted((e, c) for e, c in self.terms.items()))
@@ -366,7 +341,7 @@ def infer_weights(p: Polynomial) -> tuple[int, ...] | None:
     positive is returned, divided by its content.  When the solution space
     is a ray this is its minimal positive integer point.  Returns None when
     no positive solution exists (within the search bound), without a scan
-    when a row of the echelon form has entries of one sign.
+    when a row of the reduced echelon form has entries of one sign.
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot infer weights for the zero polynomial")
@@ -379,17 +354,30 @@ def infer_weights(p: Polynomial) -> tuple[int, ...] | None:
         diff = {n - 1 - i: b - a for i, (a, b) in enumerate(zip(monos[0], m)) if a != b}
         reduce_into(pivots, diff)
     free = [i for i in range(n) if n - 1 - i not in pivots]
+    # back substitution, fraction-free: in increasing lead order each lead is
+    # cleared from the rows above it, whose other pivot keys below it are
+    # cleared already, so every row is left with its lead and free keys only
+    solve = sorted(pivots)
+    for k, low in enumerate(solve):
+        pivot = pivots[low]
+        for high in solve[k + 1:]:
+            row = pivots[high]
+            if low in row:
+                h = math.gcd(row[low], pivot[low])
+                a, b = row[low] // h, pivot[low] // h
+                row = {key: b * c - a * pivot.get(key, 0) for key, c in row.items()}
+                row.update({key: -a * c for key, c in pivot.items() if key not in row})
+                pivots[high] = primitive({key: c for key, c in row.items() if c})
     # a row of one sign (a single entry too) is nonzero at every positive u
     if not free or any(len({c > 0 for c in row.values()}) == 1 for row in pivots.values()):
         return None
-    # a pivot row's other keys are below its lead, so in increasing lead
-    # order back substitution finds each of them free or already solved
     solve = sorted(pivots.items())
     for t in _positive_points(len(free), WEIGHT_SEARCH_BOUND):
         u = [Fraction(0)] * n
         for i, x in zip(free, t):
             u[i] = Fraction(x)
         for lead, row in solve:
+            # the other keys of a reduced row are free
             s = sum(c * u[n - 1 - k] for k, c in row.items() if k != lead)
             u[n - 1 - lead] = -s / row[lead]
         if all(x > 0 for x in u):

@@ -12,38 +12,52 @@ grading: a resolution is graded when the generators of M are homogeneous.
 `minimize` splits off unit pivots.  The chain conditions are stated here
 once: `Resolution.is_complex`, `certify_exact` on top of it, and the complex
 condition at each pivot `minimize` splits.
+
+A map keeps its columns as Rows (`groebner.Row`, integers over one
+denominator): the resolution runs on them from `syzygies` to the Betti
+table, and composites and Schur complements are `groebner.combination`.
+`ModuleMap.columns` and `entry` are the Vector views, made on demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .poly import Polynomial
 from .groebner import (
     FreeModule,
     GroebnerBasis,
+    Row,
     Vector,
+    as_row,
     combination,
     module_equal,
     syzygies,
-    vec_is_zero,
-    vec_sort_key,
-    vector_degree,
     vector_grading,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModuleMap:
-    """Map from a shifted free module; columns are images of the source
-    basis expressed in target coordinates.  In a resolution chain[p] holds
-    the shifts of F_p, its source, and only those: the shifts of its target
-    F_{p-1} live in chain[p - 1] (in the ambient for p = 0), where
-    `Resolution.target_shifts` reads them."""
+    """Map from a shifted free module; its columns are the images of the
+    source basis in target coordinates, kept as `rows` and built from Rows
+    or Vectors.  In a resolution chain[p] holds the shifts of F_p, its
+    source, and only those: the shifts of its target F_{p-1} live in
+    chain[p - 1] (in the ambient for p = 0), where `Resolution.target_shifts`
+    reads them."""
 
-    columns: tuple[Vector, ...]
+    rows: tuple[Row, ...]
     source_shifts: tuple[int, ...]
+
+    def __init__(self, rows, source_shifts: tuple[int, ...]):
+        object.__setattr__(self, "rows", tuple(as_row(col) for col in rows))
+        object.__setattr__(self, "source_shifts", source_shifts)
+
+    @cached_property
+    def columns(self) -> tuple[Vector, ...]:
+        return tuple(col.vector() for col in self.rows)
 
     @property
     def source_rank(self) -> int:
@@ -52,9 +66,9 @@ class ModuleMap:
     def entry(self, i: int, j: int) -> Polynomial:
         return self.columns[j][i]
 
-    def compose(self, other: "ModuleMap") -> tuple[Vector, ...]:
-        """Columns of the composite map (other feeds into self)."""
-        return tuple(combination(col, self.columns) for col in other.columns)
+    def compose(self, other: "ModuleMap") -> tuple[Row, ...]:
+        """Columns of the composite map (other feeds into self), as Rows."""
+        return tuple(combination(col, self.rows) for col in other.rows)
 
 
 @dataclass(frozen=True)
@@ -82,7 +96,7 @@ class Resolution:
 
     @cached_property
     def graded(self) -> bool:
-        return all(vector_grading(self.ambient, col)[1] for col in self.chain[0].columns)
+        return all(vector_grading(self.ambient, col)[1] for col in self.chain[0].rows)
 
     @property
     def length(self) -> int:
@@ -105,10 +119,10 @@ class Resolution:
         with p >= 1, scanning maps, then columns, then rows; None when there
         is none, that is, when the resolution is minimal."""
         for p in range(1, len(self.chain)):
-            for j, col in enumerate(self.chain[p].columns):
-                for i, entry in enumerate(col):
-                    if entry.constant_coefficient() != 0:
-                        return p, i, j
+            for j, col in enumerate(self.chain[p].rows):
+                units = [i for i, exps in col.terms if not any(exps)]
+                if units:
+                    return p, min(units), j
         return None
 
     def is_minimal(self) -> bool:
@@ -117,23 +131,24 @@ class Resolution:
     def is_complex(self) -> bool:
         """Every composite phi_{p-1} phi_p vanishes."""
         return all(
-            vec_is_zero(col)
+            not col.terms
             for upper, lower in zip(self.chain, self.chain[1:])
             for col in upper.compose(lower)
         )
 
 
 def minimal_generators(
-    module: FreeModule, gens: list[Vector], graded: bool = False
-) -> tuple[list[Vector], list[int]]:
+    module: FreeModule, gens, graded: bool = False
+) -> tuple[list, list[int]]:
     """Greedy irredundant generating set, processed by ascending
-    degree bound (`vector_grading`); `graded` requires homogeneous
-    generators.
+    degree bound (`vector_grading`) and then by the generators' terms and
+    coefficients; `graded` requires homogeneous generators.
 
     For homogeneous generators ascending-degree greedy produces a minimal
     generating set (an element dependent on the kept ones modulo lower
     degrees would itself have been dropped), which bounds the length of the
-    resolution.  Returns the kept vectors and their shifts.
+    resolution.  Returns the kept generators, as they were given, and
+    their shifts.
 
     One basis of the kept generators grows as they are kept
     (`GroebnerBasis.grow`).  When every generator is homogeneous and the
@@ -144,18 +159,30 @@ def minimal_generators(
     candidate, since an S-vector of inhomogeneous rows can reduce to an
     element of lower degree, and the truncated basis could miss it.
     """
-    gens = [g for g in gens if not vec_is_zero(g)]
-    degree_of = {
-        id(g): vector_degree(module, g) if graded else vector_grading(module, g)[0]
-        for g in gens
-    }
-    gens.sort(key=lambda g: (degree_of[id(g)], vec_sort_key(g)))
-    truncated = module.block_split is None and (
-        graded or all(vector_grading(module, g)[1] for g in gens)
-    )
+    gens = list(gens)
+    rows = [as_row(g) for g in gens]
+    live = [k for k, g in enumerate(rows) if g.terms]
+    gradings = {k: vector_grading(module, rows[k]) for k in live}
+    homogeneous = all(h for _, h in gradings.values())
+    if graded and not homogeneous:
+        raise ValueError("only a nonzero homogeneous element has a degree")
+    # one scale for every coefficient, so that ints compare as the rationals do
+    scale = reduce(math.lcm, (rows[k].den for k in live), 1)
+    live.sort(key=lambda k: (gradings[k][0], _sort_key(rows[k], scale)))
+    truncated = module.block_split is None and homogeneous
     gb = GroebnerBasis(module)
-    kept = [g for g in gens if gb.grow(g, degree_of[id(g)] if truncated else None)]
-    return kept, [degree_of[id(g)] for g in kept]
+    kept = [k for k in live if gb.grow(rows[k], gradings[k][0] if truncated else None)]
+    return [gens[k] for k in kept], [gradings[k][0] for k in kept]
+
+
+def _sort_key(row: Row, scale: int) -> tuple:
+    """Per slot, the (exponents, coefficient * scale) pairs in ascending
+    order: a total order on elements whose denominators divide scale."""
+    slots: list[list] = [[] for _ in range(row.rank)]
+    factor = scale // row.den
+    for (slot, exps), c in row.terms.items():
+        slots[slot].append((exps, c * factor))
+    return tuple(tuple(sorted(terms)) for terms in slots)
 
 
 def free_resolution(module: FreeModule, gens) -> Resolution:
@@ -167,7 +194,7 @@ def free_resolution(module: FreeModule, gens) -> Resolution:
     termination within the number of variables.  The shifts of F_p are the
     degrees `syzygies` reads off the columns of phi_p.
     """
-    columns = tuple(tuple(g) for g in gens if not vec_is_zero(g))
+    columns = tuple(r for r in map(as_row, gens) if r.terms)
     chain: list[ModuleMap] = []
     ambient = module
     while True:
@@ -265,42 +292,63 @@ def minimize(res: Resolution) -> Resolution:
 def _split_unit(res: Resolution, p: int, i0: int, j0: int) -> Resolution:
     chain = list(res.chain)
     phi = chain[p]
-    pivot = phi.columns[j0]
-    if not pivot[i0].is_constant():
+    pivot = phi.rows[j0]
+    if any(slot == i0 and any(exps) for slot, exps in pivot.terms):
         raise ValueError("non-homogeneous entry with a constant term")
-    if not vec_is_zero(combination(pivot, chain[p - 1].columns)):
+    if combination(pivot, chain[p - 1].rows).terms:
         raise RuntimeError("pivot column of the previous map did not vanish")
-    pivot_row = [(col[i0],) for col in phi.columns]
+    pivot_row = [_slot(col, i0) for col in phi.rows]
     if p + 1 < len(chain) and not all(
-        vec_is_zero(combination(col, pivot_row)) for col in chain[p + 1].columns
+        not combination(col, pivot_row).terms for col in chain[p + 1].rows
     ):
         raise RuntimeError("pivot row of the next map did not vanish")
-    inverse = 1 / pivot[i0].constant_coefficient()
+    one = (0,) * pivot.nvars
+    a = pivot.terms[(i0, one)]
 
-    def complement(col: Vector) -> Vector:
-        if not col[i0].is_zero():
-            c = col[i0] * inverse
-            col = tuple(x - c * y for x, y in zip(col, pivot))
-        return _drop(col, i0)
+    def complement(col: Row) -> Row:
+        # col - (col[i0] / entry) * pivot, entry = a / pivot.den: the
+        # coefficients 1 and -col[i0] / entry as integers over a * col.den
+        top = {(1, exps): -c * pivot.den for (slot, exps), c in col.terms.items() if slot == i0}
+        if top:
+            coeffs = Row.lowest({(0, one): a * col.den} | top, a * col.den, 2, col.nvars)
+            col = combination(coeffs, (col, pivot))
+        return _drop_slot(col, i0)
 
     below = chain[p - 1]
-    chain[p - 1] = ModuleMap(_drop(below.columns, i0), _drop(below.source_shifts, i0))
+    chain[p - 1] = ModuleMap(_drop(below.rows, i0), _drop(below.source_shifts, i0))
     chain[p] = ModuleMap(
-        tuple(complement(col) for j, col in enumerate(phi.columns) if j != j0),
+        tuple(complement(col) for j, col in enumerate(phi.rows) if j != j0),
         _drop(phi.source_shifts, j0),
     )
     if p + 1 < len(chain):
         above = chain[p + 1]
         chain[p + 1] = ModuleMap(
-            tuple(_drop(col, j0) for col in above.columns), above.source_shifts
+            tuple(_drop_slot(col, j0) for col in above.rows), above.source_shifts
         )
-    while len(chain) > 1 and not chain[-1].columns:
+    while len(chain) > 1 and not chain[-1].rows:
         chain.pop()
     return Resolution(tuple(chain), res.ambient)
 
 
 def _drop(items: tuple, k: int) -> tuple:
     return items[:k] + items[k + 1 :]
+
+
+def _slot(row: Row, k: int) -> Row:
+    """Slot k of row, as an element of rank 1."""
+    terms = {(0, exps): c for (slot, exps), c in row.terms.items() if slot == k}
+    return Row.lowest(terms, row.den, 1, row.nvars)
+
+
+def _drop_slot(row: Row, k: int) -> Row:
+    """row without slot k, the slots above it moved down by one."""
+    terms = {(slot - (slot > k), exps): c for (slot, exps), c in row.terms.items() if slot != k}
+    return Row.lowest(terms, row.den, row.rank - 1, row.nvars)
+
+
+def _widened(row: Row) -> Row:
+    """row with a zero slot appended."""
+    return Row(row.terms, row.den, row.rank + 1, row.nvars)
 
 
 def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
@@ -310,28 +358,27 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
     if not 1 <= p <= res.length + 1:
         raise ValueError("padding position out of range")
     nvars = res.ambient.nvars
-    zero = Polynomial.zero(nvars)
-    one = Polynomial.constant(1, nvars)
     chain = list(res.chain)
     # F_{p-1} gains a basis element S(-d) that phi_{p-1} sends to zero
     below = chain[p - 1]
     chain[p - 1] = ModuleMap(
-        below.columns + ((zero,) * len(res.target_shifts(p - 1)),),
+        below.rows + (Row({}, 1, len(res.target_shifts(p - 1)), nvars),),
         below.source_shifts + (d,),
     )
     # F_p gains S(-d) mapping identically onto it, a new map when p = length + 1
     old = chain[p] if p < len(chain) else ModuleMap((), ())
-    ident_col = (zero,) * len(res.shifts(p - 1)) + (one,)
+    rank = len(res.shifts(p - 1))
+    ident_col = Row({(rank, (0,) * nvars): 1}, 1, rank + 1, nvars)
     chain[p : p + 1] = [
         ModuleMap(
-            tuple(col + (zero,) for col in old.columns) + (ident_col,),
+            tuple(_widened(col) for col in old.rows) + (ident_col,),
             old.source_shifts + (d,),
         )
     ]
     if p + 1 < len(chain):
         above = chain[p + 1]
         chain[p + 1] = ModuleMap(
-            tuple(col + (zero,) for col in above.columns), above.source_shifts
+            tuple(_widened(col) for col in above.rows), above.source_shifts
         )
     return Resolution(tuple(chain), res.ambient)
 
@@ -344,8 +391,8 @@ def certify_exact(res: Resolution) -> bool:
     chain = res.chain
     current = res.ambient
     for idx, m in enumerate(chain):
-        syz_mod, syz = syzygies(current, list(m.columns))
-        expected = list(chain[idx + 1].columns) if idx + 1 < len(chain) else []
+        syz_mod, syz = syzygies(current, list(m.rows))
+        expected = list(chain[idx + 1].rows) if idx + 1 < len(chain) else []
         if not module_equal(syz_mod, syz, expected):
             return False
         current = FreeModule(current.nvars, m.source_shifts, current.order)

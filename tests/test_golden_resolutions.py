@@ -120,10 +120,12 @@ def text_of(record: dict) -> str:
 CASES = inputs()
 
 
-def test_seeded_surfaces_are_not_quasi_homogeneous():
-    assert len([name for name in CASES if name.startswith("surface:")]) == 6
-    for fp, _ in CASES.values():
+def test_seeded_surfaces_are_squarefree_and_not_quasi_homogeneous():
+    surfaces = [fp for name, (fp, _) in CASES.items() if name.startswith("surface:")]
+    assert len(surfaces) == 6
+    for fp in surfaces:
         fp.validate()
+        assert infer_weights(fp.expand()) is None
 
 
 @pytest.mark.parametrize("name", list(CASES))

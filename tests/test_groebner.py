@@ -17,6 +17,7 @@ from logderiv.poly import (
 from logderiv.groebner import (
     FreeModule,
     GroebnerBasis,
+    Row,
     _by_slot,
     _divide,
     _Packing,
@@ -37,6 +38,7 @@ from logderiv.groebner import (
     vector_degree,
     vector_grading,
 )
+from logderiv.resolution import ModuleMap
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -1001,22 +1003,58 @@ def test_reduced_basis_is_a_fixed_point_of_buchberger(name):
 # --- linear combinations ------------------------------------------------------------
 
 
+def naive_combination(coeffs, vectors, zero_vector):
+    """sum(coeffs[k] * vectors[k]), slot by slot, in Fraction polynomials."""
+    total = zero_vector
+    for c, v in zip(coeffs, vectors):
+        total = tuple(t + c * p for t, p in zip(total, v))
+    return total
+
+
 @pytest.mark.parametrize("name", AMBIENTS)
 def test_combination_is_the_sum_of_the_scaled_vectors(name):
+    # vectors with denominators other than 1 and a zero vector among them,
+    # and coefficient columns with rational coefficients and a zero slot
     module = FreeModule(*AMBIENTS[name])
     rng = random.Random(f"combination-{name}")
     zero = Polynomial.zero(module.nvars)
-    for _ in range(20):
-        vectors = random_vectors(rng, module, rng.randint(1, 4))
+    fractional = (Fraction(-3, 2), Fraction(1, 3), Fraction(5, 4), -1, 2)
+    with_denominators = 0
+    for _ in range(30):
+        vectors = [
+            unflatten(module, random_flat(rng, module, rng.randint(2, 3), 2, fractional))
+            for _ in range(rng.randint(1, 4))
+        ]
         vectors.insert(rng.randrange(len(vectors) + 1), module.zero_vector())
-        coeffs = [random_poly(rng, module.nvars, rng.randint(1, 3), 2) for _ in vectors]
-        coeffs[rng.randrange(len(coeffs))] = zero
-        expected = module.zero_vector()
-        for c, v in zip(coeffs, vectors):
-            expected = tuple(e + c * p for e, p in zip(expected, v))
-        assert combination(coeffs, vectors) == expected
-        assert combination([zero] * len(vectors), vectors) == module.zero_vector()
-    assert combination([], []) == ()
+        columns = []
+        for _ in range(3):
+            coeffs = [random_poly(rng, module.nvars, rng.randint(1, 3), 2) for _ in vectors]
+            coeffs[rng.randrange(len(coeffs))] = zero
+            columns.append(tuple(coeffs))
+        columns.append((zero,) * len(vectors))
+        rows = [Row.of(v) for v in vectors]
+        expected = [naive_combination(c, vectors, module.zero_vector()) for c in columns]
+        for c, want in zip(columns, expected):
+            got = combination(Row.of(c), rows)
+            assert got.vector() == want
+            assert got == Row.of(want)  # in lowest terms
+        upper = ModuleMap(vectors, (0,) * len(vectors))
+        lower = ModuleMap(columns, (0,) * len(columns))
+        assert [col.vector() for col in upper.compose(lower)] == expected
+        with_denominators += any(r.den != 1 for r in rows)
+    assert with_denominators > 20
+    assert combination(Row.of(()), []).vector() == ()
+
+
+def test_a_row_is_its_vector_in_lowest_terms():
+    module = FreeModule(*AMBIENTS["shifted"])
+    vec = unflatten(module, {(0, (1, 0, 0)): Fraction(3, 4), (2, (0, 1, 0)): Fraction(-1, 6)})
+    row = Row.of(vec)
+    assert (row.terms, row.den, row.rank, row.nvars) == (
+        {(0, (1, 0, 0)): 9, (2, (0, 1, 0)): -2}, 12, 3, 3
+    )
+    assert row.vector() == vec
+    assert Row.of(module.zero_vector()) == Row({}, 1, 3, 3)
 
 
 # --- the basis grows in place ------------------------------------------------------

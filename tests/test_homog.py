@@ -23,7 +23,7 @@ from logderiv.groebner import (
     vec_is_zero,
 )
 from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule
-from logderiv.resolution import pad_with_trivial_pair
+from logderiv.resolution import ModuleMap, Resolution, pad_with_trivial_pair
 from logderiv.homog import (
     affine_log_resolution,
     chi_homogenized,
@@ -79,13 +79,13 @@ def test_filtration_violation_detected():
 
 def test_dehomogenize_inverts_homogenization():
     p = P("x^2+y")
-    (h,) = homogenize_vector(R2, (p,), 4)
-    assert h.set_last_var_one() == p
+    h = homogenize_vector(R2, (p,), 4)
+    assert dehomogenize_vector(h) == (p,)
 
 
 def test_dehomogenize_collapses_pure_powers():
     h = parse_poly("h^3*x", XYH)
-    assert h.set_last_var_one() == P("x")
+    assert dehomogenize_vector((h,)) == (P("x"),)
 
 
 def test_round_trip_up_to_a_power_of_h():
@@ -156,6 +156,37 @@ def test_basis_change_gives_complex_only():
     assert not hom.image_ok[0]
     assert 0 in hom.witnesses
     assert not hom.is_resolution
+
+
+def with_one_coefficient_changed(res, p, j):
+    """res with the first term of column j of phi_p raised by 1 (by 2 when
+    that would cancel it)."""
+    col = list(res.chain[p].columns[j])
+    i = next(i for i, q in enumerate(col) if not q.is_zero())
+    exps, c = next(iter(col[i].terms.items()))
+    col[i] = col[i] + Polynomial.monomial(exps, 2 if c == -1 else 1, col[i].nvars)
+    m = res.chain[p]
+    chain = list(res.chain)
+    chain[p] = ModuleMap(m.columns[:j] + (tuple(col),) + m.columns[j + 1:], m.source_shifts)
+    return Resolution(tuple(chain), res.ambient)
+
+
+def test_one_changed_coefficient_breaks_the_complex():
+    # mutation control for the integer composites: every column of every
+    # map phi_p, p >= 1, of the homogenized chain and of the filtration
+    # resolution it is homogenized from
+    changed = 0
+    for text in README_SURFACES:
+        _, _, res = affine_log_resolution(FactoredPolynomial.single(P(text, XYZ)))
+        hom = homogenize_resolution(res)
+        assert hom.resolution.is_complex()
+        for p in range(1, res.length + 1):
+            for j in range(res.chain[p].source_rank):
+                assert not with_one_coefficient_changed(hom.resolution, p, j).is_complex()
+                with pytest.raises(RuntimeError, match="complex"):
+                    homogenize_resolution(with_one_coefficient_changed(res, p, j))
+                changed += 1
+    assert changed > 10
 
 
 def test_already_homogeneous_module_unchanged_shifts():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from logderiv import poly
 from logderiv.poly import (
     MonomialOrder,
     NonPositiveWeightError,
@@ -133,6 +134,22 @@ def test_infer_weights_refuses_a_one_signed_row_without_a_scan(text, nvars):
     # [1, 8]^k would try 8^(nvars - 1) points before it said so
     names = [f"x{i}" for i in range(nvars)]
     assert infer_weights(parse_poly(text, names)) is None
+
+
+@pytest.mark.parametrize("nvars", [5, 6])
+def test_infer_weights_refuses_a_row_of_one_sign_after_back_substitution(nvars, monkeypatch):
+    # the echelon rows (2, -1, 1) and (0, 1, -1) in the columns of x0, x1,
+    # x2 both have mixed signs; back substitution clears x1 from the first,
+    # which leaves (2, 0, 0): u_0 = 0, so no point of [1, 8]^k is tried
+    calls = []
+    real = poly._positive_points
+    monkeypatch.setattr(poly, "_positive_points", lambda *a: calls.append(a) or real(*a))
+    names = [f"x{i}" for i in range(nvars)]
+    assert infer_weights(parse_poly("x1^3*x2+x1^2*x2^2-x0^2*x1*x2^3", names)) is None
+    assert calls == []
+    # the counter sees the scan where there is one
+    assert infer_weights(parse_poly("x0*x1+x2^2", names)) is not None
+    assert len(calls) == 1
 
 
 def test_infer_weights_matches_its_recorded_pool():

@@ -13,7 +13,6 @@ from logderiv.groebner import (
     ring_module,
     syzygies,
     vec_is_zero,
-    vec_sort_key,
     vector_degree,
     vector_grading,
 )
@@ -275,6 +274,10 @@ def test_minimize_duplicated_generator():
 # --- minimal generators against the restart loop -------------------------------------
 
 
+def vec_sort_key(vec):
+    return tuple(p.sort_key() for p in vec)
+
+
 def restart_minimal_generators(module, gens, graded):
     """Reference: the same greedy scan, with Buchberger rerun from scratch
     on the kept generators after each one it keeps."""
@@ -475,6 +478,24 @@ def test_minimize_matches_the_reference_on_homogenized_surfaces():
             ]
     low, _ = assert_minimize_matches_reference(resolutions)
     assert low > 0
+
+
+def test_minimize_matches_the_reference_where_a_pivot_column_has_other_entries():
+    # hand-made chains whose syzygies are not reduced: the pivot column has
+    # other nonzero entries and the other column meets the pivot row, so the
+    # Schur complement subtracts a multiple of a column that is not a unit
+    # vector (with a rational pivot in the second chain)
+    ring = ring_module(2, MonomialOrder((1, 1)))
+    x, y, zero = P("x"), P("y"), P("0")
+    resolutions = [
+        Resolution((ModuleMap(((x,), (y,), (P("x+y"),)), (1, 1, 1)),
+                    ModuleMap((V("2", "2", "-2"), (y, -x, zero)), (1, 2))), ring),
+        Resolution((ModuleMap(((P("x^2"),), (P("x*y"),), (P("1/2*x^2-3*x*y"),)), (2, 2, 2)),
+                    ModuleMap((V("1/2", "-3", "-1"), (y, -x, zero)), (2, 3))), ring),
+    ]
+    assert all(res.is_complex() for res in resolutions)
+    low, _ = assert_minimize_matches_reference(resolutions)
+    assert low == 2
 
 
 def test_minimize_refuses_a_chain_that_is_not_a_complex_at_the_pivot():
