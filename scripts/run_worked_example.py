@@ -28,7 +28,7 @@ def main():
     ctx, gens, res = affine_log_resolution(fp)
     print("\nirredundant generators of the derivation module (degree order):")
     for g in gens:
-        print("  ", format_derivation(g, NAMES))
+        print("  ", format_derivation(g.vector(), NAMES))
     print("filtration shifts:", [list(res.shifts(p)) for p in range(res.length + 1)])
 
     report = chi_homogenized(fp)

@@ -155,11 +155,12 @@ def _render_text(report: dict, indent: str = ""):
 def cmd_derivations(args) -> int:
     names, factored, ctx = _build_inputs(args)
     mod = LogModule.of(factored, ctx)
+    vectors = [g.vector() for g in mod.gens]
     report = {
         "inputs": _echo(args, ctx),
-        "generators": [format_derivation(g, names, ctx.order()) for g in mod.gens],
+        "generators": [format_derivation(g, names, ctx.order()) for g in vectors],
         "coefficients": [
-            [format_poly(p, names, ctx.order()) for p in g] for g in mod.gens
+            [format_poly(p, names, ctx.order()) for p in g] for g in vectors
         ],
         "degrees": [
             d if homogeneous else None

@@ -3,7 +3,8 @@
 A derivation sum(a_i * d_i) is represented by its coefficient vector, an
 element of the rank-n free module whose slot i carries the shift v_i: under
 the weighting u on variables and v on derivation slots, the degree of
-a_i * d_i is udeg(a_i) + v_i.
+a_i * d_i is udeg(a_i) + v_i.  D(f) comes out as `groebner.Row`s; a Vector
+is made from a Row only to print it or to take Saito's determinant.
 
 The module D(f) of derivations preserving the ideal powers of a factored
 polynomial f = f_1^{e_1} ... f_r^{e_r} is one syzygy kernel: delta lies in
@@ -33,7 +34,9 @@ from .poly import (
 )
 from .groebner import (
     FreeModule,
+    Row,
     Vector,
+    as_row,
     buchberger,
     module_equal,
     module_quotient,
@@ -203,7 +206,7 @@ def euler_derivation(u: tuple[int, ...]) -> Vector:
     return tuple(Polynomial.variable(i, n) * u[i] for i in range(n))
 
 
-def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContext) -> list[Vector]:
+def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContext) -> list[Row]:
     """Generators of the derivations delta with delta(f) in <f^e> for every
     factor (f, e).
 
@@ -233,7 +236,7 @@ def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContex
 
 def generalized_log_module(
     factored: FactoredPolynomial, ctx: GradedContext, validate: bool = True
-) -> list[Vector]:
+) -> list[Row]:
     """Canonical (reduced-basis) generators of D(f), the derivations delta
     with delta(f_i) in <f_i^{e_i}> for every factor.  An empty factorization
     denotes a nonzero constant, whose module is everything.
@@ -256,7 +259,7 @@ def generalized_log_module(
     )
     if same_order:
         return gens
-    return list(buchberger(ctx.derivation_module(), gens).elements)
+    return list(buchberger(ctx.derivation_module(), gens).rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +275,10 @@ class LogModule:
 
     factored: FactoredPolynomial
     ctx: GradedContext
-    gens: list[Vector]
+    gens: list[Row]
+
+    def __post_init__(self):
+        object.__setattr__(self, "gens", [as_row(g) for g in self.gens])
 
     @classmethod
     def of(cls, factored: FactoredPolynomial, ctx: GradedContext) -> "LogModule":
@@ -328,10 +334,11 @@ def in_log_module(delta: Vector, factored: FactoredPolynomial) -> bool:
     return True
 
 
-def saito_check(deltas: list[Vector], factored: FactoredPolynomial) -> SaitoCertificate:
+def saito_check(deltas: list[Row | Vector], factored: FactoredPolynomial) -> SaitoCertificate:
     """Freeness certificate: n derivations in the module form a basis iff
     the determinant of their coefficient matrix is a nonzero constant
     multiple of f."""
+    deltas = [as_row(d).vector() for d in deltas]
     f = factored.expand()
     n = f.nvars
     if len(deltas) != n:

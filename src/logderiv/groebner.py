@@ -8,15 +8,14 @@ index winning ties.  An optional block split turns the order into an
 elimination order for the leading block of slots.
 
 An element has two forms.  A `Vector`, a tuple of Fraction polynomials, is
-the documented one: parsing, printing and the library API use it.  A `Row`
-is the one the routines compute with: integer coefficients on (slot,
-exponents) terms over one positive denominator, in lowest terms.  The
-routines a resolution runs through take either form (`as_row`), and
-`syzygies`, `homogenize_vector` and `dehomogenize_vector` return Rows when
-given Rows and Vectors when given Vectors.  So a resolution runs from its
-generators to its Betti table on Rows, and Fractions are made only where a
-caller asks for Vectors (`Row.of` and `Row.vector` are the two
-conversions).
+the one parsing builds and printing reads.  A `Row` is the one the routines
+compute with: integer coefficients on (slot, exponents) terms over one
+positive denominator, in lowest terms.  Vectors in, Rows out: every routine
+takes either form, or a mix (`as_row`, the one place `Row.of` is called),
+and every routine that returns module elements returns Rows.  `Row.vector`
+makes a Vector only at the edges: `GroebnerBasis.elements`, the remainder of
+`normal_form`, the quotients and remainder of `divide`, and the ideal
+generators of `module_quotient`, which are Polynomials.
 
 Inside the engine (`GroebnerBasis`, division, S-vectors, interreduction) a
 Row is packed: a dict from packed term to int.  A packed term is one int
@@ -214,7 +213,7 @@ def homogenized(module: FreeModule) -> FreeModule:
 
 def homogenize_vector(
     module: FreeModule, elem: Row | Vector, degree: int | None = None
-) -> Row | Vector:
+) -> Row:
     """Pad every term of the element with a power of h up to shifted
     weighted degree `degree` (default: the largest, `vector_grading`), which
     gives a homogeneous element of `homogenized(module)`; raises
@@ -232,11 +231,10 @@ def homogenize_vector(
                 f"term of degree {bound - gap} exceeds the declared bound {bound}"
             )
         terms[(slot, exps + (gap,))] = c
-    out = Row(terms, row.den, row.rank, row.nvars + 1)
-    return out if isinstance(elem, Row) else out.vector()
+    return Row(terms, row.den, row.rank, row.nvars + 1)
 
 
-def dehomogenize_vector(elem: Row | Vector) -> Row | Vector:
+def dehomogenize_vector(elem: Row | Vector) -> Row:
     """Set h, the last variable, to 1; inverts `homogenize_vector`."""
     row = as_row(elem)
     terms: dict[FlatTerm, int] = {}
@@ -247,8 +245,7 @@ def dehomogenize_vector(elem: Row | Vector) -> Row | Vector:
             terms[key] = s
         else:
             del terms[key]
-    out = Row.lowest(terms, row.den, row.rank, row.nvars - 1)
-    return out if isinstance(elem, Row) else out.vector()
+    return Row.lowest(terms, row.den, row.rank, row.nvars - 1)
 
 
 class FieldOverflow(ValueError):
@@ -461,11 +458,13 @@ def _grading(module: FreeModule, rows: list[Row]) -> tuple[int, bool]:
     return max(d for d, _ in gradings), loose
 
 
-def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Polynomial], Vector]:
+def divide(
+    module: FreeModule, vec: Row | Vector, basis_vectors
+) -> tuple[list[Polynomial], Vector]:
     """Divide vec by the basis, returning (quotients, remainder) with
     vec == sum(q_i * b_i) + remainder."""
-    row = Row.of(vec)
-    basis = [Row.of(b) for b in basis_vectors]
+    row = as_row(vec)
+    basis = [as_row(b) for b in basis_vectors]
     live = [i for i, b in enumerate(basis) if b.terms]
     degree, loose = _grading(module, [row] + [basis[i] for i in live])
     packing = _Packing(module, degree)
@@ -490,11 +489,11 @@ def divide(module: FreeModule, vec: Vector, basis_vectors) -> tuple[list[Polynom
     return quotients, packing.element(rem, den).vector()
 
 
-def normal_form(module: FreeModule, vec: Vector, gb: GroebnerBasis) -> Vector:
+def normal_form(module: FreeModule, vec: Row | Vector, gb: GroebnerBasis) -> Vector:
     """The remainder of vec divided by the reduced basis gb: zero exactly
     when vec lies in the submodule, and the same for any two vectors with
     the same class modulo it."""
-    row = Row.of(vec)
+    row = as_row(vec)
     gb._fit(vector_grading(module, row)[0])
     scale, rem = gb._remainder(lambda: gb._packing.row(row))
     return gb._packing.element(rem, scale * row.den).vector()
@@ -767,11 +766,10 @@ def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     return buchberger(module, gens_a).rows == buchberger(module, gens_b).rows
 
 
-def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list]:
+def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list[Row]]:
     """Generators of {c : sum(c_i * gens[i]) lies in the submodule generated
     by relations}, the syzygies of gens modulo relations, in the free module
-    whose slot i carries the degree of gens[i] (`vector_grading`); Rows when
-    gens are Rows, Vectors otherwise.
+    whose slot i carries the degree of gens[i] (`vector_grading`).
 
     Eliminates the ambient block from the module generated by (g_i, e_i) and
     (r, 0) in the ambient ⊕ that free module; this is the one place a block
@@ -784,8 +782,6 @@ def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list]:
     """
     if module.block_split is not None:
         raise ValueError("nested block splits are not supported")
-    gens = list(gens)
-    vectors = not all(isinstance(g, Row) for g in gens)
     gens = [as_row(g) for g in gens]
     relations = [as_row(r) for r in relations]
     gradings = [vector_grading(module, g) for g in gens]
@@ -807,16 +803,16 @@ def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list]:
     syz = [gb._packing.element(b.row, b.coeff, rank) for b in gb.basis if b.slot >= rank]
     if not homogeneous:
         syz = [dehomogenize_vector(s) for s in syz]
-    return syz_module, [s.vector() for s in syz] if vectors else syz
+    return syz_module, syz
 
 
-def intersect(module: FreeModule, gens_a, gens_b) -> list[Vector]:
+def intersect(module: FreeModule, gens_a, gens_b) -> list[Row]:
     """Reduced Groebner basis of the intersection of two submodules: the
     combinations sum(c_i * a_i) over the syzygies c of A modulo B.  Output
     is homogeneous whenever both inputs are."""
     rows_a = [as_row(g) for g in gens_a]
     _, syz = syzygies(module, rows_a, gens_b)
-    return list(buchberger(module, [combination(c, rows_a) for c in syz]).elements)
+    return list(buchberger(module, [combination(c, rows_a) for c in syz]).rows)
 
 
 def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:
@@ -825,11 +821,18 @@ def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:
     F/N (Greuel & Pfister, A Singular Introduction to Commutative Algebra,
     2.8), that is, the syzygies of the stacked element (g_1, ..., g_k) of
     F^k modulo N placed in each copy."""
-    gens_n, gens_m = list(gens_n), list(gens_m)
-    if not gens_m:
+    rows_n, rows_m = [as_row(g) for g in gens_n], [as_row(g) for g in gens_m]
+    if not rows_m:
         return [Polynomial.constant(1, module.nvars)]
-    zero, k = module.zero_vector(), len(gens_m)
-    stacked = FreeModule(module.nvars, module.shifts * k, module.order)
-    relations = [zero * j + tuple(n) + zero * (k - 1 - j) for j in range(k) for n in gens_n]
-    _, colon = syzygies(stacked, [sum(map(tuple, gens_m), ())], relations)
+    nvars, rank, k = module.nvars, module.rank, len(rows_m)
+    stacked = FreeModule(nvars, module.shifts * k, module.order)
+
+    def placed(row: Row, j: int) -> Row:  # row in copy j of the ambient
+        terms = {(s + j * rank, e): c for (s, e), c in row.terms.items()}
+        return Row(terms, row.den, rank * k, nvars)
+
+    ones = Row({(j, (0,) * nvars): 1 for j in range(k)}, 1, k, nvars)
+    element = combination(ones, [placed(g, j) for j, g in enumerate(rows_m)])
+    relations = [placed(n, j) for j in range(k) for n in rows_n]
+    _, colon = syzygies(stacked, [element], relations)
     return [v[0] for v in buchberger(ring_module(module.nvars, module.order), colon).elements]

@@ -14,14 +14,15 @@ The oracle eliminates fraction-free on primitive integer rows, by
 (slot, exponents) is one int, its digits in a base B that exceeds every
 exponent that can occur (positive weights bound a multiplier's exponents by
 its degree), so multiplying a row by a monomial is one int add per term.
+Module elements come and go as `groebner.Row`s, whose integer terms the
+oracle packs as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import count
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from .poly import (
@@ -35,7 +36,7 @@ from .poly import (
 )
 from .groebner import (
     FreeModule,
-    Vector,
+    as_row,
     buchberger,
     normal_form,
     ring_module,
@@ -191,20 +192,7 @@ def _monomials_of_weighted_degree(u: tuple[int, ...], d: int):
     yield from rec(0, d)
 
 
-def _integer_row(g: Vector, slot_place: int, place: list[int]) -> dict[int, int]:
-    """g as a primitive integer row keyed by packed column codes: its
-    denominators cleared, then divided by the gcd of its coefficients."""
-    den = reduce(lcm, (c.denominator for p in g for c in p.terms.values()))
-    return primitive({
-        slot * slot_place + sum(map(mul, exps, place)): (c * den).numerator
-        for slot, p in enumerate(g)
-        for exps, c in p.terms.items()
-    })
-
-
-def hp_bruteforce(
-    module: FreeModule, gens: list[Vector], d_lo: int, d_hi: int
-) -> dict[int, int]:
+def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, int]:
     """Slice dimensions of the generated submodule for degrees d_lo..d_hi:
     the rank of the rows alpha * g, over every generator g and every
     monomial alpha of degree d - deg g, by exact fraction-free elimination.
@@ -225,11 +213,13 @@ def hp_bruteforce(
     """
     u = module.order.weights
     n = module.nvars
+    gens = [as_row(g) for g in gens]
     degrees = [vector_degree(module, g) for g in gens]
-    top = max((e for g in gens for p in g for exps in p.terms for e in exps), default=0)
+    top = max((e for g in gens for _, exps in g.terms for e in exps), default=0)
     base = top + max(d_hi - min(degrees, default=d_hi), 0) + 1
     place = [base ** (n - 1 - i) for i in range(n)]
-    rows = [_integer_row(g, base**n, place) for g in gens]
+    rows = [primitive({slot * base**n + sum(map(mul, exps, place)): c
+                       for (slot, exps), c in g.terms.items()}) for g in gens]
     multipliers: dict[int, list[int]] = {}
     dims: dict[int, int] = {}
     for d in range(d_lo, d_hi + 1):
@@ -342,16 +332,14 @@ def verify_coprime_sum(
         raise ValueError("reduced parts share a common factor")
     dm = ctx.derivation_module()
     gens = generalized_log_module(f1, ctx) + generalized_log_module(f2, ctx)
-    gens = list(buchberger(dm, gens).elements)
+    gens = list(buchberger(dm, gens).rows)
     res = free_resolution(dm, gens)
     value = chi(hp_from_resolution(res))
     claims = [claim("chi of the sum module equals |v|", value, ctx.v_sum)]
     return {"chi": value, "claims": claims, "ok": report_ok(claims)}
 
 
-def chi_additivity_check(
-    sub_gens: list[Vector], big_gens: list[Vector], ctx: GradedContext
-) -> dict:
+def chi_additivity_check(sub_gens, big_gens, ctx: GradedContext) -> dict:
     """chi(L) = chi(M) + chi(L/M) via independent resolutions of all three.
 
     L/M is presented on F_0, free on the reduced basis of L, by the
@@ -362,10 +350,10 @@ def chi_additivity_check(
     # the membership test runs before any resolution
     if not all(vec_is_zero(normal_form(dm, m, gb)) for m in sub_gens):
         raise ValueError("not a submodule: generator fails membership")
-    big = list(gb.elements)
+    big = list(gb.rows)
     f0, relations = syzygies(dm, big, sub_gens)
     chi_l = chi(hp_from_resolution(free_resolution(dm, big)))
-    sub_canonical = list(buchberger(dm, sub_gens).elements)
+    sub_canonical = list(buchberger(dm, sub_gens).rows)
     chi_m = chi(hp_from_resolution(free_resolution(dm, sub_canonical)))
     chi_q = chi(hp_quotient(f0, relations))
     claims = [claim("chi is additive along 0 -> M -> L -> L/M -> 0",

@@ -11,10 +11,10 @@ weights), where that bound is the total degree plus the shift.
 A filtration resolution of a module can be homogenized columnwise; the
 result is always a complex, and a homogeneous free resolution of the
 homogenized module exactly when h saturates the image of every homogenized
-map.  The degree bound of a column is the shift of its source slot.  The
-columns stay Rows (`groebner.Row`) throughout: homogenizing a Row pads the
-h exponent of each term, dehomogenizing drops it, and the complex check and
-the image test read integer terms.
+map.  The degree bound of a column is the shift of its source slot.  Module
+elements are Rows (`groebner.Row`) from D(f) to the witnesses: homogenizing
+a Row pads the h exponent of each term, dehomogenizing drops it, and the
+complex check and the image test read integer terms.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 from .groebner import (
     FreeModule,
-    Vector,
+    Row,
     buchberger,
+    combination,
     dehomogenize_vector,
     homogenize_vector,
     homogenized,
@@ -45,14 +46,12 @@ from .resolution import (
 from .hilbert import chi, claim, hp_from_resolution, report_ok
 
 
-def homogenize_module(
-    module: FreeModule, gens: list[Vector]
-) -> tuple[FreeModule, list[Vector]]:
+def homogenize_module(module: FreeModule, gens) -> tuple[FreeModule, list[Row]]:
     """Generators of the homogenized module: homogenize the elements of a
     reduced basis under a degree order.  Homogenizing an arbitrary
     generating set would in general give a strictly smaller module."""
     gb = buchberger(module, gens)
-    return homogenized(module), [homogenize_vector(module, g).vector() for g in gb.rows]
+    return homogenized(module), [homogenize_vector(module, g) for g in gb.rows]
 
 
 @dataclass
@@ -62,7 +61,7 @@ class HomogenizedComplex:
 
     resolution: Resolution
     image_ok: tuple[bool, ...]
-    witnesses: dict[int, Vector]
+    witnesses: dict[int, Row]
 
     @property
     def is_resolution(self) -> bool:
@@ -92,7 +91,7 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     h_res = Resolution(tuple(hchain), homogenized(ambient))
     if not h_res.is_complex():
         raise RuntimeError("homogenized chain failed to be a complex")
-    witnesses: dict[int, Vector] = {}
+    witnesses: dict[int, Row] = {}
     for p, (hm, target) in enumerate(zip(hchain, targets)):
         # The homogenized affine image is N : h^inf, N the image of hm.  h is
         # the last variable, so revlex ranks its lowest power first, before
@@ -102,7 +101,7 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
         gb = buchberger(homogenized(target), list(hm.rows))
         divisible = [g for g in gb.rows if all(exps[-1] for _, exps in g.terms)]
         if divisible:
-            witnesses[p] = homogenize_vector(target, dehomogenize_vector(divisible[0])).vector()
+            witnesses[p] = homogenize_vector(target, dehomogenize_vector(divisible[0]))
     image_ok = tuple(p not in witnesses for p in range(len(hchain)))
     return HomogenizedComplex(h_res, image_ok, witnesses)
 
@@ -119,7 +118,7 @@ def _standard_log_module(factored: FactoredPolynomial | LogModule) -> LogModule:
 
 def affine_log_resolution(
     factored: FactoredPolynomial | LogModule, mix: tuple[int, int] | None = None
-) -> tuple[GradedContext, list[Vector], Resolution]:
+) -> tuple[GradedContext, list[Row], Resolution]:
     """Irredundant generators of the derivation module under the degree
     order (sorted by ascending degree bound) and a filtration resolution of
     them.  `mix` = (i, j) replaces generator i by generator i + generator j
@@ -134,8 +133,8 @@ def affine_log_resolution(
             raise ValueError(
                 f"mix indices {i},{j} out of range: generators are 0..{len(gens) - 1}"
             )
-        gens = list(gens)
-        gens[i] = tuple(a + b for a, b in zip(gens[i], gens[j]))
+        ones = Row({(0, (0,) * dm.nvars): 1, (1, (0,) * dm.nvars): 1}, 1, 2, dm.nvars)
+        gens[i] = combination(ones, (gens[i], gens[j]))
     res = free_resolution(dm, gens)
     return mod.ctx, gens, res
 
@@ -184,7 +183,7 @@ def homogenize_factored(factored: FactoredPolynomial) -> FactoredPolynomial:
     """Factorwise homogenization, preserving the multiplicity structure."""
     ring = ring_module(factored.nvars, degree_order(factored.nvars))
     return FactoredPolynomial(
-        tuple((homogenize_vector(ring, (f,))[0], e) for f, e in factored.factors)
+        tuple((homogenize_vector(ring, (f,)).vector()[0], e) for f, e in factored.factors)
     )
 
 
@@ -205,9 +204,9 @@ def verify_lemma_intersection(factored: FactoredPolynomial | LogModule) -> dict:
     inter = intersect(dm_h, d_fh, x_span)
     lhs = []
     for g in inter:
-        if not g[n].is_zero():
+        if any(slot == n for slot, _ in g.terms):
             raise RuntimeError("intersection element leaves the coordinate span")
-        lhs.append(g[:n])
+        lhs.append(Row(g.terms, g.den, n, g.nvars))
 
     equal = module_equal(hmod, lhs, rhs)
     claims = [

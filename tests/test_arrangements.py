@@ -108,4 +108,4 @@ def test_intersected_log_module_is_already_reduced(name):
     ctx = GradedContext.standard(len(normals[0]))
     dm = ctx.derivation_module()
     out = generalized_log_module(arrangement(normals, mults), ctx)
-    assert tuple(out) == buchberger(dm, out).elements
+    assert tuple(out) == buchberger(dm, out).rows

@@ -108,7 +108,7 @@ def record_of(fp: FactoredPolynomial, mix) -> dict:
         "homogenized": printed(hom.resolution),
         "minimal": printed(minimize(h_res)),
         "image_ok": list(hom.image_ok),
-        "witnesses": {str(p): [format_poly(q, hnames) for q in w]
+        "witnesses": {str(p): [format_poly(q, hnames) for q in w.vector()]
                       for p, w in sorted(hom.witnesses.items())},
     }
 

@@ -289,7 +289,7 @@ def test_syzygies_satisfy_relations_exactly():
     assert syz
     for s in syz:
         total = mod.zero_vector()
-        for coeff, g in zip(s, gens):
+        for coeff, g in zip(s.vector(), gens):
             total = tuple(t + coeff * comp for t, comp in zip(total, g))
         assert vec_is_zero(total)
 
@@ -400,7 +400,7 @@ def test_intersection_of_monomial_submodules_is_generated_by_lcms(shifts):
                         expected.append(tuple(vec))
         out = intersect(module, gens_a, gens_b)
         assert module_equal(module, out, expected)
-        assert out == list(buchberger(module, out).elements)  # already reduced
+        assert out == list(buchberger(module, out).rows)  # already reduced
         nonzero += bool(out)
     assert nonzero >= 6
 
@@ -1179,7 +1179,7 @@ def test_syzygies_of_a_slow_inhomogeneous_draw():
     )
     _, syz = syzygies(module, gens)
     assert len(syz) == 9
-    for c in syz:
+    for c in (s.vector() for s in syz):
         assert not vec_is_zero(c)
         total = module.zero_vector()
         for coeff, g in zip(c, gens):
@@ -1226,7 +1226,7 @@ def test_inhomogeneous_syzygies_match_block_elimination(name, max_exp):
         syz_module, syz = syzygies(module, gens)
         # slot i carries the largest degree of gens[i], 0 for a zero generator
         assert syz_module.shifts == tuple(max(term_degrees(module, g), default=0) for g in gens)
-        for s in syz:
+        for s in (r.vector() for r in syz):
             assert not vec_is_zero(s)
             total = module.zero_vector()
             for coeff, g in zip(s, gens):
@@ -1267,7 +1267,7 @@ def test_a_lower_block_tail_past_the_field_capacity_widens_the_fields(monkeypatc
     assert raised and _Packing(ext, 6).width == 4 < gb._packing.width
     eliminated = [(e[1],) for e in gb.elements if e[0].is_zero()]
     _, syz = syzygies(module, [(g,) for g in gs])
-    expected = [(sum((a * t for a, t in zip(c, tails)), P("0", XYZ)),) for c in syz]
+    expected = [(sum((a * t for a, t in zip(c.vector(), tails)), P("0", XYZ)),) for c in syz]
     assert eliminated and module_equal(module, eliminated, expected)
 
 
@@ -1292,17 +1292,17 @@ def test_homogenize_vector_pads_to_the_weighted_degree(name):
     for _ in range(24):
         vec = unflatten(module, random_flat(rng, module, rng.randint(1, 5), 3))
         degree = vector_grading(module, vec)[0]
-        padded = homogenize_vector(module, vec)
+        padded = homogenize_vector(module, vec).vector()
         assert term_degrees(h_module, padded) == {degree}
-        assert dehomogenize_vector(padded) == vec
+        assert dehomogenize_vector(padded).vector() == vec
         # padding two degrees higher multiplies by h^2
-        assert homogenize_vector(module, vec, degree + 2) == tuple(p * h**2 for p in padded)
+        assert homogenize_vector(module, vec, degree + 2).vector() == tuple(p * h**2 for p in padded)
         with pytest.raises(FiltrationError):
             homogenize_vector(module, vec, degree - 1)
         inhomogeneous += len(term_degrees(module, vec)) > 1
     assert inhomogeneous >= 12
     # the zero vector pads to zero
-    assert homogenize_vector(module, module.zero_vector()) == h_module.zero_vector()
+    assert homogenize_vector(module, module.zero_vector()).vector() == h_module.zero_vector()
 
 
 @pytest.mark.parametrize("name", AMBIENTS)
@@ -1325,3 +1325,22 @@ def test_normal_form_is_the_remainder_of_division_by_the_elements(name):
             assert normal_form(module, vec, gb) == remainder
             zeros += vec_is_zero(remainder)
     assert 16 <= zeros < 32  # members reduce to zero, most other vectors do not
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_normal_form_and_divide_take_rows_vectors_and_mixes(name):
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"row-inputs-{name}")
+    for _ in range(8):
+        gens = random_vectors(rng, module, rng.randint(2, 3))
+        gb = buchberger(module, gens)
+        vec = unflatten(module, random_flat(rng, module, rng.randint(1, 8), 4))
+        remainder = normal_form(module, vec, gb)
+        for divisors in (gens, list(gb.elements)):
+            rows = [Row.of(d) for d in divisors]
+            mixed = [r if k % 2 else d for k, (d, r) in enumerate(zip(divisors, rows))]
+            expected = divide(module, vec, divisors)
+            for v in (vec, Row.of(vec)):
+                assert normal_form(module, v, gb) == remainder
+                for given in (rows, mixed):
+                    assert divide(module, v, given) == expected

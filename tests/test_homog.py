@@ -53,13 +53,13 @@ def worked_example():
 
 def test_homogenize_simple_polynomial():
     p = P("x^2+y")
-    h = homogenize_vector(R2, (p,), 2)[0]
+    h = homogenize_vector(R2, (p,), 2).vector()[0]
     assert h == parse_poly("x^2+y*h", XYH)
 
 
 def test_homogenize_already_homogeneous_fixed_point():
     p = P("x^2+y^2")
-    h = homogenize_vector(R2, (p,), 2)[0]
+    h = homogenize_vector(R2, (p,), 2).vector()[0]
     assert h == parse_poly("x^2+y^2", XYH)
 
 
@@ -67,7 +67,7 @@ def test_homogenize_vector_with_shifts():
     # mixed-degree column padded to the column degree
     col = (P("8*y-2*x*z", XYZ), P("6*z", XYZ))
     module = FreeModule(3, (0, 0), MonomialOrder((1, 1, 1)))
-    he = homogenize_vector(module, col)
+    he = homogenize_vector(module, col).vector()
     assert he[0] == parse_poly("8*y*h-2*x*z", XYZH)
     assert he[1] == parse_poly("6*z*h", XYZH)
 
@@ -80,12 +80,12 @@ def test_filtration_violation_detected():
 def test_dehomogenize_inverts_homogenization():
     p = P("x^2+y")
     h = homogenize_vector(R2, (p,), 4)
-    assert dehomogenize_vector(h) == (p,)
+    assert dehomogenize_vector(h).vector() == (p,)
 
 
 def test_dehomogenize_collapses_pure_powers():
     h = parse_poly("h^3*x", XYH)
-    assert dehomogenize_vector((h,)) == (P("x"),)
+    assert dehomogenize_vector((h,)).vector() == (P("x"),)
 
 
 def test_round_trip_up_to_a_power_of_h():
@@ -94,7 +94,7 @@ def test_round_trip_up_to_a_power_of_h():
     dropped = dehomogenize_vector(xi)
     again = homogenize_vector(FreeModule(2, (0, 0), MonomialOrder((1, 1))), dropped)
     h = Polynomial.variable(2, 3)
-    rebuilt = tuple(c * h for c in again)
+    rebuilt = tuple(c * h for c in again.vector())
     assert rebuilt == xi
 
 
@@ -104,7 +104,7 @@ def test_homogenize_principal_ideal():
     mod = ring_module(2, MonomialOrder((1, 1)))
     _, hgens = homogenize_module(mod, [(P("x^2+y"),)])
     assert len(hgens) == 1
-    assert hgens[0][0] == parse_poly("x^2+y*h", XYH)
+    assert hgens[0].vector()[0] == parse_poly("x^2+y*h", XYH)
 
 
 def test_homogenize_module_needs_groebner_basis_first():

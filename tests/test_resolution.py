@@ -212,7 +212,7 @@ def test_entry_degrees_equal_shift_differences():
 
     dm = CTX2.derivation_module()
     gens = generalized_log_module(FactoredPolynomial.single(P("x^3+x*y^2")), CTX2)
-    redundant = free_resolution(dm, list(gens) + [tuple(p * P("x") for p in gens[0])])
+    redundant = free_resolution(dm, list(gens) + [tuple(p * P("x") for p in gens[0].vector())])
     longer = pad_with_trivial_pair(redundant, redundant.length + 1, 6)
     _, _, affine = affine_log_resolution(FactoredPolynomial.single(P("x^2+y^3+x*y")))
     instances = [
@@ -305,8 +305,9 @@ def test_minimal_generators_match_the_restart_loop_graded():
     for _ in range(20):
         fp, ctx = random_instance(rng)
         dm = ctx.derivation_module()
-        gens = generalized_log_module(fp, ctx, validate=False)
+        gens = [g.vector() for g in generalized_log_module(fp, ctx, validate=False)]
         syz_module, syz = syzygies(dm, gens)
+        syz = [s.vector() for s in syz]
         variable = Polynomial.variable(rng.randrange(ctx.nvars), ctx.nvars)
         multiple = tuple(p * variable for p in rng.choice(gens))
         for module, candidates in ((dm, gens + [multiple]), (syz_module, syz)):
