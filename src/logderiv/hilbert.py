@@ -5,17 +5,23 @@ A series is kept in closed form: an integer Laurent polynomial numerator
 N(t) over the fixed denominator prod(1 - t^{u_i}).  For any homogeneous free
 resolution of a module the numerator equals the alternating sum of t^{d}
 over the shifts, so N(t) is intrinsic and chi(M) = N'(1) is exact.  A slice
-dimension oracle expands the series degree by degree via exact linear
-algebra over the monomial basis; positive weights keep the slices finite
-dimensional, anything else is refused.
+dimension oracle (`hp_bruteforce`) checks the expansion degree by degree
+against the rank of the rows alpha * g spanning each slice; positive weights
+keep the slices finite dimensional, anything else is refused.
 
-The oracle eliminates fraction-free on primitive integer rows, by
-`poly.reduce_into`, which `poly.infer_weights` also uses.  A column
+The oracle proves each rank by two bounds that meet.  The distinct lead
+terms of the rows bound it from below, and their count is the series of a
+monomial submodule (`poly.monomial_numerator`, Bayer & Stillman 1992).  The
+row count less the distinct leads of the rows beta * s, over syzygies s
+that are each checked to be kernel vectors, bounds it from above.  For a
+Groebner basis the two meet in every degree.  Only degrees where they do
+not go to exact fraction-free elimination on primitive integer rows, by
+`poly.reduce_into`, which `poly.infer_weights` also uses.  There a column
 (slot, exponents) is one int, its digits in a base B that exceeds every
 exponent that can occur (positive weights bound a multiplier's exponents by
 its degree), so multiplying a row by a monomial is one int add per term.
 Module elements come and go as `groebner.Row`s, whose integer terms the
-oracle packs as they are.
+oracle reads as they are.
 """
 
 from __future__ import annotations
@@ -26,18 +32,22 @@ from math import comb
 from operator import mul
 
 from .poly import (
+    Exponents,
     NonPositiveWeightError,
     Polynomial,
     join_terms,
+    monomial_numerator,
     polynomial_gcd,
     primitive,
     reduce_into,
     u_degree,
 )
 from .groebner import (
+    FlatTerm,
     FreeModule,
     as_row,
     buchberger,
+    combination,
     normal_form,
     ring_module,
     syzygies,
@@ -192,29 +202,112 @@ def _monomials_of_weighted_degree(u: tuple[int, ...], d: int):
     yield from rec(0, d)
 
 
+def _lead_key(term: FlatTerm) -> tuple[Exponents, int]:
+    """The engine's tie-break among terms of one shifted degree, least
+    first: smaller e_{n-1}, ..., e_0 ranks higher, then the lower slot.
+    Adding exponents preserves it, so lead(alpha * g) = alpha * lead(g)."""
+    slot, exps = term
+    return exps[::-1], slot
+
+
+def _leads(module: FreeModule, rows) -> set[FlatTerm]:
+    """The lead term of every homogeneous component of every row."""
+    weights, shifts = module.order.weights, module.shifts
+    leads: set[FlatTerm] = set()
+    for row in rows:
+        components: dict[int, list[FlatTerm]] = {}
+        for term in row.terms:
+            slot, exps = term
+            components.setdefault(shifts[slot] + sum(map(mul, exps, weights)), []).append(term)
+        leads.update(min(terms, key=_lead_key) for terms in components.values())
+    return leads
+
+
+def _lead_series(module: FreeModule, leads) -> HPSeries:
+    """Series of the monomial submodule the lead terms generate: slot i
+    contributes t^{shift_i} (1 - N(S / I_i)), I_i the ideal of its leads'
+    monomials (`poly.monomial_numerator`)."""
+    u = module.order.weights
+    by_slot: dict[int, list[Exponents]] = {}
+    for slot, exps in leads:
+        by_slot.setdefault(slot, []).append(exps)
+    coeffs: dict[int, int] = {}
+    for slot, monos in by_slot.items():
+        shift = module.shifts[slot]
+        coeffs[shift] = coeffs.get(shift, 0) + 1
+        for e, c in monomial_numerator(monos, u).items():
+            coeffs[e + shift] = coeffs.get(e + shift, 0) - c
+    return HPSeries.from_dict(coeffs, u)
+
+
 def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, int]:
     """Slice dimensions of the generated submodule for degrees d_lo..d_hi:
-    the rank of the rows alpha * g, over every generator g and every
-    monomial alpha of degree d - deg g, by exact fraction-free elimination.
+    the rank over Q of the rows alpha * g, over every generator g and every
+    monomial alpha of degree d - deg g, each proven by two bounds that meet
+    or else computed by elimination.  (The name is the one the library
+    exports and perfbench's tracer wraps; the result is the brute-force
+    rank it always was.)
+
+    - L_d <= rank: the number of distinct leads of the rows, because rows
+      with distinct leads are independent.  lead(alpha * g) is
+      alpha * lead(g) under the explicit key `_lead_key`, so L is the
+      series of the monomial submodule of the generators' leads.
+    - rank <= N_d - K_d: N_d counts the rows (the free series on the
+      generator degrees), and K_d the distinct leads of the rows beta * s
+      over the syzygies s of the generators, independent kernel vectors.
+      Each s from `syzygies` is checked to combine the generators to zero
+      (RuntimeError if not); the engine's output is a witness, never
+      trusted.
+
+    Where L_d = N_d - K_d that number is the rank.  When L_d = N_d at every
+    degree the rows are independent and `syzygies` is not called.  For a
+    Groebner basis both bounds are exact (Bayer & Stillman 1992; Eisenbud,
+    Commutative Algebra, 15.10, for the syzygies' leads), so only a
+    generating set that is not one, which the API accepts, can leave a
+    degree open; `_eliminate` ranks exactly those degrees.
+
+    Generators must be homogeneous (`vector_degree` raises otherwise);
+    weights must be strictly positive (the module order enforces this),
+    otherwise slices would be infinite dimensional.
+    """
+    gens = [as_row(g) for g in gens]
+    degrees = [vector_degree(module, g) for g in gens]
+    u = module.order.weights
+    slices = range(d_lo, d_hi + 1)
+    rows = hp_expand(hp_free(degrees, u), d_lo, d_hi)
+    lower = hp_expand(_lead_series(module, _leads(module, gens)), d_lo, d_hi)
+    if all(lower[d] == rows[d] for d in slices):
+        return {d: rows[d] for d in slices}
+    syz_module, syz = syzygies(module, gens)
+    for s in syz:
+        if combination(s, gens).terms:
+            raise RuntimeError("syzygies returned a row that is not a kernel vector")
+    kernel = hp_expand(_lead_series(syz_module, _leads(syz_module, syz)), d_lo, d_hi)
+    open_slices = [d for d in slices if lower[d] != rows[d] - kernel[d]]
+    eliminated = _eliminate(module, gens, open_slices) if open_slices else {}
+    return {d: eliminated.get(d, lower[d]) for d in slices}
+
+
+def _eliminate(module: FreeModule, gens, slices) -> dict[int, int]:
+    """The rank of the rows alpha * g in each degree of slices, by exact
+    fraction-free elimination.
 
     Rows are primitive integer rows, reduced by `poly.reduce_into`; the
     rank over Q is the number of pivots.  A column, a slot and an exponent
     vector, is the int slot * B^n + sum(e_i * B^(n-1-i)).  Every exponent
     of a multiplier alpha is at most its degree d - deg g <= d_hi - (least
-    generator degree), because weights are positive, so with B = (largest
-    generator exponent) + d_hi - (least generator degree) + 1 no digit
-    overflows: multiplying by alpha adds alpha's code to each column, and
-    the largest code is the largest (slot, exps) tuple.  The codes of the
-    multipliers of each degree are built once per call.
-
-    Generators must be homogeneous; weights must be strictly positive (the
-    module order enforces this), otherwise slices would be infinite
-    dimensional.
+    generator degree), d_hi the largest degree asked for, because weights
+    are positive, so with B = (largest generator exponent) + d_hi - (least
+    generator degree) + 1 no digit overflows: multiplying by alpha adds
+    alpha's code to each column, and the largest code is the largest
+    (slot, exps) tuple.  The codes of the multipliers of each degree are
+    built once per call.
     """
     u = module.order.weights
     n = module.nvars
     gens = [as_row(g) for g in gens]
     degrees = [vector_degree(module, g) for g in gens]
+    d_hi = max(slices, default=0)
     top = max((e for g in gens for _, exps in g.terms for e in exps), default=0)
     base = top + max(d_hi - min(degrees, default=d_hi), 0) + 1
     place = [base ** (n - 1 - i) for i in range(n)]
@@ -222,7 +315,7 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
                        for (slot, exps), c in g.terms.items()}) for g in gens]
     multipliers: dict[int, list[int]] = {}
     dims: dict[int, int] = {}
-    for d in range(d_lo, d_hi + 1):
+    for d in slices:
         pivots: dict[int, dict[int, int]] = {}
         for g_row, dg in zip(rows, degrees):
             gap = d - dg

@@ -267,6 +267,43 @@ def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     return Polynomial._raw(p.nvars, out)
 
 
+def _minimal_monomials(monos) -> list[Exponents]:
+    """The monomials that no other one of the set divides, each once."""
+    out: list[Exponents] = []
+    for m in sorted(set(monos), key=sum):
+        if not any(all(map(le, g, m)) for g in out):
+            out.append(m)
+    return out
+
+
+def monomial_numerator(monos: Iterable[Exponents], u: tuple[int, ...]) -> dict[int, int]:
+    """Numerator N, as {exponent: coefficient}, of the Hilbert series
+    N(t) / prod(1 - t^{u_i}) of S / I, I the ideal generated by the
+    monomials x^m, m in monos, under the positive weights u (Bayer &
+    Stillman 1992, "Computation of Hilbert functions").
+
+    Colon recursion: N(S/(J + x^m)) = N(S/J) - t^{deg m} N(S/(J : x^m)),
+    where J : x^m is generated by the x^g / gcd(x^g, x^m).  The minimal
+    generators are added one at a time from J = 0, where N = 1.  When no
+    two of them share a variable, J : x^m = J at every step, so N is the
+    product of the (1 - t^{deg m}) with no recursion.
+    """
+
+    def numerator(gens: list[Exponents]) -> dict[int, int]:
+        supports = [{i for i, e in enumerate(g) if e} for g in gens]
+        coprime = sum(map(len, supports)) == len(set().union(*supports))
+        out = {0: 1}
+        for j, m in enumerate(gens):
+            colon = dict(out) if coprime else numerator(_minimal_monomials(
+                tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens[:j]))
+            d = weighted_degree(m, u)
+            for e, c in colon.items():
+                out[e + d] = out.get(e + d, 0) - c
+        return {e: c for e, c in out.items() if c}
+
+    return numerator(_minimal_monomials(monos))
+
+
 def primitive(row: dict) -> dict:
     """An integer row (or polynomial) divided by the positive gcd of its
     values; the row itself when that gcd is 1."""

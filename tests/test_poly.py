@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,34 @@ def test_reduce_into_rank_and_pivots_match_sympy():
         m = sympy.Matrix(matrix)
         assert len(pivots) == m.rank(), matrix
         assert sorted(ncols - 1 - k for k in pivots) == list(m.rref()[1]), matrix
+
+
+def test_monomial_numerator_counts_the_distinct_multiples():
+    # the degree-d coefficient of (1 - N(t)) / prod(1 - t^{u_i}) is the
+    # number of distinct alpha * m of degree d
+    def of_degree(u, d):
+        if d < 0 or not u:
+            return [()] if d == 0 else []
+        return [(e,) + rest for e in range(d // u[0] + 1) for rest in of_degree(u[1:], d - e * u[0])]
+
+    rng = random.Random("monomial-numerator")
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        u = tuple(rng.randint(1, 3) for _ in range(n))
+        monos = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 6))]
+        numerator = poly.monomial_numerator(monos, u)
+        for d in range(9):
+            multiples = {tuple(map(add, alpha, m)) for m in monos
+                         for alpha in of_degree(u, d - poly.weighted_degree(m, u))}
+            quotient = sum(c * len(of_degree(u, d - e)) for e, c in numerator.items())
+            assert len(of_degree(u, d)) - quotient == len(multiples), (monos, u, d)
+
+
+def test_monomial_numerator_of_the_unit_and_of_no_generators():
+    assert poly.monomial_numerator([(0, 0)], (1, 2)) == {}
+    assert poly.monomial_numerator([], (1, 2)) == {0: 1}
+    # the complete intersection x^2, y^3: (1 - t^2)(1 - t^6) under u = (1, 2)
+    assert poly.monomial_numerator([(2, 0), (0, 3), (2, 3)], (1, 2)) == {0: 1, 2: -1, 6: -1, 8: 1}
 
 
 # --- derivatives -------------------------------------------------------------
