@@ -65,6 +65,7 @@ from .hilbert import (
     hp_bruteforce,
     hp_expand,
     hp_free,
+    hp_from_basis,
     hp_from_resolution,
     hp_quotient,
     verify_coprime_sum,

@@ -29,7 +29,7 @@ from .hilbert import (
     claim,
     format_series,
     hp_free,
-    hp_from_resolution,
+    hp_from_basis,
     report_ok,
     verify_degree_identity,
 )
@@ -234,10 +234,10 @@ def cmd_hilbert(args) -> int:
         report = {"series": format_series(hp), "ok": True}
         return _emit(args, report)
     _, factored, ctx = _build_inputs(args)
-    res = LogModule.of(factored, ctx).resolution
-    if not res.graded:
+    mod = LogModule.of(factored, ctx)
+    if not all(vector_grading(mod.module, g)[1] for g in mod.gens):
         raise UsageError("the series needs a quasi-homogeneous input")
-    hp = hp_from_resolution(res)
+    hp = hp_from_basis(mod.module, mod.gens)
     report = {
         "inputs": _echo(args, ctx),
         "series": format_series(hp),

@@ -9,19 +9,17 @@ dimension oracle (`hp_bruteforce`) checks the expansion degree by degree
 against the rank of the rows alpha * g spanning each slice; positive weights
 keep the slices finite dimensional, anything else is refused.
 
-The oracle proves each rank by two bounds that meet.  The distinct lead
-terms of the rows bound it from below, and their count is the series of a
-monomial submodule (`poly.monomial_numerator`, Bayer & Stillman 1992).  The
-row count less the distinct leads of the rows beta * s, over syzygies s
-that are each checked to be kernel vectors, bounds it from above.  For a
-Groebner basis the two meet in every degree.  Only degrees where they do
-not go to exact fraction-free elimination on primitive integer rows, by
-`poly.reduce_into`, which `poly.infer_weights` also uses.  There a column
-(slot, exponents) is one int, its digits in a base B that exceeds every
-exponent that can occur (positive weights bound a multiplier's exponents by
-its degree), so multiplying a row by a monomial is one int add per term.
-Module elements come and go as `groebner.Row`s, whose integer terms the
-oracle reads as they are.
+A submodule's series is read off the leads of a homogeneous Groebner basis
+(`hp_from_basis`: HP(M) = HP(in M), Bayer & Stillman 1992), with no
+resolution; `hp_from_resolution` serves the claims about a resolution.
+
+The oracle proves each rank by two bounds that meet: the rows' distinct
+leads from below (`hp_from_basis` of the generators), and the row count
+less the distinct leads of the rows beta * s, over syzygies s each checked
+to be a kernel vector, from above.  For a Groebner basis the two meet in
+every degree.  Only degrees where they do not go to exact fraction-free
+elimination by `poly.reduce_into` on the `groebner.Row`s' own integer
+(slot, exponents) terms.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import comb
-from operator import mul
+from operator import add, mul
 
 from .poly import (
     Exponents,
@@ -53,6 +51,7 @@ from .groebner import (
     syzygies,
     vec_is_zero,
     vector_degree,
+    vector_grading,
 )
 from .derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from .resolution import (
@@ -60,7 +59,6 @@ from .resolution import (
     alternating_degree_sum,
     alternating_rank_sum,
     betti_numbers,
-    free_resolution,
 )
 
 DEFAULT_ORACLE_DEGREE = 12
@@ -117,9 +115,13 @@ def hp_from_resolution(res: Resolution) -> HPSeries:
 def hp_quotient(f0: FreeModule, relations) -> HPSeries:
     """Series of F_0 / K for the submodule K of F_0 generated by the
     relations.  Series are additive on 0 -> K -> F_0 -> F_0 / K -> 0, so the
-    numerator is F_0's minus the numerator of a resolution of K."""
+    numerator is F_0's minus K's, read off K's reduced basis.  Every relation
+    must be homogeneous (a zero one is); ValueError otherwise."""
+    relations = [as_row(r) for r in relations]
+    if not all(vector_grading(f0, r)[1] for r in relations):
+        raise ValueError("the series needs homogeneous relations")
     coeffs = hp_free(f0.shifts, f0.order.weights).numerator_dict()
-    for e, c in hp_from_resolution(free_resolution(f0, relations)).numerator:
+    for e, c in hp_from_basis(f0, buchberger(f0, relations).rows).numerator:
         coeffs[e] = coeffs.get(e, 0) - c
     return HPSeries.from_dict(coeffs, f0.order.weights)
 
@@ -223,14 +225,24 @@ def _leads(module: FreeModule, rows) -> set[FlatTerm]:
     return leads
 
 
-def _lead_series(module: FreeModule, leads) -> HPSeries:
-    """Series of the monomial submodule the lead terms generate: slot i
-    contributes t^{shift_i} (1 - N(S / I_i)), I_i the ideal of its leads'
-    monomials (`poly.monomial_numerator`)."""
+def hp_from_basis(module: FreeModule, basis) -> HPSeries:
+    """Series of the submodule a homogeneous Groebner basis generates: that
+    of its leads' monomial submodule, where slot i contributes
+    t^{shift_i} (1 - N(S / I_i)), I_i the ideal of its leads' monomials
+    (`poly.monomial_numerator`).  The leads are the engine's (`_lead_key`),
+    so `buchberger`'s rows qualify; for other homogeneous generators the
+    series is a lower bound degree by degree (`hp_bruteforce`).  A row that
+    is not homogeneous, or a block split (another order), is refused."""
+    if module.block_split is not None:
+        raise ValueError("the series reads leads in an order without a block split")
     u = module.order.weights
     by_slot: dict[int, list[Exponents]] = {}
-    for slot, exps in leads:
-        by_slot.setdefault(slot, []).append(exps)
+    for g in basis:
+        leads = _leads(module, [as_row(g)])  # one per homogeneous component
+        if len(leads) > 1:
+            raise ValueError("the series needs a homogeneous basis")
+        for slot, exps in leads:
+            by_slot.setdefault(slot, []).append(exps)
     coeffs: dict[int, int] = {}
     for slot, monos in by_slot.items():
         shift = module.shifts[slot]
@@ -250,14 +262,14 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
 
     - L_d <= rank: the number of distinct leads of the rows, because rows
       with distinct leads are independent.  lead(alpha * g) is
-      alpha * lead(g) under the explicit key `_lead_key`, so L is the
-      series of the monomial submodule of the generators' leads.
+      alpha * lead(g) under the explicit key `_lead_key`, so L is
+      `hp_from_basis` of the generators.
     - rank <= N_d - K_d: N_d counts the rows (the free series on the
       generator degrees), and K_d the distinct leads of the rows beta * s
-      over the syzygies s of the generators, independent kernel vectors.
-      Each s from `syzygies` is checked to combine the generators to zero
-      (RuntimeError if not); the engine's output is a witness, never
-      trusted.
+      over the syzygies s of the generators, independent kernel vectors
+      (`hp_from_basis` of the syzygies).  Each s from `syzygies` is checked
+      to combine the generators to zero (RuntimeError if not); the engine's
+      output is a witness, never trusted.
 
     Where L_d = N_d - K_d that number is the rank.  When L_d = N_d at every
     degree the rows are independent and `syzygies` is not called.  For a
@@ -275,14 +287,14 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
     u = module.order.weights
     slices = range(d_lo, d_hi + 1)
     rows = hp_expand(hp_free(degrees, u), d_lo, d_hi)
-    lower = hp_expand(_lead_series(module, _leads(module, gens)), d_lo, d_hi)
+    lower = hp_expand(hp_from_basis(module, gens), d_lo, d_hi)
     if all(lower[d] == rows[d] for d in slices):
         return {d: rows[d] for d in slices}
     syz_module, syz = syzygies(module, gens)
     for s in syz:
         if combination(s, gens).terms:
             raise RuntimeError("syzygies returned a row that is not a kernel vector")
-    kernel = hp_expand(_lead_series(syz_module, _leads(syz_module, syz)), d_lo, d_hi)
+    kernel = hp_expand(hp_from_basis(syz_module, syz), d_lo, d_hi)
     open_slices = [d for d in slices if lower[d] != rows[d] - kernel[d]]
     eliminated = _eliminate(module, gens, open_slices) if open_slices else {}
     return {d: eliminated.get(d, lower[d]) for d in slices}
@@ -292,43 +304,23 @@ def _eliminate(module: FreeModule, gens, slices) -> dict[int, int]:
     """The rank of the rows alpha * g in each degree of slices, by exact
     fraction-free elimination.
 
-    Rows are primitive integer rows, reduced by `poly.reduce_into`; the
-    rank over Q is the number of pivots.  A column, a slot and an exponent
-    vector, is the int slot * B^n + sum(e_i * B^(n-1-i)).  Every exponent
-    of a multiplier alpha is at most its degree d - deg g <= d_hi - (least
-    generator degree), d_hi the largest degree asked for, because weights
-    are positive, so with B = (largest generator exponent) + d_hi - (least
-    generator degree) + 1 no digit overflows: multiplying by alpha adds
-    alpha's code to each column, and the largest code is the largest
-    (slot, exps) tuple.  The codes of the multipliers of each degree are
-    built once per call.
+    Rows are primitive integer rows on the Rows' own (slot, exponents)
+    terms, reduced by `poly.reduce_into`; the rank over Q is the number of
+    pivots.  The multipliers of each degree are built once.
     """
     u = module.order.weights
-    n = module.nvars
     gens = [as_row(g) for g in gens]
     degrees = [vector_degree(module, g) for g in gens]
-    d_hi = max(slices, default=0)
-    top = max((e for g in gens for _, exps in g.terms for e in exps), default=0)
-    base = top + max(d_hi - min(degrees, default=d_hi), 0) + 1
-    place = [base ** (n - 1 - i) for i in range(n)]
-    rows = [primitive({slot * base**n + sum(map(mul, exps, place)): c
-                       for (slot, exps), c in g.terms.items()}) for g in gens]
-    multipliers: dict[int, list[int]] = {}
+    rows = [primitive(g.terms) for g in gens]
+    gaps = {d - dg for d in slices for dg in degrees if d >= dg}
+    multipliers = {gap: list(_monomials_of_weighted_degree(u, gap)) for gap in gaps}
     dims: dict[int, int] = {}
     for d in slices:
-        pivots: dict[int, dict[int, int]] = {}
+        pivots: dict[FlatTerm, dict[FlatTerm, int]] = {}
         for g_row, dg in zip(rows, degrees):
-            gap = d - dg
-            if gap < 0:
-                continue
-            codes = multipliers.get(gap)
-            if codes is None:
-                codes = multipliers[gap] = [
-                    sum(map(mul, alpha, place))
-                    for alpha in _monomials_of_weighted_degree(u, gap)
-                ]
-            for shift in codes:
-                reduce_into(pivots, {k + shift: c for k, c in g_row.items()})
+            for alpha in multipliers.get(d - dg, ()):
+                reduce_into(pivots, {(slot, tuple(map(add, exps, alpha))): c
+                                     for (slot, exps), c in g_row.items()})
         dims[d] = len(pivots)
     return dims
 
@@ -425,29 +417,27 @@ def verify_coprime_sum(
         raise ValueError("reduced parts share a common factor")
     dm = ctx.derivation_module()
     gens = generalized_log_module(f1, ctx) + generalized_log_module(f2, ctx)
-    gens = list(buchberger(dm, gens).rows)
-    res = free_resolution(dm, gens)
-    value = chi(hp_from_resolution(res))
+    value = chi(hp_from_basis(dm, buchberger(dm, gens).rows))
     claims = [claim("chi of the sum module equals |v|", value, ctx.v_sum)]
     return {"chi": value, "claims": claims, "ok": report_ok(claims)}
 
 
 def chi_additivity_check(sub_gens, big_gens, ctx: GradedContext) -> dict:
-    """chi(L) = chi(M) + chi(L/M) via independent resolutions of all three.
+    """chi(L) = chi(M) + chi(L/M), each series read off its own reduced
+    basis (`hp_from_basis`, through `hp_quotient` for L/M).
 
     L/M is presented on F_0, free on the reduced basis of L, by the
     syzygies of that basis modulo M.
     """
     dm = ctx.derivation_module()
     gb = buchberger(dm, big_gens)
-    # the membership test runs before any resolution
+    # the membership test runs before any series
     if not all(vec_is_zero(normal_form(dm, m, gb)) for m in sub_gens):
         raise ValueError("not a submodule: generator fails membership")
     big = list(gb.rows)
     f0, relations = syzygies(dm, big, sub_gens)
-    chi_l = chi(hp_from_resolution(free_resolution(dm, big)))
-    sub_canonical = list(buchberger(dm, sub_gens).rows)
-    chi_m = chi(hp_from_resolution(free_resolution(dm, sub_canonical)))
+    chi_l = chi(hp_from_basis(dm, big))
+    chi_m = chi(hp_from_basis(dm, buchberger(dm, sub_gens).rows))
     chi_q = chi(hp_quotient(f0, relations))
     claims = [claim("chi is additive along 0 -> M -> L -> L/M -> 0",
                     chi_l, chi_m + chi_q)]

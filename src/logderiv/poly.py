@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, le, mul, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
 
 Exponents = tuple[int, ...]
 
@@ -311,11 +311,16 @@ def primitive(row: dict) -> dict:
     return row if content == 1 else {k: c // content for k, c in row.items()}
 
 
-def reduce_into(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+Column = TypeVar("Column", bound=Hashable)
+
+
+def reduce_into(pivots: dict[Column, dict[Column, int]], row: dict[Column, int]) -> None:
     """Reduce an integer row by an echelon basis, fraction-free, and keep
     what is left as a new pivot.
 
-    `pivots` maps the lead of each of its rows, the largest key, to the row.
+    Columns are any totally ordered hashable keys: ints in `infer_weights`,
+    (slot, exponents) terms in `hilbert._eliminate`.  `pivots` maps the lead
+    of each of its rows, the largest key, to the row.
     While the row's lead holds a pivot, with lead coefficients a (row) and
     b (pivot), the row becomes (b/h) * row - (a/h) * pivot, h = gcd(a, b),
     divided by its content.  So len(pivots) is the rank over Q of the rows

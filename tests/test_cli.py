@@ -134,6 +134,12 @@ def test_hilbert_free_ring(capsys):
     assert "1/((1-t)(1-t^2))" in out
 
 
+def test_hilbert_refuses_an_input_that_is_not_quasi_homogeneous(capsys):
+    code, out, err = run(capsys, "hilbert", "x^2+y", "--vars", "x,y", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "the series needs a quasi-homogeneous input" in err
+
+
 def test_hilbert_of_module(capsys):
     code, out, _ = run(
         capsys, "hilbert", "x^2+y^2", "--vars", "x,y", "--u", "1,1", "--v", "0,0",

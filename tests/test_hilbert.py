@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,10 +11,14 @@ from logderiv.poly import (
     parse_poly,
     u_degree,
 )
+from logderiv import resolution
+from logderiv.cli import main
 from logderiv.groebner import FreeModule, ring_module
-from logderiv.derivmod import FactoredPolynomial, GradedContext, generalized_log_module
+from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from logderiv.resolution import free_resolution, minimize, pad_with_trivial_pair
 from logderiv.harness import random_instance
+
+from test_arrangements import FREE, arrangement
 from logderiv.hilbert import (
     HPSeries,
     chi,
@@ -23,6 +28,7 @@ from logderiv.hilbert import (
     hp_bruteforce,
     hp_expand,
     hp_free,
+    hp_from_basis,
     hp_from_resolution,
     hp_quotient,
     quotient_ring_hp,
@@ -175,8 +181,8 @@ def test_bruteforce_cancels_over_q():
 
 def test_bruteforce_column_codes_at_their_bound():
     # Every truncation d_hi is asked for, so each time some multiplier
-    # exponent of the least-degree generator reaches the code base minus 1;
-    # one base less and slot 0's x^5 meets slot 1's unit vector in degree 3.
+    # exponent of the least-degree generator reaches the top of the range;
+    # slot 0's x^5 and slot 1's unit vector share degree 3 and stay apart.
     mod = FreeModule(3, (-2, 3), MonomialOrder((1, 2, 3)))
     units = [mod.unit_vector(0), mod.unit_vector(1)]
     expansion = hp_expand(hp_free(mod.shifts, mod.order.weights), -2, 15)
@@ -458,3 +464,105 @@ def test_chi_independent_of_resolution_choice():
         chi(hp_from_resolution(r)) for r in (res, padded, redundant, minimize(res))
     }
     assert values == {2}
+
+
+# --- series from lead terms, with no resolution ---------------------------------
+
+def test_lead_series_equals_resolution_series_on_harness_draws():
+    rng = random.Random(0)
+    for _ in range(100):
+        mod = LogModule.of(*random_instance(rng))
+        assert hp_from_basis(mod.module, mod.gens) == hp_from_resolution(mod.resolution)
+
+
+@pytest.mark.parametrize("name", sorted(FREE))
+def test_lead_series_equals_resolution_series_on_free_arrangements(name):
+    normals, mults, _ = FREE[name]
+    mod = LogModule.of(arrangement(normals, mults), GradedContext.standard(len(normals[0])))
+    assert hp_from_basis(mod.module, mod.gens) == hp_from_resolution(mod.resolution)
+
+
+QUOTIENT_CASES = [
+    ((1, 1), ("x", "y")),
+    ((2, 1), ("x", "y")),
+    ((1, 1), ("x^2+y^2", "x*y")),
+    ((2, 1), ("x^2", "x+y^2")),
+    ((1, 1), ("x", "y", "x+y")),
+    ((1, 1), ("x^3", "y^2")),
+    ((1, 1), ("x+y", "x-y")),
+    ((1, 1), ("x^2+y^2",)),
+]
+
+
+@pytest.mark.parametrize("u, texts", QUOTIENT_CASES)
+def test_hp_quotient_equals_the_resolution_route(u, texts):
+    ctx = GradedContext.from_uk(u, max(u))
+    ring = ring_module(ctx.nvars, ctx.order())
+    relations = [(P(t),) for t in texts]
+    coeffs = hp_free(ring.shifts, u).numerator_dict()
+    for e, c in hp_from_resolution(free_resolution(ring, relations)).numerator:
+        coeffs[e] = coeffs.get(e, 0) - c
+    assert quotient_ring_hp([P(t) for t in texts], ctx) == HPSeries.from_dict(coeffs, u)
+
+
+@pytest.fixture
+def resolutions(monkeypatch):
+    """The calls of free_resolution, counted under every logderiv name bound
+    to it (a name bound by `from ... import` is a binding of its own)."""
+    calls = []
+    original = resolution.free_resolution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "logderiv" or name.startswith("logderiv."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _hilbert_command():
+    assert main(["hilbert", "x^2+y^2", "--vars", "x,y", "--format", "json"]) == 0
+
+
+SERIES_ONLY = {
+    "quotient_ring_hp": lambda: quotient_ring_hp([P("x^2+y^2"), P("x*y")], CTX2),
+    "verify_coprime_sum": lambda: verify_coprime_sum(
+        FactoredPolynomial.single(P("x+y")), FactoredPolynomial.single(P("x-y")), CTX2),
+    "chi_additivity_check": lambda: chi_additivity_check(
+        [V("x^2+y^2", "0")], [V("1", "0")], GradedContext((1, 1), (3, 3))),
+    "logderiv hilbert": _hilbert_command,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_ONLY))
+def test_series_only_paths_build_no_resolution(name, resolutions):
+    SERIES_ONLY[name]()
+    assert resolutions == []
+
+
+def test_the_resolution_counter_sees_a_resolution(resolutions):
+    LogModule.of(FactoredPolynomial.single(P("x^2+y^2")), CTX2).resolution
+    assert len(resolutions) == 1
+
+
+def test_hp_quotient_refuses_an_inhomogeneous_relation():
+    ring = ring_module(2, MonomialOrder((1, 1)))
+    with pytest.raises(ValueError, match="homogeneous relations"):
+        hp_quotient(ring, [(P("x^2+y"),)])
+    # x and x + x^2 generate <x>, whose reduced basis is homogeneous, but
+    # the relation x + x^2 is not: the relations themselves are checked
+    with pytest.raises(ValueError, match="homogeneous relations"):
+        hp_quotient(ring, [(P("x"),), (P("x+x^2"),)])
+
+
+def test_hp_from_basis_refuses_an_inhomogeneous_row_and_a_block_split():
+    ring = ring_module(2, MonomialOrder((1, 1)))
+    with pytest.raises(ValueError, match="homogeneous basis"):
+        hp_from_basis(ring, [(P("x^2+y"),)])
+    split = FreeModule(2, (0, 0), MonomialOrder((1, 1)), block_split=1)
+    with pytest.raises(ValueError, match="block split"):
+        hp_from_basis(split, [(P("x"), P("0"))])

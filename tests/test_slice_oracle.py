@@ -227,7 +227,8 @@ def test_elimination_cancels_over_q():
 
 
 def test_elimination_column_codes_at_their_bound():
-    # one base less and slot 0's x^5 meets slot 1's unit vector in degree 3
+    # slot 0's x^5 and slot 1's unit vector share degree 3: two (slot,
+    # exponents) columns, two pivots, at every truncation of the range
     mod = FreeModule(3, (-2, 3), MonomialOrder((1, 2, 3)))
     units = [mod.unit_vector(0), mod.unit_vector(1)]
     expansion = hilbert.hp_expand(hilbert.hp_free(mod.shifts, mod.order.weights), -2, 15)
