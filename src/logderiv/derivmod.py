@@ -268,9 +268,14 @@ class LogModule:
     resolution and minimal resolution computed on first use and then kept,
     so that every check on the instance reads the same objects.
 
-    `of` computes D(f) from a factorization it validates; a caller that has
-    checked the factorization passes the generators, which also serve under a
-    grading that shifts every slot alike (see harness.verify_v_shift).
+    `gens` is D(f)'s reduced basis under `ctx`'s order, as
+    `generalized_log_module` returns it: `buchberger(module, gens).rows`,
+    order included.  The homogenization pipeline pads it as it is
+    (`homog.chi_homogenized`, `homog.verify_lemma_intersection`).  `of`
+    computes it from a factorization it validates; a caller that has checked
+    the factorization passes it, and it also serves under a grading that
+    shifts every slot alike, which leaves the order unchanged (see
+    harness.verify_v_shift).
     """
 
     factored: FactoredPolynomial

@@ -31,13 +31,19 @@ monic there.
 one that eliminates: it returns the c with sum(c_i * gens[i]) in the
 submodule generated by relations (Singular's `modulo`).  `intersect` and
 `module_quotient` are one call to it each, and `combination` is the one
-linear combination sum(c_i * v_i), on Rows.  Polynomial gcds and exact
-division by one polynomial need no Groebner basis; they live in `poly`.
+linear combination sum(c_i * v_i), on Rows.  For inhomogeneous input
+`syzygies` also hands `resolution.free_resolution`, on request, the reduced
+basis of the homogenized image, which its block-split basis already holds.
+Polynomial gcds and exact division by one polynomial need no Groebner
+basis; they live in `poly`.
 
 `vector_grading` is the one reader of an element's degree (its largest
-shifted weighted degree), and `homogenize_vector` the one way to pad an
-element up to a degree, with a new last variable h of weight 1
-(`homogenized`); `syzygies` and `homog` both homogenize through it.
+shifted weighted degree); a caller that has graded the generators it hands
+to the engine passes the gradings on (`buchberger`'s and `grow`'s private
+parameters), so the engine does not read them again.  `homogenize_vector`
+is the one way to pad an element up to a degree, with a new last variable h
+of weight 1 (`homogenized`); `syzygies` and `homog` both homogenize through
+it.
 
 `GroebnerBasis` is the one Buchberger engine: a reduced basis with its leads
 prepared for division, grown in place by `add`.  Its rows are also kept
@@ -328,15 +334,21 @@ class _Packing:
         return {one[slot] + sum(map(mul, exps, place)): c
                 for (slot, exps), c in row.terms.items()}
 
-    def element(self, packed: dict[int, int], den: int, low: int = 0) -> Row:
-        """The Row packed / den, of the slots from `low` on, numbered from
-        0; packed has no term in a slot below `low`."""
+    def element(
+        self, packed: dict[int, int], den: int, low: int = 0, high: int | None = None
+    ) -> Row:
+        """The Row packed / den, of the slots from `low` up to `high`
+        (default: the last), numbered from 0; packed has no term in a slot
+        below `low`, and its terms from slot `high` on are dropped."""
         mask, largest, positions = self.slot_mask, self.largest, self.positions
+        if high is None:
+            high = self.module.rank
         terms = {
             ((code & mask) - low, tuple([(code >> p) & largest for p in positions])): c
             for code, c in packed.items()
+            if code & mask < high
         }
-        return Row.lowest(terms, den, self.module.rank - low, self.module.nvars)
+        return Row.lowest(terms, den, high - low, self.module.nvars)
 
 
 class _Prepared:
@@ -449,11 +461,11 @@ def _divide(
     return scale, quotients, remainder
 
 
-def _grading(module: FreeModule, rows: list[Row]) -> tuple[int, bool]:
-    """The largest shifted degree of a term of rows, and whether a
-    division by them can create a term above the degree of the term it
-    reduces: that takes a block split and an inhomogeneous element."""
-    gradings = [vector_grading(module, r) for r in rows]
+def _grading(module: FreeModule, gradings: list[tuple[int, bool]]) -> tuple[int, bool]:
+    """From the rows' `vector_grading`s: the largest shifted degree of a
+    term of the rows, and whether a division by them can create a term
+    above the degree of the term it reduces: that takes a block split and
+    an inhomogeneous element."""
     loose = module.block_split is not None and not all(h for _, h in gradings)
     return max(d for d, _ in gradings), loose
 
@@ -466,7 +478,9 @@ def divide(
     row = as_row(vec)
     basis = [as_row(b) for b in basis_vectors]
     live = [i for i, b in enumerate(basis) if b.terms]
-    degree, loose = _grading(module, [row] + [basis[i] for i in live])
+    degree, loose = _grading(
+        module, [vector_grading(module, r) for r in [row] + [basis[i] for i in live]]
+    )
     packing = _Packing(module, degree)
     while True:
         prepared = [_Prepared(packing.row(basis[i]), packing) for i in live]
@@ -533,7 +547,7 @@ class GroebnerBasis:
     checked and an overflowing step is widened and started again.
     """
 
-    def __init__(self, module: FreeModule, gens=()):
+    def __init__(self, module: FreeModule, gens=(), _gradings=None):
         self.module = module
         self.basis: list[_Prepared] = []
         self._divisors: list[list[_Prepared]] = _by_slot([], module.rank)
@@ -543,7 +557,7 @@ class GroebnerBasis:
         self._loose = False
         self._rows: tuple[Row, ...] | None = None
         self._elements: tuple[Vector, ...] | None = None
-        self.add(gens)
+        self.add(gens, _gradings)
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -560,13 +574,17 @@ class GroebnerBasis:
     def _changed(self) -> None:
         self._rows = self._elements = None
 
-    def add(self, gens) -> bool:
+    def add(self, gens, _gradings=None) -> bool:
         """Add generators and return whether the module grew.  If none was
-        appended, no pair was queued and the basis is still reduced."""
-        gens = [r for r in map(as_row, gens) if r.terms]
-        if not gens:
+        appended, no pair was queued and the basis is still reduced.
+        `_gradings`, when a caller has them, are the generators'
+        `vector_grading`s in the module, in order."""
+        rows = [as_row(g) for g in gens]
+        live = [k for k, r in enumerate(rows) if r.terms]
+        if not live:
             return False
-        self._fit_rows(gens)
+        gens = [rows[k] for k in live]
+        self._fit_rows(gens, None if _gradings is None else [_gradings[k] for k in live])
         settled = len(self.basis)
         for g in gens:
             self._reduce_and_append(lambda: self._packing.row(g))
@@ -577,7 +595,7 @@ class GroebnerBasis:
         self._changed()
         return True
 
-    def grow(self, g: Row | Vector, degree: int | None = None) -> bool:
+    def grow(self, g: Row | Vector, degree: int | None = None, _grading=None) -> bool:
         """Whether the nonzero g lies outside the submodule; if it does, its
         remainder is appended.  First the queued pairs are processed: all of
         them, or with `degree` those whose lcm has degree at most that.
@@ -588,18 +606,21 @@ class GroebnerBasis:
         is homogeneous of its lcm's degree, so a basis closed up to degree d
         divides an element of degree at most d to zero exactly when it lies
         in the submodule.  The basis serves further calls of `grow` only:
-        `add` and `elements` need the reduced basis.
+        `add` and `elements` need the reduced basis.  `_grading`, when a
+        caller has it, is g's `vector_grading` in the module.
         """
         g = as_row(g)
-        self._fit_rows([g])
+        self._fit_rows([g], None if _grading is None else [_grading])
         self._close(degree)
         size = len(self.basis)
         self._reduce_and_append(lambda: self._packing.row(g))
         self._changed()
         return len(self.basis) > size
 
-    def _fit_rows(self, gens: list[Row]) -> None:
-        degree, loose = _grading(self.module, gens)
+    def _fit_rows(self, gens: list[Row], gradings: list[tuple[int, bool]] | None) -> None:
+        if gradings is None:
+            gradings = [vector_grading(self.module, r) for r in gens]
+        degree, loose = _grading(self.module, gradings)
         self._fit(degree)
         self._loose |= loose
 
@@ -756,9 +777,10 @@ class GroebnerBasis:
             self._divisors = _by_slot(self.basis, self.module.rank)
 
 
-def buchberger(module: FreeModule, gens) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by gens."""
-    return GroebnerBasis(module, gens)
+def buchberger(module: FreeModule, gens, _gradings=None) -> GroebnerBasis:
+    """Reduced Groebner basis of the submodule generated by gens (whose
+    `vector_grading`s a caller that has them passes as `_gradings`)."""
+    return GroebnerBasis(module, gens, _gradings)
 
 
 def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
@@ -766,7 +788,9 @@ def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     return buchberger(module, gens_a).rows == buchberger(module, gens_b).rows
 
 
-def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list[Row]]:
+def syzygies(
+    module: FreeModule, gens, relations=(), _with_image: bool = False
+) -> tuple:
     """Generators of {c : sum(c_i * gens[i]) lies in the submodule generated
     by relations}, the syzygies of gens modulo relations, in the free module
     whose slot i carries the degree of gens[i] (`vector_grading`).
@@ -779,31 +803,49 @@ def syzygies(module: FreeModule, gens, relations=()) -> tuple[FreeModule, list[R
     and h is set to 1 in the result, a generating set: homogenizing to a
     fixed degree is linear, so every solution c, with sum(c_i g_i) =
     sum(a_j r_j), lifts to a graded one.
+
+    With `_with_image` a third item follows: None for homogeneous input,
+    otherwise the reduced basis of the submodule of `homogenized(module)`
+    that the homogenized generators and relations generate.  Under the
+    elimination order the rows of the block-split basis whose lead lies in
+    the ambient block project onto that basis, in its order (Eisenbud,
+    Commutative Algebra, 15.10), so it is those rows' ambient block, made
+    monic.
     """
     if module.block_split is not None:
         raise ValueError("nested block splits are not supported")
     gens = [as_row(g) for g in gens]
-    relations = [as_row(r) for r in relations]
+    relations = [r for r in map(as_row, relations) if r.terms]
     gradings = [vector_grading(module, g) for g in gens]
+    relation_gradings = [vector_grading(module, r) for r in relations]
     degrees = tuple(d for d, _ in gradings)
     syz_module = FreeModule(module.nvars, degrees, module.order)
-    homogeneous = all(h for _, h in gradings + [vector_grading(module, r) for r in relations])
+    homogeneous = all(h for _, h in gradings + relation_gradings)
     if not homogeneous:
         gens = [homogenize_vector(module, g, d) for g, d in zip(gens, degrees)]
-        relations = [homogenize_vector(module, r) for r in relations]
+        relations = [
+            homogenize_vector(module, r, d) for r, (d, _) in zip(relations, relation_gradings)
+        ]
         module = homogenized(module)
     rank, size, one = module.rank, module.rank + len(gens), (0,) * module.nvars
     ext = FreeModule(module.nvars, module.shifts + degrees, module.order, block_split=rank)
     ext_gens = [Row(g.terms | {(rank + i, one): g.den}, g.den, size, module.nvars)
                 for i, g in enumerate(gens)]
     ext_gens += [Row(r.terms, r.den, size, module.nvars) for r in relations]
+    # every row is now homogeneous: (g_i, e_i) of degree d_i, a relation of its own
+    ext_gradings = [(d, True) for d in degrees] + [(d, True) for d, _ in relation_gradings]
+    gb = buchberger(ext, ext_gens, _gradings=ext_gradings)
     # an element has a zero leading block exactly when its lead is below
-    # the split, and then every term is: only those rows are unpacked
-    gb = buchberger(ext, ext_gens)
+    # the split, and then every term is: those rows are the syzygies
     syz = [gb._packing.element(b.row, b.coeff, rank) for b in gb.basis if b.slot >= rank]
+    image = None
     if not homogeneous:
         syz = [dehomogenize_vector(s) for s in syz]
-    return syz_module, syz
+        if _with_image:
+            image = tuple(
+                gb._packing.element(b.row, b.coeff, high=rank) for b in gb.basis if b.slot < rank
+            )
+    return (syz_module, syz, image) if _with_image else (syz_module, syz)
 
 
 def intersect(module: FreeModule, gens_a, gens_b) -> list[Row]:

@@ -212,17 +212,19 @@ def _lead_key(term: FlatTerm) -> tuple[Exponents, int]:
     return exps[::-1], slot
 
 
+def _component_leads(module: FreeModule, row) -> dict[int, FlatTerm]:
+    """The lead term of each homogeneous component of a row, by degree."""
+    weights, shifts = module.order.weights, module.shifts
+    components: dict[int, list[FlatTerm]] = {}
+    for term in row.terms:
+        slot, exps = term
+        components.setdefault(shifts[slot] + sum(map(mul, exps, weights)), []).append(term)
+    return {d: min(terms, key=_lead_key) for d, terms in components.items()}
+
+
 def _leads(module: FreeModule, rows) -> set[FlatTerm]:
     """The lead term of every homogeneous component of every row."""
-    weights, shifts = module.order.weights, module.shifts
-    leads: set[FlatTerm] = set()
-    for row in rows:
-        components: dict[int, list[FlatTerm]] = {}
-        for term in row.terms:
-            slot, exps = term
-            components.setdefault(shifts[slot] + sum(map(mul, exps, weights)), []).append(term)
-        leads.update(min(terms, key=_lead_key) for terms in components.values())
-    return leads
+    return {lead for row in rows for lead in _component_leads(module, row).values()}
 
 
 def hp_from_basis(module: FreeModule, basis) -> HPSeries:
@@ -233,16 +235,23 @@ def hp_from_basis(module: FreeModule, basis) -> HPSeries:
     so `buchberger`'s rows qualify; for other homogeneous generators the
     series is a lower bound degree by degree (`hp_bruteforce`).  A row that
     is not homogeneous, or a block split (another order), is refused."""
+    leads: list[FlatTerm] = []
+    for g in basis:
+        components = _component_leads(module, as_row(g))
+        if len(components) > 1:
+            raise ValueError("the series needs a homogeneous basis")
+        leads += components.values()
+    return _lead_series(module, leads)
+
+
+def _lead_series(module: FreeModule, leads) -> HPSeries:
+    """`hp_from_basis` from the leads of the basis."""
     if module.block_split is not None:
         raise ValueError("the series reads leads in an order without a block split")
     u = module.order.weights
     by_slot: dict[int, list[Exponents]] = {}
-    for g in basis:
-        leads = _leads(module, [as_row(g)])  # one per homogeneous component
-        if len(leads) > 1:
-            raise ValueError("the series needs a homogeneous basis")
-        for slot, exps in leads:
-            by_slot.setdefault(slot, []).append(exps)
+    for slot, exps in leads:
+        by_slot.setdefault(slot, []).append(exps)
     coeffs: dict[int, int] = {}
     for slot, monos in by_slot.items():
         shift = module.shifts[slot]
@@ -278,16 +287,23 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
     generating set that is not one, which the API accepts, can leave a
     degree open; `_eliminate` ranks exactly those degrees.
 
-    Generators must be homogeneous (`vector_degree` raises otherwise);
-    weights must be strictly positive (the module order enforces this),
-    otherwise slices would be infinite dimensional.
+    Generators must be nonzero and homogeneous (ValueError otherwise, as
+    from `vector_degree`); each is graded once, its degree and lead read in
+    one pass.  Weights must be strictly positive (the module order enforces
+    this), otherwise slices would be infinite dimensional.
     """
     gens = [as_row(g) for g in gens]
-    degrees = [vector_degree(module, g) for g in gens]
+    graded = [_component_leads(module, g) for g in gens]
+    if any(len(components) != 1 for components in graded):
+        raise ValueError("only a nonzero homogeneous element has a degree")
+    degrees = [d for components in graded for d in components]
     u = module.order.weights
     slices = range(d_lo, d_hi + 1)
     rows = hp_expand(hp_free(degrees, u), d_lo, d_hi)
-    lower = hp_expand(hp_from_basis(module, gens), d_lo, d_hi)
+    lower = hp_expand(
+        _lead_series(module, [lead for components in graded for lead in components.values()]),
+        d_lo, d_hi,
+    )
     if all(lower[d] == rows[d] for d in slices):
         return {d: rows[d] for d in slices}
     syz_module, syz = syzygies(module, gens)

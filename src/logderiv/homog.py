@@ -15,6 +15,13 @@ map.  The degree bound of a column is the shift of its source slot.  Module
 elements are Rows (`groebner.Row`) from D(f) to the witnesses: homogenizing
 a Row pads the h exponent of each term, dehomogenizing drops it, and the
 complex check and the image test read integer terms.
+
+Each reduced basis of the pipeline is computed once.  The image test reads
+the basis of each homogenized image off its map
+(`ModuleMap.homogenized_image`): `syzygies` computed it while building the
+resolution, and a map whose columns contain no h after homogenizing passes
+with no basis at all.  The homogenized module is padded from D(f)'s reduced
+basis under the degree order, which `LogModule.gens` already is.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .groebner import (
 from .poly import degree_order
 from .derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from .resolution import (
-    ModuleMap,
     Resolution,
     alternating_degree_sum,
     free_resolution,
@@ -50,8 +56,13 @@ def homogenize_module(module: FreeModule, gens) -> tuple[FreeModule, list[Row]]:
     """Generators of the homogenized module: homogenize the elements of a
     reduced basis under a degree order.  Homogenizing an arbitrary
     generating set would in general give a strictly smaller module."""
-    gb = buchberger(module, gens)
-    return homogenized(module), [homogenize_vector(module, g) for g in gb.rows]
+    return _homogenize_basis(module, buchberger(module, gens).rows)
+
+
+def _homogenize_basis(module: FreeModule, basis) -> tuple[FreeModule, list[Row]]:
+    """`homogenize_module` of a module whose reduced basis under its degree
+    order is already at hand."""
+    return homogenized(module), [homogenize_vector(module, g) for g in basis]
 
 
 @dataclass
@@ -75,31 +86,31 @@ def homogenize_resolution(res: Resolution) -> HomogenizedComplex:
     shifts respect the degree filtration).  Step p passes when h divides no
     element of the reduced basis of the homogenized map's image; when every
     step passes the complex is a free resolution of the homogenized module.
+    Each map hands over that basis (`ModuleMap.homogenized_image`): the one
+    `free_resolution` kept from `syzygies`, or else `buchberger`'s.  A step
+    whose homogenized columns contain no h passes at once, as its reduced
+    basis contains no h either.
     """
     ambient = res.ambient
     targets = [
         FreeModule(ambient.nvars, res.target_shifts(p), ambient.order)
         for p in range(res.length + 1)
     ]
-    hchain = [
-        ModuleMap(
-            tuple(homogenize_vector(t, col, d) for col, d in zip(m.rows, m.source_shifts)),
-            m.source_shifts,
-        )
-        for m, t in zip(res.chain, targets)
-    ]
+    hchain = [m.homogenized(t) for m, t in zip(res.chain, targets)]
     h_res = Resolution(tuple(hchain), homogenized(ambient))
     if not h_res.is_complex():
         raise RuntimeError("homogenized chain failed to be a complex")
     witnesses: dict[int, Row] = {}
-    for p, (hm, target) in enumerate(zip(hchain, targets)):
+    for p, (m, hm, target) in enumerate(zip(res.chain, hchain, targets)):
+        if not any(exps[-1] for col in hm.rows for _, exps in col.terms):
+            continue
         # The homogenized affine image is N : h^inf, N the image of hm.  h is
         # the last variable, so revlex ranks its lowest power first, before
         # slots: h divides a homogeneous element when it divides its lead, and
         # h divided out of N's reduced basis leaves a basis of N : h^inf.  If
         # h^a divides g, a > 0, g / h^a is outside N: no lead divides another.
-        gb = buchberger(homogenized(target), list(hm.rows))
-        divisible = [g for g in gb.rows if all(exps[-1] for _, exps in g.terms)]
+        basis = m.homogenized_image(target)
+        divisible = [g for g in basis if all(exps[-1] for _, exps in g.terms)]
         if divisible:
             witnesses[p] = homogenize_vector(target, dehomogenize_vector(divisible[0]))
     image_ok = tuple(p not in witnesses for p in range(len(hchain)))
@@ -143,20 +154,20 @@ def chi_homogenized(
     factored: FactoredPolynomial | LogModule, mix: tuple[int, int] | None = None
 ) -> dict:
     """Degree identity for arbitrary f: homogenize a filtration resolution
-    of the derivation module (or recompute one for the homogenized module
-    when the image test fails) and compare chi with deg f.  `factored` may
-    be the LogModule of f under the standard grading."""
-    ctx, gens, res = affine_log_resolution(factored, mix=mix)
-    f = factored.factored if isinstance(factored, LogModule) else factored
-    degree = f.expand().total_degree()
+    of the derivation module (or, when the image test fails, resolve the
+    homogenized module from scratch, padded from `LogModule.gens`, D(f)'s
+    reduced basis) and compare chi with deg f.  `factored` may be the
+    LogModule of f under the standard grading."""
+    mod = _standard_log_module(factored)
+    _, _, res = affine_log_resolution(mod, mix=mix)
+    degree = mod.factored.expand().total_degree()
     hom = homogenize_resolution(res)
     recomputed = False
     if hom.is_resolution:
         h_res = hom.resolution
     else:
         recomputed = True
-        hmod, hgens = homogenize_module(ctx.derivation_module(), gens)
-        h_res = free_resolution(hmod, hgens)
+        h_res = free_resolution(*_homogenize_basis(mod.module, mod.gens))
     minimal = minimize(h_res)
     value = chi(hp_from_resolution(minimal))
     claims = [
@@ -194,7 +205,7 @@ def verify_lemma_intersection(factored: FactoredPolynomial | LogModule) -> dict:
     `factored` may be the LogModule of f under the standard grading."""
     mod = _standard_log_module(factored)
     n = mod.ctx.nvars
-    hmod, rhs = homogenize_module(mod.module, mod.gens)
+    hmod, rhs = _homogenize_basis(mod.module, mod.gens)
 
     hfact = homogenize_factored(mod.factored)
     ctx_h = GradedContext.standard(n + 1)

@@ -32,7 +32,10 @@ from .groebner import (
     Row,
     Vector,
     as_row,
+    buchberger,
     combination,
+    homogenize_vector,
+    homogenized,
     module_equal,
     syzygies,
     vector_grading,
@@ -46,14 +49,22 @@ class ModuleMap:
     or Vectors.  In a resolution chain[p] holds the shifts of F_p, its
     source, and only those: the shifts of its target F_{p-1} live in
     chain[p - 1] (in the ambient for p = 0), where `Resolution.target_shifts`
-    reads them."""
+    reads them.
+
+    A map built by `free_resolution` from inhomogeneous columns also keeps
+    the reduced basis of its homogenized image, which the `syzygies` call
+    that built it computed (`homogenized_image`).  It is no field: a map
+    made with other columns or shifts, by the constructor or by
+    `dataclasses.replace`, carries none."""
 
     rows: tuple[Row, ...]
     source_shifts: tuple[int, ...]
 
-    def __init__(self, rows, source_shifts: tuple[int, ...]):
+    def __init__(self, rows, source_shifts: tuple[int, ...], _image=None):
         object.__setattr__(self, "rows", tuple(as_row(col) for col in rows))
         object.__setattr__(self, "source_shifts", source_shifts)
+        # (target, basis) from `free_resolution`, or None
+        object.__setattr__(self, "_image", _image)
 
     @cached_property
     def columns(self) -> tuple[Vector, ...]:
@@ -69,6 +80,23 @@ class ModuleMap:
     def compose(self, other: "ModuleMap") -> tuple[Row, ...]:
         """Columns of the composite map (other feeds into self), as Rows."""
         return tuple(combination(col, self.rows) for col in other.rows)
+
+    def homogenized(self, target: FreeModule) -> "ModuleMap":
+        """The map into `homogenized(target)`, each column homogenized to
+        its source shift (`homogenize_vector`); target carries the shifts of
+        the map's target."""
+        shifts = self.source_shifts
+        return ModuleMap(
+            tuple(homogenize_vector(target, col, d) for col, d in zip(self.rows, shifts)), shifts
+        )
+
+    def homogenized_image(self, target: FreeModule) -> tuple[Row, ...]:
+        """The reduced basis of the image of `homogenized(target)`: the one
+        kept from `syzygies` when `free_resolution` built the map for this
+        target, otherwise `buchberger` on the homogenized columns."""
+        if self._image is not None and self._image[0] == target:
+            return self._image[1]
+        return buchberger(homogenized(target), self.homogenized(target).rows).rows
 
 
 @dataclass(frozen=True)
@@ -171,7 +199,10 @@ def minimal_generators(
     live.sort(key=lambda k: (gradings[k][0], _sort_key(rows[k], scale)))
     truncated = module.block_split is None and homogeneous
     gb = GroebnerBasis(module)
-    kept = [k for k in live if gb.grow(rows[k], gradings[k][0] if truncated else None)]
+    kept = [
+        k for k in live
+        if gb.grow(rows[k], gradings[k][0] if truncated else None, _grading=gradings[k])
+    ]
     return [gens[k] for k in kept], [gradings[k][0] for k in kept]
 
 
@@ -192,14 +223,17 @@ def free_resolution(module: FreeModule, gens) -> Resolution:
     every later map generates the syzygies of the previous one, pruned to an
     irredundant (graded: minimal) generating set, which guarantees
     termination within the number of variables.  The shifts of F_p are the
-    degrees `syzygies` reads off the columns of phi_p.
+    degrees `syzygies` reads off the columns of phi_p.  Where `syzygies`
+    homogenized the columns of phi_p, phi_p keeps the reduced basis of the
+    homogenized image it computed (`ModuleMap.homogenized_image`).
     """
     columns = tuple(r for r in map(as_row, gens) if r.terms)
     chain: list[ModuleMap] = []
     ambient = module
     while True:
-        syz_module, syz = syzygies(ambient, columns)
-        chain.append(ModuleMap(columns, syz_module.shifts))
+        syz_module, syz, image = syzygies(ambient, columns, _with_image=True)
+        kept = None if image is None else (ambient, image)
+        chain.append(ModuleMap(columns, syz_module.shifts, kept))
         columns = tuple(minimal_generators(syz_module, syz)[0])
         if not columns:
             return Resolution(tuple(chain), module)

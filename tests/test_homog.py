@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,14 @@ from logderiv.groebner import (
     buchberger,
     dehomogenize_vector,
     homogenize_vector,
+    homogenized,
     module_equal,
     normal_form,
     ring_module,
     syzygies,
     vec_is_zero,
 )
+from logderiv import groebner, harness, homog
 from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule
 from logderiv.resolution import ModuleMap, Resolution, pad_with_trivial_pair
 from logderiv.homog import (
@@ -250,22 +253,105 @@ def seeded_surfaces(count):
     return out
 
 
-def test_saturation_image_test_matches_membership():
-    # README surfaces, the slow support and seeded surfaces, plain and
-    # mixed, each also padded by a trivial pair at every valid p
+def image_test_resolutions():
+    """Filtration resolutions of the README surfaces, the slow support and
+    seeded surfaces, plain and mixed, each listed with its copies padded by
+    a trivial pair at every valid p."""
     surfaces = [P(text, XYZ) for text in README_SURFACES + (SLOW_SUPPORT,)]
-    failing = [0, 0]  # failing steps at p = 0 and at p >= 1
     for f in surfaces + seeded_surfaces(12):
         for mix in (None, (0, 1)):
             _, _, res = affine_log_resolution(FactoredPolynomial.single(f), mix=mix)
             d = max(res.shifts(0)) + 1
-            for r in [res] + [pad_with_trivial_pair(res, p, d) for p in range(1, res.length + 2)]:
-                hom = homogenize_resolution(r)
-                assert hom.image_ok == membership_image_ok(r, hom)
-                assert set(hom.witnesses) == {p for p, ok in enumerate(hom.image_ok) if not ok}
-                for p, ok in enumerate(hom.image_ok):
-                    failing[p > 0] += not ok
+            yield [res] + [pad_with_trivial_pair(res, p, d) for p in range(1, res.length + 2)]
+
+
+def test_saturation_image_test_matches_membership():
+    failing = [0, 0]  # failing steps at p = 0 and at p >= 1
+    for resolutions in image_test_resolutions():
+        for r in resolutions:
+            hom = homogenize_resolution(r)
+            assert hom.image_ok == membership_image_ok(r, hom)
+            assert set(hom.witnesses) == {p for p, ok in enumerate(hom.image_ok) if not ok}
+            for p, ok in enumerate(hom.image_ok):
+                failing[p > 0] += not ok
     assert failing[0] >= 50 and failing[1] >= 15, failing
+
+
+def test_each_maps_image_basis_is_buchbergers_on_its_homogenized_columns():
+    # the basis `free_resolution` keeps from `syzygies`, and the one a
+    # padded map (built by `pad_with_trivial_pair`) computes, order included
+    carried = computed = 0
+    for resolutions in image_test_resolutions():
+        for r in resolutions:
+            for p, m in enumerate(r.chain):
+                target = FreeModule(r.ambient.nvars, r.target_shifts(p), r.ambient.order)
+                columns = [homogenize_vector(target, col, d)
+                           for col, d in zip(m.rows, m.source_shifts)]
+                expected = buchberger(homogenized(target), columns).rows
+                assert m.homogenized_image(target) == expected
+                kept = m._image is not None
+                carried += kept
+                computed += not kept
+    assert carried >= 50 and computed >= 50, (carried, computed)
+
+
+def bind_everywhere(monkeypatch, original, replacement):
+    """Bind replacement under every logderiv name bound to original (a name
+    bound by `from ... import` is a binding of its own)."""
+    for name, module in list(sys.modules.items()):
+        if name == "logderiv" or name.startswith("logderiv."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.fixture
+def image_test_calls(monkeypatch):
+    """Counts of `buchberger` calls made inside `homogenize_resolution` and
+    of `homogenize_module` calls, by counting wrappers."""
+    counts = {"buchberger in the image test": 0, "homogenize_module": 0}
+    depth = [0]
+    buchberger_, image_test, homogenize_module_ = (
+        groebner.buchberger, homog.homogenize_resolution, homog.homogenize_module)
+
+    def counted_buchberger(*args, **kwargs):
+        counts["buchberger in the image test"] += depth[0] > 0
+        return buchberger_(*args, **kwargs)
+
+    def counted_image_test(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return image_test(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_homogenize_module(*args, **kwargs):
+        counts["homogenize_module"] += 1
+        return homogenize_module_(*args, **kwargs)
+
+    bind_everywhere(monkeypatch, buchberger_, counted_buchberger)
+    bind_everywhere(monkeypatch, image_test, counted_image_test)
+    bind_everywhere(monkeypatch, homogenize_module_, counted_homogenize_module)
+    return counts
+
+
+@pytest.mark.parametrize("text", README_SURFACES)
+def test_chi_homogenized_computes_no_basis_twice(text, image_test_calls):
+    fp = FactoredPolynomial.single(P(text, XYZ))
+    reports = [chi_homogenized(fp), chi_homogenized(fp, mix=(0, 1))]
+    assert any(r["recomputed_from_scratch"] for r in reports)
+    assert not all(all(r["image_ok"]) for r in reports)
+    assert image_test_calls == {"buchberger in the image test": 0, "homogenize_module": 0}
+
+
+def test_the_image_test_counter_sees_a_computed_basis(image_test_calls):
+    # positive control: a padded map carries no basis, so its image test
+    # runs buchberger, and homogenize_module is counted where it is called
+    _, _, res = affine_log_resolution(worked_example())
+    homog.homogenize_resolution(pad_with_trivial_pair(res, 1, max(res.shifts(0)) + 1))
+    homog.homogenize_module(ring_module(2, MonomialOrder((1, 1))), [(P("x^2+y"),)])
+    assert image_test_calls["buchberger in the image test"] > 0
+    assert image_test_calls["homogenize_module"] == 1
 
 
 # --- chi of the homogenized module ---------------------------------------------------
@@ -322,6 +408,40 @@ def test_lemma_intersection_worked_example():
 def test_lemma_intersection_inhomogeneous_plane_curve():
     f = P("x+x^2")
     assert verify_lemma_intersection(FactoredPolynomial.single(f))["ok"]
+
+
+def assert_reduced(mod):
+    assert mod.gens == list(buchberger(mod.module, mod.gens).rows)
+
+
+@pytest.mark.parametrize("text", README_SURFACES)
+def test_log_module_gens_are_the_reduced_basis_on_the_readme_surfaces(text):
+    fp = FactoredPolynomial.single(P(text, XYZ))
+    assert_reduced(LogModule.of(fp, GradedContext.standard(3)))
+
+
+def test_log_module_gens_are_the_reduced_basis_on_the_free_corpus():
+    from test_arrangements import FREE, arrangement
+
+    for normals, mults, _ in FREE.values():
+        ctx = GradedContext.standard(len(normals[0]))
+        assert_reduced(LogModule.of(arrangement(normals, mults), ctx))
+
+
+def test_harness_built_log_modules_hold_reduced_bases(monkeypatch):
+    # every LogModule run_harness builds on the first 20 seed-0 draws,
+    # the v + 1 module of each draw included
+    built = []
+
+    def recording(*args):
+        built.append(LogModule(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "LogModule", recording)
+    harness.run_harness(20, seed=0)
+    assert len(built) == 40
+    for mod in built:
+        assert_reduced(mod)
 
 
 def test_homogenization_pipeline_takes_the_log_module():
