@@ -273,9 +273,8 @@ class LogModule:
     order included.  The homogenization pipeline pads it as it is
     (`homog.chi_homogenized`, `homog.verify_lemma_intersection`).  `of`
     computes it from a factorization it validates; a caller that has checked
-    the factorization passes it, and it also serves under a grading that
-    shifts every slot alike, which leaves the order unchanged (see
-    harness.verify_v_shift).
+    the factorization passes it.  A `LogModule` serves only the grading it
+    was built under.
     """
 
     factored: FactoredPolynomial

@@ -27,7 +27,7 @@ from .hilbert import (
     _monomials_of_weighted_degree,
     chi,
     claim,
-    hp_from_resolution,
+    hp_from_basis,
     quotient_ring_hp,
     dimension_via_pole,
     report_ok,
@@ -120,15 +120,15 @@ def shift_context(ctx: GradedContext) -> GradedContext:
 
 
 def verify_v_shift(mod: LogModule, chi_value: int) -> list[dict]:
-    """Recompute chi with v replaced by v + 1; the difference from the
-    instance's chi must be the variable count.  The instance's generators
-    are reused: log_derivations never reads v, and v + 1 adds 1 to every
-    slot shift, so no term comparison changes and Buchberger returns
-    the same reduced basis.  The resolution is computed under v + 1."""
-    shifted = LogModule(mod.factored, shift_context(mod.ctx), mod.gens)
+    """chi under v + 1, read off the leads of the instance's basis, less the
+    instance's chi, read off its resolution, must be the variable count.
+    D(f) does not depend on v, and v + 1 adds 1 to every slot shift, so no
+    term comparison changes and `mod.gens` is the reduced basis under v + 1
+    as well; HP(M) = HP(in M) gives the series with no resolution."""
+    shifted = shift_context(mod.ctx).derivation_module()
     return [
         claim("shifting v by 1 changes chi by the variable count",
-              chi(hp_from_resolution(shifted.resolution)) - chi_value, mod.ctx.nvars),
+              chi(hp_from_basis(shifted, mod.gens)) - chi_value, mod.ctx.nvars),
     ]
 
 
@@ -191,8 +191,9 @@ def run_harness(
 ) -> dict:
     """Generate seeded instances and run the identity checks on each.
 
-    D(f) is computed once per instance and shared by the claims, the v + 1
-    claim included; its resolutions under the instance's grading are too.
+    D(f) and its resolution are computed once per instance and shared by
+    the claims; the v + 1 claim reads D(f)'s basis under the shifted
+    grading and resolves nothing.
     The heavier claims run on every HEAVY_EVERY-th instance (at least ten
     times across a hundred instances).  Fault injection appends a
     deliberately failing claim to the first instance.

@@ -222,11 +222,6 @@ def _component_leads(module: FreeModule, row) -> dict[int, FlatTerm]:
     return {d: min(terms, key=_lead_key) for d, terms in components.items()}
 
 
-def _leads(module: FreeModule, rows) -> set[FlatTerm]:
-    """The lead term of every homogeneous component of every row."""
-    return {lead for row in rows for lead in _component_leads(module, row).values()}
-
-
 def hp_from_basis(module: FreeModule, basis) -> HPSeries:
     """Series of the submodule a homogeneous Groebner basis generates: that
     of its leads' monomial submodule, where slot i contributes

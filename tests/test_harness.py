@@ -1,10 +1,13 @@
 import random
 
-from logderiv import derivmod, harness
+from logderiv import derivmod, harness, resolution
 from logderiv.derivmod import LogModule, generalized_log_module
 from logderiv.groebner import buchberger
-from logderiv.harness import random_instance, run_harness, shift_context
+from logderiv.harness import random_instance, run_harness, shift_context, verify_v_shift
+from logderiv.hilbert import chi, hp_from_resolution
 from logderiv.poly import partial_derivative
+
+from test_homog import bind_everywhere
 
 
 def test_random_instances_pass_validation():
@@ -49,8 +52,10 @@ def test_two_factor_log_modules_are_already_reduced():
 
 
 def test_v_shift_keeps_the_reduced_basis_and_shifts_the_resolution():
-    # verify_v_shift reuses the instance's generators under v + 1: D(f) does
-    # not depend on v, and a shift common to every slot keeps the term order
+    # the fact verify_v_shift rests on when it reads chi under v + 1 off the
+    # instance's basis: D(f) does not depend on v, a shift common to every
+    # slot keeps the term order, so the basis stays reduced under v + 1 and
+    # the resolution under v + 1 is the instance's with every shift raised
     rng = random.Random(2024)
     zero_columns = two_factors = 0
     for _ in range(120):
@@ -71,3 +76,34 @@ def test_v_shift_keeps_the_reduced_basis_and_shifts_the_resolution():
             assert shifted_phi.columns == phi.columns
             assert shifted_phi.source_shifts == tuple(s + 1 for s in phi.source_shifts)
     assert zero_columns >= 3 and two_factors >= 3
+
+
+def test_harness_resolves_each_instance_once(monkeypatch):
+    # one resolution per instance, plus the redundant-generator resolution
+    # of each of the two heavy instances among the first twenty
+    calls = []
+    inner = resolution.free_resolution
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    bind_everywhere(monkeypatch, inner, counted)
+    report = run_harness(20, seed=0)
+    assert report["ok"]
+    assert len(calls) == 20 + 2
+
+
+def test_v_shift_claim_fails_on_a_module_that_lost_a_generator():
+    # negative control: without its last generator the rows are no longer
+    # D(f)'s basis, so the leads under v + 1 and the resolution under v
+    # disagree on chi
+    rng = random.Random(0)
+    failed = 0
+    for _ in range(100):
+        factored, ctx = random_instance(rng)
+        gens = generalized_log_module(factored, ctx, validate=False)
+        broken = LogModule(factored, ctx, gens[:-1])
+        (result,) = verify_v_shift(broken, chi(hp_from_resolution(broken.resolution)))
+        failed += result["verdict"] == "fail"
+    assert failed >= 80, failed
