@@ -26,6 +26,7 @@ from .poly import (
     exact_div,
     format_poly,
     join_terms,
+    linear_form_key,
     parse_poly,
     partial_derivative,
     polynomial_gcd,
@@ -101,6 +102,10 @@ class FactoredPolynomial:
     Irreducibility of the factors is taken on trust; validation checks only
     what the constructions rely on, namely that each factor is nonconstant
     and squarefree and that the factors are pairwise without common factors.
+    A factor of total degree 1, such as a hyperplane of an arrangement, is
+    irreducible, so it is squarefree, and two of them share a factor
+    exactly when they are proportional: validation decides both without a
+    gcd.
     """
 
     factors: tuple[tuple[Polynomial, int], ...]
@@ -135,16 +140,45 @@ class FactoredPolynomial:
         return result
 
     def validate(self):
+        """Raise ValueError at the first constant or non-squarefree factor,
+        then at the first pair of factors, in (i, j) order, that share a
+        factor.
+
+        A factor of total degree 1 is irreducible, hence squarefree, and two
+        such factors share a factor exactly when they are proportional, when
+        their `linear_form_key`s are equal: one key and one dict lookup per
+        factor find the first such pair, with no gcd.  `squarefree_test`
+        runs on every factor of higher degree, and `polynomial_gcd` on every
+        pair that holds one."""
+        keys = []
         for f, _ in self.factors:
             if f.is_constant():
                 raise ValueError("constant factor")
+            if f.total_degree() == 1:
+                keys.append(linear_form_key(f))
+                continue
+            keys.append(None)
             ok, witness = squarefree_test(f)
             if not ok:
                 raise ValueError("factor is not squarefree "
                                  f"(repeated part witness has {_term_preview(witness)})")
-        for i in range(len(self.factors)):
-            for j in range(i + 1, len(self.factors)):
-                g = polynomial_gcd(self.factors[i][0], self.factors[j][0])
+        # the first pair of proportional degree-1 factors in (i, j) order
+        first: dict[frozenset, int] = {}
+        clash = None
+        for j, key in enumerate(keys):
+            if key is not None:
+                i = first.setdefault(key, j)
+                if i < j and (clash is None or i < clash[0]):
+                    clash = (i, j)
+        for i in range(len(keys)):
+            for j in range(i + 1, len(keys)):
+                if (i, j) == clash:
+                    # their monic gcd has the exponents of either, all the preview reads
+                    g = self.factors[i][0]
+                elif keys[i] is None or keys[j] is None:
+                    g = polynomial_gcd(self.factors[i][0], self.factors[j][0])
+                else:
+                    continue
                 if not g.is_constant():
                     raise ValueError(f"factors {i} and {j} share the common factor "
                                      f"with {_term_preview(g)}")

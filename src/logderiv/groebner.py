@@ -39,11 +39,11 @@ basis; they live in `poly`.
 
 `vector_grading` is the one reader of an element's degree (its largest
 shifted weighted degree); a caller that has graded the generators it hands
-to the engine passes the gradings on (`buchberger`'s and `grow`'s private
-parameters), so the engine does not read them again.  `homogenize_vector`
-is the one way to pad an element up to a degree, with a new last variable h
-of weight 1 (`homogenized`); `syzygies` and `homog` both homogenize through
-it.
+to the engine passes the gradings on (`buchberger`'s, `grow`'s and
+`syzygies`' private parameters), so the engine does not read them again.
+`homogenize_vector` is the one way to pad an element up to a degree, with a
+new last variable h of weight 1 (`homogenized`); `syzygies` and `homog` both
+homogenize through it.
 
 `GroebnerBasis` is the one Buchberger engine: a reduced basis with its leads
 prepared for division, grown in place by `add`.  Its rows are also kept
@@ -263,7 +263,10 @@ class _Packing:
     """Packed terms of one module, for terms of shifted degree up to
     `capacity`: the fields of a packing made for `degree` hold exponents up
     to twice degree - min(shifts), so the lcm of two leads of that degree
-    fits too.
+    fits too, and every field has at least 4 value bits.  That floor spares
+    a basis of low-degree input the repacking (`GroebnerBasis._widen`) that
+    its S-vectors, lower-block tails or later generators of higher degree
+    would otherwise force.
 
     The term (slot, e) of shifted weighted degree d is the int
 
@@ -291,7 +294,7 @@ class _Packing:
         shifts, weights = module.shifts, module.order.weights
         low = min(shifts, default=0)
         self.module = module
-        self.width = max(2 * (degree - low), 1).bit_length()
+        self.width = max(2 * (degree - low), 15).bit_length()
         self.largest = largest = (1 << self.width) - 1
         self.capacity = low + largest
         slot_bits = (module.rank - 1).bit_length()
@@ -789,11 +792,12 @@ def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
 
 
 def syzygies(
-    module: FreeModule, gens, relations=(), _with_image: bool = False
+    module: FreeModule, gens, relations=(), _with_image: bool = False, _gradings=None
 ) -> tuple:
     """Generators of {c : sum(c_i * gens[i]) lies in the submodule generated
     by relations}, the syzygies of gens modulo relations, in the free module
-    whose slot i carries the degree of gens[i] (`vector_grading`).
+    whose slot i carries the degree of gens[i] (`vector_grading`, which a
+    caller that has graded gens passes as `_gradings`).
 
     Eliminates the ambient block from the module generated by (g_i, e_i) and
     (r, 0) in the ambient ⊕ that free module; this is the one place a block
@@ -816,7 +820,7 @@ def syzygies(
         raise ValueError("nested block splits are not supported")
     gens = [as_row(g) for g in gens]
     relations = [r for r in map(as_row, relations) if r.terms]
-    gradings = [vector_grading(module, g) for g in gens]
+    gradings = [vector_grading(module, g) for g in gens] if _gradings is None else _gradings
     relation_gradings = [vector_grading(module, r) for r in relations]
     degrees = tuple(d for d, _ in gradings)
     syz_module = FreeModule(module.nvars, degrees, module.order)

@@ -724,6 +724,17 @@ def _monic(nvars: int, p: IntTerms, exps: list[Exponents]) -> Polynomial:
     return Polynomial._raw(nvars, {e: Fraction(p[e], lead) for e in exps})
 
 
+def linear_form_key(p: Polynomial) -> frozenset:
+    """The primitive normal form of a polynomial of total degree 1, as its
+    (exponents, coefficient) pairs: integer coefficients divided by their
+    content, signed so that the term of the largest exponents is positive.
+    Such a polynomial is irreducible, so two of them share a factor exactly
+    when they are proportional, that is when their keys are equal."""
+    row = primitive(_integer_terms(p)[1])
+    sign = 1 if row[max(row)] > 0 else -1
+    return frozenset((e, sign * c) for e, c in row.items())
+
+
 def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """The gcd over Q, monic under the degree order, its terms descending:
     gcd(0, q) is q made monic (terms in q's order), and a nonzero constant

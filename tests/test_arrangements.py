@@ -3,8 +3,12 @@
 arrangements have D(f) free on generators of the textbook exponents, with a
 Saito certificate, and a generic arrangement has its known resolution."""
 
+import json
+import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from logderiv.derivmod import (
     generalized_log_module,
     saito_check,
 )
+from logderiv import groebner
+from logderiv.cli import main
 from logderiv.groebner import buchberger
 from logderiv.poly import Polynomial
 from logderiv.resolution import betti_numbers, minimal_generators
@@ -33,6 +39,27 @@ def arrangement(normals, multiplicities=None) -> FactoredPolynomial:
 
 def unit(n, i):
     return tuple(int(k == i) for k in range(n))
+
+
+def determinant(rows):
+    """Leibniz expansion, exact for integer rows."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(row[k] for row, k in zip(rows, perm))
+    return total
+
+
+def general_position_draw(rng):
+    """6 planes in 4-space: the 4 coordinate planes and 2 normals with
+    nonzero entries in [-3, 3], redrawn until every 4 normals are
+    independent."""
+    coords = [unit(4, i) for i in range(4)]
+    while True:
+        normals = coords + [tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4))
+                            for _ in range(2)]
+        if all(determinant(quad) for quad in combinations(normals, 4)):
+            return normals
 
 
 def coxeter_d(n):
@@ -109,3 +136,27 @@ def test_intersected_log_module_is_already_reduced(name):
     dm = ctx.derivation_module()
     out = generalized_log_module(arrangement(normals, mults), ctx)
     assert tuple(out) == buchberger(dm, out).rows
+
+
+EIGHT_PLANE = Path(__file__).parent / "golden" / "eight_plane.json"
+
+
+def test_arrangement_bases_are_packed_once(monkeypatch, capsys):
+    # every field holds exponents up to 15 at least, so no basis built for
+    # D(f), its resolution or the 8-plane chi report outgrows its first packing
+    widths = []
+    widen = groebner.GroebnerBasis._widen
+
+    def recording(self, new):
+        widths.append((self._packing.width, new.width))
+        return widen(self, new)
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "_widen", recording)
+    mod = LogModule.of(arrangement(general_position_draw(random.Random(1))),
+                       GradedContext.standard(4))
+    assert mod.minimal.ranks()[0] >= 4
+    assert widths == []
+    expected = json.loads(EIGHT_PLANE.read_text(encoding="utf-8"))
+    assert main(expected["argv"] + ["--format", "json"]) == expected["exit"] == 0
+    assert capsys.readouterr().out == expected["stdout"]
+    assert widths == []

@@ -95,6 +95,14 @@ def test_shared_factor_message_is_capped(capsys):
     assert len(err) < 300
 
 
+def test_proportional_linear_factors_are_rejected(capsys):
+    code, out, err = run(
+        capsys, "derivations", "2*x^2+4*x*y+2*y^2", "--vars", "x,y", "--factors", "x+y,2*x+2*y"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: factors 0 and 1 share the common factor with terms [(0, 1), (1, 0)]\n"
+
+
 def test_chi_command_passes_and_reports(capsys):
     code, out, _ = run(
         capsys, "chi", "x^2+y^2", "--vars", "x,y", "--u", "1,1", "--v", "0,0",

@@ -1,10 +1,20 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from logderiv.poly import Polynomial, parse_poly, partial_derivative, u_degree
+from logderiv import poly
+from logderiv.poly import (
+    Polynomial,
+    parse_poly,
+    partial_derivative,
+    polynomial_gcd,
+    squarefree_test,
+    u_degree,
+)
 from logderiv.groebner import (
     FreeModule,
     buchberger,
@@ -20,6 +30,7 @@ from logderiv.derivmod import (
     FactoredPolynomial,
     GradedContext,
     LogModule,
+    _term_preview,
     annihilator_check,
     apply_derivation,
     euler_derivation,
@@ -28,7 +39,8 @@ from logderiv.derivmod import (
     saito_check,
 )
 from logderiv.harness import random_instance
-from test_arrangements import FREE, arrangement
+from test_arrangements import FREE, arrangement, general_position_draw
+from test_homog import bind_everywhere
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -120,6 +132,118 @@ def test_common_factor_rejected():
     fp = FactoredPolynomial(((P("x*y"), 1), (P("y"), 1)))
     with pytest.raises(ValueError, match="common factor"):
         generalized_log_module(fp, CTX2)
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Calls of `polynomial_gcd` and `squarefree_test`, by counting wrappers
+    bound under every logderiv name (squarefree_test's own gcds included)."""
+    counts = {"polynomial_gcd": 0, "squarefree_test": 0}
+    for name in counts:
+        original = getattr(poly, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        bind_everywhere(monkeypatch, original, counted)
+    return counts
+
+
+def test_linear_factors_are_validated_without_gcds(gcd_calls):
+    cases = [arrangement(normals, mults) for normals, mults, _ in FREE.values()]
+    cases.append(arrangement(general_position_draw(random.Random("validate"))))
+    for fp in cases:
+        fp.validate()
+    assert gcd_calls == {"polynomial_gcd": 0, "squarefree_test": 0}
+    # a factor of degree 2 is still tested, and so is every pair it is in
+    FactoredPolynomial(((P("x"), 1), (P("x^2+y^2"), 1), (P("y"), 2))).validate()
+    assert gcd_calls["squarefree_test"] == 1
+    assert gcd_calls["polynomial_gcd"] >= 2
+
+
+# (factors, names) -> the error text, as the pairwise gcd loop worded it
+VALIDATION_ERRORS = {
+    "proportional forms": (
+        ["x+y", "2*x+2*y"], XY,
+        "factors 0 and 1 share the common factor with terms [(0, 1), (1, 0)]"),
+    "affine forms": (
+        ["x+1", "2*x+2"], XY,
+        "factors 0 and 1 share the common factor with terms [(0, 0), (1, 0)]"),
+    "A, B, B', A'": (
+        ["x+y", "x-2*y+1", "-3*x+6*y-3", "-1/2*x-1/2*y"], XY,
+        "factors 0 and 3 share the common factor with terms [(0, 1), (1, 0)]"),
+    # (1, 3) is met first by j, (0, 4) first in (i, j) order
+    "two proportional pairs": (
+        ["x", "y", "x+y", "-2*y", "3*x", "x-y"], XY,
+        "factors 0 and 4 share the common factor with terms [(1, 0)]"),
+    "a form and a quadric before a linear pair": (
+        ["x", "x^2+x*y", "y", "3*y"], XY,
+        "factors 0 and 1 share the common factor with terms [(1, 0)]"),
+    "two quadrics before a linear pair": (
+        ["x^2+y^2", "y", "(x^2+y^2)*(x+y)", "2*y"], XY,
+        "factors 0 and 2 share the common factor with terms [(0, 2), (2, 0)]"),
+    "a linear pair before two quadrics": (
+        ["z", "x^2+y^2", "2*z", "(x^2+y^2)*(x+1)"], XYZ,
+        "factors 0 and 2 share the common factor with terms [(0, 0, 1)]"),
+    "a square before a linear pair": (
+        ["x+y", "2*x+2*y", "x^2+2*x*y+y^2"], XY,
+        "factor is not squarefree (repeated part witness has terms [(0, 1), (1, 0)])"),
+}
+
+
+@pytest.mark.parametrize("name", list(VALIDATION_ERRORS))
+def test_validation_error_texts(name):
+    texts, names, message = VALIDATION_ERRORS[name]
+    fp = FactoredPolynomial(tuple((P(t, names), 1) for t in texts))
+    with pytest.raises(ValueError) as raised:
+        fp.validate()
+    assert str(raised.value) == message
+
+
+def pairwise_gcd_message(fp):
+    """validate's reference: a squarefree test of every factor, then a gcd
+    of every pair, in (i, j) order; the error text, or None."""
+    for f, _ in fp.factors:
+        ok, witness = squarefree_test(f)
+        if not ok:
+            return f"factor is not squarefree (repeated part witness has {_term_preview(witness)})"
+    for i, j in combinations(range(len(fp.factors)), 2):
+        g = polynomial_gcd(fp.factors[i][0], fp.factors[j][0])
+        if not g.is_constant():
+            return f"factors {i} and {j} share the common factor with {_term_preview(g)}"
+    return None
+
+
+def test_validation_agrees_with_pairwise_gcds():
+    # forms with entries in {-1, 0, 1} and a constant term 0 or 1, scaled,
+    # and now and then a product with another factor
+    rng = random.Random("validate-linear")
+    scales = [Fraction(k) for k in (1, -1, 2, -3)] + [Fraction(1, 2)]
+    others = [P(t, XYZ) for t in ("x", "y+z", "x^2+y^2+z^2", "x*y+z^2+1")]
+
+    def factor():
+        normal = [rng.choice([-1, 0, 1]) for _ in range(3)]
+        terms = {tuple(int(k == i) for k in range(3)): c for i, c in enumerate(normal) if c}
+        if terms and rng.random() < 0.3:
+            terms[(0, 0, 0)] = 1
+        form = Polynomial(3, terms) * rng.choice(scales)
+        return form * rng.choice(others) if rng.random() < 0.15 else form
+
+    outcomes = []
+    for _ in range(400):
+        factors = [f for f in (factor() for _ in range(rng.randint(2, 6))) if not f.is_constant()]
+        fp = FactoredPolynomial(tuple((f, 1) for f in factors))
+        expected = pairwise_gcd_message(fp)
+        try:
+            fp.validate()
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == expected
+        outcomes.append(expected and expected.split()[0])
+    assert min(outcomes.count(None), outcomes.count("factors")) >= 100
+    assert outcomes.count("factor") >= 5
 
 
 def test_constant_rejected():
