@@ -146,10 +146,10 @@ class FactoredPolynomial:
 
         A factor of total degree 1 is irreducible, hence squarefree, and two
         such factors share a factor exactly when they are proportional, when
-        their `linear_form_key`s are equal: one key and one dict lookup per
-        factor find the first such pair, with no gcd.  `squarefree_test`
-        runs on every factor of higher degree, and `polynomial_gcd` on every
-        pair that holds one."""
+        their `linear_form_key`s are equal: one key per factor and one key
+        comparison per pair decide, with no gcd.  `squarefree_test` runs on
+        every factor of higher degree, and `polynomial_gcd` on every pair
+        that holds one."""
         keys = []
         for f, _ in self.factors:
             if f.is_constant():
@@ -162,21 +162,13 @@ class FactoredPolynomial:
             if not ok:
                 raise ValueError("factor is not squarefree "
                                  f"(repeated part witness has {_term_preview(witness)})")
-        # the first pair of proportional degree-1 factors in (i, j) order
-        first: dict[frozenset, int] = {}
-        clash = None
-        for j, key in enumerate(keys):
-            if key is not None:
-                i = first.setdefault(key, j)
-                if i < j and (clash is None or i < clash[0]):
-                    clash = (i, j)
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
-                if (i, j) == clash:
+                if keys[i] is None or keys[j] is None:
+                    g = polynomial_gcd(self.factors[i][0], self.factors[j][0])
+                elif keys[i] == keys[j]:
                     # their monic gcd has the exponents of either, all the preview reads
                     g = self.factors[i][0]
-                elif keys[i] is None or keys[j] is None:
-                    g = polynomial_gcd(self.factors[i][0], self.factors[j][0])
                 else:
                     continue
                 if not g.is_constant():

@@ -38,9 +38,12 @@ Polynomial gcds and exact division by one polynomial need no Groebner
 basis; they live in `poly`.
 
 `vector_grading` is the one reader of an element's degree (its largest
-shifted weighted degree); a caller that has graded the generators it hands
-to the engine passes the gradings on (`buchberger`'s, `grow`'s and
-`syzygies`' private parameters), so the engine does not read them again.
+shifted weighted degree), and it grades a Row once per grading: the answer
+is kept on the Row (`Row.memo`), so every layer, the engine included, asks
+`vector_grading` for the grading of an element it was handed, and no
+gradings are passed along.  Only `syzygies` records a grading without
+computing it: each row it builds for the elimination is homogeneous of a
+degree it knows.
 `homogenize_vector` is the one way to pad an element up to a degree, with a
 new last variable h of weight 1 (`homogenized`); `syzygies` and `homog` both
 homogenize through it.
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -116,12 +119,19 @@ class Row:
     """The element terms / den of a free module of rank `rank` over `nvars`
     variables.  terms maps (slot, exponents) to a nonzero int, and den > 0
     is the least common denominator of the element's coefficients: the
-    content of terms is prime to den, so equal elements have equal Rows."""
+    content of terms is prime to den, so equal elements have equal Rows.
+
+    Once a Row is built, no code writes to any field of it but `memo`:
+    `vector_grading`'s answer for the last grading (shifts and weights) it
+    was asked about, as ((shifts, weights), grading).  That answer is a
+    function of the terms and the grading, so a memo write is idempotent,
+    and equality and repr ignore the memo."""
 
     terms: dict[FlatTerm, int]
     den: int
     rank: int
     nvars: int
+    memo: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def lowest(cls, terms: dict[FlatTerm, int], den: int, rank: int, nvars: int) -> "Row":
@@ -191,13 +201,18 @@ def combination(coeffs: Row, vectors) -> Row:
 
 def vector_grading(module: FreeModule, elem: Row | Vector) -> tuple[int, bool]:
     """Largest shifted weighted degree of the element's terms (0 for zero),
-    and whether every term has it."""
-    weights, shifts = module.order.weights, module.shifts
-    degrees = {
-        shifts[slot] + sum(map(mul, exps, weights))
-        for slot, exps in as_row(elem).terms
-    }
-    return max(degrees, default=0), len(degrees) < 2
+    and whether every term has it.  The answer is kept on the Row
+    (`Row.memo`) and read back while the module's shifts and weights are
+    equal to those it was computed for."""
+    row = as_row(elem)
+    key = (module.shifts, module.order.weights)
+    if row.memo is not None and row.memo[0] == key:
+        return row.memo[1]
+    shifts, weights = key
+    degrees = {shifts[slot] + sum(map(mul, exps, weights)) for slot, exps in row.terms}
+    grading = max(degrees, default=0), len(degrees) < 2
+    row.memo = (key, grading)
+    return grading
 
 
 def vector_degree(module: FreeModule, elem: Row | Vector) -> int:
@@ -464,11 +479,12 @@ def _divide(
     return scale, quotients, remainder
 
 
-def _grading(module: FreeModule, gradings: list[tuple[int, bool]]) -> tuple[int, bool]:
-    """From the rows' `vector_grading`s: the largest shifted degree of a
-    term of the rows, and whether a division by them can create a term
-    above the degree of the term it reduces: that takes a block split and
-    an inhomogeneous element."""
+def _extent(module: FreeModule, rows: list[Row]) -> tuple[int, bool]:
+    """The largest shifted degree of a term of the rows (`vector_grading`),
+    and whether a division by them can create a term above the degree of
+    the term it reduces: that takes a block split and an inhomogeneous
+    element."""
+    gradings = [vector_grading(module, r) for r in rows]
     loose = module.block_split is not None and not all(h for _, h in gradings)
     return max(d for d, _ in gradings), loose
 
@@ -481,9 +497,7 @@ def divide(
     row = as_row(vec)
     basis = [as_row(b) for b in basis_vectors]
     live = [i for i, b in enumerate(basis) if b.terms]
-    degree, loose = _grading(
-        module, [vector_grading(module, r) for r in [row] + [basis[i] for i in live]]
-    )
+    degree, loose = _extent(module, [row] + [basis[i] for i in live])
     packing = _Packing(module, degree)
     while True:
         prepared = [_Prepared(packing.row(basis[i]), packing) for i in live]
@@ -550,7 +564,7 @@ class GroebnerBasis:
     checked and an overflowing step is widened and started again.
     """
 
-    def __init__(self, module: FreeModule, gens=(), _gradings=None):
+    def __init__(self, module: FreeModule, gens=()):
         self.module = module
         self.basis: list[_Prepared] = []
         self._divisors: list[list[_Prepared]] = _by_slot([], module.rank)
@@ -560,7 +574,7 @@ class GroebnerBasis:
         self._loose = False
         self._rows: tuple[Row, ...] | None = None
         self._elements: tuple[Vector, ...] | None = None
-        self.add(gens, _gradings)
+        self.add(gens)
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -577,17 +591,15 @@ class GroebnerBasis:
     def _changed(self) -> None:
         self._rows = self._elements = None
 
-    def add(self, gens, _gradings=None) -> bool:
+    def add(self, gens) -> bool:
         """Add generators and return whether the module grew.  If none was
-        appended, no pair was queued and the basis is still reduced.
-        `_gradings`, when a caller has them, are the generators'
-        `vector_grading`s in the module, in order."""
-        rows = [as_row(g) for g in gens]
-        live = [k for k, r in enumerate(rows) if r.terms]
-        if not live:
+        appended, no pair was queued and the basis is still reduced.  The
+        packing is fitted to the generators' `vector_grading`s, which a Row
+        that was graded in this module already holds."""
+        gens = [r for r in map(as_row, gens) if r.terms]
+        if not gens:
             return False
-        gens = [rows[k] for k in live]
-        self._fit_rows(gens, None if _gradings is None else [_gradings[k] for k in live])
+        self._fit_rows(gens)
         settled = len(self.basis)
         for g in gens:
             self._reduce_and_append(lambda: self._packing.row(g))
@@ -598,7 +610,7 @@ class GroebnerBasis:
         self._changed()
         return True
 
-    def grow(self, g: Row | Vector, degree: int | None = None, _grading=None) -> bool:
+    def grow(self, g: Row | Vector, degree: int | None = None) -> bool:
         """Whether the nonzero g lies outside the submodule; if it does, its
         remainder is appended.  First the queued pairs are processed: all of
         them, or with `degree` those whose lcm has degree at most that.
@@ -609,21 +621,20 @@ class GroebnerBasis:
         is homogeneous of its lcm's degree, so a basis closed up to degree d
         divides an element of degree at most d to zero exactly when it lies
         in the submodule.  The basis serves further calls of `grow` only:
-        `add` and `elements` need the reduced basis.  `_grading`, when a
-        caller has it, is g's `vector_grading` in the module.
+        `add` and `elements` need the reduced basis.  g is graded by
+        `vector_grading`, which reads back the grading of a Row that a
+        caller graded in this module before.
         """
         g = as_row(g)
-        self._fit_rows([g], None if _grading is None else [_grading])
+        self._fit_rows([g])
         self._close(degree)
         size = len(self.basis)
         self._reduce_and_append(lambda: self._packing.row(g))
         self._changed()
         return len(self.basis) > size
 
-    def _fit_rows(self, gens: list[Row], gradings: list[tuple[int, bool]] | None) -> None:
-        if gradings is None:
-            gradings = [vector_grading(self.module, r) for r in gens]
-        degree, loose = _grading(self.module, gradings)
+    def _fit_rows(self, gens: list[Row]) -> None:
+        degree, loose = _extent(self.module, gens)
         self._fit(degree)
         self._loose |= loose
 
@@ -780,10 +791,9 @@ class GroebnerBasis:
             self._divisors = _by_slot(self.basis, self.module.rank)
 
 
-def buchberger(module: FreeModule, gens, _gradings=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by gens (whose
-    `vector_grading`s a caller that has them passes as `_gradings`)."""
-    return GroebnerBasis(module, gens, _gradings)
+def buchberger(module: FreeModule, gens) -> GroebnerBasis:
+    """Reduced Groebner basis of the submodule generated by gens."""
+    return GroebnerBasis(module, gens)
 
 
 def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
@@ -791,17 +801,17 @@ def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     return buchberger(module, gens_a).rows == buchberger(module, gens_b).rows
 
 
-def syzygies(
-    module: FreeModule, gens, relations=(), _with_image: bool = False, _gradings=None
-) -> tuple:
+def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) -> tuple:
     """Generators of {c : sum(c_i * gens[i]) lies in the submodule generated
     by relations}, the syzygies of gens modulo relations, in the free module
-    whose slot i carries the degree of gens[i] (`vector_grading`, which a
-    caller that has graded gens passes as `_gradings`).
+    whose slot i carries the degree of gens[i] (`vector_grading`, read back
+    from a Row that was graded in module before).
 
     Eliminates the ambient block from the module generated by (g_i, e_i) and
     (r, 0) in the ambient ⊕ that free module; this is the one place a block
-    split is built.  Homogeneous input gives the reduced basis of the
+    split is built.  Each of those rows is homogeneous of the degree of g_i
+    or r, which goes into its memo as it is built, for the engine to read
+    back.  Homogeneous input gives the reduced basis of the
     result, which is homogeneous.  Otherwise every generator and relation is
     first homogenized to its degree with a new last variable h of weight 1,
     and h is set to 1 in the result, a generating set: homogenizing to a
@@ -820,7 +830,7 @@ def syzygies(
         raise ValueError("nested block splits are not supported")
     gens = [as_row(g) for g in gens]
     relations = [r for r in map(as_row, relations) if r.terms]
-    gradings = [vector_grading(module, g) for g in gens] if _gradings is None else _gradings
+    gradings = [vector_grading(module, g) for g in gens]
     relation_gradings = [vector_grading(module, r) for r in relations]
     degrees = tuple(d for d, _ in gradings)
     syz_module = FreeModule(module.nvars, degrees, module.order)
@@ -833,12 +843,13 @@ def syzygies(
         module = homogenized(module)
     rank, size, one = module.rank, module.rank + len(gens), (0,) * module.nvars
     ext = FreeModule(module.nvars, module.shifts + degrees, module.order, block_split=rank)
-    ext_gens = [Row(g.terms | {(rank + i, one): g.den}, g.den, size, module.nvars)
-                for i, g in enumerate(gens)]
-    ext_gens += [Row(r.terms, r.den, size, module.nvars) for r in relations]
-    # every row is now homogeneous: (g_i, e_i) of degree d_i, a relation of its own
-    ext_gradings = [(d, True) for d in degrees] + [(d, True) for d, _ in relation_gradings]
-    gb = buchberger(ext, ext_gens, _gradings=ext_gradings)
+    key = (ext.shifts, ext.order.weights)
+    # each row is now homogeneous, (g_i, e_i) of degree d_i: its memo says so
+    ext_gens = [Row(g.terms | {(rank + i, one): g.den}, g.den, size, module.nvars,
+                    (key, (d, True))) for i, (g, d) in enumerate(zip(gens, degrees))]
+    ext_gens += [Row(r.terms, r.den, size, module.nvars, (key, (d, True)))
+                 for r, (d, _) in zip(relations, relation_gradings)]
+    gb = buchberger(ext, ext_gens)
     # an element has a zero leading block exactly when its lead is below
     # the split, and then every term is: those rows are the syzygies
     syz = [gb._packing.element(b.row, b.coeff, rank) for b in gb.basis if b.slot >= rank]

@@ -165,9 +165,7 @@ class Resolution:
         )
 
 
-def minimal_generators(
-    module: FreeModule, gens, graded: bool = False, _with_gradings: bool = False
-) -> tuple:
+def minimal_generators(module: FreeModule, gens, graded: bool = False) -> tuple:
     """Greedy irredundant generating set, processed by ascending
     degree bound (`vector_grading`) and then by the generators' terms and
     coefficients; `graded` requires homogeneous generators.
@@ -176,8 +174,9 @@ def minimal_generators(
     generating set (an element dependent on the kept ones modulo lower
     degrees would itself have been dropped), which bounds the length of the
     resolution.  Returns the kept generators, as they were given, and
-    their shifts; with `_with_gradings` a third item follows, the kept
-    generators' `vector_grading`s.
+    their shifts.  A kept Row keeps its grading in module (`Row.memo`), so
+    a later caller that grades it there, `syzygies` or the basis here
+    included, reads it back.
 
     One basis of the kept generators grows as they are kept
     (`GroebnerBasis.grow`).  When every generator is homogeneous and the
@@ -202,12 +201,9 @@ def minimal_generators(
     gb = GroebnerBasis(module)
     kept = [
         k for k in live
-        if gb.grow(rows[k], gradings[k][0] if truncated else None, _grading=gradings[k])
+        if gb.grow(rows[k], gradings[k][0] if truncated else None)
     ]
-    kept_gens, shifts = [gens[k] for k in kept], [gradings[k][0] for k in kept]
-    if _with_gradings:
-        return kept_gens, shifts, [gradings[k] for k in kept]
-    return kept_gens, shifts
+    return [gens[k] for k in kept], [gradings[k][0] for k in kept]
 
 
 def _sort_key(row: Row, scale: int) -> tuple:
@@ -230,19 +226,19 @@ def free_resolution(module: FreeModule, gens) -> Resolution:
     degrees `syzygies` reads off the columns of phi_p.  Where `syzygies`
     homogenized the columns of phi_p, phi_p keeps the reduced basis of the
     homogenized image it computed (`ModuleMap.homogenized_image`).  Each
-    syzygy is graded once, by `minimal_generators`, which hands the kept
-    ones' gradings to the next `syzygies` call.
+    column is graded once, in the free module it lies in: the columns of
+    phi_0 by the first `syzygies` call (or before it, by the caller), each
+    later one by `minimal_generators`.  `syzygies` and `Resolution.graded`
+    read those gradings back off the Rows (`Row.memo`).
     """
     columns = tuple(r for r in map(as_row, gens) if r.terms)
-    gradings = None
     chain: list[ModuleMap] = []
     ambient = module
     while True:
-        syz_module, syz, image = syzygies(
-            ambient, columns, _with_image=True, _gradings=gradings)
+        syz_module, syz, image = syzygies(ambient, columns, _with_image=True)
         kept = None if image is None else (ambient, image)
         chain.append(ModuleMap(columns, syz_module.shifts, kept))
-        columns, _, gradings = minimal_generators(syz_module, syz, _with_gradings=True)
+        columns, _ = minimal_generators(syz_module, syz)
         if not columns:
             return Resolution(tuple(chain), module)
         if len(chain) > module.nvars + 1:

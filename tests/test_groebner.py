@@ -1057,6 +1057,35 @@ def test_a_row_is_its_vector_in_lowest_terms():
     assert Row.of(module.zero_vector()) == Row({}, 1, 3, 3)
 
 
+def test_a_row_answers_each_grading_it_is_asked_about():
+    vec = (P("x^2*y+x*y^2"), P("y^2"))
+    v = FreeModule(2, (0, 1), MonomialOrder((1, 1)))
+    modules = {
+        "v": (v, (3, True)),
+        "v + 1": (FreeModule(2, (1, 2), MonomialOrder((1, 1))), (4, True)),
+        "other weights": (FreeModule(2, (0, 1), MonomialOrder((2, 1))), (5, False)),
+        # equal to v, not the same objects
+        "v again": (FreeModule(2, tuple([0, 1]), MonomialOrder(tuple([1, 1]))), (3, True)),
+    }
+    row = Row.of(vec)
+    for name, (module, grading) in modules.items():
+        assert vector_grading(module, row) == grading, name
+        assert vector_grading(module, Row.of(vec)) == grading, name
+        assert row.memo == ((module.shifts, module.order.weights), grading), name
+        assert vector_grading(module, row) == grading, name
+
+
+def test_a_graded_row_equals_its_ungraded_twin():
+    module = FreeModule(2, (0, 1), MonomialOrder((1, 1)))
+    vec = (P("x^2*y+x*y^2"), P("y^2"))
+    graded, ungraded = Row.of(vec), Row.of(vec)
+    vector_grading(module, graded)
+    assert graded.memo is not None and ungraded.memo is None
+    assert graded == ungraded and repr(graded) == repr(ungraded)
+    assert module_equal(module, [graded], [ungraded])
+    assert buchberger(module, [graded]).rows == buchberger(module, [ungraded]).rows
+
+
 # --- the basis grows in place ------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from logderiv.groebner import (
 )
 from logderiv import groebner, harness, homog
 from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule
+from logderiv.hilbert import verify_degree_identity
 from logderiv.resolution import ModuleMap, Resolution, pad_with_trivial_pair
 from logderiv.homog import (
     affine_log_resolution,
@@ -34,6 +36,7 @@ from logderiv.homog import (
     homogenize_resolution,
     verify_lemma_intersection,
 )
+from test_arrangements import arrangement, general_position_draw
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -352,6 +355,49 @@ def test_the_image_test_counter_sees_a_computed_basis(image_test_calls):
     homog.homogenize_module(ring_module(2, MonomialOrder((1, 1))), [(P("x^2+y"),)])
     assert image_test_calls["buchberger in the image test"] > 0
     assert image_test_calls["homogenize_module"] == 1
+
+
+@pytest.fixture
+def gradings_computed(monkeypatch):
+    """How often `vector_grading` computed each (Row, shifts, weights), by a
+    wrapper that reads the Row's memo before each call.  It keeps every Row
+    it saw, so that no id is reused."""
+    computed: Counter = Counter()
+    seen = []
+    original = groebner.vector_grading
+
+    def counted(module, elem):
+        row = groebner.as_row(elem)
+        key = (module.shifts, module.order.weights)
+        if row.memo is None or row.memo[0] != key:
+            seen.append(row)
+            computed[id(row), key] += 1
+        return original(module, row)
+
+    bind_everywhere(monkeypatch, original, counted)
+    return computed
+
+
+def test_no_row_is_graded_twice_in_one_grading(gradings_computed):
+    # the columns of phi_0 are graded by the first syzygies call, or by
+    # minimal_generators before it on homogenize; minimize reads them back
+    report = verify_degree_identity(arrangement(general_position_draw(random.Random(1))),
+                                    GradedContext.standard(4))
+    assert report["ok"]
+    on_the_arrangement = len(gradings_computed)
+    assert chi_homogenized(worked_example())["ok"]
+    assert 0 < on_the_arrangement < len(gradings_computed)
+    assert [n for n in gradings_computed.values() if n > 1] == []
+
+
+def test_the_grading_counter_sees_a_row_graded_again(gradings_computed):
+    # positive control: a Row keeps one grading, so grading it in another
+    # module and back computes the first grading twice
+    v, w = R2, FreeModule(2, (1,), MonomialOrder((1, 1)))
+    row = groebner.Row.of((P("x^2+y"),))
+    for module in (v, v, w, v):
+        groebner.vector_grading(module, row)
+    assert sorted(gradings_computed.values()) == [1, 2]
 
 
 # --- chi of the homogenized module ---------------------------------------------------
