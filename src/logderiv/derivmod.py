@@ -14,6 +14,7 @@ D(f) exactly when its coefficients are a syzygy of the columns
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,8 @@ from .poly import (
     MonomialOrder,
     NonPositiveWeightError,
     Polynomial,
+    _integer_terms,
+    _multiply_into,
     exact_div,
     format_poly,
     join_terms,
@@ -37,12 +40,14 @@ from .groebner import (
     FreeModule,
     Row,
     Vector,
+    _Packing,
     as_row,
     buchberger,
     module_equal,
     module_quotient,
     ring_module,
     syzygies,
+    vector_grading,
 )
 from .resolution import Resolution, free_resolution, minimize
 
@@ -240,6 +245,11 @@ def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContex
     modulo f_j^{e_j} in slot j.  Slot j carries -deg f_j (the largest
     u-weighted degree), so column i has degree -u_i and u-homogeneous
     factors give homogeneous input and homogeneous generators.
+
+    The columns and relations are built as Rows straight from each factor's
+    integer terms den_j * f_j (`poly._integer_terms`): slot j of column i is
+    the derivative of those terms over den_j, and relation j is their
+    e_j-th power over den_j^{e_j}.  No Fraction polynomial is made.
     """
     n = ctx.nvars
     for f, e in factors:
@@ -251,12 +261,26 @@ def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContex
             raise ValueError("variable count mismatch with the context")
     shifts = tuple(-max(weighted_degree(exps, ctx.u) for exps in f.terms) for f, _ in factors)
     ambient = FreeModule(n, shifts, ctx.order())
-    columns = [tuple(partial_derivative(f, i) for f, _ in factors) for i in range(n)]
-    zero = Polynomial.zero(n)
-    relations = [
-        tuple(f ** e if slot == j else zero for slot in range(len(factors)))
-        for j, (f, e) in enumerate(factors)
-    ]
+    r = len(factors)
+    integer = [_integer_terms(f) for f, _ in factors]
+    common = math.lcm(*(den for den, _ in integer))
+    columns = []
+    for i in range(n):
+        terms = {}
+        for j, (den, p) in enumerate(integer):
+            scale = common // den
+            for exps, c in p.items():
+                if exps[i]:
+                    terms[(j, exps[:i] + (exps[i] - 1,) + exps[i + 1:])] = c * exps[i] * scale
+        columns.append(Row.lowest(terms, common, r, n))
+    relations = []
+    for j, ((den, p), (_, e)) in enumerate(zip(integer, factors)):
+        power = p
+        for _ in range(e - 1):
+            product = {}
+            _multiply_into(product, power, p, 1)
+            power = product
+        relations.append(Row.lowest({(j, exps): c for exps, c in power.items()}, den ** e, r, n))
     return syzygies(ambient, columns, relations)[1]
 
 
@@ -264,28 +288,34 @@ def generalized_log_module(
     factored: FactoredPolynomial, ctx: GradedContext, validate: bool = True
 ) -> list[Row]:
     """Canonical (reduced-basis) generators of D(f), the derivations delta
-    with delta(f_i) in <f_i^{e_i}> for every factor.  An empty factorization
-    denotes a nonzero constant, whose module is everything.
+    with delta(f_i) in <f_i^{e_i}> for every factor, sorted by lead
+    descending under D(f)'s order, as `buchberger(module, gens).rows` is.
+    An empty factorization denotes a nonzero constant, whose module is
+    everything.
 
     `log_derivations` returns the reduced basis of D(f) in the free module
-    whose slot i carries the degree of column i.  That degree is -u_i when
-    every factor is u-homogeneous and x_i occurs in one (a zero column has
-    degree 0).  With u + v = k constant, the slot shifts v_i = k - u_i then
-    differ from those by k alone, the two orders agree, and that basis is
-    returned as it is; otherwise it is reduced again under D(f)'s order.
+    whose slot i carries the degree of column i.  Where u + v is not
+    constant or a factor is not u-homogeneous (an f that is not homogeneous,
+    under the standard grading of the homogenization pipeline), that order
+    is not D(f)'s, and `buchberger` reduces the basis again.  Otherwise the basis is D(f)'s reduced basis
+    as a set, and one sort by lead puts it in D(f)'s order.  A nonzero
+    column has degree -u_i, which differs from v_i = k - u_i by the constant
+    k.  A zero column, for a variable x_i in no factor, has degree 0 and
+    puts the unit e_i into the basis, and e_i reduces slot i out of every
+    other row.  So the two orders agree on the terms of every row but the
+    e_i, each row keeps its lead, and only the e_i can change places.
     """
     if validate:
         factored.validate()
     gens = log_derivations(factored.factors, ctx)
-    polys = [f for f, _ in factored.factors]
-    same_order = (
-        ctx.k is not None
-        and all(len({weighted_degree(e, ctx.u) for e in f.terms}) == 1 for f in polys)
-        and all(any(e[i] for f in polys for e in f.terms) for i in range(ctx.nvars))
-    )
-    if same_order:
-        return gens
-    return list(buchberger(ctx.derivation_module(), gens).rows)
+    dm = ctx.derivation_module()
+    if ctx.k is None or not all(
+        len({weighted_degree(e, ctx.u) for e in f.terms}) == 1 for f, _ in factored.factors
+    ):
+        return list(buchberger(dm, gens).rows)
+    # packed codes ascend as the term order descends: the least is the lead
+    packing = _Packing(dm, max((vector_grading(dm, g)[0] for g in gens), default=0))
+    return sorted(gens, key=lambda g: min(packing.term(*t) for t in g.terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,9 +324,10 @@ class LogModule:
     resolution and minimal resolution computed on first use and then kept,
     so that every check on the instance reads the same objects.
 
-    `gens` is D(f)'s reduced basis under `ctx`'s order, as
-    `generalized_log_module` returns it: `buchberger(module, gens).rows`,
-    order included.  The homogenization pipeline pads it as it is
+    `gens` is D(f)'s reduced basis under `ctx`'s order, sorted by lead
+    descending, as `generalized_log_module` returns it: the rows of
+    `buchberger(module, gens)`, in their order, whether or not that call
+    ran.  The homogenization pipeline pads it as it is
     (`homog.chi_homogenized`, `homog.verify_lemma_intersection`).  `of`
     computes it from a factorization it validates; a caller that has checked
     the factorization passes it.  A `LogModule` serves only the grading it

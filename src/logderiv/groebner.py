@@ -41,9 +41,10 @@ basis; they live in `poly`.
 shifted weighted degree), and it grades a Row once per grading: the answer
 is kept on the Row (`Row.memo`), so every layer, the engine included, asks
 `vector_grading` for the grading of an element it was handed, and no
-gradings are passed along.  Only `syzygies` records a grading without
-computing it: each row it builds for the elimination is homogeneous of a
-degree it knows.
+gradings are passed along.  Two routines record a grading without
+computing it, for rows homogeneous of a degree they know: `syzygies`, for
+each row it builds for the elimination, and `homogenize_vector`, for each
+nonzero element it pads.
 `homogenize_vector` is the one way to pad an element up to a degree, with a
 new last variable h of weight 1 (`homogenized`); `syzygies` and `homog` both
 homogenize through it.
@@ -237,8 +238,9 @@ def homogenize_vector(
 ) -> Row:
     """Pad every term of the element with a power of h up to shifted
     weighted degree `degree` (default: the largest, `vector_grading`), which
-    gives a homogeneous element of `homogenized(module)`; raises
-    FiltrationError when a term is above `degree`.  Zero pads to zero."""
+    gives a homogeneous element of `homogenized(module)`, its grading
+    recorded in its memo; raises FiltrationError when a term is above
+    `degree`.  Zero pads to zero."""
     row = as_row(elem)
     if degree is None:
         degree = vector_grading(module, row)[0]
@@ -252,7 +254,8 @@ def homogenize_vector(
                 f"term of degree {bound - gap} exceeds the declared bound {bound}"
             )
         terms[(slot, exps + (gap,))] = c
-    return Row(terms, row.den, row.rank, row.nvars + 1)
+    memo = ((shifts, weights + (1,)), (degree, True)) if terms else None
+    return Row(terms, row.den, row.rank, row.nvars + 1, memo)
 
 
 def dehomogenize_vector(elem: Row | Vector) -> Row:

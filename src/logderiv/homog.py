@@ -160,7 +160,8 @@ def chi_homogenized(
     LogModule of f under the standard grading."""
     mod = _standard_log_module(factored)
     _, _, res = affine_log_resolution(mod, mix=mix)
-    degree = mod.factored.expand().total_degree()
+    # the degree of a product, without expanding it
+    degree = sum(e * f.total_degree() for f, e in mod.factored.factors)
     hom = homogenize_resolution(res)
     recomputed = False
     if hom.is_resolution:

@@ -1,6 +1,9 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from logderiv.poly import (
 )
 from logderiv.groebner import (
     FreeModule,
+    Row,
     buchberger,
     module_equal,
     normal_form,
@@ -515,11 +519,35 @@ def test_log_derivations_are_d_f_s_reduced_basis_when_the_orders_agree(monkeypat
         assert terms_in_order(g.vector() for g in got) == terms_in_order(expected)
 
 
+def test_a_variable_in_no_factor_costs_no_second_pass(monkeypatch):
+    # u-homogeneous factors and u + v constant, but some x_i occurs in no
+    # factor: column i is zero, the syzygy basis holds the unit e_i, and D(f)'s
+    # reduced basis is the same set of rows, sorted under D(f)'s order
+    cases = [(FactoredPolynomial.single(P("x^2+z^2", XYZ)), GradedContext.standard(3))]
+    rng = random.Random("zero column")
+    while len(cases) < 20:
+        factored, ctx = random_instance(rng)
+        if not every_variable_occurs(factored, ctx.nvars):
+            cases.append((factored, ctx))
+    moved = 0
+    for factored, ctx in cases:
+        passes = recorded_passes(monkeypatch)
+        got = generalized_log_module(factored, ctx)
+        assert passes == []
+        monkeypatch.undo()
+        dm = ctx.derivation_module()
+        syz = log_derivations(factored.factors, ctx)
+        expected = list(buchberger(dm, syz).rows)
+        assert got == expected
+        assert terms_in_order(g.vector() for g in got) == terms_in_order(
+            g.vector() for g in expected)
+        moved += syz != expected
+    assert moved > 0  # the sort does move a unit
+
+
 PASS_CASES = {
-    # x + x^2 in x, y: y occurs in no factor (and x + x^2 is not homogeneous)
+    # x + x^2 is not homogeneous (and y occurs in no factor)
     "x+x^2": (FactoredPolynomial.single(P("x+x^2")), GradedContext.standard(2)),
-    # homogeneous, but y occurs in no factor, so column y has degree 0
-    "x^2+z^2": (FactoredPolynomial.single(P("x^2+z^2", XYZ)), GradedContext.standard(3)),
     # quasi-homogeneous under u = (3, 2), with u + v = (3, 2) not constant
     "u+v": (FactoredPolynomial.single(P("x^2+y^3")), GradedContext((3, 2), (0, 0))),
     "u+v, two factors": (
@@ -543,3 +571,72 @@ def test_the_final_pass_runs_where_the_orders_may_differ(monkeypatch):
         assert tuple(got) == buchberger(dm, got).rows  # reduced under D(f)'s order
         changed += got != syz
     assert changed >= 2  # the pass does change some of them
+
+
+# --- D(f)'s inputs from integer terms --------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def homogenize_draws(seed, count):
+    """The surfaces of the benchmark's homogenize workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up by name
+    spec.loader.exec_module(workloads)
+    return workloads.homogenize_draws(seed, count)
+
+
+def fraction_inputs(factors, n):
+    """The reference: the columns and relations of `log_derivations` built
+    as Fraction Vectors, by `partial_derivative` and powers."""
+    zero = Polynomial.zero(n)
+    columns = [tuple(partial_derivative(f, i) for f, _ in factors) for i in range(n)]
+    relations = [tuple(f ** e if slot == j else zero for slot in range(len(factors)))
+                 for j, (f, e) in enumerate(factors)]
+    return columns, relations
+
+
+def test_d_f_s_inputs_are_built_from_integer_terms(monkeypatch):
+    from logderiv import derivmod
+
+    rng = random.Random("integer inputs")
+    cases = [random_instance(rng) for _ in range(40)]
+    cases += [(FactoredPolynomial.single(p), GradedContext.standard(3))
+              for p in homogenize_draws(0, 8)]
+    cases += [(arrangement(normals, mults), GradedContext.standard(len(normals[0])))
+              for normals, mults, _ in FREE.values()]
+    factors = [fe for factored, _ in cases for fe in factored.factors]
+    # the draws reach what the integer construction scales and multiplies
+    assert any(c.denominator == 2 for f, _ in factors for c in f.terms.values())
+    assert any(e == 3 for _, e in factors)
+    assert any(len(factored.factors) > 1 for factored, _ in cases)
+
+    inputs = []
+    syzygies_, raw, init = derivmod.syzygies, Polynomial._raw.__func__, Polynomial.__init__
+    made = [0]
+
+    def recording(module, gens, relations=()):
+        inputs.append((gens, relations))
+        return syzygies_(module, gens, relations)
+
+    def counted_raw(cls, *args):
+        made[0] += 1
+        return raw(cls, *args)
+
+    def counted_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(derivmod, "syzygies", recording)
+    monkeypatch.setattr(Polynomial, "_raw", classmethod(counted_raw))
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    for factored, ctx in cases:
+        log_derivations(factored.factors, ctx)
+    assert made == [0]  # no Polynomial is made
+    monkeypatch.undo()
+    for (factored, ctx), (columns, relations) in zip(cases, inputs, strict=True):
+        ref_columns, ref_relations = fraction_inputs(factored.factors, ctx.nvars)
+        assert columns == [Row.of(c) for c in ref_columns]
+        assert relations == [Row.of(r) for r in ref_relations]

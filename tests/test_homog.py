@@ -378,7 +378,21 @@ def gradings_computed(monkeypatch):
     return computed
 
 
-def test_no_row_is_graded_twice_in_one_grading(gradings_computed):
+@pytest.fixture
+def padded_rows(monkeypatch):
+    """Every Row `homogenize_vector` returns, kept so that no id is reused."""
+    rows = []
+    original = groebner.homogenize_vector
+
+    def recording(*args, **kwargs):
+        rows.append(original(*args, **kwargs))
+        return rows[-1]
+
+    bind_everywhere(monkeypatch, original, recording)
+    return rows
+
+
+def test_no_row_is_graded_twice_in_one_grading(gradings_computed, padded_rows):
     # the columns of phi_0 are graded by the first syzygies call, or by
     # minimal_generators before it on homogenize; minimize reads them back
     report = verify_degree_identity(arrangement(general_position_draw(random.Random(1))),
@@ -388,6 +402,10 @@ def test_no_row_is_graded_twice_in_one_grading(gradings_computed):
     assert chi_homogenized(worked_example())["ok"]
     assert 0 < on_the_arrangement < len(gradings_computed)
     assert [n for n in gradings_computed.values() if n > 1] == []
+    # a padded Row carries the grading it was padded to
+    padded = {id(row) for row in padded_rows if row.terms}
+    assert padded
+    assert [key for key in gradings_computed if key[0] in padded] == []
 
 
 def test_the_grading_counter_sees_a_row_graded_again(gradings_computed):
