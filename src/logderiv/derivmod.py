@@ -40,14 +40,12 @@ from .groebner import (
     FreeModule,
     Row,
     Vector,
-    _Packing,
     as_row,
     buchberger,
-    module_equal,
     module_quotient,
     ring_module,
+    sorted_by_lead,
     syzygies,
-    vector_grading,
 )
 from .resolution import Resolution, free_resolution, minimize
 
@@ -313,9 +311,7 @@ def generalized_log_module(
         len({weighted_degree(e, ctx.u) for e in f.terms}) == 1 for f, _ in factored.factors
     ):
         return list(buchberger(dm, gens).rows)
-    # packed codes ascend as the term order descends: the least is the lead
-    packing = _Packing(dm, max((vector_grading(dm, g)[0] for g in gens), default=0))
-    return sorted(gens, key=lambda g: min(packing.term(*t) for t in g.terms))
+    return sorted_by_lead(dm, gens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,12 +417,13 @@ def saito_check(deltas: list[Row | Vector], factored: FactoredPolynomial) -> Sai
 
 
 def annihilator_check(mod: LogModule) -> dict:
-    """Computes the ideal (D(f) : D) and verifies it equals <f>."""
+    """The ideal (D(f) : D), D the module of all derivations, as
+    `module_quotient`'s Rows, and whether it is <f>: two reduced bases in
+    one order are equal exactly when their ideals are."""
     dm = mod.module
-    units = [dm.unit_vector(i) for i in range(dm.rank)]
+    units = [Row({(i, (0,) * dm.nvars): 1}, 1, dm.rank, dm.nvars) for i in range(dm.rank)]
     ideal = module_quotient(dm, mod.gens, units)
     f = mod.factored.expand()
     ring = ring_module(mod.ctx.nvars, mod.ctx.order())
-    ok = module_equal(ring, [(g,) for g in ideal], [(f,)])
-    return {"ok": ok, "ideal": ideal, "f": f}
+    return {"ok": ideal == list(buchberger(ring, [(f,)]).rows), "ideal": ideal, "f": f}
 

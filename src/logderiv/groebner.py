@@ -12,10 +12,10 @@ the one parsing builds and printing reads.  A `Row` is the one the routines
 compute with: integer coefficients on (slot, exponents) terms over one
 positive denominator, in lowest terms.  Vectors in, Rows out: every routine
 takes either form, or a mix (`as_row`, the one place `Row.of` is called),
-and every routine that returns module elements returns Rows.  `Row.vector`
-makes a Vector only at the edges: `GroebnerBasis.elements`, the remainder of
-`normal_form`, the quotients and remainder of `divide`, and the ideal
-generators of `module_quotient`, which are Polynomials.
+and every routine that returns module elements returns Rows, an ideal's
+generators as Rows of rank 1.  `Row.vector` makes a Vector only at the
+edges: `GroebnerBasis.elements`, the remainder of `normal_form`, and the
+quotients and remainder of `divide`.
 
 Inside the engine (`GroebnerBasis`, division, S-vectors, interreduction) a
 Row is packed: a dict from packed term to int.  A packed term is one int
@@ -54,6 +54,7 @@ prepared for division, grown in place by `add`.  Its rows are also kept
 grouped by the slot of their lead, and a division tries a term only against
 the rows of the term's slot.  `add` interreduces only against the leads
 appended since it started, as the rows it starts from are already reduced.
+`sorted_by_lead` gives rows a reduced basis's order without computing one.
 `grow` keeps a basis that is not interreduced and, for graded input,
 truncated at a degree: enough to decide membership.
 
@@ -799,6 +800,15 @@ def buchberger(module: FreeModule, gens) -> GroebnerBasis:
     return GroebnerBasis(module, gens)
 
 
+def sorted_by_lead(module: FreeModule, rows) -> list[Row]:
+    """The nonzero rows sorted by lead descending in module's term order,
+    the order of `GroebnerBasis.rows`."""
+    rows = [as_row(r) for r in rows]
+    # packed codes ascend as the term order descends: the least is the lead
+    packing = _Packing(module, max((vector_grading(module, r)[0] for r in rows), default=0))
+    return sorted(rows, key=lambda r: min(packing.term(*t) for t in r.terms))
+
+
 def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     """Equality of generated submodules via reduced-basis uniqueness."""
     return buchberger(module, gens_a).rows == buchberger(module, gens_b).rows
@@ -875,15 +885,16 @@ def intersect(module: FreeModule, gens_a, gens_b) -> list[Row]:
     return list(buchberger(module, [combination(c, rows_a) for c in syz]).rows)
 
 
-def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:
-    """Reduced basis of the ideal (N : M) = {s : s*M ⊆ N}, [1] when M has
-    no generators: the kernel of s -> (s*g_1, ..., s*g_k) into k copies of
-    F/N (Greuel & Pfister, A Singular Introduction to Commutative Algebra,
-    2.8), that is, the syzygies of the stacked element (g_1, ..., g_k) of
-    F^k modulo N placed in each copy."""
+def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Row]:
+    """Reduced basis of the ideal (N : M) = {s : s*M ⊆ N}, as `buchberger`'s
+    rows of rank 1, the unit row when M has no generators: the kernel of
+    s -> (s*g_1, ..., s*g_k) into k copies of F/N (Greuel & Pfister, A
+    Singular Introduction to Commutative Algebra, 2.8), that is, the
+    syzygies of the stacked element (g_1, ..., g_k) of F^k modulo N placed
+    in each copy."""
     rows_n, rows_m = [as_row(g) for g in gens_n], [as_row(g) for g in gens_m]
     if not rows_m:
-        return [Polynomial.constant(1, module.nvars)]
+        return [Row({(0, (0,) * module.nvars): 1}, 1, 1, module.nvars)]
     nvars, rank, k = module.nvars, module.rank, len(rows_m)
     stacked = FreeModule(nvars, module.shifts * k, module.order)
 
@@ -895,4 +906,4 @@ def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Polynomial]:
     element = combination(ones, [placed(g, j) for j, g in enumerate(rows_m)])
     relations = [placed(n, j) for j in range(k) for n in rows_n]
     _, colon = syzygies(stacked, [element], relations)
-    return [v[0] for v in buchberger(ring_module(module.nvars, module.order), colon).elements]
+    return list(buchberger(ring_module(module.nvars, module.order), colon).rows)

@@ -38,9 +38,8 @@ from .groebner import (
     homogenized,
     intersect,
     module_equal,
-    ring_module,
 )
-from .poly import degree_order
+from .poly import Polynomial
 from .derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from .resolution import (
     Resolution,
@@ -192,11 +191,13 @@ def chi_homogenized(
 
 
 def homogenize_factored(factored: FactoredPolynomial) -> FactoredPolynomial:
-    """Factorwise homogenization, preserving the multiplicity structure."""
-    ring = ring_module(factored.nvars, degree_order(factored.nvars))
-    return FactoredPolynomial(
-        tuple((homogenize_vector(ring, (f,)).vector()[0], e) for f, e in factored.factors)
-    )
+    """Factorwise homogenization, preserving the multiplicity structure: a
+    term x^e of a factor f becomes x^e * h^(deg f - |e|), h a new variable."""
+    def padded(f: Polynomial) -> Polynomial:
+        d = f.total_degree()
+        return Polynomial(f.nvars + 1, {e + (d - sum(e),): c for e, c in f.terms.items()})
+
+    return FactoredPolynomial(tuple((padded(f), e) for f, e in factored.factors))
 
 
 def verify_lemma_intersection(factored: FactoredPolynomial | LogModule) -> dict:
@@ -212,7 +213,7 @@ def verify_lemma_intersection(factored: FactoredPolynomial | LogModule) -> dict:
     ctx_h = GradedContext.standard(n + 1)
     d_fh = generalized_log_module(hfact, ctx_h)
     dm_h = ctx_h.derivation_module()
-    x_span = [dm_h.unit_vector(i) for i in range(n)]
+    x_span = [Row({(i, (0,) * (n + 1)): 1}, 1, n + 1, n + 1) for i in range(n)]
     inter = intersect(dm_h, d_fh, x_span)
     lhs = []
     for g in inter:

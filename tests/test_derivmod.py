@@ -42,7 +42,7 @@ from logderiv.derivmod import (
     log_derivations,
     saito_check,
 )
-from logderiv.harness import random_instance
+from logderiv.harness import HEAVY_EVERY, random_instance
 from test_arrangements import FREE, arrangement, general_position_draw
 from test_homog import bind_everywhere
 
@@ -417,6 +417,28 @@ def test_annihilator_nonreduced():
     fp = FactoredPolynomial(((P("x"), 2), (P("y"), 3)))
     report = annihilator_check(LogModule.of(fp, CTX2))
     assert report["ok"]
+
+
+def test_annihilator_verdict_is_module_equality_on_the_heavy_draws():
+    # the seed-0 draws run_harness checks the annihilator on, and as a
+    # negative control each with a factorization of f^2 over D(f)'s basis
+    rng = random.Random(0)
+    checked = 0
+    for index in range(100):
+        factored, ctx = random_instance(rng)
+        if index % HEAVY_EVERY:
+            continue
+        ring = ring_module(ctx.nvars, ctx.order())
+        gens = generalized_log_module(factored, ctx, validate=False)
+        squared = FactoredPolynomial(tuple((f, 2 * e) for f, e in factored.factors))
+        for fp, expected in ((factored, True), (squared, False)):
+            report = annihilator_check(LogModule(fp, ctx, gens))
+            assert all(isinstance(g, Row) and g.rank == 1 for g in report["ideal"])
+            assert report["f"] == fp.expand()
+            assert report["ok"] == module_equal(ring, report["ideal"], [(report["f"],)])
+            assert report["ok"] is expected
+        checked += 1
+    assert checked == 10
 
 
 # --- gradedness -------------------------------------------------------------------

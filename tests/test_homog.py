@@ -9,6 +9,7 @@ from logderiv.poly import (
     FiltrationError,
     MonomialOrder,
     Polynomial,
+    degree_order,
     infer_weights,
     parse_poly,
     squarefree_test,
@@ -32,11 +33,13 @@ from logderiv.resolution import ModuleMap, Resolution, pad_with_trivial_pair
 from logderiv.homog import (
     affine_log_resolution,
     chi_homogenized,
+    homogenize_factored,
     homogenize_module,
     homogenize_resolution,
     verify_lemma_intersection,
 )
 from test_arrangements import arrangement, general_position_draw
+from test_groebner import random_poly
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -472,6 +475,37 @@ def test_lemma_intersection_worked_example():
 def test_lemma_intersection_inhomogeneous_plane_curve():
     f = P("x+x^2")
     assert verify_lemma_intersection(FactoredPolynomial.single(f))["ok"]
+
+
+def homogenize_factored_by_rows(factored):
+    """The Row route `homogenize_factored` once took: each factor as a
+    rank-1 element of the degree-order ring, padded by `homogenize_vector`
+    and read back as a Polynomial."""
+    ring = ring_module(factored.nvars, degree_order(factored.nvars))
+    return FactoredPolynomial(
+        tuple((homogenize_vector(ring, (f,)).vector()[0], e) for f, e in factored.factors)
+    )
+
+
+def test_homogenize_factored_pads_as_the_row_route():
+    # seeded harness draws (quasi-homogeneous, mostly not homogeneous) and
+    # seeded inhomogeneous factors with rational coefficients, in 2 and 3
+    # variables: the same factors, terms in the same order
+    rng = random.Random(0)
+    cases = [harness.random_instance(rng)[0] for _ in range(30)]
+    rng = random.Random("homogenize factors")
+    for nvars in (2, 3):
+        for _ in range(10):
+            factors = [(random_poly(rng, nvars, rng.randint(1, 4), 3), rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 3))]
+            cases.append(FactoredPolynomial(tuple((f, e) for f, e in factors if not f.is_zero())))
+    cases.append(worked_example())
+    for fp in cases:
+        ours, theirs = homogenize_factored(fp), homogenize_factored_by_rows(fp)
+        assert ours == theirs
+        assert [list(f.terms.items()) for f, _ in ours.factors] == \
+            [list(f.terms.items()) for f, _ in theirs.factors]
+    assert any(infer_weights(f) is None for fp in cases for f, _ in fp.factors)
 
 
 def assert_reduced(mod):

@@ -20,6 +20,7 @@ from logderiv.groebner import (
     dehomogenize_vector,
     homogenize_vector,
     intersect,
+    module_quotient,
     syzygies,
 )
 from logderiv.derivmod import (
@@ -29,7 +30,7 @@ from logderiv.derivmod import (
     generalized_log_module,
     log_derivations,
 )
-from logderiv.harness import random_instance
+from logderiv.harness import HEAVY_EVERY, random_instance, run_harness
 from logderiv.hilbert import verify_degree_identity
 from logderiv.homog import (
     affine_log_resolution,
@@ -83,6 +84,9 @@ def test_groebner_routines_return_rows_whatever_the_input(form):
     common = intersect(MODULE, gens, other)
     assert common and rows_only(common)
     assert common == intersect(MODULE, forms(GENS)["rows"], forms(OTHER)["rows"])
+    colon = module_quotient(MODULE, gens, other)
+    assert colon and rows_only(colon)
+    assert colon == module_quotient(MODULE, forms(GENS)["rows"], forms(OTHER)["rows"])
     padded = [homogenize_vector(MODULE, g) for g in gens]
     assert rows_only(padded)
     h_forms = forms([p.vector() for p in padded])[form]
@@ -155,21 +159,27 @@ def test_the_degree_identity_converts_no_generator(conversions):
         assert conversions == before
 
 
+def test_the_harness_converts_only_f_on_its_heavy_instances(conversions):
+    # the annihilator's units and ideal are Rows from the start; what is
+    # left is the instance's own f becoming an element, once for the
+    # redundant resolution, once for the quotient ring and once for <f>
+    assert run_harness(20, seed=0)["ok"]
+    heavy = len(range(0, 20, HEAVY_EVERY))
+    assert conversions == {"of": 3 * heavy, "vector": 0}
+
+
 # Where src/ may convert, as (what, module, function): a Polynomial is
-# needed (printing, Saito's determinant, the homogenized factors of f), a
-# caller reads Vectors (`GroebnerBasis.elements`, `normal_form`, `divide`,
-# `ModuleMap.columns` and `entry`), or the ideal generators of
-# `module_quotient` are Polynomials.  `as_row` is the one reader of input.
+# needed (printing, Saito's determinant), or a caller reads Vectors
+# (`GroebnerBasis.elements`, `normal_form`, `divide`, `ModuleMap.columns`
+# and `entry`).  `as_row` is the one reader of input.
 EDGES = {
     (".vector()", "groebner", "GroebnerBasis.elements"),
     (".vector()", "groebner", "divide"),
     (".vector()", "groebner", "normal_form"),
     (".vector()", "resolution", "ModuleMap.columns"),
     (".vector()", "derivmod", "saito_check"),
-    (".vector()", "homog", "homogenize_factored"),
     (".vector()", "cli", "cmd_derivations"),
     ("Row.of", "groebner", "as_row"),
-    (".elements", "groebner", "module_quotient"),
     (".columns", "resolution", "ModuleMap.entry"),
 }
 
