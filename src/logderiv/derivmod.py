@@ -421,7 +421,7 @@ def annihilator_check(mod: LogModule) -> dict:
     `module_quotient`'s Rows, and whether it is <f>: two reduced bases in
     one order are equal exactly when their ideals are."""
     dm = mod.module
-    units = [Row({(i, (0,) * dm.nvars): 1}, 1, dm.rank, dm.nvars) for i in range(dm.rank)]
+    units = [Row.unit(i, dm.rank, dm.nvars) for i in range(dm.rank)]
     ideal = module_quotient(dm, mod.gens, units)
     f = mod.factored.expand()
     ring = ring_module(mod.ctx.nvars, mod.ctx.order())

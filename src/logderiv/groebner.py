@@ -29,9 +29,12 @@ monic there.
 
 `syzygies(module, gens, relations)` is the one kernel routine, and the only
 one that eliminates: it returns the c with sum(c_i * gens[i]) in the
-submodule generated by relations (Singular's `modulo`).  `intersect` and
-`module_quotient` are one call to it each, and `combination` is the one
-linear combination sum(c_i * v_i), on Rows.  For inhomogeneous input
+submodule generated by relations (Singular's `modulo`).  Elements whose
+leads lie in distinct slots have no syzygy (`_leads_in_distinct_slots`), so
+for such homogeneous generators and no relations it returns none without an
+elimination: a free basis, as most D(f) are, needs no Buchberger run.
+`intersect` and `module_quotient` are one call to it each, and
+`combination` is the one linear combination sum(c_i * v_i), on Rows.  For inhomogeneous input
 `syzygies` also hands `resolution.free_resolution`, on request, the reduced
 basis of the homogenized image, which its block-split basis already holds.
 Polynomial gcds and exact division by one polynomial need no Groebner
@@ -54,7 +57,9 @@ prepared for division, grown in place by `add`.  Its rows are also kept
 grouped by the slot of their lead, and a division tries a term only against
 the rows of the term's slot.  `add` interreduces only against the leads
 appended since it started, as the rows it starts from are already reduced.
-`sorted_by_lead` gives rows a reduced basis's order without computing one.
+`sorted_by_lead` gives rows a reduced basis's order without computing one,
+by each row's lead (`_lead`) under the explicit key `_lead_key`.  `Row.unit`
+builds the unit element e_slot.
 `grow` keeps a basis that is not interreduced and, for graded input,
 truncated at a degree: enough to decide membership.
 
@@ -147,6 +152,11 @@ class Row:
         return cls(terms, den, rank, nvars)
 
     @classmethod
+    def unit(cls, slot: int, rank: int, nvars: int) -> "Row":
+        """The unit element e_slot."""
+        return cls({(slot, (0,) * nvars): 1}, 1, rank, nvars)
+
+    @classmethod
     def of(cls, vec: Vector) -> "Row":
         """The Row of a Vector."""
         den = reduce(math.lcm, (c.denominator for p in vec for c in p.terms.values()), 1)
@@ -225,6 +235,36 @@ def vector_degree(module: FreeModule, elem: Row | Vector) -> int:
     if not homogeneous or not row.terms:
         raise ValueError("only a nonzero homogeneous element has a degree")
     return degree
+
+
+def _lead_key(term: FlatTerm) -> tuple[Exponents, int]:
+    """The term order's tie-break among terms of one shifted degree, least
+    first: smaller e_{n-1}, ..., e_0 ranks higher, then the lower slot
+    (`_Packing`).  Adding exponents preserves it, so lead(alpha * g) =
+    alpha * lead(g)."""
+    slot, exps = term
+    return exps[::-1], slot
+
+
+def _lead(module: FreeModule, row: Row) -> FlatTerm:
+    """The lead of a nonzero row in module's order (no block split): the
+    least `_lead_key` among its terms of its degree (`vector_grading`)."""
+    degree, homogeneous = vector_grading(module, row)
+    terms = row.terms
+    if not homogeneous:
+        shifts, weights = module.shifts, module.order.weights
+        terms = [(s, e) for s, e in terms if shifts[s] + sum(map(mul, e, weights)) == degree]
+    return min(terms, key=_lead_key)
+
+
+def _leads_in_distinct_slots(leads: list[FlatTerm]) -> bool:
+    """Whether no two of the leads lie in one slot.  Then elements with
+    these leads have no syzygy: in a sum(c_i * g_i) with some c_i nonzero
+    the terms lead(c_i) * lead(g_i) lie in distinct slots, so the largest
+    of them cancels against no other term (the lead argument behind
+    Schreyer's theorem, Eisenbud, Commutative Algebra, 15.10)."""
+    slots = [slot for slot, _ in leads]
+    return len(set(slots)) == len(slots)
 
 
 def homogenized(module: FreeModule) -> FreeModule:
@@ -801,12 +841,13 @@ def buchberger(module: FreeModule, gens) -> GroebnerBasis:
 
 
 def sorted_by_lead(module: FreeModule, rows) -> list[Row]:
-    """The nonzero rows sorted by lead descending in module's term order,
-    the order of `GroebnerBasis.rows`."""
-    rows = [as_row(r) for r in rows]
-    # packed codes ascend as the term order descends: the least is the lead
-    packing = _Packing(module, max((vector_grading(module, r)[0] for r in rows), default=0))
-    return sorted(rows, key=lambda r: min(packing.term(*t) for t in r.terms))
+    """The nonzero rows sorted by lead descending in module's term order
+    (no block split), the order of `GroebnerBasis.rows`: by the key
+    (-shifted degree, `_lead_key`) of each row's lead (`_lead`)."""
+    def key(row: Row):
+        return -vector_grading(module, row)[0], _lead_key(_lead(module, row))
+
+    return sorted(map(as_row, rows), key=key)
 
 
 def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
@@ -820,16 +861,20 @@ def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) 
     whose slot i carries the degree of gens[i] (`vector_grading`, read back
     from a Row that was graded in module before).
 
-    Eliminates the ambient block from the module generated by (g_i, e_i) and
-    (r, 0) in the ambient ⊕ that free module; this is the one place a block
-    split is built.  Each of those rows is homogeneous of the degree of g_i
-    or r, which goes into its memo as it is built, for the engine to read
-    back.  Homogeneous input gives the reduced basis of the
-    result, which is homogeneous.  Otherwise every generator and relation is
-    first homogenized to its degree with a new last variable h of weight 1,
-    and h is set to 1 in the result, a generating set: homogenizing to a
-    fixed degree is linear, so every solution c, with sum(c_i g_i) =
-    sum(a_j r_j), lifts to a graded one.
+    Homogeneous nonzero generators whose leads lie in distinct slots, with
+    no relations, have no syzygy (`_leads_in_distinct_slots`): for them it
+    returns none, as the elimination would, before building anything.
+
+    Otherwise it eliminates the ambient block from the module generated by
+    (g_i, e_i) and (r, 0) in the ambient ⊕ that free module; this is the
+    one place a block split is built.  Each of those rows is homogeneous of
+    the degree of g_i or r, which goes into its memo as it is built, for
+    the engine to read back.  Homogeneous input gives the reduced basis of
+    the result, which is homogeneous.  Otherwise every generator and
+    relation is first homogenized to its degree with a new last variable h
+    of weight 1, and h is set to 1 in the result, a generating set:
+    homogenizing to a fixed degree is linear, so every solution c, with
+    sum(c_i g_i) = sum(a_j r_j), lifts to a graded one.
 
     With `_with_image` a third item follows: None for homogeneous input,
     otherwise the reduced basis of the submodule of `homogenized(module)`
@@ -848,6 +893,10 @@ def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) 
     degrees = tuple(d for d, _ in gradings)
     syz_module = FreeModule(module.nvars, degrees, module.order)
     homogeneous = all(h for _, h in gradings + relation_gradings)
+    if (homogeneous and not relations and len(gens) <= module.rank
+            and all(g.terms for g in gens)
+            and _leads_in_distinct_slots([_lead(module, g) for g in gens])):
+        return (syz_module, [], None) if _with_image else (syz_module, [])
     if not homogeneous:
         gens = [homogenize_vector(module, g, d) for g, d in zip(gens, degrees)]
         relations = [
@@ -894,7 +943,7 @@ def module_quotient(module: FreeModule, gens_n, gens_m) -> list[Row]:
     in each copy."""
     rows_n, rows_m = [as_row(g) for g in gens_n], [as_row(g) for g in gens_m]
     if not rows_m:
-        return [Row({(0, (0,) * module.nvars): 1}, 1, 1, module.nvars)]
+        return [Row.unit(0, 1, module.nvars)]
     nvars, rank, k = module.nvars, module.rank, len(rows_m)
     stacked = FreeModule(nvars, module.shifts * k, module.order)
 

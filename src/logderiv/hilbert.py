@@ -17,9 +17,11 @@ The oracle proves each rank by two bounds that meet: the rows' distinct
 leads from below (`hp_from_basis` of the generators), and the row count
 less the distinct leads of the rows beta * s, over syzygies s each checked
 to be a kernel vector, from above.  For a Groebner basis the two meet in
-every degree.  Only degrees where they do not go to exact fraction-free
-elimination by `poly.reduce_into` on the `groebner.Row`s' own integer
-(slot, exponents) terms.
+every degree.  Generators whose leads lie in distinct slots, as the basis
+of a free D(f) does, need neither: every row has its own lead, so the rank
+is the row count.  Only degrees where the bounds do not meet go to exact
+fraction-free elimination by `poly.reduce_into` on the `groebner.Row`s'
+own integer (slot, exponents) terms.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .poly import (
 from .groebner import (
     FlatTerm,
     FreeModule,
+    _lead_key,
+    _leads_in_distinct_slots,
     as_row,
     buchberger,
     combination,
@@ -204,14 +208,6 @@ def _monomials_of_weighted_degree(u: tuple[int, ...], d: int):
     yield from rec(0, d)
 
 
-def _lead_key(term: FlatTerm) -> tuple[Exponents, int]:
-    """The engine's tie-break among terms of one shifted degree, least
-    first: smaller e_{n-1}, ..., e_0 ranks higher, then the lower slot.
-    Adding exponents preserves it, so lead(alpha * g) = alpha * lead(g)."""
-    slot, exps = term
-    return exps[::-1], slot
-
-
 def _component_leads(module: FreeModule, row) -> dict[int, FlatTerm]:
     """The lead term of each homogeneous component of a row, by degree."""
     weights, shifts = module.order.weights, module.shifts
@@ -282,6 +278,11 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
     generating set that is not one, which the API accepts, can leave a
     degree open; `_eliminate` ranks exactly those degrees.
 
+    A third way to the rank comes first: when the generators' leads lie in
+    distinct slots (`groebner._leads_in_distinct_slots`), as those of a
+    free D(f)'s basis do, the rows' leads alpha * lead(g) are all distinct,
+    so the rank is N_d, and neither bound is computed.
+
     Generators must be nonzero and homogeneous (ValueError otherwise, as
     from `vector_degree`); each is graded once, its degree and lead read in
     one pass.  Weights must be strictly positive (the module order enforces
@@ -292,13 +293,13 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
     if any(len(components) != 1 for components in graded):
         raise ValueError("only a nonzero homogeneous element has a degree")
     degrees = [d for components in graded for d in components]
+    leads = [lead for components in graded for lead in components.values()]
     u = module.order.weights
     slices = range(d_lo, d_hi + 1)
     rows = hp_expand(hp_free(degrees, u), d_lo, d_hi)
-    lower = hp_expand(
-        _lead_series(module, [lead for components in graded for lead in components.values()]),
-        d_lo, d_hi,
-    )
+    if _leads_in_distinct_slots(leads):
+        return {d: rows[d] for d in slices}
+    lower = hp_expand(_lead_series(module, leads), d_lo, d_hi)
     if all(lower[d] == rows[d] for d in slices):
         return {d: rows[d] for d in slices}
     syz_module, syz = syzygies(module, gens)

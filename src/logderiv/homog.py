@@ -213,7 +213,7 @@ def verify_lemma_intersection(factored: FactoredPolynomial | LogModule) -> dict:
     ctx_h = GradedContext.standard(n + 1)
     d_fh = generalized_log_module(hfact, ctx_h)
     dm_h = ctx_h.derivation_module()
-    x_span = [Row({(i, (0,) * (n + 1)): 1}, 1, n + 1, n + 1) for i in range(n)]
+    x_span = [Row.unit(i, n + 1, n + 1) for i in range(n)]
     inter = intersect(dm_h, d_fh, x_span)
     lhs = []
     for g in inter:

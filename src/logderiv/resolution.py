@@ -406,7 +406,7 @@ def pad_with_trivial_pair(res: Resolution, p: int, d: int) -> Resolution:
     # F_p gains S(-d) mapping identically onto it, a new map when p = length + 1
     old = chain[p] if p < len(chain) else ModuleMap((), ())
     rank = len(res.shifts(p - 1))
-    ident_col = Row({(rank, (0,) * nvars): 1}, 1, rank + 1, nvars)
+    ident_col = Row.unit(rank, rank + 1, nvars)
     chain[p : p + 1] = [
         ModuleMap(
             tuple(_widened(col) for col in old.rows) + (ident_col,),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from logderiv.groebner import (
     module_quotient,
     normal_form,
     ring_module,
+    sorted_by_lead,
     syzygies,
     vec_is_zero,
     vector_degree,
@@ -587,7 +589,8 @@ def gcd_by_colon_ideal(p, q):
 def test_gcd_matches_the_colon_ideal_on_harness_and_arrangement_pairs(monkeypatch):
     # every gcd the seed-0 draws of 100 harness instances ask for (their
     # factor pairs and squarefree-derivative pairs, rejected draws too),
-    # and every pair of planes of the 8-plane generic arrangement
+    # and every pair of planes of the golden 8-plane arrangement, which is not
+    # in general position
     from logderiv import harness, poly
 
     pairs = []
@@ -1298,6 +1301,117 @@ def test_a_lower_block_tail_past_the_field_capacity_widens_the_fields(monkeypatc
     _, syz = syzygies(module, [(g,) for g in gs])
     expected = [(sum((a * t for a, t in zip(c.vector(), tails)), P("0", XYZ)),) for c in syz]
     assert eliminated and module_equal(module, eliminated, expected)
+
+
+# --- free generators: leads in distinct slots ----------------------------------------
+
+
+FREE_AMBIENTS = {
+    "shifted": (3, (1, 0, 1), MonomialOrder((1, 2, 1))),
+    "rank4": (2, (0, 2, 1, 1), MonomialOrder((1, 1))),
+}
+
+
+def homogeneous_flat(rng, module, degree, nterms):
+    """A random element of one shifted degree as a flat dict ({} when no
+    term has that degree)."""
+    pool = [
+        (slot, exps)
+        for slot in range(module.rank)
+        for exps in product(range(degree + 2), repeat=module.nvars)
+        if term_degree(module, (slot, exps)) == degree
+    ]
+    picked = rng.sample(pool, min(nterms, len(pool)))
+    return {t: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for t in picked}
+
+
+def free_generator_sets(name, count):
+    """Homogeneous generators of mixed degrees whose leads (the largest term
+    under `old_term_key`) lie in distinct slots, tails in any slot."""
+    module = FreeModule(*FREE_AMBIENTS[name])
+    rng = random.Random(f"free-{name}")
+    draws = []
+    while len(draws) < count:
+        size, gens, slots = rng.randint(1, module.rank), [], set()
+        while len(gens) < size:
+            flat = homogeneous_flat(rng, module, rng.randint(1, 4), rng.randint(1, 4))
+            lead = max(flat, key=lambda t: old_term_key(module, t), default=None)
+            if lead is not None and lead[0] not in slots:
+                slots.add(lead[0])
+                gens.append(flat)
+        draws.append([unflatten(module, flat) for flat in gens])
+    return module, draws
+
+
+@pytest.fixture
+def bases_built(monkeypatch):
+    """The module of each `GroebnerBasis` built, `buchberger`'s included."""
+    import logderiv.groebner as groebner
+
+    built = []
+
+    class Counting(groebner.GroebnerBasis):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "GroebnerBasis", Counting)
+    return built
+
+
+@pytest.mark.parametrize("name", FREE_AMBIENTS)
+def test_leads_in_distinct_slots_give_no_syzygies(name, bases_built):
+    module, draws = free_generator_sets(name, 40)
+    mixed = crossed = 0
+    for gens in draws:
+        syz_module, syz = syzygies(module, gens)
+        assert syz == [] and bases_built == []
+        assert syzygies(module, gens, _with_image=True) == (syz_module, [], None)
+        assert syz_module.shifts == tuple(max(term_degrees(module, g)) for g in gens)
+        reference = block_elimination_syzygies(module, gens, syz_module.shifts)
+        assert reference == [] and module_equal(syz_module, syz, reference)
+        bases_built.clear()
+        mixed += len(set(syz_module.shifts)) > 1
+        crossed += any(len({slot for slot, _ in flatten(g)}) > 1 for g in gens)
+    assert mixed >= 20 and crossed >= 20
+
+
+def test_two_leads_in_one_slot_still_give_their_koszul_syzygy(bases_built):
+    module = FreeModule(2, (0, 0), MonomialOrder((1, 1)))
+    gens = [(P("x"), P("0")), (P("y"), P("0"))]
+    syz_module, syz = syzygies(module, gens)
+    assert bases_built
+    assert module_equal(syz_module, syz, [(P("y"), -P("x"))])
+    # leads in one slot, a tail in the other: independent, and the block
+    # split is what finds that out
+    bases_built.clear()
+    _, syz = syzygies(module, [(P("x"), P("y")), (P("y"), P("0"))])
+    assert syz == [] and len(bases_built) == 1
+
+
+def test_a_zero_generator_still_gives_its_unit_syzygy(bases_built):
+    module = FreeModule(2, (0, 0, 0), MonomialOrder((1, 1)))
+    gens = [(P("x"), P("0"), P("0")), module.zero_vector(), (P("0"), P("y"), P("x"))]
+    syz_module, syz = syzygies(module, gens)
+    assert bases_built
+    assert syz == [Row.unit(1, 3, 2)]
+    assert syz_module.shifts == (1, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["ring", "shifted"])
+def test_sorted_by_lead_gives_the_reduced_basis_order(name):
+    module = FreeModule(*AMBIENTS[name])
+    rng = random.Random(f"sorted-{name}")
+    inhomogeneous = 0
+    for _ in range(30):
+        gens = [unflatten(module, random_flat(rng, module, rng.randint(1, 3), 2))
+                for _ in range(rng.randint(1, 4))]
+        rows = list(buchberger(module, gens).rows)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert sorted_by_lead(module, shuffled) == rows
+        inhomogeneous += any(not vector_grading(module, r)[1] for r in rows)
+    assert inhomogeneous >= 10
 
 
 # --- homogenizing elements -----------------------------------------------------------

@@ -4,9 +4,12 @@ only where they do not.
 `hilbert.hp_bruteforce` proves each slice dimension by L_d = N_d - K_d (the
 generators' distinct leads from below, the rows less the syzygies' distinct
 leads from above) and hands every other degree to `hilbert._eliminate`.
-These tests hold it to the elimination degree by degree, count the degrees
-it leaves open, and check the two facts the bounds rest on: leads commute
-with monomial multiplication, and engine syzygies are checked before use.
+Generators whose leads lie in distinct slots need neither bound: their rows
+are independent, and the rank is the row count N_d.  These tests hold it
+to the elimination degree by degree, count the degrees it leaves open,
+check that generators with leads in distinct slots reach no lead series and
+no syzygies, and check the two facts the bounds rest on: leads commute with
+monomial multiplication, and engine syzygies are checked before use.
 """
 
 import json
@@ -144,6 +147,47 @@ def test_groebner_bases_leave_no_degree_open(eliminated):
         eliminated.clear()
         assert hp_bruteforce(module, basis, lo, hi) == expected
         assert eliminated == []
+
+
+def free_generator_sets(seed, count):
+    """(module, gens) draws whose leads, the engine's, lie in distinct
+    slots: tails in any slot, degrees mixed."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        u, shifts = rng.choice(AMBIENTS)
+        module = FreeModule(len(u), shifts, MonomialOrder(u))
+        gens, slots, size = [], set(), rng.randint(1, module.rank)
+        for _ in range(4 * size):
+            if len(gens) == size:
+                break
+            g = random_element(rng, module, rng.randint(min(shifts), min(shifts) + 4),
+                               rng.randint(1, 3))
+            if g is None:
+                continue
+            slot = buchberger(module, [g]).basis[0].slot
+            if slot not in slots:
+                slots.add(slot)
+                gens.append(g)
+        if gens:
+            draws.append((module, gens))
+    return draws
+
+
+def test_leads_in_distinct_slots_need_no_lead_series_and_no_syzygies(monkeypatch, eliminated):
+    def refused(*args, **kwargs):
+        raise AssertionError("called on generators with leads in distinct slots")
+
+    monkeypatch.setattr(hilbert, "syzygies", refused)
+    monkeypatch.setattr(hilbert, "_lead_series", refused)
+    draws = free_generator_sets("free-leads", 40)
+    for module, gens in draws:
+        lo, hi = slice_range(module, gens)
+        assert hp_bruteforce(module, gens, lo, hi) == _eliminate(module, gens, range(lo, hi + 1))
+    assert eliminated == []
+    assert sum(len(gens) > 1 for _, gens in draws) >= 12
+    assert sum(any(len({slot for slot, _ in g.terms}) > 1 for g in gens)
+               for _, gens in draws) >= 12
 
 
 def test_certificate_equals_the_elimination_on_harness_calls(monkeypatch, eliminated):
