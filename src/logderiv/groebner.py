@@ -34,9 +34,13 @@ leads lie in distinct slots have no syzygy (`_leads_in_distinct_slots`), so
 for such homogeneous generators and no relations it returns none without an
 elimination: a free basis, as most D(f) are, needs no Buchberger run.
 `intersect` and `module_quotient` are one call to it each, and
-`combination` is the one linear combination sum(c_i * v_i), on Rows.  For inhomogeneous input
-`syzygies` also hands `resolution.free_resolution`, on request, the reduced
-basis of the homogenized image, which its block-split basis already holds.
+`combination` is the one linear combination sum(c_i * v_i), on Rows.  On
+request `syzygies` also hands over what its block-split basis already
+holds: the reduced basis of the (homogenized) image, each row a with its
+block c on the generators, which without relations witnesses
+a = sum(c_i * gens[i]).  `resolution.free_resolution` keeps the a of
+inhomogeneous columns; `hilbert.hp_bruteforce` checks every witness and
+reads a lower bound off the a.
 Polynomial gcds and exact division by one polynomial need no Groebner
 basis; they live in `poly`.
 
@@ -396,21 +400,32 @@ class _Packing:
         return {one[slot] + sum(map(mul, exps, place)): c
                 for (slot, exps), c in row.terms.items()}
 
-    def element(
-        self, packed: dict[int, int], den: int, low: int = 0, high: int | None = None
-    ) -> Row:
-        """The Row packed / den, of the slots from `low` up to `high`
-        (default: the last), numbered from 0; packed has no term in a slot
-        below `low`, and its terms from slot `high` on are dropped."""
+    def element(self, packed: dict[int, int], den: int, low: int = 0) -> Row:
+        """The Row packed / den, of the slots from `low` on, numbered from
+        0; packed has no term in a slot below `low`."""
         mask, largest, positions = self.slot_mask, self.largest, self.positions
-        if high is None:
-            high = self.module.rank
         terms = {
             ((code & mask) - low, tuple([(code >> p) & largest for p in positions])): c
             for code, c in packed.items()
-            if code & mask < high
         }
-        return Row.lowest(terms, den, high - low, self.module.nvars)
+        return Row.lowest(terms, den, self.module.rank - low, self.module.nvars)
+
+    def split(self, packed: dict[int, int], den: int, at: int) -> tuple[Row, Row]:
+        """The Rows of packed / den below slot `at` and from it on, the
+        second numbered from 0, in one decoding pass."""
+        mask, largest, positions = self.slot_mask, self.largest, self.positions
+        below: dict[FlatTerm, int] = {}
+        above: dict[FlatTerm, int] = {}
+        for code, c in packed.items():
+            slot = code & mask
+            exps = tuple([(code >> p) & largest for p in positions])
+            if slot < at:
+                below[(slot, exps)] = c
+            else:
+                above[(slot - at, exps)] = c
+        nvars = self.module.nvars
+        return (Row.lowest(below, den, at, nvars),
+                Row.lowest(above, den, self.module.rank - at, nvars))
 
 
 class _Prepared:
@@ -876,13 +891,15 @@ def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) 
     homogenizing to a fixed degree is linear, so every solution c, with
     sum(c_i g_i) = sum(a_j r_j), lifts to a graded one.
 
-    With `_with_image` a third item follows: None for homogeneous input,
-    otherwise the reduced basis of the submodule of `homogenized(module)`
-    that the homogenized generators and relations generate.  Under the
-    elimination order the rows of the block-split basis whose lead lies in
-    the ambient block project onto that basis, in its order (Eisenbud,
-    Commutative Algebra, 15.10), so it is those rows' ambient block, made
-    monic.
+    With `_with_image` a third item follows: the rows of the block-split
+    basis whose lead lies in the ambient block, in its order, each as the
+    pair (a, c) of its ambient block and its block on the generators, made
+    monic; None where no block split was built.  Under the elimination
+    order the a are the reduced basis of the submodule that the
+    (homogenized) generators and relations generate (Eisenbud, Commutative
+    Algebra, 15.10), in `homogenized(module)` for inhomogeneous input, and
+    with no relations each c witnesses its a: a = sum(c_i * g_i), over the
+    generators as homogenized, c not dehomogenized.
     """
     if module.block_split is not None:
         raise ValueError("nested block splits are not supported")
@@ -914,15 +931,14 @@ def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) 
     gb = buchberger(ext, ext_gens)
     # an element has a zero leading block exactly when its lead is below
     # the split, and then every term is: those rows are the syzygies
-    syz = [gb._packing.element(b.row, b.coeff, rank) for b in gb.basis if b.slot >= rank]
-    image = None
+    packing = gb._packing
+    syz = [packing.element(b.row, b.coeff, rank) for b in gb.basis if b.slot >= rank]
     if not homogeneous:
         syz = [dehomogenize_vector(s) for s in syz]
-        if _with_image:
-            image = tuple(
-                gb._packing.element(b.row, b.coeff, high=rank) for b in gb.basis if b.slot < rank
-            )
-    return (syz_module, syz, image) if _with_image else (syz_module, syz)
+    if not _with_image:
+        return syz_module, syz
+    image = tuple(packing.split(b.row, b.coeff, rank) for b in gb.basis if b.slot < rank)
+    return syz_module, syz, image
 
 
 def intersect(module: FreeModule, gens_a, gens_b) -> list[Row]:

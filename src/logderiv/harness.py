@@ -24,7 +24,6 @@ from .derivmod import (
 )
 from .hilbert import (
     DEFAULT_ORACLE_DEGREE,
-    _monomials_of_weighted_degree,
     chi,
     claim,
     hp_from_basis,
@@ -49,6 +48,24 @@ def random_context(rng: random.Random, n: int) -> GradedContext:
     u = tuple(rng.randint(1, 4) for _ in range(n))
     k = rng.randint(0, max(u) + 2)
     return GradedContext.from_uk(u, k)
+
+
+def _monomials_of_weighted_degree(u: tuple[int, ...], d: int):
+    """All exponent tuples with weighted degree exactly d (u positive)."""
+    n = len(u)
+
+    def rec(i: int, remaining: int):
+        if i == n - 1:
+            if remaining % u[i] == 0:
+                yield (remaining // u[i],)
+            return
+        for e in range(remaining // u[i] + 1):
+            for rest in rec(i + 1, remaining - e * u[i]):
+                yield (e,) + rest
+
+    if d < 0:
+        return
+    yield from rec(0, d)
 
 
 def random_qh_polynomial(

@@ -13,15 +13,16 @@ A submodule's series is read off the leads of a homogeneous Groebner basis
 (`hp_from_basis`: HP(M) = HP(in M), Bayer & Stillman 1992), with no
 resolution; `hp_from_resolution` serves the claims about a resolution.
 
-The oracle proves each rank by two bounds that meet: the rows' distinct
-leads from below (`hp_from_basis` of the generators), and the row count
-less the distinct leads of the rows beta * s, over syzygies s each checked
-to be a kernel vector, from above.  For a Groebner basis the two meet in
-every degree.  Generators whose leads lie in distinct slots, as the basis
-of a free D(f) does, need neither: every row has its own lead, so the rank
-is the row count.  Only degrees where the bounds do not meet go to exact
-fraction-free elimination by `poly.reduce_into` on the `groebner.Row`s'
-own integer (slot, exponents) terms.
+The oracle proves each rank by two bounds that meet, both read off one
+block-split basis from `groebner.syzygies`: the row count less the distinct
+leads of the rows beta * s, over syzygies s each checked to be a kernel
+vector, from above; and distinct leads of elements of the span from below,
+those of the generators or else those of the basis' image rows a, each
+checked against its witness c, a = sum(c_i * g_i).  For a Groebner basis
+the generators' leads meet the upper bound in every degree.  Generators
+whose leads lie in distinct slots, as the basis of a free D(f) does, need
+neither: every row has its own lead, so the rank is the row count.  Bounds
+that do not meet are an engine fault, never a fallback.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import comb
-from operator import add, mul
 
 from .poly import (
     Exponents,
@@ -38,14 +38,11 @@ from .poly import (
     join_terms,
     monomial_numerator,
     polynomial_gcd,
-    primitive,
-    reduce_into,
     u_degree,
 )
 from .groebner import (
-    FlatTerm,
     FreeModule,
-    _lead_key,
+    _lead,
     _leads_in_distinct_slots,
     as_row,
     buchberger,
@@ -190,49 +187,19 @@ def dimension_via_pole(hp: HPSeries) -> int:
     return len(hp.weights) - multiplicity
 
 
-def _monomials_of_weighted_degree(u: tuple[int, ...], d: int):
-    """All exponent tuples with weighted degree exactly d (u positive)."""
-    n = len(u)
-
-    def rec(i: int, remaining: int):
-        if i == n - 1:
-            if remaining % u[i] == 0:
-                yield (remaining // u[i],)
-            return
-        for e in range(remaining // u[i] + 1):
-            for rest in rec(i + 1, remaining - e * u[i]):
-                yield (e,) + rest
-
-    if d < 0:
-        return
-    yield from rec(0, d)
-
-
-def _component_leads(module: FreeModule, row) -> dict[int, FlatTerm]:
-    """The lead term of each homogeneous component of a row, by degree."""
-    weights, shifts = module.order.weights, module.shifts
-    components: dict[int, list[FlatTerm]] = {}
-    for term in row.terms:
-        slot, exps = term
-        components.setdefault(shifts[slot] + sum(map(mul, exps, weights)), []).append(term)
-    return {d: min(terms, key=_lead_key) for d, terms in components.items()}
-
-
 def hp_from_basis(module: FreeModule, basis) -> HPSeries:
     """Series of the submodule a homogeneous Groebner basis generates: that
     of its leads' monomial submodule, where slot i contributes
     t^{shift_i} (1 - N(S / I_i)), I_i the ideal of its leads' monomials
-    (`poly.monomial_numerator`).  The leads are the engine's (`_lead_key`),
+    (`poly.monomial_numerator`).  The leads are the engine's (`_lead`),
     so `buchberger`'s rows qualify; for other homogeneous generators the
-    series is a lower bound degree by degree (`hp_bruteforce`).  A row that
-    is not homogeneous, or a block split (another order), is refused."""
-    leads: list[FlatTerm] = []
-    for g in basis:
-        components = _component_leads(module, as_row(g))
-        if len(components) > 1:
-            raise ValueError("the series needs a homogeneous basis")
-        leads += components.values()
-    return _lead_series(module, leads)
+    series is a lower bound degree by degree (`hp_bruteforce`).  Zero rows
+    are skipped; a row that is not homogeneous (`vector_grading`), or a
+    block split (another order), is refused."""
+    rows = [r for r in map(as_row, basis) if r.terms]
+    if not all(vector_grading(module, r)[1] for r in rows):
+        raise ValueError("the series needs a homogeneous basis")
+    return _lead_series(module, [_lead(module, r) for r in rows])
 
 
 def _lead_series(module: FreeModule, leads) -> HPSeries:
@@ -255,45 +222,41 @@ def _lead_series(module: FreeModule, leads) -> HPSeries:
 def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, int]:
     """Slice dimensions of the generated submodule for degrees d_lo..d_hi:
     the rank over Q of the rows alpha * g, over every generator g and every
-    monomial alpha of degree d - deg g, each proven by two bounds that meet
-    or else computed by elimination.  (The name is the one the library
-    exports and perfbench's tracer wraps; the result is the brute-force
-    rank it always was.)
+    monomial alpha of degree d - deg g, each proven by two bounds that meet.
+    (The name is the one the library exports and perfbench's tracer wraps;
+    the result is the brute-force rank it always was.)
 
-    - L_d <= rank: the number of distinct leads of the rows, because rows
-      with distinct leads are independent.  lead(alpha * g) is
-      alpha * lead(g) under the explicit key `_lead_key`, so L is
-      `hp_from_basis` of the generators.
     - rank <= N_d - K_d: N_d counts the rows (the free series on the
       generator degrees), and K_d the distinct leads of the rows beta * s
       over the syzygies s of the generators, independent kernel vectors
-      (`hp_from_basis` of the syzygies).  Each s from `syzygies` is checked
-      to combine the generators to zero (RuntimeError if not); the engine's
-      output is a witness, never trusted.
+      (`hp_from_basis` of the syzygies).
+    - L_d <= rank: the number of distinct leads of rows alpha * a over
+      elements a of the span, because rows with distinct leads are
+      independent.  lead(alpha * a) is alpha * lead(a) under the explicit
+      key `_lead_key` (`groebner._lead`), so L is `hp_from_basis` of the a.
+      The generators themselves are such a, and are tried first.
 
-    Where L_d = N_d - K_d that number is the rank.  When L_d = N_d at every
-    degree the rows are independent and `syzygies` is not called.  For a
-    Groebner basis both bounds are exact (Bayer & Stillman 1992; Eisenbud,
-    Commutative Algebra, 15.10, for the syzygies' leads), so only a
-    generating set that is not one, which the API accepts, can leave a
-    degree open; `_eliminate` ranks exactly those degrees.
+    Where L_d = N_d - K_d that number is the rank.  When the generators'
+    leads lie in distinct slots (`groebner._leads_in_distinct_slots`), as
+    those of a free D(f)'s basis do, the leads alpha * lead(g) are all
+    distinct, so the rank is N_d and no bound is computed; when the
+    generators' L_d = N_d at every degree, `syzygies` is not called.
+    Otherwise one `syzygies` call gives the syzygies and, in the same
+    block-split basis, a Groebner basis of the span whose rows a each come
+    with a witness c, a = sum(c_i * g_i) (Eisenbud, Commutative Algebra,
+    15.10).  The generators' leads meet the upper bound when they are a
+    Groebner basis; the a meet it for any generating set (Bayer & Stillman
+    1992).  The engine's output is never trusted: a syzygy that does not
+    combine the generators to zero, a witness that does not give its a, and
+    bounds that still differ each raise RuntimeError.
 
-    A third way to the rank comes first: when the generators' leads lie in
-    distinct slots (`groebner._leads_in_distinct_slots`), as those of a
-    free D(f)'s basis do, the rows' leads alpha * lead(g) are all distinct,
-    so the rank is N_d, and neither bound is computed.
-
-    Generators must be nonzero and homogeneous (ValueError otherwise, as
-    from `vector_degree`); each is graded once, its degree and lead read in
-    one pass.  Weights must be strictly positive (the module order enforces
-    this), otherwise slices would be infinite dimensional.
+    Generators must be nonzero and homogeneous (ValueError otherwise, from
+    `vector_degree`).  Weights must be strictly positive (the module order
+    enforces this), otherwise slices would be infinite dimensional.
     """
     gens = [as_row(g) for g in gens]
-    graded = [_component_leads(module, g) for g in gens]
-    if any(len(components) != 1 for components in graded):
-        raise ValueError("only a nonzero homogeneous element has a degree")
-    degrees = [d for components in graded for d in components]
-    leads = [lead for components in graded for lead in components.values()]
+    degrees = [vector_degree(module, g) for g in gens]
+    leads = [_lead(module, g) for g in gens]
     u = module.order.weights
     slices = range(d_lo, d_hi + 1)
     rows = hp_expand(hp_free(degrees, u), d_lo, d_hi)
@@ -302,39 +265,27 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
     lower = hp_expand(_lead_series(module, leads), d_lo, d_hi)
     if all(lower[d] == rows[d] for d in slices):
         return {d: rows[d] for d in slices}
-    syz_module, syz = syzygies(module, gens)
+    syz_module, syz, image = syzygies(module, gens, _with_image=True)
     for s in syz:
         if combination(s, gens).terms:
             raise RuntimeError("syzygies returned a row that is not a kernel vector")
     kernel = hp_expand(hp_from_basis(syz_module, syz), d_lo, d_hi)
-    open_slices = [d for d in slices if lower[d] != rows[d] - kernel[d]]
-    eliminated = _eliminate(module, gens, open_slices) if open_slices else {}
-    return {d: eliminated.get(d, lower[d]) for d in slices}
+    upper = {d: rows[d] - kernel[d] for d in slices}
+    if any(lower[d] != upper[d] for d in slices):
+        lower = hp_expand(_witnessed_series(module, gens, image), d_lo, d_hi)
+        if any(lower[d] != upper[d] for d in slices):
+            raise RuntimeError("the slice bounds do not meet: the engine is wrong")
+    return upper
 
 
-def _eliminate(module: FreeModule, gens, slices) -> dict[int, int]:
-    """The rank of the rows alpha * g in each degree of slices, by exact
-    fraction-free elimination.
-
-    Rows are primitive integer rows on the Rows' own (slot, exponents)
-    terms, reduced by `poly.reduce_into`; the rank over Q is the number of
-    pivots.  The multipliers of each degree are built once.
-    """
-    u = module.order.weights
-    gens = [as_row(g) for g in gens]
-    degrees = [vector_degree(module, g) for g in gens]
-    rows = [primitive(g.terms) for g in gens]
-    gaps = {d - dg for d in slices for dg in degrees if d >= dg}
-    multipliers = {gap: list(_monomials_of_weighted_degree(u, gap)) for gap in gaps}
-    dims: dict[int, int] = {}
-    for d in slices:
-        pivots: dict[FlatTerm, dict[FlatTerm, int]] = {}
-        for g_row, dg in zip(rows, degrees):
-            for alpha in multipliers.get(d - dg, ()):
-                reduce_into(pivots, {(slot, tuple(map(add, exps, alpha))): c
-                                     for (slot, exps), c in g_row.items()})
-        dims[d] = len(pivots)
-    return dims
+def _witnessed_series(module: FreeModule, gens, image) -> HPSeries:
+    """`hp_from_basis` of the image rows a of `syzygies`, each checked
+    against its witness c, a = sum(c_i * gens[i]) (RuntimeError if not):
+    a series whose expansion bounds the slices of span(gens) from below."""
+    for a, c in image:
+        if combination(c, gens) != a:
+            raise RuntimeError("syzygies returned an image row that its witness does not give")
+    return hp_from_basis(module, [a for a, _ in image])
 
 
 def claim(name: str, lhs, rhs) -> dict:

@@ -318,9 +318,9 @@ def reduce_into(pivots: dict[Column, dict[Column, int]], row: dict[Column, int])
     """Reduce an integer row by an echelon basis, fraction-free, and keep
     what is left as a new pivot.
 
-    Columns are any totally ordered hashable keys: ints in `infer_weights`,
-    (slot, exponents) terms in `hilbert._eliminate`.  `pivots` maps the lead
-    of each of its rows, the largest key, to the row.
+    Columns are any totally ordered hashable keys (ints in `infer_weights`,
+    its caller).  `pivots` maps the lead of each of its rows, the largest
+    key, to the row.
     While the row's lead holds a pivot, with lead coefficients a (row) and
     b (pivot), the row becomes (b/h) * row - (a/h) * pivot, h = gcd(a, b),
     divided by its content.  So len(pivots) is the rank over Q of the rows
@@ -346,9 +346,9 @@ def reduce_into(pivots: dict[Column, dict[Column, int]], row: dict[Column, int])
             else:
                 del row[k]
         if row:
-            # inline, not primitive(row): a call per step costs the slice
-            # oracle measurable time; reduce, not gcd(*values): an argument
-            # tuple per step would fill the interpreter's cache of freed tuples
+            # inline, not primitive(row): no call per step; reduce, not
+            # gcd(*values): an argument tuple per step would fill the
+            # interpreter's cache of freed tuples
             content = reduce(math.gcd, row.values())
             if content != 1:
                 row = {k: c // content for k, c in row.items()}

@@ -1,28 +1,42 @@
-"""The slice oracle's certificate: lead-term bounds that meet, elimination
-only where they do not.
+"""The slice oracle's certificate: lead-term bounds that meet, read off one
+witnessed block-split basis.
 
-`hilbert.hp_bruteforce` proves each slice dimension by L_d = N_d - K_d (the
-generators' distinct leads from below, the rows less the syzygies' distinct
-leads from above) and hands every other degree to `hilbert._eliminate`.
-Generators whose leads lie in distinct slots need neither bound: their rows
-are independent, and the rank is the row count N_d.  These tests hold it
-to the elimination degree by degree, count the degrees it leaves open,
-check that generators with leads in distinct slots reach no lead series and
-no syzygies, and check the two facts the bounds rest on: leads commute with
-monomial multiplication, and engine syzygies are checked before use.
+`hilbert.hp_bruteforce` proves each slice dimension by L_d = N_d - K_d: the
+rows less the syzygies' distinct leads from above, and distinct leads of
+elements of the span from below, those of the generators or else those of
+the image rows a of the `syzygies` basis, each checked against its witness
+c, a = sum(c_i * g_i).  Generators whose leads lie in distinct slots need
+neither bound: their rows are independent, and the rank is the row count
+N_d.  These tests hold it to a reference elimination kept here, degree by
+degree, record which calls reach the witnessed image, check that
+generators with leads in distinct slots reach no lead series and no
+syzygies, check that a wrong syzygy, a wrong witness or a missing image row
+is refused, and check the fact the bounds rest on: leads commute with
+monomial multiplication.
 """
 
+import ast
 import json
 import random
+from operator import add
 from pathlib import Path
 
 import pytest
 
 from logderiv import hilbert
-from logderiv.groebner import FreeModule, Row, buchberger, combination, ring_module
+from logderiv.groebner import (
+    FreeModule,
+    Row,
+    _lead,
+    as_row,
+    buchberger,
+    combination,
+    ring_module,
+    vector_degree,
+)
 from logderiv.harness import run_harness
-from logderiv.hilbert import _component_leads, _eliminate, hp_bruteforce
-from logderiv.poly import MonomialOrder, Polynomial, parse_poly
+from logderiv.hilbert import hp_bruteforce
+from logderiv.poly import MonomialOrder, Polynomial, parse_poly, reduce_into
 
 from test_golden_cli import run_example
 
@@ -35,16 +49,17 @@ def P(text):
 
 
 @pytest.fixture
-def eliminated(monkeypatch):
-    """The degrees handed to the elimination, in call order."""
+def witnessed(monkeypatch):
+    """The number of generators of each call whose lower bound was read off
+    the witnessed image rows, in call order."""
     seen: list[int] = []
+    engine = hilbert._witnessed_series
 
-    def recording(module, gens, slices):
-        slices = list(slices)
-        seen.extend(slices)
-        return _eliminate(module, gens, slices)
+    def recording(module, gens, image):
+        seen.append(len(gens))
+        return engine(module, gens, image)
 
-    monkeypatch.setattr(hilbert, "_eliminate", recording)
+    monkeypatch.setattr(hilbert, "_witnessed_series", recording)
     return seen
 
 
@@ -65,6 +80,25 @@ def monomials(u, d):
     if len(u) == 1:
         return [(d // u[0],)] if d % u[0] == 0 else []
     return [(e,) + rest for e in range(d // u[0] + 1) for rest in monomials(u[1:], d - e * u[0])]
+
+
+def eliminate(module, gens, slices):
+    """Reference ranks by exact fraction-free elimination: the rows
+    alpha * g of each degree in slices, on the Rows' integer (slot,
+    exponents) terms, reduced by `poly.reduce_into`; the rank over Q is the
+    number of pivots."""
+    u = module.order.weights
+    gens = [as_row(g) for g in gens]
+    degrees = [vector_degree(module, g) for g in gens]
+    dims = {}
+    for d in slices:
+        pivots = {}
+        for g, dg in zip(gens, degrees):
+            for alpha in monomials(u, d - dg):
+                reduce_into(pivots, {(slot, tuple(map(add, exps, alpha))): c
+                                     for (slot, exps), c in g.terms.items()})
+        dims[d] = len(pivots)
+    return dims
 
 
 def random_element(rng, module, degree, terms=3):
@@ -111,7 +145,7 @@ def generator_sets(seed, count):
         if len(gens) > 2:
             b, c = rng.sample(gens, 2)
             gens.append(c)
-            db, dc = (hilbert.vector_degree(module, g) for g in (b, c))
+            db, dc = (vector_degree(module, g) for g in (b, c))
             top = max(db, dc) + rng.randint(0, 2)
             lifts = monomials(u, top - db), monomials(u, top - dc)
             if all(lifts):
@@ -125,28 +159,29 @@ def generator_sets(seed, count):
 
 
 def slice_range(module, gens):
-    degrees = [hilbert.vector_degree(module, g) for g in gens]
+    degrees = [vector_degree(module, g) for g in gens]
     return min(degrees + [0]), max(degrees) + 4
 
 
-def test_certificate_equals_the_elimination_on_seeded_generator_sets(eliminated):
+def test_certificate_equals_the_elimination_on_seeded_generator_sets(witnessed):
     draws = generator_sets("slice-oracle", 40)
     for module, gens in draws:
         lo, hi = slice_range(module, gens)
-        expected = _eliminate(module, gens, range(lo, hi + 1))
+        expected = eliminate(module, gens, range(lo, hi + 1))
         assert hp_bruteforce(module, gens, lo, hi) == expected
-    # sets that are not Groebner bases leave degrees open; the fallback ran
-    assert eliminated
+    # sets that are not Groebner bases leave the generators' leads short of
+    # the upper bound; the witnessed image closed them
+    assert witnessed
 
 
-def test_groebner_bases_leave_no_degree_open(eliminated):
+def test_groebner_bases_leave_no_degree_open(witnessed):
     for module, gens in generator_sets("slice-oracle", 40):
         lo, hi = slice_range(module, gens)
         basis = list(buchberger(module, gens).rows)
-        expected = _eliminate(module, gens, range(lo, hi + 1))
-        eliminated.clear()
+        expected = eliminate(module, gens, range(lo, hi + 1))
+        witnessed.clear()
         assert hp_bruteforce(module, basis, lo, hi) == expected
-        assert eliminated == []
+        assert witnessed == []
 
 
 def free_generator_sets(seed, count):
@@ -174,7 +209,7 @@ def free_generator_sets(seed, count):
     return draws
 
 
-def test_leads_in_distinct_slots_need_no_lead_series_and_no_syzygies(monkeypatch, eliminated):
+def test_leads_in_distinct_slots_need_no_lead_series_and_no_syzygies(monkeypatch, witnessed):
     def refused(*args, **kwargs):
         raise AssertionError("called on generators with leads in distinct slots")
 
@@ -183,14 +218,14 @@ def test_leads_in_distinct_slots_need_no_lead_series_and_no_syzygies(monkeypatch
     draws = free_generator_sets("free-leads", 40)
     for module, gens in draws:
         lo, hi = slice_range(module, gens)
-        assert hp_bruteforce(module, gens, lo, hi) == _eliminate(module, gens, range(lo, hi + 1))
-    assert eliminated == []
+        assert hp_bruteforce(module, gens, lo, hi) == eliminate(module, gens, range(lo, hi + 1))
+    assert witnessed == []
     assert sum(len(gens) > 1 for _, gens in draws) >= 12
     assert sum(any(len({slot for slot, _ in g.terms}) > 1 for g in gens)
                for _, gens in draws) >= 12
 
 
-def test_certificate_equals_the_elimination_on_harness_calls(monkeypatch, eliminated):
+def test_certificate_equals_the_elimination_on_harness_calls(monkeypatch, witnessed):
     calls = []
     certified = hilbert.hp_bruteforce
 
@@ -202,20 +237,20 @@ def test_certificate_equals_the_elimination_on_harness_calls(monkeypatch, elimin
     monkeypatch.setattr(hilbert, "hp_bruteforce", recording)
     assert run_harness(30, seed=0)["ok"]
     assert len(calls) == 30
-    assert eliminated == []
+    assert witnessed == []
     for module, gens, lo, hi, dims in calls:
-        assert dims == _eliminate(module, gens, range(lo, hi + 1))
+        assert dims == eliminate(module, gens, range(lo, hi + 1))
 
 
-def test_harness_needs_no_elimination(eliminated):
+def test_harness_needs_no_witnessed_image(witnessed):
     assert run_harness(100, seed=0)["ok"]
-    assert eliminated == []
+    assert witnessed == []
 
 
-def test_eight_plane_chi_report_is_unchanged_and_needs_no_elimination(eliminated, tmp_path):
+def test_eight_plane_chi_report_is_unchanged_and_needs_no_witnessed_image(witnessed, tmp_path):
     expected = json.loads(EIGHT_PLANE.read_text(encoding="utf-8"))
     assert run_example(expected["argv"], tmp_path / "basis.txt") == expected
-    assert eliminated == []
+    assert witnessed == []
 
 
 # --- the facts the bounds rest on ------------------------------------------------
@@ -229,46 +264,96 @@ def test_lead_commutes_with_monomial_multiplication():
         if g is None:
             continue
         alpha = tuple(rng.randint(0, 3) for _ in u)
-        (slot, exps), = _component_leads(module, g).values()
+        slot, exps = _lead(module, g)
         lead = (slot, tuple(a + e for a, e in zip(alpha, exps)))
-        assert set(_component_leads(module, times(g, alpha)).values()) == {lead}
+        assert _lead(module, times(g, alpha)) == lead
 
 
 def test_leads_are_the_engines_leads():
     for module, gens in generator_sets("engine-leads", 30):
         gb = buchberger(module, gens)
-        leads = {lead for row in gb.rows for lead in _component_leads(module, row).values()}
+        leads = {_lead(module, row) for row in gb.rows}
         assert leads == {(b.slot, b.exps) for b in gb.basis}
 
 
-def test_leads_of_an_inhomogeneous_row_are_one_per_degree():
+def test_lead_of_an_inhomogeneous_row_is_its_top_degree_lead():
     module = ring_module(2, MonomialOrder((1, 1)))
     row = Row({(0, (2, 0)): 1, (0, (1, 1)): 1, (0, (1, 0)): 1, (0, (0, 1)): 1}, 1, 1, 2)
-    assert set(_component_leads(module, row).values()) == {(0, (2, 0)), (0, (1, 0))}
+    assert _lead(module, row) == (0, (2, 0))
+
+
+# --- what the oracle refuses -------------------------------------------------------
+
+# x/2 and x/3 + y/5 share their lead: the generators give L_d = d, but they
+# span x and y, and only the witnessed image closes the gap
+SHARED_LEAD = [(P("1/2*x"),), (P("1/3*x + 1/5*y"),)]
+
+
+def tampered_syzygies(monkeypatch, tamper):
+    """Make the oracle's `syzygies` hand over its image as tamper(image)."""
+    engine = hilbert.syzygies
+
+    def tampering(module, gens, _with_image=False):
+        syz_module, syz, image = engine(module, gens, _with_image=True)
+        return syz_module, syz, tamper(image)
+
+    monkeypatch.setattr(hilbert, "syzygies", tampering)
 
 
 def test_a_syzygy_that_is_not_a_kernel_vector_is_refused(monkeypatch):
     module = ring_module(2, MonomialOrder((1, 1)))
     engine = hilbert.syzygies
 
-    def with_a_bad_row(module, gens):
-        syz_module, syz = engine(module, gens)
+    def with_a_bad_row(module, gens, _with_image=False):
+        syz_module, syz, image = engine(module, gens, _with_image=True)
         bad = Row({(0, (0, 0)): 1}, 1, syz_module.rank, syz_module.nvars)
-        return syz_module, syz + [bad]
+        return syz_module, syz + [bad], image
 
     monkeypatch.setattr(hilbert, "syzygies", with_a_bad_row)
     with pytest.raises(RuntimeError, match="not a kernel vector"):
         hp_bruteforce(module, [(P("x"),), (P("y"),)], 0, 4)
 
 
-# --- the elimination itself, on the inputs of its old tests ------------------------
+def test_a_corrupted_witness_is_refused(monkeypatch):
+    mod = ring_module(2, MonomialOrder((1, 1)))
+
+    def corrupted(image):
+        (a, c), *rest = image
+        return ((a, scaled(c, 2, 1)), *rest)  # the witness of 2a, not of a
+
+    tampered_syzygies(monkeypatch, corrupted)
+    with pytest.raises(RuntimeError, match="witness"):
+        hp_bruteforce(mod, SHARED_LEAD, 0, 4)
+
+
+def test_a_dropped_image_row_leaves_the_bounds_apart(monkeypatch):
+    mod = ring_module(2, MonomialOrder((1, 1)))
+    tampered_syzygies(monkeypatch, lambda image: image[1:])
+    with pytest.raises(RuntimeError, match="do not meet"):
+        hp_bruteforce(mod, SHARED_LEAD, 0, 4)
+
+
+def test_hilbert_binds_no_row_reduction():
+    # the oracle's bounds come from leads alone: no elimination is left in
+    # hilbert, and none may come back by import
+    tree = ast.parse(Path(hilbert.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound = {alias.asname or alias.name for alias in node.names}
+            assert not bound & {"reduce_into", "primitive"}, ast.unparse(node)
+    assert not hasattr(hilbert, "reduce_into") and not hasattr(hilbert, "primitive")
+
+
+# --- the reference elimination, on the inputs of its old tests ----------------------
 
 def test_elimination_cancels_over_q():
     mod = ring_module(2, MonomialOrder((1, 1)))
     proportional = [(P("1/2*x + 1/3*y"),), (P("3*x + 2*y"),)]
     independent = [(P("1/2*x"),), (P("1/3*x + 1/5*y"),)]
-    assert _eliminate(mod, proportional, range(5)) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-    assert _eliminate(mod, independent, range(5)) == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
+    for gens, expected in ((proportional, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}),
+                           (independent, {0: 0, 1: 2, 2: 3, 3: 4, 4: 5})):
+        assert hp_bruteforce(mod, gens, 0, 4) == expected
+        assert eliminate(mod, gens, range(5)) == expected
 
 
 def test_elimination_column_codes_at_their_bound():
@@ -278,24 +363,25 @@ def test_elimination_column_codes_at_their_bound():
     units = [mod.unit_vector(0), mod.unit_vector(1)]
     expansion = hilbert.hp_expand(hilbert.hp_free(mod.shifts, mod.order.weights), -2, 15)
     for d_hi in range(-2, 16):
-        dims = _eliminate(mod, units, range(-2, d_hi + 1))
-        assert dims == {d: expansion[d] for d in range(-2, d_hi + 1)}, d_hi
+        expected = {d: expansion[d] for d in range(-2, d_hi + 1)}
+        assert hp_bruteforce(mod, units, -2, d_hi) == expected, d_hi
+        assert eliminate(mod, units, range(-2, d_hi + 1)) == expected, d_hi
 
 
 def test_elimination_exponent_reaching_the_range_top():
     mod = ring_module(2, MonomialOrder((1, 1)))
-    dims = _eliminate(mod, [(P("x^7"),)], range(41))
-    assert dims == {d: max(0, d - 6) for d in range(41)}
+    expected = {d: max(0, d - 6) for d in range(41)}
+    assert hp_bruteforce(mod, [(P("x^7"),)], 0, 40) == expected
+    assert eliminate(mod, [(P("x^7"),)], range(41)) == expected
 
 
-def test_elimination_of_only_the_open_degrees(eliminated):
-    # x/2 and x/3 + y/5 share their lead: L_d = d, but they span x and y
+def test_witnessed_image_closes_the_open_degrees(witnessed):
     mod = ring_module(2, MonomialOrder((1, 1)))
-    gens = [(P("1/2*x"),), (P("1/3*x + 1/5*y"),)]
-    assert hp_bruteforce(mod, gens, 0, 4) == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
+    assert hp_bruteforce(mod, SHARED_LEAD, 0, 4) == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
     # degree 0 is empty, so both bounds are 0 there; from degree 1 on the
-    # shared lead leaves L one short of the rank
-    assert eliminated == [1, 2, 3, 4]
+    # shared lead leaves the generators' L one short of the rank, and the
+    # image rows x and y close it
+    assert witnessed == [2]
 
 
 def test_zero_and_inhomogeneous_generators_are_refused():
