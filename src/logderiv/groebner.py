@@ -5,7 +5,10 @@ an element is a pair (slot, exponents); terms are compared by shifted
 weighted degree first (so a graded order on the module refines the grading),
 then by the ring order's reverse-lexicographic tie-break, with lower slot
 index winning ties.  An optional block split turns the order into an
-elimination order for the leading block of slots.
+elimination order for the leading block of slots.  A block split takes
+homogeneous rows only (`_extent` refuses any other): then, as in a graded
+order, no division or S-vector creates a term above the degree of the
+terms it comes from.
 
 An element has two forms.  A `Vector`, a tuple of Fraction polynomials, is
 the one parsing builds and printing reads.  A `Row` is the one the routines
@@ -100,7 +103,8 @@ class FreeModule:
     """Ambient free module: rank = len(shifts), slot i carries shift[i].
 
     Slots at index >= block_split (when set) are ordered strictly below the
-    leading block, regardless of degree.
+    leading block, regardless of degree.  The engine takes only homogeneous
+    rows in a module with a block split; `syzygies` builds the only one.
     """
 
     nvars: int
@@ -111,14 +115,6 @@ class FreeModule:
     @property
     def rank(self) -> int:
         return len(self.shifts)
-
-    def zero_vector(self) -> Vector:
-        return tuple(Polynomial.zero(self.nvars) for _ in range(self.rank))
-
-    def unit_vector(self, slot: int) -> Vector:
-        one = Polynomial.constant(1, self.nvars)
-        zero = Polynomial.zero(self.nvars)
-        return tuple(one if i == slot else zero for i in range(self.rank))
 
 
 def ring_module(nvars: int, order: MonomialOrder) -> FreeModule:
@@ -317,19 +313,14 @@ def dehomogenize_vector(elem: Row | Vector) -> Row:
     return Row.lowest(terms, row.den, row.rank, row.nvars - 1)
 
 
-class FieldOverflow(ValueError):
-    """A term created inside a division outgrew its packed exponent field.
-    The engine catches it, widens the fields and starts the step again."""
-
-
 class _Packing:
     """Packed terms of one module, for terms of shifted degree up to
     `capacity`: the fields of a packing made for `degree` hold exponents up
     to twice degree - min(shifts), so the lcm of two leads of that degree
     fits too, and every field has at least 4 value bits.  That floor spares
     a basis of low-degree input the repacking (`GroebnerBasis._widen`) that
-    its S-vectors, lower-block tails or later generators of higher degree
-    would otherwise force.
+    its S-vectors or later generators of higher degree would otherwise
+    force.
 
     The term (slot, e) of shifted weighted degree d is the int
 
@@ -377,10 +368,6 @@ class _Packing:
         self.place = tuple((1 << p) - (w << deg_pos) for p, w in zip(self.positions, weights))
         self.guard = sum(1 << (p + self.width) for p in self.positions)
         self.divmask = self.guard | self.slot_mask
-
-    def wider(self) -> "_Packing":
-        """The smallest packing that fits a term past the capacity."""
-        return _Packing(self.module, self.capacity + 1)
 
     def term(self, slot: int, exps: Exponents) -> int:
         return self.one[slot] + sum(map(mul, exps, self.place))
@@ -456,7 +443,6 @@ def _divide(
     row: dict[int, int],
     divisors: list[list[_Prepared]],
     packing: _Packing,
-    check: int = 0,
     want_quotients: bool = False,
 ):
     """Fraction-free full division by the rows of `divisors` (`_by_slot`):
@@ -480,11 +466,8 @@ def _divide(
     A term t is tried only against the rows of its slot, t & slot_mask, in
     basis order, so it meets the same first divisor as in a scan of the
     whole basis.  Within one slot a lead divides t exactly when no guard
-    bit of t - lead is set.
-
-    With `check` (the packing's guard bits) every term the division creates
-    is checked for a field overflow (FieldOverflow); without it the caller
-    guarantees that none can occur.
+    bit of t - lead is set.  The caller sees to it that every term created
+    fits the packing (`_extent`).
     """
     guard, slot_mask = packing.guard, packing.slot_mask
     work = dict(row)
@@ -522,8 +505,6 @@ def _divide(
                 p = c * v
                 old = work.get(k)
                 if old is None:
-                    if check and k & check:
-                        raise FieldOverflow("a term outgrew its packed exponent field")
                     work[k] = -p
                     heappush(heap, k)
                 elif old == p:
@@ -538,14 +519,15 @@ def _divide(
     return scale, quotients, remainder
 
 
-def _extent(module: FreeModule, rows: list[Row]) -> tuple[int, bool]:
-    """The largest shifted degree of a term of the rows (`vector_grading`),
-    and whether a division by them can create a term above the degree of
-    the term it reduces: that takes a block split and an inhomogeneous
-    element."""
+def _extent(module: FreeModule, rows: list[Row]) -> int:
+    """The largest shifted degree of a term of the rows (`vector_grading`):
+    no division by them creates a term above it.  That holds in a graded
+    order, and under a block split for homogeneous rows only, so there an
+    inhomogeneous row is refused (ValueError)."""
     gradings = [vector_grading(module, r) for r in rows]
-    loose = module.block_split is not None and not all(h for _, h in gradings)
-    return max(d for d, _ in gradings), loose
+    if module.block_split is not None and not all(h for _, h in gradings):
+        raise ValueError("a block split takes homogeneous rows only")
+    return max(d for d, _ in gradings)
 
 
 def divide(
@@ -556,18 +538,11 @@ def divide(
     row = as_row(vec)
     basis = [as_row(b) for b in basis_vectors]
     live = [i for i, b in enumerate(basis) if b.terms]
-    degree, loose = _extent(module, [row] + [basis[i] for i in live])
-    packing = _Packing(module, degree)
-    while True:
-        prepared = [_Prepared(packing.row(basis[i]), packing) for i in live]
-        try:
-            scale, quotient_rows, rem = _divide(
-                packing.row(row), _by_slot(prepared, module.rank), packing,
-                packing.guard if loose else 0, want_quotients=True,
-            )
-            break
-        except FieldOverflow:
-            packing = packing.wider()
+    packing = _Packing(module, _extent(module, [row] + [basis[i] for i in live]))
+    prepared = [_Prepared(packing.row(basis[i]), packing) for i in live]
+    scale, quotient_rows, rem = _divide(
+        packing.row(row), _by_slot(prepared, module.rank), packing, want_quotients=True
+    )
     den = scale * row.den
     quotients = [Polynomial.zero(module.nvars) for _ in basis]
     for pos, b in zip(live, prepared):
@@ -584,8 +559,8 @@ def normal_form(module: FreeModule, vec: Row | Vector, gb: GroebnerBasis) -> Vec
     when vec lies in the submodule, and the same for any two vectors with
     the same class modulo it."""
     row = as_row(vec)
-    gb._fit(vector_grading(module, row)[0])
-    scale, rem = gb._remainder(lambda: gb._packing.row(row))
+    gb._fit(_extent(module, [row]))
+    scale, rem = gb._remainder(gb._packing.row(row))
     return gb._packing.element(rem, scale * row.den).vector()
 
 
@@ -616,11 +591,10 @@ class GroebnerBasis:
 
     The packing is sized from the data and widened (every row, queued lcm
     and the pair heap repacked) when an input term or a queued lcm is above
-    its capacity.  In a graded order a division never creates a term above
-    the degree of the term it reduces, and an S-vector none above its lcm.
-    With a block split and an inhomogeneous generator (`_loose`) a lower
-    block tail can rise above its lead, so there every created term is
-    checked and an overflowing step is widened and started again.
+    its capacity.  A division never creates a term above the degree of the
+    term it reduces, and an S-vector none above its lcm: in a graded order
+    that is so, and under a block split, which takes homogeneous rows only
+    (`_extent`), every row and S-vector is homogeneous.
     """
 
     def __init__(self, module: FreeModule, gens=()):
@@ -630,7 +604,6 @@ class GroebnerBasis:
         self._pairs: list[tuple[int, int, int]] = []
         self._queued: dict[tuple[int, int], int] = {}
         self._packing: _Packing | None = None
-        self._loose = False
         self._rows: tuple[Row, ...] | None = None
         self._elements: tuple[Vector, ...] | None = None
         self.add(gens)
@@ -658,10 +631,10 @@ class GroebnerBasis:
         gens = [r for r in map(as_row, gens) if r.terms]
         if not gens:
             return False
-        self._fit_rows(gens)
+        self._fit(_extent(self.module, gens))
         settled = len(self.basis)
         for g in gens:
-            self._reduce_and_append(lambda: self._packing.row(g))
+            self._reduce_and_append(self._packing.row(g))
         if len(self.basis) == settled:
             return False
         self._close()
@@ -685,17 +658,12 @@ class GroebnerBasis:
         caller graded in this module before.
         """
         g = as_row(g)
-        self._fit_rows([g])
+        self._fit(_extent(self.module, [g]))
         self._close(degree)
         size = len(self.basis)
-        self._reduce_and_append(lambda: self._packing.row(g))
+        self._reduce_and_append(self._packing.row(g))
         self._changed()
         return len(self.basis) > size
-
-    def _fit_rows(self, gens: list[Row]) -> None:
-        degree, loose = _extent(self.module, gens)
-        self._fit(degree)
-        self._loose |= loose
 
     def _fit(self, degree: int) -> None:
         if self._packing is None:
@@ -725,28 +693,18 @@ class GroebnerBasis:
         ):
             _, i, j = heapq.heappop(self._pairs)
             if self._queued.pop((i, j), None) is not None:
-                self._reduce_and_append(lambda: self._spoly(i, j))
+                self._reduce_and_append(self._spoly(i, j))
 
-    def _remainder(self, make_row) -> tuple[int, dict[int, int]]:
-        """(scale, remainder) of the row make_row() builds, divided by the
-        basis.  On a field overflow the packing is widened and the row built
-        and divided again."""
-        while True:
-            packing = self._packing
-            try:
-                scale, _, rem = _divide(
-                    make_row(), self._divisors, packing, packing.guard if self._loose else 0
-                )
-                return scale, rem
-            except FieldOverflow:
-                self._widen(packing.wider())
+    def _remainder(self, row: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """(scale, remainder) of the packed row divided by the basis."""
+        scale, _, rem = _divide(row, self._divisors, self._packing)
+        return scale, rem
 
     def _spoly(self, i: int, j: int) -> dict[int, int]:
         """S-vector (lc_b/h) * x^ga * a - (lc_a/h) * x^gb * b of basis
         elements i and j, leads in one slot, h = gcd(lc_a, lc_b)."""
         a, b = self.basis[i], self.basis[j]
-        packing = self._packing
-        lcm = packing.term(a.slot, tuple(map(max, a.exps, b.exps)))
+        lcm = self._packing.term(a.slot, tuple(map(max, a.exps, b.exps)))
         h = math.gcd(a.coeff, b.coeff)
         ma, mb = b.coeff // h, a.coeff // h
         ga, gb = lcm - a.lead, lcm - b.lead
@@ -759,8 +717,6 @@ class GroebnerBasis:
                 out[k] = v
             else:
                 del out[k]
-        if self._loose and any(k & packing.guard for k in out):
-            raise FieldOverflow("an S-vector term outgrew its packed exponent field")
         return out
 
     def _primitive(self, row: dict[int, int]) -> _Prepared:
@@ -772,8 +728,8 @@ class GroebnerBasis:
             row = {k: c // content for k, c in row.items()}
         return _Prepared(row, self._packing)
 
-    def _reduce_and_append(self, make_row) -> None:
-        rem = self._remainder(make_row)[1]
+    def _reduce_and_append(self, row: dict[int, int]) -> None:
+        rem = self._remainder(row)[1]
         if not rem:
             return
         b = self._primitive(rem)
@@ -843,7 +799,7 @@ class GroebnerBasis:
         self._divisors = _by_slot(kept, self.module.rank)
         for p in [p for p, b in enumerate(kept) if b in stale]:
             # a row is no divisor of its own tail, so it may stay in the basis
-            scale, rem = self._remainder(lambda: dict(self.basis[p].tail))
+            scale, rem = self._remainder(dict(self.basis[p].tail))
             b = self.basis[p]
             self.basis[p] = self._primitive({b.lead: b.coeff * scale} | rem)
         if stale:

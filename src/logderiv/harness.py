@@ -11,6 +11,7 @@ identities are reported claim by claim.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -68,20 +69,24 @@ def _monomials_of_weighted_degree(u: tuple[int, ...], d: int):
     yield from rec(0, d)
 
 
+@functools.cache
+def _monomial_pools(u: tuple[int, ...], max_degree: int) -> tuple[tuple, ...]:
+    """The monomials of each weighted degree 2..max_degree that has at
+    least two, one tuple per degree, built once per (u, max_degree)."""
+    pools = (tuple(_monomials_of_weighted_degree(u, d)) for d in range(2, max_degree + 1))
+    return tuple(pool for pool in pools if len(pool) >= 2)
+
+
 def random_qh_polynomial(
     rng: random.Random, u: tuple[int, ...], max_degree: int
 ) -> Polynomial | None:
     """Squarefree quasi-homogeneous polynomial with at least two monomials
     of a common weighted degree, or None if the draw fails."""
     n = len(u)
-    by_degree = {
-        d: list(_monomials_of_weighted_degree(u, d)) for d in range(2, max_degree + 1)
-    }
-    degrees = [d for d, monos in by_degree.items() if len(monos) >= 2]
-    if not degrees:
+    pools = _monomial_pools(u, max_degree)
+    if not pools:
         return None
-    d = rng.choice(degrees)
-    monos = by_degree[d]
+    monos = rng.choice(pools)
     size = rng.randint(2, min(4, len(monos)))
     support = rng.sample(monos, size)
     terms = {}

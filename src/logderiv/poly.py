@@ -201,10 +201,6 @@ class Polynomial:
             return Polynomial.constant(other, self.nvars)
         return NotImplemented
 
-    def sort_key(self) -> tuple:
-        """Deterministic total key, independent of any monomial order."""
-        return tuple(sorted((e, c) for e, c in self.terms.items()))
-
     def __repr__(self):
         return f"Polynomial({self.nvars}, {dict(self.terms)!r})"
 

@@ -8,6 +8,7 @@ import pytest
 from logderiv.poly import MonomialOrder, parse_poly
 from logderiv.groebner import (
     FreeModule,
+    Row,
     buchberger,
     module_equal,
     normal_form,
@@ -117,7 +118,7 @@ def test_criterion_1_worked_example_pipeline():
     f0 = FreeModule(3, (1, 2, 3, 3), dm.order)
     syz_mod, syz = syzygies(dm, phi0_columns())
     ok = ok and syz_mod == f0 and module_equal(syz_mod, syz, [phi1_column()])
-    total = dm.zero_vector()
+    total = Row({}, 1, dm.rank, dm.nvars).vector()
     for coeff, col in zip(phi1_column(), phi0_columns()):
         total = tuple(t + coeff * c for t, c in zip(total, col))
     ok = ok and vec_is_zero(total)

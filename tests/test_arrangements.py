@@ -102,6 +102,29 @@ def test_free_arrangement_has_textbook_exponents_and_saito_basis(name):
     assert saito_check(basis, fp).is_basis
 
 
+def braid(n):
+    """x_i - x_j for i < j: the Coxeter arrangement A_{n-1}, in n variables."""
+    return [
+        tuple(a - b for a, b in zip(unit(n, i), unit(n, j)))
+        for i, j in combinations(range(n), 2)
+    ]
+
+
+@pytest.mark.parametrize("ell", range(3, 8))
+def test_coxeter_arrangements_a_and_b_have_their_group_exponents(ell):
+    # A Coxeter arrangement is free with the exponents of its group (Saito;
+    # Orlik-Terao, ch. 6): A_ell has 1, ..., ell, and in ell + 1 variables
+    # also 0, for the constant derivation sum(d/dx_i); B_ell has 1, 3, ...,
+    # 2 ell - 1.  Not in FREE: every test that iterates FREE, the slower
+    # per-factor route among them, would run on these too.
+    for normals, exponents in ((braid(ell + 1), list(range(ell + 1))),
+                               (coxeter_b(ell), list(range(1, 2 * ell, 2)))):
+        ctx = GradedContext.standard(len(normals[0]))
+        minimal = LogModule.of(arrangement(normals), ctx).minimal
+        assert minimal.length == 0
+        assert sorted(minimal.shifts(0)) == exponents
+
+
 def three_lines_exponents(m):
     """Exponents of the multiarrangement x^m1 y^m2 (x+y)^m3 (Wakamiko 2007)."""
     k1, k2, k3 = sorted(m)

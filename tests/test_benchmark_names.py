@@ -87,7 +87,7 @@ def test_tracer_observers_read_what_the_package_returns():
     with tracer.Tracer() as t:
         homog.chi_homogenized(f)
         gb = groebner.buchberger(dm, derivmod.generalized_log_module(f, ctx))
-        groebner.normal_form(dm, dm.unit_vector(0), gb)
+        groebner.normal_form(dm, groebner.Row.unit(0, dm.rank, dm.nvars).vector(), gb)
     for name in tracer.OBSERVERS:
         assert t.observations[name], name
     metrics = t.layer_metrics()

@@ -19,9 +19,9 @@ from logderiv.poly import (
     u_degree,
 )
 from logderiv.groebner import (
-    FreeModule,
     Row,
     buchberger,
+    intersect,
     module_equal,
     normal_form,
     ring_module,
@@ -257,22 +257,17 @@ def test_constant_rejected():
 
 def per_factor_log_module(factored, ctx):
     """Reference: D(f) the long way.  Each factor's module is the projection
-    onto the first n slots of the syzygies of (df/dx_1, ..., df/dx_n, f^e);
-    the modules are folded by intersection in F + F, eliminating the first
-    block from (a, a) for a in A and (b, 0) for b in B."""
+    onto the first n slots of the syzygies of (df/dx_1, ..., df/dx_n, f^e),
+    and the modules are folded by `intersect`."""
     n = ctx.nvars
     dm = ctx.derivation_module()
     ring = ring_module(n, ctx.order())
-    double = FreeModule(n, dm.shifts * 2, dm.order, block_split=n)
     module = None
     for f, e in factored.factors:
         columns = [(partial_derivative(f, i),) for i in range(n)] + [(f ** e,)]
         syz = [s.vector() for s in syzygies(ring, columns)[1]]
         gens = [s[:n] for s in syz if not vec_is_zero(s[:n])]
-        if module is not None:
-            ext = [a + a for a in module] + [b + dm.zero_vector() for b in gens]
-            gens = [w[n:] for w in buchberger(double, ext).elements if vec_is_zero(w[:n])]
-        module = gens
+        module = gens if module is None else intersect(dm, module, gens)
     return list(buchberger(dm, module).rows)
 
 

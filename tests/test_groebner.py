@@ -14,6 +14,7 @@ from logderiv.poly import (
     mono_mul,
     parse_poly,
     polynomial_gcd,
+    reduce_into,
 )
 from logderiv.groebner import (
     FreeModule,
@@ -41,6 +42,8 @@ from logderiv.groebner import (
     vector_grading,
 )
 from logderiv.resolution import ModuleMap
+
+from test_slice_oracle import monomials
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -290,7 +293,7 @@ def test_syzygies_satisfy_relations_exactly():
     _, syz = syzygies(mod, gens)
     assert syz
     for s in syz:
-        total = mod.zero_vector()
+        total = Row({}, 1, mod.rank, mod.nvars).vector()
         for coeff, g in zip(s.vector(), gens):
             total = tuple(t + coeff * comp for t, comp in zip(total, g))
         assert vec_is_zero(total)
@@ -373,7 +376,7 @@ def test_intersection_preserves_homogeneity():
 def monomial_generators(rng, module, count):
     gens = []
     for _ in range(count):
-        vec = list(module.zero_vector())
+        vec = list(Row({}, 1, module.rank, module.nvars).vector())
         exps = tuple(rng.randint(0, 3) for _ in range(module.nvars))
         vec[rng.randrange(module.rank)] = Polynomial.monomial(exps, rng.choice([-2, 1, 3]), module.nvars)
         gens.append(tuple(vec))
@@ -395,7 +398,7 @@ def test_intersection_of_monomial_submodules_is_generated_by_lcms(shifts):
             for b in gens_b:
                 for slot, (p, q) in enumerate(zip(a, b)):
                     if not p.is_zero() and not q.is_zero():
-                        vec = list(module.zero_vector())
+                        vec = list(Row({}, 1, module.rank, module.nvars).vector())
                         vec[slot] = Polynomial.monomial(
                             mono_lcm(next(iter(p.terms)), next(iter(q.terms))), 1, module.nvars
                         )
@@ -446,7 +449,7 @@ def test_module_quotient_is_the_intersection_of_the_colons_by_each_generator():
         factored, ctx = random_instance(rng)
         dm = ctx.derivation_module()
         gens = generalized_log_module(factored, ctx)
-        units = [dm.unit_vector(i) for i in range(dm.rank)]
+        units = [Row.unit(i, dm.rank, dm.nvars).vector() for i in range(dm.rank)]
         for gens_n, gens_m in [(gens, units), ([], units), (units[:1], gens[:3])]:
             assert module_quotient(dm, gens_n, gens_m) == quotient_by_fold(dm, gens_n, gens_m)
         assert module_quotient(dm, [], units) == []
@@ -470,7 +473,7 @@ def test_annihilator_of_conic_quotient():
     # (D(f) : D) for f = x^2+y^2, with D(f) given by the Saito basis.
     mod = FreeModule(2, (0, 0), MonomialOrder((1, 1)))
     dfgens = [(P("x"), P("y")), (P("y"), -P("x"))]
-    units = [mod.unit_vector(0), mod.unit_vector(1)]
+    units = [Row.unit(slot, mod.rank, mod.nvars).vector() for slot in (0, 1)]
     out = module_quotient(mod, dfgens, units)
     assert module_equal(ring(2), out, [(P("x^2+y^2"),)])
 
@@ -785,8 +788,9 @@ def reference_divide(module, flat, basis):
 
 
 # Arguments of FreeModule for the three kinds of ambient the pipeline divides
-# in: a ring, a shifted module and the block-split module `syzygies` and
-# `intersect` build.  Repeated shifts make terms tie up to the slot.
+# in: a ring, a shifted module and the block-split module `syzygies` builds
+# (from homogeneous rows only, so `random_flat` draws those there).
+# Repeated shifts make terms tie up to the slot.
 AMBIENTS = {
     "ring": (3, (0,), MonomialOrder((1, 1, 1))),
     "shifted": (3, (1, 0, 1), MonomialOrder((1, 2, 1))),
@@ -800,6 +804,13 @@ def random_term(rng, module, max_exp):
 
 
 def random_flat(rng, module, nterms, max_exp, coeffs=(-2, -1, 1, 2)):
+    """A random element as a flat dict.  Under a block split, which takes
+    homogeneous rows only, its terms share one degree: the largest of
+    nterms random terms, the degree an unrestricted draw would have."""
+    if module.block_split is not None:
+        degree = max(term_degree(module, random_term(rng, module, max_exp)) for _ in range(nterms))
+        terms = homogeneous_terms(rng, module, degree, nterms)
+        return {t: Fraction(rng.choice(coeffs)) for t in terms}
     return {
         random_term(rng, module, max_exp): Fraction(rng.choice(coeffs))
         for _ in range(nterms)
@@ -809,6 +820,17 @@ def random_flat(rng, module, nterms, max_exp, coeffs=(-2, -1, 1, 2)):
 def term_degree(module, term):
     slot, exps = term
     return sum(e * w for e, w in zip(exps, module.order.weights)) + module.shifts[slot]
+
+
+def homogeneous_terms(rng, module, degree, nterms):
+    """Up to nterms distinct random terms of one shifted degree."""
+    pool = [
+        (slot, exps)
+        for slot in range(module.rank)
+        for exps in product(range(degree + 2), repeat=module.nvars)
+        if term_degree(module, (slot, exps)) == degree
+    ]
+    return rng.sample(pool, min(nterms, len(pool)))
 
 
 def packed_rows(module, flats):
@@ -888,7 +910,7 @@ def test_packed_order_equals_old_term_key_order(name):
     expected = sorted(terms, key=lambda t: old_term_key(module, t), reverse=True)
     fitting = _Packing(module, max(term_degree(module, t) for t in terms))
     divisible = 0
-    for packing in (fitting, fitting.wider()):
+    for packing in (fitting, _Packing(module, fitting.capacity + 1)):
         assert sorted(terms, key=lambda t: packing.term(*t)) == expected
         codes = {t: packing.term(*t) for t in terms}
         for t, code in codes.items():
@@ -1021,6 +1043,7 @@ def test_combination_is_the_sum_of_the_scaled_vectors(name):
     module = FreeModule(*AMBIENTS[name])
     rng = random.Random(f"combination-{name}")
     zero = Polynomial.zero(module.nvars)
+    zero_vector = Row({}, 1, module.rank, module.nvars).vector()
     fractional = (Fraction(-3, 2), Fraction(1, 3), Fraction(5, 4), -1, 2)
     with_denominators = 0
     for _ in range(30):
@@ -1028,7 +1051,7 @@ def test_combination_is_the_sum_of_the_scaled_vectors(name):
             unflatten(module, random_flat(rng, module, rng.randint(2, 3), 2, fractional))
             for _ in range(rng.randint(1, 4))
         ]
-        vectors.insert(rng.randrange(len(vectors) + 1), module.zero_vector())
+        vectors.insert(rng.randrange(len(vectors) + 1), zero_vector)
         columns = []
         for _ in range(3):
             coeffs = [random_poly(rng, module.nvars, rng.randint(1, 3), 2) for _ in vectors]
@@ -1036,7 +1059,7 @@ def test_combination_is_the_sum_of_the_scaled_vectors(name):
             columns.append(tuple(coeffs))
         columns.append((zero,) * len(vectors))
         rows = [Row.of(v) for v in vectors]
-        expected = [naive_combination(c, vectors, module.zero_vector()) for c in columns]
+        expected = [naive_combination(c, vectors, zero_vector) for c in columns]
         for c, want in zip(columns, expected):
             got = combination(Row.of(c), rows)
             assert got.vector() == want
@@ -1057,7 +1080,7 @@ def test_a_row_is_its_vector_in_lowest_terms():
         {(0, (1, 0, 0)): 9, (2, (0, 1, 0)): -2}, 12, 3, 3
     )
     assert row.vector() == vec
-    assert Row.of(module.zero_vector()) == Row({}, 1, 3, 3)
+    assert Row.of((Polynomial.zero(3),) * 3) == Row({}, 1, 3, 3)
 
 
 def test_a_row_answers_each_grading_it_is_asked_about():
@@ -1213,7 +1236,7 @@ def test_syzygies_of_a_slow_inhomogeneous_draw():
     assert len(syz) == 9
     for c in (s.vector() for s in syz):
         assert not vec_is_zero(c)
-        total = module.zero_vector()
+        total = Row({}, 1, module.rank, module.nvars).vector()
         for coeff, g in zip(c, gens):
             total = tuple(t + coeff * p for t, p in zip(total, g))
         assert vec_is_zero(total)
@@ -1222,14 +1245,38 @@ def test_syzygies_of_a_slow_inhomogeneous_draw():
 # --- syzygies of inhomogeneous generators -----------------------------------------
 
 
-def block_elimination_syzygies(module, gens, degrees):
-    """Reference: eliminate the ambient block straight from the
-    inhomogeneous generators (g_i, e_i), without homogenizing them first."""
-    rank = module.rank
-    ext = FreeModule(module.nvars, module.shifts + degrees, module.order, block_split=rank)
-    units = FreeModule(module.nvars, degrees, module.order)
-    gb = buchberger(ext, [tuple(g) + units.unit_vector(i) for i, g in enumerate(gens)])
-    return [e[rank:] for e in gb.elements if vec_is_zero(e[:rank])]
+def filtered_kernel_dimensions(module, gens, syz_module, syz, top):
+    """Reference for the syzygies of any generators by linear algebra alone,
+    with no Groebner basis: for each d in 0..top the pair (K_d, S_d).
+
+    K_d is the dimension of the kernel of c -> sum(c_i * g_i) over the c
+    whose c_i has terms of degree at most d - shift_i (shift_i the slot
+    shifts of syz_module, the degrees of the g_i).  S_d is the dimension of
+    the span of the alpha * s, over the syzygies s in syz and the monomials
+    alpha with deg alpha + degree(s) <= d, degree(s) the largest shifted
+    degree of s.  Syzygies that generate the kernel give K_d == S_d:
+    homogenizing such a c to degree d gives a graded syzygy of degree d of
+    the homogenized generators, and those dehomogenize to the alpha * s.
+    Each rank is a pivot count of `poly.reduce_into`, fed one degree at a
+    time."""
+    weights = module.order.weights
+
+    def times(row, alpha):
+        return {(slot, mono_mul(exps, alpha)): c for (slot, exps), c in row.terms.items()}
+
+    rows = [Row.of(g) for g in gens]
+    degrees = [vector_grading(syz_module, s)[0] for s in syz]
+    image, span, domain, dims = {}, {}, 0, []
+    for d in range(top + 1):
+        for g, shift in zip(rows, syz_module.shifts):
+            for alpha in monomials(weights, d - shift):
+                domain += 1
+                reduce_into(image, times(g, alpha))
+        for s, degree in zip(syz, degrees):
+            for alpha in monomials(weights, d - degree):
+                reduce_into(span, times(s, alpha))
+        dims.append((domain - len(image), len(span)))
+    return dims
 
 
 def term_degrees(module, vec):
@@ -1239,68 +1286,61 @@ def term_degrees(module, vec):
     }
 
 
-# The reference sets the exponent cap: at cap 2 every ring draw takes at
-# most about a second by block elimination, but draw 12 of the shifted
-# ambient's stream takes over a minute there (and under a second by
-# `syzygies`), so the shifted draws keep cap 1.
-@pytest.mark.parametrize("name, max_exp", [("ring", 2), ("shifted", 1)], ids=["ring", "shifted"])
-def test_inhomogeneous_syzygies_match_block_elimination(name, max_exp):
+@pytest.mark.parametrize("name", ["ring", "shifted"])
+def test_inhomogeneous_syzygies_match_the_kernel_by_linear_algebra(name):
     module = FreeModule(*AMBIENTS[name])
+    zero = Row({}, 1, module.rank, module.nvars).vector()
     rng = random.Random(f"syzygies-{name}")
-    inhomogeneous = 0
+    inhomogeneous = kernels = 0
     for _ in range(16):
         gens = [
-            unflatten(module, random_flat(rng, module, rng.randint(2, 3), max_exp))
+            unflatten(module, random_flat(rng, module, rng.randint(2, 3), 2))
             for _ in range(module.rank + rng.randint(1, 2))
         ]
         if rng.random() < 0.25:
-            gens.insert(rng.randrange(len(gens) + 1), module.zero_vector())
+            gens.insert(rng.randrange(len(gens) + 1), zero)
         syz_module, syz = syzygies(module, gens)
         # slot i carries the largest degree of gens[i], 0 for a zero generator
         assert syz_module.shifts == tuple(max(term_degrees(module, g), default=0) for g in gens)
         for s in (r.vector() for r in syz):
             assert not vec_is_zero(s)
-            total = module.zero_vector()
+            total = zero
             for coeff, g in zip(s, gens):
                 total = tuple(t + coeff * c for t, c in zip(total, g))
             assert vec_is_zero(total)
-        reference = block_elimination_syzygies(module, gens, syz_module.shifts)
-        assert module_equal(syz_module, syz, reference)
+        # every d up to max(shift) + 2, and each syzygy at its own degree
+        top = max([max(syz_module.shifts) + 2] + [vector_grading(syz_module, s)[0] for s in syz])
+        dims = filtered_kernel_dimensions(module, gens, syz_module, syz, top)
+        assert [k for k, _ in dims] == [s for _, s in dims]
         inhomogeneous += any(len(term_degrees(module, g)) > 1 for g in gens)
-    assert inhomogeneous >= 14
+        kernels += dims[-1][0] > 0
+    assert inhomogeneous >= 14 and kernels >= 12
 
 
-def test_a_lower_block_tail_past_the_field_capacity_widens_the_fields(monkeypatch):
-    # Under a block split an element's lower-block tail can sit above its
-    # lead, and it grows with each reduction by such an element.  Degree 6
-    # gets 4-bit fields (exponents up to 15): (x*y^5 + z, 0) reduced by
-    # (x, y^6) gives (z, -y^11), and dividing (y^5*z, 0) by that creates
-    # (0, y^16).  The eliminated part {a*y^6 : (a, b, c) a syzygy of
-    # (x, x*y^5 + z, y^5*z)} is checked against `syzygies`, which
-    # homogenizes instead.
-    import logderiv.groebner as groebner
-
-    raised = []
-    division = groebner._divide
-
-    def recording(*args, **kwargs):
-        try:
-            return division(*args, **kwargs)
-        except groebner.FieldOverflow:
-            raised.append(args[0])
-            raise
-
-    monkeypatch.setattr(groebner, "_divide", recording)
-    module = ring(3)
-    gs = [P("x", XYZ), P("x*y^5 + z", XYZ), P("y^5*z", XYZ)]
-    tails = [P("y^6", XYZ), P("0", XYZ), P("0", XYZ)]
-    ext = FreeModule(3, (0, 0), module.order, block_split=1)
-    gb = buchberger(ext, list(zip(gs, tails)))
-    assert raised and _Packing(ext, 6).width == 4 < gb._packing.width
-    eliminated = [(e[1],) for e in gb.elements if e[0].is_zero()]
-    _, syz = syzygies(module, [(g,) for g in gs])
-    expected = [(sum((a * t for a, t in zip(c.vector(), tails)), P("0", XYZ)),) for c in syz]
-    assert eliminated and module_equal(module, eliminated, expected)
+def test_a_block_split_refuses_an_inhomogeneous_row():
+    # `syzygies` homogenizes before it builds a block split; under one a
+    # division by an inhomogeneous row could create terms above the one it
+    # reduces, so every entry to the engine refuses such a row
+    split = FreeModule(2, (0, 0), MonomialOrder((1, 1)), block_split=1)
+    homogeneous, inhomogeneous = (P("x"), P("y")), (P("x^2"), P("y"))
+    refused = "a block split takes homogeneous rows only"
+    with pytest.raises(ValueError, match=refused):
+        buchberger(split, [homogeneous, inhomogeneous])
+    gb = buchberger(split, [homogeneous])
+    for call in (
+        lambda: gb.grow(inhomogeneous),
+        lambda: divide(split, inhomogeneous, [homogeneous]),
+        lambda: divide(split, homogeneous, [inhomogeneous]),
+        lambda: normal_form(split, inhomogeneous, gb),
+    ):
+        with pytest.raises(ValueError, match=refused):
+            call()
+    # nothing was taken in, and homogeneous rows of any degrees still are
+    assert gb.elements == (homogeneous,)
+    multiple = (P("x*y"), P("y^2"))
+    assert gb.grow(multiple) is False
+    assert vec_is_zero(normal_form(split, multiple, gb))
+    assert divide(split, multiple, [homogeneous]) == ([P("y")], (P("0"), P("0")))
 
 
 # --- free generators: leads in distinct slots ----------------------------------------
@@ -1315,13 +1355,7 @@ FREE_AMBIENTS = {
 def homogeneous_flat(rng, module, degree, nterms):
     """A random element of one shifted degree as a flat dict ({} when no
     term has that degree)."""
-    pool = [
-        (slot, exps)
-        for slot in range(module.rank)
-        for exps in product(range(degree + 2), repeat=module.nvars)
-        if term_degree(module, (slot, exps)) == degree
-    ]
-    picked = rng.sample(pool, min(nterms, len(pool)))
+    picked = homogeneous_terms(rng, module, degree, nterms)
     return {t: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for t in picked}
 
 
@@ -1368,8 +1402,9 @@ def test_leads_in_distinct_slots_give_no_syzygies(name, bases_built):
         assert syz == [] and bases_built == []
         assert syzygies(module, gens, _with_image=True) == (syz_module, [], None)
         assert syz_module.shifts == tuple(max(term_degrees(module, g)) for g in gens)
-        reference = block_elimination_syzygies(module, gens, syz_module.shifts)
-        assert reference == [] and module_equal(syz_module, syz, reference)
+        top = max(syz_module.shifts) + 2
+        dims = filtered_kernel_dimensions(module, gens, syz_module, syz, top)
+        assert dims == [(0, 0)] * (top + 1)
         bases_built.clear()
         mixed += len(set(syz_module.shifts)) > 1
         crossed += any(len({slot for slot, _ in flatten(g)}) > 1 for g in gens)
@@ -1391,7 +1426,7 @@ def test_two_leads_in_one_slot_still_give_their_koszul_syzygy(bases_built):
 
 def test_a_zero_generator_still_gives_its_unit_syzygy(bases_built):
     module = FreeModule(2, (0, 0, 0), MonomialOrder((1, 1)))
-    gens = [(P("x"), P("0"), P("0")), module.zero_vector(), (P("0"), P("y"), P("x"))]
+    gens = [(P("x"), P("0"), P("0")), (P("0"), P("0"), P("0")), (P("0"), P("y"), P("x"))]
     syz_module, syz = syzygies(module, gens)
     assert bases_built
     assert syz == [Row.unit(1, 3, 2)]
@@ -1445,7 +1480,8 @@ def test_homogenize_vector_pads_to_the_weighted_degree(name):
         inhomogeneous += len(term_degrees(module, vec)) > 1
     assert inhomogeneous >= 12
     # the zero vector pads to zero
-    assert homogenize_vector(module, module.zero_vector()).vector() == h_module.zero_vector()
+    padded = homogenize_vector(module, Row({}, 1, module.rank, module.nvars).vector())
+    assert padded.vector() == Row({}, 1, h_module.rank, h_module.nvars).vector()
 
 
 @pytest.mark.parametrize("name", AMBIENTS)
@@ -1456,11 +1492,19 @@ def test_normal_form_is_the_remainder_of_division_by_the_elements(name):
     for _ in range(16):
         gens = random_vectors(rng, module, rng.randint(2, 3))
         gb = buchberger(module, gens)
-        member = module.zero_vector()
+        member = Row({}, 1, module.rank, module.nvars).vector()
+        top = max(vector_grading(module, g)[0] for g in gens) + 1
+        ring = ring_module(module.nvars, module.order)
         for g in gens:
-            factor = Polynomial(module.nvars, {
-                random_term(rng, module, 1)[1]: Fraction(rng.choice([-1, 2])) for _ in range(2)
-            })
+            if module.block_split is None:
+                factor = Polynomial(module.nvars, {
+                    random_term(rng, module, 1)[1]: Fraction(rng.choice([-1, 2])) for _ in range(2)
+                })
+            else:  # a homogeneous member, as a block split takes: each g * factor of degree top
+                terms = homogeneous_terms(rng, ring, top - vector_grading(module, g)[0], 2)
+                factor = Polynomial(module.nvars, {
+                    e: Fraction(rng.choice([-1, 2])) for _, e in terms
+                })
             member = tuple(a + p * factor for a, p in zip(member, g))
         other = unflatten(module, random_flat(rng, module, rng.randint(1, 8), 4))
         for vec in (member, other):

@@ -13,7 +13,7 @@ from logderiv.poly import (
 )
 from logderiv import resolution
 from logderiv.cli import main
-from logderiv.groebner import FreeModule, ring_module
+from logderiv.groebner import FreeModule, Row, ring_module
 from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from logderiv.resolution import free_resolution, minimize, pad_with_trivial_pair
 from logderiv.harness import random_instance
@@ -184,7 +184,7 @@ def test_bruteforce_column_codes_at_their_bound():
     # exponent of the least-degree generator reaches the top of the range;
     # slot 0's x^5 and slot 1's unit vector share degree 3 and stay apart.
     mod = FreeModule(3, (-2, 3), MonomialOrder((1, 2, 3)))
-    units = [mod.unit_vector(0), mod.unit_vector(1)]
+    units = [Row.unit(slot, mod.rank, mod.nvars).vector() for slot in (0, 1)]
     expansion = hp_expand(hp_free(mod.shifts, mod.order.weights), -2, 15)
     for d_hi in range(-2, 16):
         dims = hp_bruteforce(mod, units, -2, d_hi)

@@ -342,6 +342,25 @@ def test_poly_imports_nothing_from_groebner():
     assert logderiv.groebner.polynomial_gcd is logderiv.poly.polynomial_gcd
 
 
+def test_only_syzygies_builds_a_block_split():
+    # the engine takes homogeneous rows only under a block split, and
+    # `groebner.syzygies` homogenizes every generator and relation before
+    # it builds one: no other code in the package may build one
+    import logderiv
+
+    built = []
+    for path in sorted(Path(logderiv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                    any(k.arg == "block_split" for k in node.keywords)
+                    or (getattr(node.func, "id", None) == "FreeModule" and len(node.args) > 3)
+                ):
+                    built.append((path.name, getattr(top, "name", None)))
+    assert built == [("groebner.py", "syzygies")]
+
+
 # --- printing ------------------------------------------------------------------
 
 def test_format_canonical():

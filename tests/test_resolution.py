@@ -275,7 +275,7 @@ def test_minimize_duplicated_generator():
 
 
 def vec_sort_key(vec):
-    return tuple(p.sort_key() for p in vec)
+    return tuple(tuple(sorted(p.terms.items())) for p in vec)
 
 
 def restart_minimal_generators(module, gens, graded):

@@ -360,7 +360,7 @@ def test_elimination_column_codes_at_their_bound():
     # slot 0's x^5 and slot 1's unit vector share degree 3: two (slot,
     # exponents) columns, two pivots, at every truncation of the range
     mod = FreeModule(3, (-2, 3), MonomialOrder((1, 2, 3)))
-    units = [mod.unit_vector(0), mod.unit_vector(1)]
+    units = [Row.unit(slot, mod.rank, mod.nvars).vector() for slot in (0, 1)]
     expansion = hilbert.hp_expand(hilbert.hp_free(mod.shifts, mod.order.weights), -2, 15)
     for d_hi in range(-2, 16):
         expected = {d: expansion[d] for d in range(-2, d_hi + 1)}
