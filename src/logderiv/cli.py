@@ -59,6 +59,15 @@ def _parse_names(text: str) -> list[str]:
         raise UsageError("--vars must list the variable names")
     if len(set(names)) != len(names):
         raise UsageError(f"--vars lists a variable name twice: {text}")
+    for i, name in enumerate(names):
+        try:
+            read = parse_poly(name, names)
+        except ValueError:
+            read = None
+        if read != Polynomial.variable(i, len(names)):
+            raise UsageError(f"--vars name {name!r} is not one that a polynomial can mention")
+        if name.startswith("d_") and name[2:] in names:
+            raise UsageError(f"--vars name {name!r} is the derivation symbol of {name[2:]!r}")
     return names
 
 

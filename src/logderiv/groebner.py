@@ -39,11 +39,9 @@ elimination: a free basis, as most D(f) are, needs no Buchberger run.
 `intersect` and `module_quotient` are one call to it each, and
 `combination` is the one linear combination sum(c_i * v_i), on Rows.  On
 request `syzygies` also hands over what its block-split basis already
-holds: the reduced basis of the (homogenized) image, each row a with its
-block c on the generators, which without relations witnesses
-a = sum(c_i * gens[i]).  `resolution.free_resolution` keeps the a of
-inhomogeneous columns; `hilbert.hp_bruteforce` checks every witness and
-reads a lower bound off the a.
+holds: the reduced basis of the (homogenized) image, the ambient block of
+the rows whose lead lies in it.  `resolution.free_resolution` keeps it for
+inhomogeneous columns, for its image test.
 Polynomial gcds and exact division by one polynomial need no Groebner
 basis; they live in `poly`.
 
@@ -387,32 +385,18 @@ class _Packing:
         return {one[slot] + sum(map(mul, exps, place)): c
                 for (slot, exps), c in row.terms.items()}
 
-    def element(self, packed: dict[int, int], den: int, low: int = 0) -> Row:
-        """The Row packed / den, of the slots from `low` on, numbered from
-        0; packed has no term in a slot below `low`."""
+    def element(self, packed: dict[int, int], den: int, low: int = 0,
+                high: int | None = None) -> Row:
+        """The Row packed / den on the slots from `low` up to `high` (the
+        rank when None), numbered from 0; terms in other slots are
+        dropped."""
         mask, largest, positions = self.slot_mask, self.largest, self.positions
+        high = self.module.rank if high is None else high
         terms = {
-            ((code & mask) - low, tuple([(code >> p) & largest for p in positions])): c
-            for code, c in packed.items()
+            (slot - low, tuple([(code >> p) & largest for p in positions])): c
+            for code, c in packed.items() if low <= (slot := code & mask) < high
         }
-        return Row.lowest(terms, den, self.module.rank - low, self.module.nvars)
-
-    def split(self, packed: dict[int, int], den: int, at: int) -> tuple[Row, Row]:
-        """The Rows of packed / den below slot `at` and from it on, the
-        second numbered from 0, in one decoding pass."""
-        mask, largest, positions = self.slot_mask, self.largest, self.positions
-        below: dict[FlatTerm, int] = {}
-        above: dict[FlatTerm, int] = {}
-        for code, c in packed.items():
-            slot = code & mask
-            exps = tuple([(code >> p) & largest for p in positions])
-            if slot < at:
-                below[(slot, exps)] = c
-            else:
-                above[(slot - at, exps)] = c
-        nvars = self.module.nvars
-        return (Row.lowest(below, den, at, nvars),
-                Row.lowest(above, den, self.module.rank - at, nvars))
+        return Row.lowest(terms, den, high - low, self.module.nvars)
 
 
 class _Prepared:
@@ -847,15 +831,12 @@ def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) 
     homogenizing to a fixed degree is linear, so every solution c, with
     sum(c_i g_i) = sum(a_j r_j), lifts to a graded one.
 
-    With `_with_image` a third item follows: the rows of the block-split
-    basis whose lead lies in the ambient block, in its order, each as the
-    pair (a, c) of its ambient block and its block on the generators, made
-    monic; None where no block split was built.  Under the elimination
-    order the a are the reduced basis of the submodule that the
+    With `_with_image` a third item follows: the ambient block of each row
+    of the block-split basis whose lead lies in that block, in its order,
+    made monic; None where no block split was built.  Under the elimination
+    order these rows are the reduced basis of the submodule that the
     (homogenized) generators and relations generate (Eisenbud, Commutative
-    Algebra, 15.10), in `homogenized(module)` for inhomogeneous input, and
-    with no relations each c witnesses its a: a = sum(c_i * g_i), over the
-    generators as homogenized, c not dehomogenized.
+    Algebra, 15.10), in `homogenized(module)` for inhomogeneous input.
     """
     if module.block_split is not None:
         raise ValueError("nested block splits are not supported")
@@ -893,7 +874,7 @@ def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) 
         syz = [dehomogenize_vector(s) for s in syz]
     if not _with_image:
         return syz_module, syz
-    image = tuple(packing.split(b.row, b.coeff, rank) for b in gb.basis if b.slot < rank)
+    image = tuple(packing.element(b.row, b.coeff, 0, rank) for b in gb.basis if b.slot < rank)
     return syz_module, syz, image
 
 

@@ -13,16 +13,17 @@ A submodule's series is read off the leads of a homogeneous Groebner basis
 (`hp_from_basis`: HP(M) = HP(in M), Bayer & Stillman 1992), with no
 resolution; `hp_from_resolution` serves the claims about a resolution.
 
-The oracle proves each rank by two bounds that meet, both read off one
-block-split basis from `groebner.syzygies`: the row count less the distinct
-leads of the rows beta * s, over syzygies s each checked to be a kernel
-vector, from above; and distinct leads of elements of the span from below,
-those of the generators or else those of the basis' image rows a, each
-checked against its witness c, a = sum(c_i * g_i).  For a Groebner basis
-the generators' leads meet the upper bound in every degree.  Generators
-whose leads lie in distinct slots, as the basis of a free D(f) does, need
-neither: every row has its own lead, so the rank is the row count.  Bounds
-that do not meet are an engine fault, never a fallback.
+The oracle takes what `hp_from_basis` takes: homogeneous generators that
+form a Groebner basis through the top degree asked for, as D(f)'s reduced
+basis does; any other generating set goes through `buchberger` first.  It
+proves each rank by two bounds that meet: the row count less the distinct
+leads of the rows beta * s, over syzygies s from `groebner.syzygies` each
+checked to be a kernel vector, from above; and the distinct leads of the
+rows alpha * g from below.  For a Groebner basis the two meet in every
+degree.  Generators whose leads lie in distinct slots, as the basis of a
+free D(f) does, need neither: every row has its own lead, so the rank is
+the row count.  Bounds that do not meet are refused, never patched: the
+generators are not a Groebner basis, or the engine is wrong.
 """
 
 from __future__ import annotations
@@ -193,9 +194,10 @@ def hp_from_basis(module: FreeModule, basis) -> HPSeries:
     t^{shift_i} (1 - N(S / I_i)), I_i the ideal of its leads' monomials
     (`poly.monomial_numerator`).  The leads are the engine's (`_lead`),
     so `buchberger`'s rows qualify; for other homogeneous generators the
-    series is a lower bound degree by degree (`hp_bruteforce`).  Zero rows
-    are skipped; a row that is not homogeneous (`vector_grading`), or a
-    block split (another order), is refused."""
+    series is only a lower bound degree by degree, which `hp_bruteforce`
+    refuses where it falls short.  Zero rows are skipped; a row that is not
+    homogeneous (`vector_grading`), or a block split (another order), is
+    refused."""
     rows = [r for r in map(as_row, basis) if r.terms]
     if not all(vector_grading(module, r)[1] for r in rows):
         raise ValueError("the series needs a homogeneous basis")
@@ -230,25 +232,23 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
       generator degrees), and K_d the distinct leads of the rows beta * s
       over the syzygies s of the generators, independent kernel vectors
       (`hp_from_basis` of the syzygies).
-    - L_d <= rank: the number of distinct leads of rows alpha * a over
-      elements a of the span, because rows with distinct leads are
-      independent.  lead(alpha * a) is alpha * lead(a) under the explicit
-      key `_lead_key` (`groebner._lead`), so L is `hp_from_basis` of the a.
-      The generators themselves are such a, and are tried first.
+    - L_d <= rank: the number of distinct leads of the rows alpha * g,
+      because rows with distinct leads are independent.  lead(alpha * g)
+      is alpha * lead(g) under the explicit key `_lead_key`
+      (`groebner._lead`), so L is `hp_from_basis` of the generators.
 
-    Where L_d = N_d - K_d that number is the rank.  When the generators'
-    leads lie in distinct slots (`groebner._leads_in_distinct_slots`), as
-    those of a free D(f)'s basis do, the leads alpha * lead(g) are all
-    distinct, so the rank is N_d and no bound is computed; when the
-    generators' L_d = N_d at every degree, `syzygies` is not called.
-    Otherwise one `syzygies` call gives the syzygies and, in the same
-    block-split basis, a Groebner basis of the span whose rows a each come
-    with a witness c, a = sum(c_i * g_i) (Eisenbud, Commutative Algebra,
-    15.10).  The generators' leads meet the upper bound when they are a
-    Groebner basis; the a meet it for any generating set (Bayer & Stillman
-    1992).  The engine's output is never trusted: a syzygy that does not
-    combine the generators to zero, a witness that does not give its a, and
-    bounds that still differ each raise RuntimeError.
+    The generators must form a Groebner basis through d_hi, as every
+    caller's do (D(f)'s reduced basis; other generating sets go through
+    `buchberger` first): then L_d is the rank (Bayer & Stillman 1992), and
+    the oracle proves it.  When their leads lie in distinct slots
+    (`groebner._leads_in_distinct_slots`), as those of a free D(f)'s basis
+    do, the leads alpha * lead(g) are all distinct, so the rank is N_d and
+    no bound is computed; when L_d = N_d at every degree, `syzygies` is not
+    called.  Otherwise one `syzygies` call gives the upper bound.  The
+    engine's output is never trusted: a syzygy that does not combine the
+    generators to zero raises RuntimeError, and so do bounds that differ,
+    which a generating set that is not a Groebner basis through d_hi leaves
+    apart.
 
     Generators must be nonzero and homogeneous (ValueError otherwise, from
     `vector_degree`).  Weights must be strictly positive (the module order
@@ -265,27 +265,16 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
     lower = hp_expand(_lead_series(module, leads), d_lo, d_hi)
     if all(lower[d] == rows[d] for d in slices):
         return {d: rows[d] for d in slices}
-    syz_module, syz, image = syzygies(module, gens, _with_image=True)
+    syz_module, syz = syzygies(module, gens)
     for s in syz:
         if combination(s, gens).terms:
             raise RuntimeError("syzygies returned a row that is not a kernel vector")
     kernel = hp_expand(hp_from_basis(syz_module, syz), d_lo, d_hi)
     upper = {d: rows[d] - kernel[d] for d in slices}
     if any(lower[d] != upper[d] for d in slices):
-        lower = hp_expand(_witnessed_series(module, gens, image), d_lo, d_hi)
-        if any(lower[d] != upper[d] for d in slices):
-            raise RuntimeError("the slice bounds do not meet: the engine is wrong")
+        raise RuntimeError("the slice bounds do not meet: the generators are not a "
+                           "Groebner basis, or the engine is wrong")
     return upper
-
-
-def _witnessed_series(module: FreeModule, gens, image) -> HPSeries:
-    """`hp_from_basis` of the image rows a of `syzygies`, each checked
-    against its witness c, a = sum(c_i * gens[i]) (RuntimeError if not):
-    a series whose expansion bounds the slices of span(gens) from below."""
-    for a, c in image:
-        if combination(c, gens) != a:
-            raise RuntimeError("syzygies returned an image row that its witness does not give")
-    return hp_from_basis(module, [a for a, _ in image])
 
 
 def claim(name: str, lhs, rhs) -> dict:

@@ -226,11 +226,11 @@ def free_resolution(module: FreeModule, gens) -> Resolution:
     degrees `syzygies` reads off the columns of phi_p.  Where the columns of
     phi_p are inhomogeneous, `syzygies` homogenized them and is asked for
     its image, and phi_p keeps the reduced basis of the homogenized image
-    (`ModuleMap.homogenized_image`), the a of its (a, c) pairs.  Each
-    column is graded once, in the free module it lies in: the columns of
-    phi_0 by the homogeneity check here (or before it, by the caller), each
-    later one by `minimal_generators`.  That check, `syzygies` and
-    `Resolution.graded` read those gradings back off the Rows (`Row.memo`).
+    (`ModuleMap.homogenized_image`).  Each column is graded once, in the
+    free module it lies in: the columns of phi_0 by the homogeneity check
+    here (or before it, by the caller), each later one by
+    `minimal_generators`.  That check, `syzygies` and `Resolution.graded`
+    read those gradings back off the Rows (`Row.memo`).
     """
     columns = tuple(r for r in map(as_row, gens) if r.terms)
     chain: list[ModuleMap] = []
@@ -240,7 +240,7 @@ def free_resolution(module: FreeModule, gens) -> Resolution:
             (syz_module, syz), kept = syzygies(ambient, columns), None
         else:
             syz_module, syz, image = syzygies(ambient, columns, _with_image=True)
-            kept = (ambient, tuple(a for a, _ in image))
+            kept = (ambient, image)
         chain.append(ModuleMap(columns, syz_module.shifts, kept))
         columns, _ = minimal_generators(syz_module, syz)
         if not columns:

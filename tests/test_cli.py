@@ -203,6 +203,25 @@ def test_duplicate_variable_names_are_usage_error(capsys):
     assert "twice" in err
 
 
+def test_variable_names_the_grammar_cannot_read_are_usage_error(capsys):
+    # each name must parse, over the declared names, as that one variable
+    for names, poly in (("a b,c", "c"), ("1x,x", "x"), ("x-y,x", "x"), ("x,2", "x")):
+        code, out, err = run(capsys, "derivations", poly, "--vars", names)
+        assert code == 2 and out == "", names
+        assert "--vars name" in err and "can mention" in err, names
+
+
+def test_a_derivation_symbol_as_a_variable_name_is_usage_error(capsys, tmp_path):
+    # d_x would be read as the derivation symbol of x, not as a variable
+    basis = tmp_path / "basis.txt"
+    basis.write_text("d_x*d_x\n", encoding="utf-8")
+    for argv in (("derivations", "x*d_x", "--vars", "x,d_x"),
+                 ("saito", "x*d_x", "--vars", "x,d_x", "--derivations", str(basis))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "derivation symbol of 'x'" in err, argv
+
+
 def test_saito_certificate(capsys, tmp_path):
     basis = tmp_path / "basis.txt"
     basis.write_text("x^2*d_x\ny^3*d_y\n", encoding="utf-8")

@@ -13,7 +13,7 @@ from logderiv.poly import (
 )
 from logderiv import resolution
 from logderiv.cli import main
-from logderiv.groebner import FreeModule, Row, ring_module
+from logderiv.groebner import FreeModule, Row, buchberger, ring_module
 from logderiv.derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
 from logderiv.resolution import free_resolution, minimize, pad_with_trivial_pair
 from logderiv.harness import random_instance
@@ -171,12 +171,18 @@ def test_bruteforce_ideal_xy():
 
 
 def test_bruteforce_cancels_over_q():
-    # x/2 + y/3 and 3x + 2y are proportional over Q; x/2 and x/3 + y/5 are not
+    # x/2 + y/3 and 3x + 2y are proportional over Q, so their S-vector is 0
+    # and they are a Groebner basis; x/2 and x/3 + y/5 are not proportional,
+    # but share their lead, so they are not one: the oracle refuses them
+    # and certifies their reduced basis (x, y)
     mod = ring_module(2, MonomialOrder((1, 1)))
     proportional = [(P("1/2*x + 1/3*y"),), (P("3*x + 2*y"),)]
     independent = [(P("1/2*x"),), (P("1/3*x + 1/5*y"),)]
     assert hp_bruteforce(mod, proportional, 0, 4) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-    assert hp_bruteforce(mod, independent, 0, 4) == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
+    with pytest.raises(RuntimeError, match="do not meet"):
+        hp_bruteforce(mod, independent, 0, 4)
+    basis = buchberger(mod, independent).rows
+    assert hp_bruteforce(mod, basis, 0, 4) == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
 
 
 def test_bruteforce_column_codes_at_their_bound():

@@ -361,6 +361,24 @@ def test_only_syzygies_builds_a_block_split():
     assert built == [("groebner.py", "syzygies")]
 
 
+def test_only_free_resolution_asks_syzygies_for_its_image():
+    # the image rows of the block-split basis serve the image test of
+    # inhomogeneous columns; the slice oracle reads no image, as it
+    # certifies only the Groebner bases it is handed
+    import logderiv
+
+    asked = []
+    for path in sorted(Path(logderiv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and any(
+                    k.arg == "_with_image" for k in node.keywords
+                ):
+                    asked.append((path.name, getattr(top, "name", None)))
+    assert asked == [("resolution.py", "free_resolution")]
+
+
 # --- printing ------------------------------------------------------------------
 
 def test_format_canonical():

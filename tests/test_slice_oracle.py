@@ -1,18 +1,18 @@
-"""The slice oracle's certificate: lead-term bounds that meet, read off one
-witnessed block-split basis.
+"""The slice oracle's certificate: lead-term bounds that meet on the Groebner
+bases it is handed.
 
 `hilbert.hp_bruteforce` proves each slice dimension by L_d = N_d - K_d: the
-rows less the syzygies' distinct leads from above, and distinct leads of
-elements of the span from below, those of the generators or else those of
-the image rows a of the `syzygies` basis, each checked against its witness
-c, a = sum(c_i * g_i).  Generators whose leads lie in distinct slots need
-neither bound: their rows are independent, and the rank is the row count
-N_d.  These tests hold it to a reference elimination kept here, degree by
-degree, record which calls reach the witnessed image, check that
-generators with leads in distinct slots reach no lead series and no
-syzygies, check that a wrong syzygy, a wrong witness or a missing image row
-is refused, and check the fact the bounds rest on: leads commute with
-monomial multiplication.
+rows less the syzygies' distinct leads from above, and the generators'
+distinct leads from below.  Its generators must form a Groebner basis
+through the top degree asked for; then the two bounds meet.  Generators
+whose leads lie in distinct slots need neither bound: their rows are
+independent, and the rank is the row count N_d.  These tests hold it to a
+reference elimination kept here, degree by degree, on reduced bases and on
+the raw generating sets they come from, which it must refuse where their
+leads fall short of the rank.  They check that generators with leads in
+distinct slots reach no lead series and no syzygies, that a wrong or a
+missing syzygy is refused, and the fact the bounds rest on: leads commute
+with monomial multiplication.
 """
 
 import ast
@@ -46,21 +46,6 @@ XY = ["x", "y"]
 
 def P(text):
     return parse_poly(text, XY)
-
-
-@pytest.fixture
-def witnessed(monkeypatch):
-    """The number of generators of each call whose lower bound was read off
-    the witnessed image rows, in call order."""
-    seen: list[int] = []
-    engine = hilbert._witnessed_series
-
-    def recording(module, gens, image):
-        seen.append(len(gens))
-        return engine(module, gens, image)
-
-    monkeypatch.setattr(hilbert, "_witnessed_series", recording)
-    return seen
 
 
 # --- random homogeneous generator sets -------------------------------------------
@@ -99,6 +84,16 @@ def eliminate(module, gens, slices):
                                      for (slot, exps), c in g.terms.items()})
         dims[d] = len(pivots)
     return dims
+
+
+def distinct_leads(module, gens, slices):
+    """Reference lower bounds: the number of distinct leads alpha * lead(g)
+    of the rows of each degree in slices."""
+    u = module.order.weights
+    leads = [(vector_degree(module, g), _lead(module, as_row(g))) for g in gens]
+    return {d: len({(slot, tuple(map(add, exps, alpha)))
+                    for dg, (slot, exps) in leads for alpha in monomials(u, d - dg)})
+            for d in slices}
 
 
 def random_element(rng, module, degree, terms=3):
@@ -163,25 +158,33 @@ def slice_range(module, gens):
     return min(degrees + [0]), max(degrees) + 4
 
 
-def test_certificate_equals_the_elimination_on_seeded_generator_sets(witnessed):
-    draws = generator_sets("slice-oracle", 40)
-    for module, gens in draws:
-        lo, hi = slice_range(module, gens)
-        expected = eliminate(module, gens, range(lo, hi + 1))
-        assert hp_bruteforce(module, gens, lo, hi) == expected
-    # sets that are not Groebner bases leave the generators' leads short of
-    # the upper bound; the witnessed image closed them
-    assert witnessed
-
-
-def test_groebner_bases_leave_no_degree_open(witnessed):
+def test_certificate_equals_the_elimination_on_seeded_generator_sets():
+    short = 0
     for module, gens in generator_sets("slice-oracle", 40):
         lo, hi = slice_range(module, gens)
-        basis = list(buchberger(module, gens).rows)
-        expected = eliminate(module, gens, range(lo, hi + 1))
-        witnessed.clear()
-        assert hp_bruteforce(module, basis, lo, hi) == expected
-        assert witnessed == []
+        slices = range(lo, hi + 1)
+        expected = eliminate(module, gens, slices)
+        # the reduced basis spans what the raw set does
+        assert hp_bruteforce(module, buchberger(module, gens).rows, lo, hi) == expected
+        if distinct_leads(module, gens, slices) == expected:
+            assert hp_bruteforce(module, gens, lo, hi) == expected
+        else:
+            # a raw set that is not a Groebner basis through hi leaves its
+            # leads short of the rank, and the bounds apart
+            short += 1
+            with pytest.raises(RuntimeError, match="do not meet"):
+                hp_bruteforce(module, gens, lo, hi)
+    assert short == 13
+
+
+def test_groebner_bases_leave_no_degree_open():
+    # the lower bound alone is the rank on a reduced basis (Bayer &
+    # Stillman 1992): the fact the oracle's contract rests on
+    for module, gens in generator_sets("slice-oracle", 40):
+        lo, hi = slice_range(module, gens)
+        slices = range(lo, hi + 1)
+        basis = buchberger(module, gens).rows
+        assert distinct_leads(module, basis, slices) == eliminate(module, gens, slices)
 
 
 def free_generator_sets(seed, count):
@@ -209,7 +212,7 @@ def free_generator_sets(seed, count):
     return draws
 
 
-def test_leads_in_distinct_slots_need_no_lead_series_and_no_syzygies(monkeypatch, witnessed):
+def test_leads_in_distinct_slots_need_no_lead_series_and_no_syzygies(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("called on generators with leads in distinct slots")
 
@@ -219,13 +222,12 @@ def test_leads_in_distinct_slots_need_no_lead_series_and_no_syzygies(monkeypatch
     for module, gens in draws:
         lo, hi = slice_range(module, gens)
         assert hp_bruteforce(module, gens, lo, hi) == eliminate(module, gens, range(lo, hi + 1))
-    assert witnessed == []
     assert sum(len(gens) > 1 for _, gens in draws) >= 12
     assert sum(any(len({slot for slot, _ in g.terms}) > 1 for g in gens)
                for _, gens in draws) >= 12
 
 
-def test_certificate_equals_the_elimination_on_harness_calls(monkeypatch, witnessed):
+def test_certificate_equals_the_elimination_on_harness_calls(monkeypatch):
     calls = []
     certified = hilbert.hp_bruteforce
 
@@ -237,20 +239,21 @@ def test_certificate_equals_the_elimination_on_harness_calls(monkeypatch, witnes
     monkeypatch.setattr(hilbert, "hp_bruteforce", recording)
     assert run_harness(30, seed=0)["ok"]
     assert len(calls) == 30
-    assert witnessed == []
     for module, gens, lo, hi, dims in calls:
         assert dims == eliminate(module, gens, range(lo, hi + 1))
 
 
-def test_harness_needs_no_witnessed_image(witnessed):
+# the oracle keeps no lower bound for generating sets that are not Groebner
+# bases: the harness and the eight-plane report hand it reduced bases, and
+# pass without one
+
+def test_harness_needs_no_witnessed_image():
     assert run_harness(100, seed=0)["ok"]
-    assert witnessed == []
 
 
-def test_eight_plane_chi_report_is_unchanged_and_needs_no_witnessed_image(witnessed, tmp_path):
+def test_eight_plane_chi_report_is_unchanged_and_needs_no_witnessed_image(tmp_path):
     expected = json.loads(EIGHT_PLANE.read_text(encoding="utf-8"))
     assert run_example(expected["argv"], tmp_path / "basis.txt") == expected
-    assert witnessed == []
 
 
 # --- the facts the bounds rest on ------------------------------------------------
@@ -284,53 +287,50 @@ def test_lead_of_an_inhomogeneous_row_is_its_top_degree_lead():
 
 # --- what the oracle refuses -------------------------------------------------------
 
-# x/2 and x/3 + y/5 share their lead: the generators give L_d = d, but they
-# span x and y, and only the witnessed image closes the gap
+# x/2 and x/3 + y/5 share their lead: they span x and y, but their leads give
+# L_d = d, one short of the rank from degree 1 on, so they are not a
+# Groebner basis
 SHARED_LEAD = [(P("1/2*x"),), (P("1/3*x + 1/5*y"),)]
-
-
-def tampered_syzygies(monkeypatch, tamper):
-    """Make the oracle's `syzygies` hand over its image as tamper(image)."""
-    engine = hilbert.syzygies
-
-    def tampering(module, gens, _with_image=False):
-        syz_module, syz, image = engine(module, gens, _with_image=True)
-        return syz_module, syz, tamper(image)
-
-    monkeypatch.setattr(hilbert, "syzygies", tampering)
+# x and y are a Groebner basis whose leads share slot 0: the oracle needs
+# their one syzygy
+X_AND_Y = [(P("x"),), (P("y"),)]
 
 
 def test_a_syzygy_that_is_not_a_kernel_vector_is_refused(monkeypatch):
     module = ring_module(2, MonomialOrder((1, 1)))
     engine = hilbert.syzygies
 
-    def with_a_bad_row(module, gens, _with_image=False):
-        syz_module, syz, image = engine(module, gens, _with_image=True)
+    def with_a_bad_row(module, gens):
+        syz_module, syz = engine(module, gens)
         bad = Row({(0, (0, 0)): 1}, 1, syz_module.rank, syz_module.nvars)
-        return syz_module, syz + [bad], image
+        return syz_module, syz + [bad]
 
     monkeypatch.setattr(hilbert, "syzygies", with_a_bad_row)
     with pytest.raises(RuntimeError, match="not a kernel vector"):
-        hp_bruteforce(module, [(P("x"),), (P("y"),)], 0, 4)
+        hp_bruteforce(module, X_AND_Y, 0, 4)
 
 
-def test_a_corrupted_witness_is_refused(monkeypatch):
+def test_a_dropped_syzygy_leaves_the_bounds_apart(monkeypatch):
     mod = ring_module(2, MonomialOrder((1, 1)))
+    engine = hilbert.syzygies
 
-    def corrupted(image):
-        (a, c), *rest = image
-        return ((a, scaled(c, 2, 1)), *rest)  # the witness of 2a, not of a
+    def dropping(module, gens):
+        syz_module, syz = engine(module, gens)
+        assert len(syz) == 1
+        return syz_module, syz[1:]
 
-    tampered_syzygies(monkeypatch, corrupted)
-    with pytest.raises(RuntimeError, match="witness"):
-        hp_bruteforce(mod, SHARED_LEAD, 0, 4)
+    monkeypatch.setattr(hilbert, "syzygies", dropping)
+    with pytest.raises(RuntimeError, match="do not meet"):
+        hp_bruteforce(mod, X_AND_Y, 0, 4)
 
 
-def test_a_dropped_image_row_leaves_the_bounds_apart(monkeypatch):
+def test_a_shared_lead_is_refused_and_its_reduced_basis_certified():
     mod = ring_module(2, MonomialOrder((1, 1)))
-    tampered_syzygies(monkeypatch, lambda image: image[1:])
     with pytest.raises(RuntimeError, match="do not meet"):
         hp_bruteforce(mod, SHARED_LEAD, 0, 4)
+    basis = buchberger(mod, SHARED_LEAD).rows
+    assert basis == tuple(as_row(g) for g in X_AND_Y)
+    assert hp_bruteforce(mod, basis, 0, 4) == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
 
 
 def test_hilbert_binds_no_row_reduction():
@@ -347,13 +347,19 @@ def test_hilbert_binds_no_row_reduction():
 # --- the reference elimination, on the inputs of its old tests ----------------------
 
 def test_elimination_cancels_over_q():
+    # the proportional pair's S-vector is 0, so it is a Groebner basis; the
+    # independent pair shares its lead, so it is refused, and its reduced
+    # basis certified
     mod = ring_module(2, MonomialOrder((1, 1)))
     proportional = [(P("1/2*x + 1/3*y"),), (P("3*x + 2*y"),)]
     independent = [(P("1/2*x"),), (P("1/3*x + 1/5*y"),)]
     for gens, expected in ((proportional, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}),
                            (independent, {0: 0, 1: 2, 2: 3, 3: 4, 4: 5})):
-        assert hp_bruteforce(mod, gens, 0, 4) == expected
+        assert hp_bruteforce(mod, buchberger(mod, gens).rows, 0, 4) == expected
         assert eliminate(mod, gens, range(5)) == expected
+    assert hp_bruteforce(mod, proportional, 0, 4) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+    with pytest.raises(RuntimeError, match="do not meet"):
+        hp_bruteforce(mod, independent, 0, 4)
 
 
 def test_elimination_column_codes_at_their_bound():
@@ -373,15 +379,6 @@ def test_elimination_exponent_reaching_the_range_top():
     expected = {d: max(0, d - 6) for d in range(41)}
     assert hp_bruteforce(mod, [(P("x^7"),)], 0, 40) == expected
     assert eliminate(mod, [(P("x^7"),)], range(41)) == expected
-
-
-def test_witnessed_image_closes_the_open_degrees(witnessed):
-    mod = ring_module(2, MonomialOrder((1, 1)))
-    assert hp_bruteforce(mod, SHARED_LEAD, 0, 4) == {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
-    # degree 0 is empty, so both bounds are 0 there; from degree 1 on the
-    # shared lead leaves the generators' L one short of the rank, and the
-    # image rows x and y close it
-    assert witnessed == [2]
 
 
 def test_zero_and_inhomogeneous_generators_are_refused():
