@@ -20,28 +20,33 @@ generators as Rows of rank 1.  `Row.vector` makes a Vector only at the
 edges: `GroebnerBasis.elements`, the remainder of `normal_form`, and the
 quotients and remainder of `divide`.
 
-Inside the engine (`GroebnerBasis`, division, S-vectors, interreduction) a
-Row is packed: a dict from packed term to int.  A packed term is one int
-whose integer order is the term order (`_Packing`), so multiplying by a
-monomial is an int addition and the division heap holds bare ints.  Basis
-rows are primitive (content 1) with a positive lead coefficient, and
-division is fraction-free, so no Fraction arithmetic runs inside
-Buchberger's loop.  A packing belongs to one basis: a Row is packed as it
-enters one and unpacked (`_Packing.element`) as it leaves, the basis made
-monic there.
+Inside the engine (`GroebnerBasis`, division, S-vectors, interreduction,
+S-pair lifts) a Row is packed: a dict from packed term to int.  A packed
+term is one int whose integer order is the term order (`_Packing`), so
+multiplying by a monomial is an int addition and the division heap holds
+bare ints.  Basis rows are primitive (content 1) with a positive lead
+coefficient, and division is fraction-free, so no Fraction arithmetic runs
+inside Buchberger's loop.  A packing belongs to one basis, or to the
+generators whose S-pairs `_schreyer_lifts` lifts: a Row is packed as it
+enters and unpacked (`_Packing.element`) as it leaves, a basis made monic
+there.
 
 `syzygies(module, gens, relations)` is the one kernel routine, and the only
 one that eliminates: it returns the c with sum(c_i * gens[i]) in the
-submodule generated by relations (Singular's `modulo`).  Elements whose
+submodule generated by relations (Singular's `modulo`).  Homogeneous
+generators with no relations need no elimination when they form a Groebner
+basis, as D(f)'s reduced basis and most resolution steps do: elements whose
 leads lie in distinct slots have no syzygy (`_leads_in_distinct_slots`), so
-for such homogeneous generators and no relations it returns none without an
-elimination: a free basis, as most D(f) are, needs no Buchberger run.
+a free basis, as most D(f) are, needs no Buchberger run, and otherwise the
+lifts of their S-pairs, divided with quotients (`_schreyer_lifts`), are the
+syzygies (Schreyer's theorem).  Only relations, inhomogeneous generators
+and generators that are not a Groebner basis take the block split.
 `intersect` and `module_quotient` are one call to it each, and
-`combination` is the one linear combination sum(c_i * v_i), on Rows.  On
-request `syzygies` also hands over what its block-split basis already
-holds: the reduced basis of the (homogenized) image, the ambient block of
-the rows whose lead lies in it.  `resolution.free_resolution` keeps it for
-inhomogeneous columns, for its image test.
+`combination` is the one linear combination sum(c_i * v_i), on Rows.  For
+inhomogeneous generators `syzygies` also hands over, on request, what its
+block-split basis already holds: the reduced basis of the homogenized
+image, the ambient block of the rows whose lead lies in it.
+`resolution.free_resolution` keeps it for its image test.
 Polynomial gcds and exact division by one polynomial need no Groebner
 basis; they live in `poly`.
 
@@ -503,6 +508,50 @@ def _divide(
     return scale, quotients, remainder
 
 
+def _s_vector(a: _Prepared, b: _Prepared, lcm: int) -> tuple[int, int, int, int, dict[int, int]]:
+    """(ma, ga, mb, gb, s): the S-vector s = ma * x^ga * a - mb * x^gb * b
+    of rows whose leads lie in one slot, lcm the code of their leads' lcm,
+    ma = lc_b / h and mb = lc_a / h with h = gcd(lc_a, lc_b), ga and gb
+    the codes of lcm / lead(a) and lcm / lead(b)."""
+    h = math.gcd(a.coeff, b.coeff)
+    ma, mb = b.coeff // h, a.coeff // h
+    ga, gb = lcm - a.lead, lcm - b.lead
+    # multiplying by ga is injective, so these keys are distinct
+    out = {k + ga: ma * c for k, c in a.tail}
+    for k, c in b.tail:
+        k += gb
+        v = out.get(k, 0) - mb * c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return ma, ga, mb, gb, out
+
+
+def _new_pairs(earlier: list[_Prepared], b: _Prepared,
+               packing: _Packing) -> tuple[dict[int, int], dict[int, int]]:
+    """The pairs (i, b) over the rows i of `earlier` whose lead lies in b's
+    slot: the lcm code of each, by i, and the ones criteria M and F keep, as
+    lcm -> i.  M drops a pair when another one's lcm properly divides its
+    lcm, F keeps the first pair of each lcm.  Either drops (i, b), of lcm m,
+    for a pair (k, b) whose lcm m' divides m, and the lead syzygy of (i, b)
+    is (m / m') times that of (k, b) plus (m / lcm(i, k)) times that of the
+    earlier pair (i, k); in Schreyer's order its lead, (m / lead(b)) * e_b,
+    is a multiple of that of (k, b)."""
+    divmask = packing.divmask
+    lcms = {
+        i: packing.term(b.slot, tuple(map(max, a.exps, b.exps)))
+        for i, a in enumerate(earlier)
+        if a.slot == b.slot
+    }
+    distinct = set(lcms.values())
+    kept: dict[int, int] = {}
+    for i, lcm in lcms.items():
+        if not any(m != lcm and not (lcm - m) & divmask for m in distinct):
+            kept.setdefault(lcm, i)
+    return lcms, kept
+
+
 def _extent(module: FreeModule, rows: list[Row]) -> int:
     """The largest shifted degree of a term of the rows (`vector_grading`):
     no division by them creates a term above it.  That holds in a graded
@@ -685,23 +734,10 @@ class GroebnerBasis:
         return scale, rem
 
     def _spoly(self, i: int, j: int) -> dict[int, int]:
-        """S-vector (lc_b/h) * x^ga * a - (lc_a/h) * x^gb * b of basis
-        elements i and j, leads in one slot, h = gcd(lc_a, lc_b)."""
+        """S-vector of basis elements i and j, leads in one slot
+        (`_s_vector`)."""
         a, b = self.basis[i], self.basis[j]
-        lcm = self._packing.term(a.slot, tuple(map(max, a.exps, b.exps)))
-        h = math.gcd(a.coeff, b.coeff)
-        ma, mb = b.coeff // h, a.coeff // h
-        ga, gb = lcm - a.lead, lcm - b.lead
-        # multiplying by ga is injective, so these keys are distinct
-        out = {k + ga: ma * c for k, c in a.tail}
-        for k, c in b.tail:
-            k += gb
-            v = out.get(k, 0) - mb * c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return out
+        return _s_vector(a, b, self._packing.term(a.slot, tuple(map(max, a.exps, b.exps))))[4]
 
     def _primitive(self, row: dict[int, int]) -> _Prepared:
         """The row divided by its content, signed to a positive lead."""
@@ -720,11 +756,7 @@ class GroebnerBasis:
         packing, basis, queued = self._packing, self.basis, self._queued
         divmask = packing.divmask
         slot, lead, t = b.slot, b.lead, len(basis)
-        lcms = {
-            i: packing.term(slot, tuple(map(max, a.exps, b.exps)))
-            for i, a in enumerate(basis)
-            if a.slot == slot
-        }
+        lcms, kept = _new_pairs(basis, b, packing)
         # B: b links i and j by two pairs whose lcms properly divide lcm(i, j)
         for pair in [
             (i, j)
@@ -732,12 +764,6 @@ class GroebnerBasis:
             if not (lcm - lead) & divmask and lcms[i] != lcm and lcms[j] != lcm
         ]:
             del queued[pair]
-        # M keeps the new pairs of minimal lcm, F one pair per lcm
-        distinct = set(lcms.values())
-        kept: dict[int, int] = {}
-        for i, lcm in lcms.items():
-            if not any(m != lcm and not (lcm - m) & divmask for m in distinct):
-                kept.setdefault(lcm, i)
         for lcm, i in kept.items():
             queued[(i, t)] = lcm
             heapq.heappush(self._pairs, (-lcm, i, t))
@@ -810,33 +836,83 @@ def module_equal(module: FreeModule, gens_a, gens_b) -> bool:
     return buchberger(module, gens_a).rows == buchberger(module, gens_b).rows
 
 
+def _schreyer_lifts(module: FreeModule, syz_module: FreeModule,
+                    gens: list[Row]) -> list[Row] | None:
+    """The syzygies of homogeneous nonzero gens read off their S-pair
+    reductions (Schreyer; Eisenbud, Commutative Algebra, 15.10), or None
+    when the S-vectors show that gens are not a Groebner basis.
+
+    The pairs (i, j), i < j, are those Buchberger's loop would queue as it
+    appends g_j: leads in one slot, kept by criteria M and F (`_new_pairs`),
+    never pruned by B.  Each S-vector ma x^ga g_i - mb x^gb g_j is divided
+    by gens with its quotients (`_divide`); the first nonzero remainder
+    ends the search with None.  A zero remainder gives the lift
+
+        scale * ma * x^ga * e_i - scale * mb * x^gb * e_j - sum(q_k * e_k),
+
+    made primitive, homogeneous of the lcm's degree in syz_module (its memo
+    says so).  When every S-vector reduces to zero, gens are a Groebner
+    basis (Buchberger's criterion: the kept pairs' lead syzygies generate
+    every pair's), and the lifts are a Groebner basis of the syzygies in
+    Schreyer's order, where m * e_k ranks as m * lead(g_k) does and ties go
+    to the higher k: the lift of (i, j) has the lead x^gb * e_j, and M and
+    F drop only pairs whose lead a kept pair's lead divides, so the lifts'
+    leads generate the whole lead module, and the lifts the syzygies.
+    """
+    packing = _Packing(module, _extent(module, gens))
+    prepared = [_Prepared(packing.row(g), packing) for g in gens]
+    divisors = _by_slot(prepared, module.rank)
+    key = (syz_module.shifts, syz_module.order.weights)
+    lifts = []
+    for j, b in enumerate(prepared):
+        for lcm, i in _new_pairs(prepared[:j], b, packing)[1].items():
+            ma, ga, mb, gb, s = _s_vector(prepared[i], b, lcm)
+            scale, quotients, rem = _divide(s, divisors, packing, want_quotients=True)
+            if rem:
+                return None
+            # packing.row clears each generator's denominator: put it back
+            terms = {(k, packing.decode(m)[1]): -c * gens[k].den
+                     for k, a in enumerate(prepared) for m, c in quotients[a].items()}
+            terms[(i, packing.decode(ga)[1])] = scale * ma * gens[i].den
+            terms[(j, packing.decode(gb)[1])] = -scale * mb * gens[j].den
+            content = reduce(math.gcd, terms.values())
+            lifts.append(Row({t: c // content for t, c in terms.items()}, 1, syz_module.rank,
+                             module.nvars, (key, (packing.degree(lcm), True))))
+    return lifts
+
+
 def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) -> tuple:
     """Generators of {c : sum(c_i * gens[i]) lies in the submodule generated
     by relations}, the syzygies of gens modulo relations, in the free module
     whose slot i carries the degree of gens[i] (`vector_grading`, read back
     from a Row that was graded in module before).
 
-    Homogeneous nonzero generators whose leads lie in distinct slots, with
-    no relations, have no syzygy (`_leads_in_distinct_slots`): for them it
-    returns none, as the elimination would, before building anything.
+    Homogeneous nonzero generators with no relations take one of two early
+    paths.  When their leads lie in distinct slots they have no syzygy
+    (`_leads_in_distinct_slots`), and it returns none before building
+    anything.  Otherwise, when they form a Groebner basis, as D(f)'s reduced
+    basis does, it returns the lifts of their S-pairs (`_schreyer_lifts`), a
+    Groebner basis of the syzygies in Schreyer's order, not the reduced one
+    in syz_module's.
 
     Otherwise it eliminates the ambient block from the module generated by
     (g_i, e_i) and (r, 0) in the ambient ⊕ that free module; this is the
     one place a block split is built.  Each of those rows is homogeneous of
     the degree of g_i or r, which goes into its memo as it is built, for
-    the engine to read back.  Homogeneous input gives the reduced basis of
-    the result, which is homogeneous.  Otherwise every generator and
+    the engine to read back.  Homogeneous input that gets here (with
+    relations, or not a Groebner basis) gives the reduced basis of the
+    result, which is homogeneous.  Otherwise every generator and
     relation is first homogenized to its degree with a new last variable h
     of weight 1, and h is set to 1 in the result, a generating set:
     homogenizing to a fixed degree is linear, so every solution c, with
     sum(c_i g_i) = sum(a_j r_j), lifts to a graded one.
 
-    With `_with_image` a third item follows: the ambient block of each row
-    of the block-split basis whose lead lies in that block, in its order,
-    made monic; None where no block split was built.  Under the elimination
-    order these rows are the reduced basis of the submodule that the
-    (homogenized) generators and relations generate (Eisenbud, Commutative
-    Algebra, 15.10), in `homogenized(module)` for inhomogeneous input.
+    `_with_image`, for inhomogeneous input only (ValueError otherwise),
+    adds a third item: the ambient block of each row of the block-split
+    basis whose lead lies in that block, in its order, made monic.  Under
+    the elimination order these rows are the reduced basis of the
+    submodule that the homogenized generators and relations generate in
+    `homogenized(module)` (Eisenbud, Commutative Algebra, 15.10).
     """
     if module.block_split is not None:
         raise ValueError("nested block splits are not supported")
@@ -847,10 +923,14 @@ def syzygies(module: FreeModule, gens, relations=(), _with_image: bool = False) 
     degrees = tuple(d for d, _ in gradings)
     syz_module = FreeModule(module.nvars, degrees, module.order)
     homogeneous = all(h for _, h in gradings + relation_gradings)
-    if (homogeneous and not relations and len(gens) <= module.rank
-            and all(g.terms for g in gens)
-            and _leads_in_distinct_slots([_lead(module, g) for g in gens])):
-        return (syz_module, [], None) if _with_image else (syz_module, [])
+    if _with_image and homogeneous:
+        raise ValueError("the image is kept for inhomogeneous input only")
+    if homogeneous and not relations and all(g.terms for g in gens):
+        if len(gens) <= module.rank and _leads_in_distinct_slots([_lead(module, g) for g in gens]):
+            return syz_module, []
+        lifts = _schreyer_lifts(module, syz_module, gens)
+        if lifts is not None:
+            return syz_module, lifts
     if not homogeneous:
         gens = [homogenize_vector(module, g, d) for g, d in zip(gens, degrees)]
         relations = [

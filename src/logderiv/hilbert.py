@@ -13,17 +13,19 @@ A submodule's series is read off the leads of a homogeneous Groebner basis
 (`hp_from_basis`: HP(M) = HP(in M), Bayer & Stillman 1992), with no
 resolution; `hp_from_resolution` serves the claims about a resolution.
 
-The oracle takes what `hp_from_basis` takes: homogeneous generators that
-form a Groebner basis through the top degree asked for, as D(f)'s reduced
-basis does; any other generating set goes through `buchberger` first.  It
-proves each rank by two bounds that meet: the row count less the distinct
-leads of the rows beta * s, over syzygies s from `groebner.syzygies` each
-checked to be a kernel vector, from above; and the distinct leads of the
-rows alpha * g from below.  For a Groebner basis the two meet in every
-degree.  Generators whose leads lie in distinct slots, as the basis of a
-free D(f) does, need neither: every row has its own lead, so the rank is
-the row count.  Bounds that do not meet are refused, never patched: the
-generators are not a Groebner basis, or the engine is wrong.
+The oracle takes homogeneous generators that form a Groebner basis, as
+D(f)'s reduced basis does; any other generating set goes through
+`buchberger` first.  It proves each rank by two bounds that meet: the row
+count less the distinct Schreyer leads (`_schreyer_lead`) of the rows
+beta * s, over syzygies s from `groebner.syzygies` each checked to be a
+kernel vector, from above; and the distinct leads of the rows alpha * g
+from below.  For a Groebner basis the two meet in every degree: its
+syzygies are the lifts of its S-pairs, whose Schreyer leads generate those
+of every syzygy (Schreyer's theorem), and no Groebner basis of the
+syzygies is computed.  Generators whose leads lie in distinct slots, as
+the basis of a free D(f) does, need neither: every row has its own lead,
+so the rank is the row count.  Bounds that do not meet are refused, never
+patched: the generators are not a Groebner basis, or the engine is wrong.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import comb
+from operator import add, mul
 
 from .poly import (
     Exponents,
@@ -44,6 +47,7 @@ from .poly import (
 from .groebner import (
     FreeModule,
     _lead,
+    _lead_key,
     _leads_in_distinct_slots,
     as_row,
     buchberger,
@@ -229,26 +233,31 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
     the result is the brute-force rank it always was.)
 
     - rank <= N_d - K_d: N_d counts the rows (the free series on the
-      generator degrees), and K_d the distinct leads of the rows beta * s
-      over the syzygies s of the generators, independent kernel vectors
-      (`hp_from_basis` of the syzygies).
+      generator degrees), and K_d the distinct Schreyer leads
+      (`_schreyer_lead`) of the rows beta * s over the syzygies s of the
+      generators: independent kernel vectors, as Schreyer's order is a
+      module order, so lead(beta * s) = beta * lead(s).
     - L_d <= rank: the number of distinct leads of the rows alpha * g,
       because rows with distinct leads are independent.  lead(alpha * g)
       is alpha * lead(g) under the explicit key `_lead_key`
       (`groebner._lead`), so L is `hp_from_basis` of the generators.
 
-    The generators must form a Groebner basis through d_hi, as every
-    caller's do (D(f)'s reduced basis; other generating sets go through
-    `buchberger` first): then L_d is the rank (Bayer & Stillman 1992), and
-    the oracle proves it.  When their leads lie in distinct slots
+    The generators must form a Groebner basis, as every caller's do
+    (D(f)'s reduced basis; other generating sets go through `buchberger`
+    first): then L_d is the rank (Bayer & Stillman 1992), `syzygies`
+    returns the lifts of their S-pairs, whose Schreyer leads generate those
+    of every syzygy (Schreyer's theorem), so K_d is the kernel's dimension,
+    and the oracle proves the rank.  When their leads lie in distinct slots
     (`groebner._leads_in_distinct_slots`), as those of a free D(f)'s basis
     do, the leads alpha * lead(g) are all distinct, so the rank is N_d and
     no bound is computed; when L_d = N_d at every degree, `syzygies` is not
     called.  Otherwise one `syzygies` call gives the upper bound.  The
     engine's output is never trusted: a syzygy that does not combine the
     generators to zero raises RuntimeError, and so do bounds that differ,
-    which a generating set that is not a Groebner basis through d_hi leaves
-    apart.
+    which a generating set that is not a Groebner basis leaves apart where
+    its leads fall short (one that is a Groebner basis only through d_hi
+    gets the block split's syzygies, whose Schreyer leads may fall short
+    too, and may be refused).
 
     Generators must be nonzero and homogeneous (ValueError otherwise, from
     `vector_degree`).  Weights must be strictly positive (the module order
@@ -269,12 +278,29 @@ def hp_bruteforce(module: FreeModule, gens, d_lo: int, d_hi: int) -> dict[int, i
     for s in syz:
         if combination(s, gens).terms:
             raise RuntimeError("syzygies returned a row that is not a kernel vector")
-    kernel = hp_expand(hp_from_basis(syz_module, syz), d_lo, d_hi)
+    schreyer = [_schreyer_lead(syz_module, leads, s) for s in syz]
+    kernel = hp_expand(_lead_series(syz_module, schreyer), d_lo, d_hi)
     upper = {d: rows[d] - kernel[d] for d in slices}
     if any(lower[d] != upper[d] for d in slices):
         raise RuntimeError("the slice bounds do not meet: the generators are not a "
                            "Groebner basis, or the engine is wrong")
     return upper
+
+
+def _schreyer_lead(syz_module: FreeModule, leads, row) -> tuple[int, Exponents]:
+    """The lead of a nonzero syzygy row in Schreyer's order: its term (k, g)
+    whose product g * leads[k] is largest (by degree in syz_module, then
+    `_lead_key`), ties to the higher k.  The order is a module order, so
+    the lead of x^b * row is x^b times this one."""
+    shifts, weights = syz_module.shifts, syz_module.order.weights
+
+    def key(term):
+        k, g = term
+        slot, exps = leads[k]
+        return (-shifts[k] - sum(map(mul, g, weights)),
+                _lead_key((slot, tuple(map(add, g, exps)))), -k)
+
+    return min(row.terms, key=key)
 
 
 def claim(name: str, lhs, rhs) -> dict:

@@ -223,7 +223,11 @@ def free_resolution(module: FreeModule, gens) -> Resolution:
     every later map generates the syzygies of the previous one, pruned to an
     irredundant (graded: minimal) generating set, which guarantees
     termination within the number of variables.  The shifts of F_p are the
-    degrees `syzygies` reads off the columns of phi_p.  Where the columns of
+    degrees `syzygies` reads off the columns of phi_p.  Homogeneous columns
+    that form a Groebner basis, as D(f)'s reduced basis does at step 0,
+    have their syzygies read off their S-pair lifts, with no block split
+    (`groebner._schreyer_lifts`); the matrices then differ from a block
+    split's, never the shifts of a graded resolution.  Where the columns of
     phi_p are inhomogeneous, `syzygies` homogenized them and is asked for
     its image, and phi_p keeps the reduced basis of the homogenized image
     (`ModuleMap.homogenized_image`).  Each column is graded once, in the

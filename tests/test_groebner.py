@@ -22,6 +22,8 @@ from logderiv.groebner import (
     Row,
     _by_slot,
     _divide,
+    _lead,
+    _leads_in_distinct_slots,
     _Packing,
     _Prepared,
     buchberger,
@@ -41,8 +43,11 @@ from logderiv.groebner import (
     vector_degree,
     vector_grading,
 )
-from logderiv.resolution import ModuleMap
+from logderiv.derivmod import GradedContext, LogModule
+from logderiv.harness import random_instance
+from logderiv.resolution import ModuleMap, minimal_generators
 
+from test_arrangements import FREE, arrangement, general_position_draw
 from test_slice_oracle import monomials
 
 XY = ["x", "y"]
@@ -1400,7 +1405,9 @@ def test_leads_in_distinct_slots_give_no_syzygies(name, bases_built):
     for gens in draws:
         syz_module, syz = syzygies(module, gens)
         assert syz == [] and bases_built == []
-        assert syzygies(module, gens, _with_image=True) == (syz_module, [], None)
+        # the image is kept for inhomogeneous columns only
+        with pytest.raises(ValueError, match="inhomogeneous input only"):
+            syzygies(module, gens, _with_image=True)
         assert syz_module.shifts == tuple(max(term_degrees(module, g)) for g in gens)
         top = max(syz_module.shifts) + 2
         dims = filtered_kernel_dimensions(module, gens, syz_module, syz, top)
@@ -1415,13 +1422,95 @@ def test_two_leads_in_one_slot_still_give_their_koszul_syzygy(bases_built):
     module = FreeModule(2, (0, 0), MonomialOrder((1, 1)))
     gens = [(P("x"), P("0")), (P("y"), P("0"))]
     syz_module, syz = syzygies(module, gens)
-    assert bases_built
+    # a Groebner basis: the lift of its one S-pair, with no block split
+    assert not bases_built
+    assert syz == [Row.of((P("y"), -P("x")))]
     assert module_equal(syz_module, syz, [(P("y"), -P("x"))])
     # leads in one slot, a tail in the other: independent, and the block
     # split is what finds that out
     bases_built.clear()
     _, syz = syzygies(module, [(P("x"), P("y")), (P("y"), P("0"))])
     assert syz == [] and len(bases_built) == 1
+
+
+@pytest.fixture
+def lifted(monkeypatch):
+    """What each `_schreyer_lifts` call returned: the lifts, or None."""
+    import logderiv.groebner as groebner
+
+    results = []
+    lifts = groebner._schreyer_lifts
+
+    def recording(*args):
+        results.append(lifts(*args))
+        return results[-1]
+
+    monkeypatch.setattr(groebner, "_schreyer_lifts", recording)
+    return results
+
+
+def lifts_match_the_block_split(monkeypatch, lifted, module, gens) -> bool:
+    """Whether `syzygies` took the lifts on gens; either way, it must give
+    the module the block split gives (with the lifts refused), with the
+    same minimal shifts."""
+    import logderiv.groebner as groebner
+
+    lifted.clear()
+    syz_module, syz = syzygies(module, gens)
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_schreyer_lifts", lambda *args: None)
+        ref_module, ref = syzygies(module, gens)
+    assert syz_module == ref_module
+    assert module_equal(syz_module, syz, ref)
+    assert (sorted(minimal_generators(syz_module, syz, graded=True)[1])
+            == sorted(minimal_generators(syz_module, ref, graded=True)[1]))
+    return len(lifted) == 1 and lifted[0] is not None
+
+
+def seeded_log_modules():
+    """(name, D(f)) for the first 100 seed-0 harness instances, the 24
+    seed-0 arrangement draws of perfbench's pool (6 planes in 4-space) and
+    the free corpus."""
+    rng = random.Random(0)
+    cases = [(f"harness:{k}", *random_instance(rng)) for k in range(100)]
+    rng = random.Random(0)
+    cases += [(f"draw:{k}", arrangement(general_position_draw(rng)), GradedContext.standard(4))
+              for k in range(24)]
+    cases += [(name, arrangement(normals, mults), GradedContext.standard(len(normals[0])))
+              for name, (normals, mults, _) in FREE.items()]
+    return [(name, LogModule.of(fp, ctx)) for name, fp, ctx in cases]
+
+
+def test_schreyer_lifts_equal_the_block_split_on_seeded_groebner_bases(monkeypatch, lifted):
+    lifted_at = {0: [], 1: []}
+    for name, mod in seeded_log_modules():
+        module, gens = mod.module, mod.gens
+        if _leads_in_distinct_slots([_lead(module, g) for g in gens]):
+            continue
+        # D(f)'s reduced basis takes the lifts, and so do the minimal
+        # generators of its syzygies on every arrangement draw
+        assert lifts_match_the_block_split(monkeypatch, lifted, module, gens), name
+        lifted_at[0].append(name.split(":")[0])
+        syz_module, syz = syzygies(module, gens)
+        columns, _ = minimal_generators(syz_module, syz, graded=True)
+        if not _leads_in_distinct_slots([_lead(syz_module, c) for c in columns]):
+            if lifts_match_the_block_split(monkeypatch, lifted, syz_module, columns):
+                lifted_at[1].append(name.split(":")[0])
+    assert lifted_at[0] == ["harness"] * 13 + ["draw"] * 24 + ["x2y3(x+y)(x-y)2(x+2y)3"]
+    assert lifted_at[1] == ["draw"] * 24
+
+
+def test_a_homogeneous_set_that_is_no_groebner_basis_takes_the_block_split(
+        monkeypatch, lifted, bases_built):
+    # the S-vector y * (x^2 + y^2) - x * (x*y) = y^3 has no lead to divide
+    # it, so the lifts stop there; the two are coprime, so their syzygies
+    # are the Koszul one
+    module = ring(2)
+    gens = [(P("x^2 + y^2"),), (P("x*y"),)]
+    assert not lifts_match_the_block_split(monkeypatch, lifted, module, gens)
+    assert lifted == [None] and bases_built
+    syz_module, syz = syzygies(module, gens)
+    assert module_equal(syz_module, syz, [(P("x*y"), -P("x^2 + y^2"))])
 
 
 def test_a_zero_generator_still_gives_its_unit_syzygy(bases_built):

@@ -2,17 +2,18 @@
 bases it is handed.
 
 `hilbert.hp_bruteforce` proves each slice dimension by L_d = N_d - K_d: the
-rows less the syzygies' distinct leads from above, and the generators'
-distinct leads from below.  Its generators must form a Groebner basis
-through the top degree asked for; then the two bounds meet.  Generators
-whose leads lie in distinct slots need neither bound: their rows are
-independent, and the rank is the row count N_d.  These tests hold it to a
-reference elimination kept here, degree by degree, on reduced bases and on
-the raw generating sets they come from, which it must refuse where their
-leads fall short of the rank.  They check that generators with leads in
-distinct slots reach no lead series and no syzygies, that a wrong or a
-missing syzygy is refused, and the fact the bounds rest on: leads commute
-with monomial multiplication.
+rows less the syzygies' distinct Schreyer leads from above, and the
+generators' distinct leads from below.  Its generators must form a Groebner
+basis; then their syzygies are their S-pair lifts and the two bounds meet.
+Generators whose leads lie in distinct slots need neither bound: their rows
+are independent, and the rank is the row count N_d.  These tests hold it
+to a reference elimination kept here, degree by degree, on reduced bases
+and on the raw generating sets they come from, which it must refuse where
+their leads fall short of the rank.  They check that generators with leads
+in distinct slots reach no lead series and no syzygies, that a wrong or a
+missing syzygy is refused (a lift short of a quotient term, each lift
+dropped in turn), and the fact the bounds rest on: leads commute with
+monomial multiplication.
 """
 
 import ast
@@ -322,6 +323,57 @@ def test_a_dropped_syzygy_leaves_the_bounds_apart(monkeypatch):
     monkeypatch.setattr(hilbert, "syzygies", dropping)
     with pytest.raises(RuntimeError, match="do not meet"):
         hp_bruteforce(mod, X_AND_Y, 0, 4)
+
+
+# the reduced basis y^3, x^2 - y^2, x*y of (x^2 - y^2, x*y): two of its three
+# S-vectors are nonzero, so their lifts carry quotient terms
+THREE = [(P("y^3"),), (P("x^2 - y^2"),), (P("x*y"),)]
+
+
+def lifts_of_three():
+    module = ring_module(2, MonomialOrder((1, 1)))
+    basis = buchberger(module, THREE).rows
+    assert basis == tuple(as_row(g) for g in THREE)
+    return module, basis
+
+
+def test_a_lift_missing_a_quotient_term_is_refused(monkeypatch):
+    module, basis = lifts_of_three()
+    leads = [_lead(module, g) for g in basis]
+    engine = hilbert.syzygies
+    syz_module, syz = engine(module, basis)
+
+    def product(term):
+        k, g = term
+        return leads[k][0], tuple(map(add, g, leads[k][1]))
+
+    damaged = 0
+    for pos, row in enumerate(syz):
+        # the quotient terms are those below the pair's lcm, the product
+        # of its Schreyer lead
+        top = product(hilbert._schreyer_lead(syz_module, leads, row))
+        for term in [t for t in row.terms if product(t) != top]:
+            bad = Row({t: c for t, c in row.terms.items() if t != term}, row.den,
+                      row.rank, row.nvars)
+            damaged_syz = syz[:pos] + [bad] + syz[pos + 1:]
+            monkeypatch.setattr(hilbert, "syzygies", lambda module, gens: (syz_module, damaged_syz))
+            with pytest.raises(RuntimeError, match="not a kernel vector"):
+                hp_bruteforce(module, basis, 0, 6)
+            damaged += 1
+    assert damaged == 2
+    monkeypatch.setattr(hilbert, "syzygies", engine)
+    assert hp_bruteforce(module, basis, 0, 6) == eliminate(module, basis, range(7))
+
+
+def test_each_dropped_lift_leaves_the_bounds_apart(monkeypatch):
+    module, basis = lifts_of_three()
+    syz_module, syz = hilbert.syzygies(module, basis)
+    assert len(syz) == 3
+    for pos in range(3):
+        monkeypatch.setattr(hilbert, "syzygies",
+                            lambda module, gens: (syz_module, syz[:pos] + syz[pos + 1:]))
+        with pytest.raises(RuntimeError, match="do not meet"):
+            hp_bruteforce(module, basis, 0, 6)
 
 
 def test_a_shared_lead_is_refused_and_its_reduced_basis_certified():
