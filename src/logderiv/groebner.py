@@ -250,8 +250,9 @@ def _lead_key(term: FlatTerm) -> tuple[Exponents, int]:
 
 
 def _lead(module: FreeModule, row: Row) -> FlatTerm:
-    """The lead of a nonzero row in module's order (no block split): the
-    least `_lead_key` among its terms of its degree (`vector_grading`)."""
+    """The lead of a nonzero row in module's order, a block split not
+    read: the least `_lead_key` among its terms of its degree
+    (`vector_grading`)."""
     degree, homogeneous = vector_grading(module, row)
     terms = row.terms
     if not homogeneous:
@@ -605,10 +606,20 @@ class GroebnerBasis:
     leaves a basis that is not reduced), and `rows` and `elements` the same
     basis made monic, as Rows and as Vectors.  Generators may be Rows or
     Vectors.  `add` reduces new generators into it,
-    processes S-pairs in increasing order of their lcm term (normal
-    strategy) and interreduces.  Homogeneous input yields homogeneous output
-    for any order.  The rows are also kept grouped by the slot of their
-    lead (`_by_slot`), which is where a division looks for a divisor.
+    processes S-pairs by the degree of their lcm, and among those of one
+    degree in increasing order of their lcm term, and interreduces.
+    Homogeneous input yields homogeneous output for any order.  The rows
+    are also kept grouped by the slot of their lead (`_by_slot`), which is
+    where a division looks for a divisor.
+
+    Without a block split the degree is the top field of a term's code, so
+    that is the normal strategy, smallest lcm first.  Under a block split
+    every term below the split ranks below every term above it, whatever
+    the degrees, and the normal strategy would finish the lower block
+    before any pair above it; by degree, homogeneous rows are reduced one
+    degree at a time, the sugar strategy for homogeneous input (Giovini,
+    Mora, Niesi, Robbiano & Traverso 1991, "One sugar cube, please").  The
+    order in which pairs are reduced does not change the reduced basis.
 
     Pairs form only between leads in one slot, and the Gebauer–Möller
     update (Gebauer & Möller 1988, after Buchberger's 1979 chain criterion)
@@ -619,8 +630,8 @@ class GroebnerBasis:
       divides lcm(i, b);
     - F keeps one new pair per lcm.
     Queued pairs live in `_queued`, (i, j) -> lcm term, beside
-    the heap of (-lcm, i, j); a popped pair no longer in it was pruned and
-    is skipped.
+    the heap of (degree of lcm, -lcm, i, j); a popped pair no longer in it
+    was pruned and is skipped.
 
     The packing is sized from the data and widened (every row, queued lcm
     and the pair heap repacked) when an input term or a queued lcm is above
@@ -634,7 +645,7 @@ class GroebnerBasis:
         self.module = module
         self.basis: list[_Prepared] = []
         self._divisors: list[list[_Prepared]] = _by_slot([], module.rank)
-        self._pairs: list[tuple[int, int, int]] = []
+        self._pairs: list[tuple[int, int, int, int]] = []
         self._queued: dict[tuple[int, int], int] = {}
         self._packing: _Packing | None = None
         self._rows: tuple[Row, ...] | None = None
@@ -682,13 +693,13 @@ class GroebnerBasis:
 
         This grows a Groebner basis that is not interreduced, truncated at
         `degree` when that is given (Kreuzer & Robbiano 2005, 4.5.B).  For
-        homogeneous rows in an order that compares degrees first, an S-vector
-        is homogeneous of its lcm's degree, so a basis closed up to degree d
-        divides an element of degree at most d to zero exactly when it lies
-        in the submodule.  The basis serves further calls of `grow` only:
-        `add` and `elements` need the reduced basis.  g is graded by
-        `vector_grading`, which reads back the grading of a Row that a
-        caller graded in this module before.
+        homogeneous rows an S-vector is homogeneous of its lcm's degree, and
+        the pairs are taken by that degree under any order, block split or
+        not, so a basis closed up to degree d divides an element of degree
+        at most d to zero exactly when it lies in the submodule.  The basis
+        serves further calls of `grow` only: `add` and `elements` need the
+        reduced basis.  g is graded by `vector_grading`, which reads back
+        the grading of a Row that a caller graded in this module before.
         """
         g = as_row(g)
         self._fit(_extent(self.module, [g]))
@@ -705,6 +716,9 @@ class GroebnerBasis:
             self._widen(_Packing(self.module, degree))
 
     def _widen(self, new: _Packing) -> None:
+        """Repack every row and queued lcm into `new`, and rebuild the pair
+        heap on the same keys: a term's degree does not depend on the
+        packing."""
         old, self._packing = self._packing, new
 
         def move(code: int) -> int:
@@ -713,18 +727,15 @@ class GroebnerBasis:
         self.basis = [_Prepared({move(k): c for k, c in b.row.items()}, new) for b in self.basis]
         self._divisors = _by_slot(self.basis, self.module.rank)
         self._queued = {pair: move(lcm) for pair, lcm in self._queued.items()}
-        self._pairs = [(-lcm, i, j) for (i, j), lcm in self._queued.items()]
+        self._pairs = [(new.degree(lcm), -lcm, i, j) for (i, j), lcm in self._queued.items()]
         heapq.heapify(self._pairs)
 
     def _close(self, degree: int | None = None) -> None:
-        """Reduce the S-vectors of the queued pairs in increasing order of
-        their lcm: all of them, or those whose lcm has degree at most
-        `degree` (the first ones popped when the order compares degrees
-        first)."""
-        while self._pairs and (
-            degree is None or self._packing.degree(-self._pairs[0][0]) <= degree
-        ):
-            _, i, j = heapq.heappop(self._pairs)
+        """Reduce the S-vectors of the queued pairs by the degree of their
+        lcm, then in increasing order of the lcm: all of them, or those
+        whose lcm has degree at most `degree`, the first ones popped."""
+        while self._pairs and (degree is None or self._pairs[0][0] <= degree):
+            _, _, i, j = heapq.heappop(self._pairs)
             if self._queued.pop((i, j), None) is not None:
                 self._reduce_and_append(self._spoly(i, j))
 
@@ -766,7 +777,7 @@ class GroebnerBasis:
             del queued[pair]
         for lcm, i in kept.items():
             queued[(i, t)] = lcm
-            heapq.heappush(self._pairs, (-lcm, i, t))
+            heapq.heappush(self._pairs, (packing.degree(lcm), -lcm, i, t))
         basis.append(b)
         self._divisors[slot].append(b)
         if kept:

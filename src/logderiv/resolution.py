@@ -31,6 +31,7 @@ from .groebner import (
     GroebnerBasis,
     Row,
     Vector,
+    _lead,
     as_row,
     buchberger,
     combination,
@@ -178,14 +179,23 @@ def minimal_generators(module: FreeModule, gens, graded: bool = False) -> tuple:
     a later caller that grades it there, `syzygies` or the basis here
     included, reads it back.
 
-    One basis of the kept generators grows as they are kept
-    (`GroebnerBasis.grow`).  When every generator is homogeneous and the
-    order compares degrees first (no block split), a candidate of degree d
-    is tested against the basis closed up to degree d only: the pairs of
-    higher lcm wait for later candidates, and those above the last one are
-    never reduced.  Otherwise the basis is closed completely before each
-    candidate, since an S-vector of inhomogeneous rows can reduce to an
-    element of lower degree, and the truncated basis could miss it.
+    Homogeneous candidates of one degree whose leads (`groebner._lead`)
+    are pairwise distinct are all kept, in that order, and no basis is
+    built.  Elements whose greatest terms in one total order of the terms
+    are pairwise distinct are linearly independent over Q, whatever the
+    order, so a block split does not matter.  With nothing of lower
+    degree, a candidate in the submodule of the others would be a
+    combination of them over Q.  The Schreyer-lift sets of the arrangement
+    pool all take this path.
+
+    Otherwise one basis of the kept generators grows as they are kept
+    (`GroebnerBasis.grow`).  When every generator is homogeneous, a
+    candidate of degree d is tested against the basis closed up to degree
+    d only: the pairs of higher lcm degree wait for later candidates, and
+    those above the last one are never reduced.  Otherwise the basis is
+    closed completely before each candidate, since an S-vector of
+    inhomogeneous rows can reduce to an element of lower degree, and the
+    truncated basis could miss it.
     """
     gens = list(gens)
     rows = [as_row(g) for g in gens]
@@ -197,12 +207,15 @@ def minimal_generators(module: FreeModule, gens, graded: bool = False) -> tuple:
     # one scale for every coefficient, so that ints compare as the rationals do
     scale = reduce(math.lcm, (rows[k].den for k in live), 1)
     live.sort(key=lambda k: (gradings[k][0], _sort_key(rows[k], scale)))
-    truncated = module.block_split is None and homogeneous
-    gb = GroebnerBasis(module)
-    kept = [
-        k for k in live
-        if gb.grow(rows[k], gradings[k][0] if truncated else None)
-    ]
+    if (homogeneous and len({gradings[k][0] for k in live}) < 2
+            and len({_lead(module, rows[k]) for k in live}) == len(live)):
+        kept = live
+    else:
+        gb = GroebnerBasis(module)
+        kept = [
+            k for k in live
+            if gb.grow(rows[k], gradings[k][0] if homogeneous else None)
+        ]
     return [gens[k] for k in kept], [gradings[k][0] for k in kept]
 
 
@@ -227,9 +240,12 @@ def free_resolution(module: FreeModule, gens) -> Resolution:
     that form a Groebner basis, as D(f)'s reduced basis does at step 0,
     have their syzygies read off their S-pair lifts, with no block split
     (`groebner._schreyer_lifts`); the matrices then differ from a block
-    split's, never the shifts of a graded resolution.  Where the columns of
-    phi_p are inhomogeneous, `syzygies` homogenized them and is asked for
-    its image, and phi_p keeps the reduced basis of the homogenized image
+    split's, never the shifts of a graded resolution.  Lifts of one degree
+    with distinct leads are all kept with no basis built
+    (`minimal_generators`), and a block split reduces its pairs degree by
+    degree (`GroebnerBasis`).  Where the columns of phi_p are
+    inhomogeneous, `syzygies` homogenized them and is asked for its image,
+    and phi_p keeps the reduced basis of the homogenized image
     (`ModuleMap.homogenized_image`).  Each column is graded once, in the
     free module it lies in: the columns of phi_0 by the homogeneity check
     here (or before it, by the caller), each later one by

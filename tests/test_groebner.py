@@ -1522,6 +1522,72 @@ def test_a_zero_generator_still_gives_its_unit_syzygy(bases_built):
     assert syz_module.shifts == (1, 0, 1)
 
 
+@pytest.fixture
+def split_closes(monkeypatch):
+    """Under a block split: the lcm degree of each pair `_close` reduces,
+    one list per call, and for each widen in mid-close whether the rebuilt
+    heap still holds pairs, and whether each key's first field is the
+    degree of its lcm in the new packing."""
+    import logderiv.groebner as groebner
+
+    closes, widens, closing = [], [], []
+    engine = groebner.GroebnerBasis
+    close, spoly, widen = engine._close, engine._spoly, engine._widen
+
+    def recording_close(self, degree=None):
+        closing.append(self)
+        if self.module.block_split is not None:
+            closes.append([])
+        try:
+            close(self, degree)
+        finally:
+            closing.pop()
+
+    def recording_spoly(self, i, j):
+        if self.module.block_split is not None:
+            a, b = self.basis[i], self.basis[j]
+            closes[-1].append(self._packing.degree(
+                self._packing.term(a.slot, tuple(map(max, a.exps, b.exps)))))
+        return spoly(self, i, j)
+
+    def recording_widen(self, new):
+        widen(self, new)
+        if closing and closing[-1] is self and self.module.block_split is not None:
+            widens.append((bool(self._pairs), all(
+                d == new.degree(-code) for d, code, _, _ in self._pairs)))
+
+    monkeypatch.setattr(engine, "_close", recording_close)
+    monkeypatch.setattr(engine, "_spoly", recording_spoly)
+    monkeypatch.setattr(engine, "_widen", recording_widen)
+    return closes, widens
+
+
+def nondecreasing(seq) -> bool:
+    return all(a <= b for a, b in zip(seq, seq[1:]))
+
+
+def test_a_block_split_reduces_its_pairs_by_degree(split_closes):
+    # every D(f) kernel of the seeded corpus is a block split with relations
+    closes, _ = split_closes
+    seeded_log_modules()
+    assert len(closes) >= 100 and sum(map(len, closes)) > 500
+    assert all(nondecreasing(degrees) for degrees in closes)
+
+
+def test_a_widen_in_mid_close_keys_the_rebuilt_heap_by_degree(split_closes):
+    # the two are no Groebner basis, so their syzygies take the block
+    # split, whose first packing holds lcms up to degree 15; rows of degree
+    # 8 and up pair past it while pairs are still queued
+    closes, widens = split_closes
+    module = ring(3)
+    f, g = P("3*x*y^3 - 2*x^2*z^2 + 3*z^4", XYZ), P("x^4*y*z + x^3*y^3", XYZ)
+    syz_module, syz = syzygies(module, [(f,), (g,)])
+    assert widens and all(queued and keyed for queued, keyed in widens)
+    assert len(closes) == 1 and nondecreasing(closes[0])
+    assert polynomial_gcd(f, g).is_constant()
+    assert module_equal(syz_module, syz, [(g, -f)])
+
+
 @pytest.mark.parametrize("name", ["ring", "shifted"])
 def test_sorted_by_lead_gives_the_reduced_basis_order(name):
     module = FreeModule(*AMBIENTS[name])

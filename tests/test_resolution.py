@@ -32,6 +32,8 @@ from logderiv.resolution import (
     pad_with_trivial_pair,
 )
 
+from test_groebner import seeded_log_modules
+
 XY = ["x", "y"]
 
 
@@ -354,6 +356,133 @@ def test_minimal_generators_see_an_s_vector_that_drops_in_degree():
     kept, shifts = minimal_generators(module, gens)
     assert (kept, shifts) == restart_minimal_generators(module, gens, False)
     assert len(kept) == 2
+
+
+def random_form(rng, degree):
+    """A random homogeneous polynomial in x and y of the degree, of at most
+    two terms; zero below degree 0."""
+    terms = {
+        (i, degree - i): Fraction(rng.choice([-2, -1, 1, 3]))
+        for i in rng.sample(range(degree + 1), min(2, degree + 1))
+    } if degree >= 0 else {}
+    return Polynomial(2, terms)
+
+
+def random_homogeneous(rng, module, degree):
+    """A nonzero homogeneous element of the degree, each slot zero at
+    random."""
+    while True:
+        vec = tuple(
+            random_form(rng, degree - s if rng.random() < 0.6 else -1)
+            for s in module.shifts
+        )
+        if not vec_is_zero(vec):
+            return vec
+
+
+def test_minimal_generators_truncate_the_basis_under_a_block_split(monkeypatch):
+    # a block split takes its pairs by degree too, so homogeneous
+    # candidates there are tested against the basis closed up to their
+    # degree; leads fall in both blocks, and multiples and combinations of
+    # earlier candidates are mixed in
+    import logderiv.resolution as resolution
+
+    degrees = []
+
+    class Recording(resolution.GroebnerBasis):
+        def grow(self, g, degree=None):
+            degrees.append(degree)
+            return super().grow(g, degree)
+
+    monkeypatch.setattr(resolution, "GroebnerBasis", Recording)
+    module = FreeModule(2, (0, 0, 1), degree_order(2), block_split=2)
+    rng = random.Random("minimal-block-split")
+    dropped = 0
+    for _ in range(20):
+        gens = [random_homogeneous(rng, module, rng.randint(1, 3)) for _ in range(rng.randint(3, 5))]
+        for _ in range(2):
+            a, b = sorted(rng.sample(gens, 2), key=lambda g: vector_degree(module, g))
+            factor = random_form(rng, vector_degree(module, b) - vector_degree(module, a))
+            gens.append(tuple(p * factor + q for p, q in zip(a, b)))
+        expected = restart_minimal_generators(module, gens, True)
+        assert minimal_generators(module, gens, True) == expected
+        dropped += len(gens) - len(expected[0])
+    assert dropped >= 20 and degrees and None not in degrees
+    # y * (x^2, y^2, 0) - x * (x*y, 0, 0) = (0, y^3, 0): the pair of lcm
+    # degree 3 in the upper block must be reduced before the candidate of
+    # degree 3 is tested, though the lower block's pair of degree 4 ranks
+    # below it in the term order
+    split = FreeModule(2, (0, 0, 0), degree_order(2), block_split=1)
+    zero = Polynomial.zero(2)
+    gens = [(P("x^2"), P("y^2"), zero), (P("x*y"), zero, zero), (zero, zero, P("x^2")),
+            (zero, zero, P("y^2")), (zero, P("y^3"), zero)]
+    kept, shifts = minimal_generators(split, gens, True)
+    assert (kept, shifts) == restart_minimal_generators(split, gens, True)
+    assert len(kept) == 4 and gens[4] not in kept
+
+
+@pytest.fixture
+def bases_built(monkeypatch):
+    """The module of each `GroebnerBasis` that `minimal_generators` builds."""
+    import logderiv.resolution as resolution
+
+    built = []
+
+    class Counting(resolution.GroebnerBasis):
+        def __init__(self, module, *args):
+            built.append(module)
+            super().__init__(module, *args)
+
+    monkeypatch.setattr(resolution, "GroebnerBasis", Counting)
+    return built
+
+
+def test_one_degree_candidates_with_distinct_leads_are_kept_without_a_basis(monkeypatch):
+    import logderiv.resolution as resolution
+
+    def no_basis(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(resolution, "GroebnerBasis", no_basis)
+    # leads x^2, x*y and y^2 in the ring; x^2 e_0, x e_1 and y e_1 in
+    # S ⊕ S(-1)
+    ring = ring_module(2, degree_order(2))
+    shifted = FreeModule(2, (0, 1), degree_order(2))
+    for module, gens in ((ring, [V("y^2"), V("x^2 + y^2"), V("x*y - y^2")]),
+                         (shifted, [V("x^2", "y"), V("0", "x"), V("x*y", "y")])):
+        kept, shifts = minimal_generators(module, gens, graded=True)
+        assert (kept, shifts) == restart_minimal_generators(module, gens, True)
+        assert len(kept) == 3 and shifts == [2, 2, 2]
+
+
+def test_one_degree_candidates_with_a_dependent_one_still_drop_it(bases_built):
+    # x^2 + x*y is the sum of the other two, and shares the lead x^2
+    module = ring_module(2, degree_order(2))
+    gens = [V("x^2"), V("x*y"), V("x^2 + x*y")]
+    kept, shifts = minimal_generators(module, gens, graded=True)
+    assert (kept, shifts) == restart_minimal_generators(module, gens, True)
+    assert len(kept) == 2 and bases_built == [module]
+
+
+def test_one_degree_shortcut_agrees_with_the_basis_path_on_seeded_lifts(
+        monkeypatch, bases_built):
+    # the syzygies of each D(f) of the lift corpus, and of their minimal
+    # generators; with every lead the same, only the basis path is left
+    import logderiv.resolution as resolution
+
+    shortcut = 0
+    for name, mod in seeded_log_modules():
+        module, columns = mod.module, mod.gens
+        while columns:
+            syz_module, syz = syzygies(module, columns)
+            built = len(bases_built)
+            kept, shifts = minimal_generators(syz_module, syz, graded=True)
+            shortcut += len(syz) > 1 and len(bases_built) == built
+            with monkeypatch.context() as patch:
+                patch.setattr(resolution, "_lead", lambda module, row: None)
+                assert minimal_generators(syz_module, syz, graded=True) == (kept, shifts), name
+            module, columns = syz_module, kept
+    assert shortcut == 48
 
 
 # --- minimize against the row/column reference ------------------------------------
