@@ -25,6 +25,7 @@ from .derivmod import (
 from .resolution import alternating_degree_sum, alternating_rank_sum, betti_numbers
 from .hilbert import (
     DEFAULT_ORACLE_DEGREE,
+    MAX_ORACLE_DEGREE,
     chi,
     claim,
     format_series,
@@ -34,7 +35,7 @@ from .hilbert import (
     verify_degree_identity,
 )
 from .homog import chi_homogenized, verify_lemma_intersection
-from .harness import run_harness
+from .harness import MAX_TOTAL_WEIGHTED_DEGREE, run_harness
 
 SCHEMA = 1
 
@@ -306,8 +307,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--random must be an instance count >= 0, got {args.random}")
     if args.max_vars < 2:
         raise UsageError(f"--max-vars must be >= 2, got {args.max_vars}")
-    if args.max_degree < 2:
-        raise UsageError(f"--max-degree must be >= 2, got {args.max_degree}")
+    if not 2 <= args.max_degree <= MAX_TOTAL_WEIGHTED_DEGREE:
+        raise UsageError(f"--max-degree must be >= 2 and <= {MAX_TOTAL_WEIGHTED_DEGREE}, the cap "
+                         f"on an instance's weighted degree, got {args.max_degree}")
     report = run_harness(
         args.random,
         max_vars=args.max_vars,
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", help="chi invariant and the degree identity")
     _add_common(p)
     p.add_argument("--dmax", type=int, default=DEFAULT_ORACLE_DEGREE,
-                   help="expansion bound for the series oracle")
+                   help=f"expansion bound for the series oracle, at most {MAX_ORACLE_DEGREE}")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("hilbert", help="Hilbert-Poincare series")
@@ -400,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="randomized identity-verification harness")
     p.add_argument("--random", type=int, default=25, help="number of instances")
     p.add_argument("--max-vars", type=int, default=3)
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=int, default=6,
+                   help=f"largest weighted degree of a factor, 2..{MAX_TOTAL_WEIGHTED_DEGREE}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dmax", type=int, default=DEFAULT_ORACLE_DEGREE)
+    p.add_argument("--dmax", type=int, default=DEFAULT_ORACLE_DEGREE,
+                   help=f"expansion bound for the series oracle, at most {MAX_ORACLE_DEGREE}")
     p.add_argument("--inject-fault", action="store_true",
                    help="negative control: corrupt one resolution")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -9,7 +9,8 @@ is made from a Row only to print it or to take Saito's determinant.
 The module D(f) of derivations preserving the ideal powers of a factored
 polynomial f = f_1^{e_1} ... f_r^{e_r} is one syzygy kernel: delta lies in
 D(f) exactly when its coefficients are a syzygy of the columns
-(df_1/dx_i, ..., df_r/dx_i) modulo f_j^{e_j} in slot j.
+(df_1/dx_i, ..., df_r/dx_i) modulo f_j^{e_j} in slot j, the problem
+`_log_inputs` builds (the homogenization lemma reuses it for f^h).
 """
 
 from __future__ import annotations
@@ -235,20 +236,15 @@ def euler_derivation(u: tuple[int, ...]) -> Vector:
     return tuple(Polynomial.variable(i, n) * u[i] for i in range(n))
 
 
-def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContext) -> list[Row]:
-    """Generators of the derivations delta with delta(f) in <f^e> for every
-    factor (f, e).
-
-    Computed as the syzygies of the columns (df_1/dx_i, ..., df_r/dx_i)
-    modulo f_j^{e_j} in slot j.  Slot j carries -deg f_j (the largest
-    u-weighted degree), so column i has degree -u_i and u-homogeneous
-    factors give homogeneous input and homogeneous generators.
-
-    The columns and relations are built as Rows straight from each factor's
-    integer terms den_j * f_j (`poly._integer_terms`): slot j of column i is
-    the derivative of those terms over den_j, and relation j is their
-    e_j-th power over den_j^{e_j}.  No Fraction polynomial is made.
-    """
+def _log_inputs(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContext) -> tuple:
+    """The ambient, columns and relations of `log_derivations`' kernel.
+    Slot j carries -deg f_j (the largest u-weighted degree), so column i,
+    (df_1/dx_i, ..., df_r/dx_i), has degree -u_i, and u-homogeneous factors
+    give homogeneous input.  The Rows are built straight from each factor's
+    integer terms den_j * f_j (`poly._integer_terms`): slot j of column i
+    is the derivative of those terms over den_j, and relation j, f_j^{e_j}
+    in slot j, is their e_j-th power over den_j^{e_j}.  No Fraction
+    polynomial is made."""
     n = ctx.nvars
     for f, e in factors:
         if f.is_constant():
@@ -279,7 +275,13 @@ def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContex
             _multiply_into(product, power, p, 1)
             power = product
         relations.append(Row.lowest({(j, exps): c for exps, c in power.items()}, den ** e, r, n))
-    return syzygies(ambient, columns, relations)[1]
+    return ambient, columns, relations
+
+
+def log_derivations(factors: Sequence[tuple[Polynomial, int]], ctx: GradedContext) -> list[Row]:
+    """Generators of the derivations delta with delta(f) in <f^e> for every
+    factor (f, e): the syzygies of `_log_inputs`' columns modulo its relations."""
+    return syzygies(*_log_inputs(factors, ctx))[1]
 
 
 def generalized_log_module(

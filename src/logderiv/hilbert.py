@@ -68,6 +68,8 @@ from .resolution import (
 )
 
 DEFAULT_ORACLE_DEGREE = 12
+# the oracle's work and report grow linearly in d_max, one slice per degree
+MAX_ORACLE_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -320,6 +322,8 @@ def _oracle_claim(module: FreeModule, gens, hp: HPSeries, d_max: int) -> dict:
     lo = min([0, hp.min_exponent()] + [vector_degree(module, g) for g in gens])
     if d_max < lo:
         raise ValueError(f"the slice oracle's degree range {lo}..{d_max} is empty")
+    if d_max > MAX_ORACLE_DEGREE:
+        raise ValueError(f"the slice oracle's degree bound {d_max} is above {MAX_ORACLE_DEGREE}")
     expansion = hp_expand(hp, lo, d_max)
     brute = hp_bruteforce(module, gens, lo, d_max)
     return claim(

@@ -21,7 +21,8 @@ the basis of each homogenized image off its map
 (`ModuleMap.homogenized_image`): `syzygies` computed it while building the
 resolution, and a map whose columns contain no h after homogenizing passes
 with no basis at all.  The homogenized module is padded from D(f)'s reduced
-basis under the degree order, which `LogModule.gens` already is.
+basis under the degree order, which `LogModule.gens` already is.  The
+lemma's other side, D(f^h) within the x-slots, is one kernel, not a basis.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .groebner import (
     dehomogenize_vector,
     homogenize_vector,
     homogenized,
-    intersect,
     module_equal,
+    syzygies,
 )
 from .poly import Polynomial
-from .derivmod import FactoredPolynomial, GradedContext, LogModule, generalized_log_module
+from .derivmod import FactoredPolynomial, GradedContext, LogModule, _log_inputs
 from .resolution import (
     Resolution,
     alternating_degree_sum,
@@ -201,32 +202,18 @@ def homogenize_factored(factored: FactoredPolynomial) -> FactoredPolynomial:
 
 
 def verify_lemma_intersection(factored: FactoredPolynomial | LogModule) -> dict:
-    """Both sides of the identity: derivations of the homogenized polynomial
-    that do not involve the new direction, against the homogenized module of
-    derivations of the original, compared by reduced-basis equality.
-    `factored` may be the LogModule of f under the standard grading."""
+    """The lemma D(f)^h = D(f^h) ∩ ⊕_{i<=n} S·∂_{x_i}, its sides compared by
+    reduced-basis equality; `factored` may be the LogModule of f under the
+    standard grading.  The left side, the derivations of f^h with no ∂_h
+    part, is `log_derivations`' kernel for f^h with the h column left out:
+    no basis of D(f^h), no intersection.  f^h is not validated again: h
+    divides no f_j^h, so its factors stay squarefree and pairwise coprime."""
     mod = _standard_log_module(factored)
     n = mod.ctx.nvars
     hmod, rhs = _homogenize_basis(mod.module, mod.gens)
-
     hfact = homogenize_factored(mod.factored)
-    ctx_h = GradedContext.standard(n + 1)
-    d_fh = generalized_log_module(hfact, ctx_h)
-    dm_h = ctx_h.derivation_module()
-    x_span = [Row.unit(i, n + 1, n + 1) for i in range(n)]
-    inter = intersect(dm_h, d_fh, x_span)
-    lhs = []
-    for g in inter:
-        if any(slot == n for slot, _ in g.terms):
-            raise RuntimeError("intersection element leaves the coordinate span")
-        lhs.append(Row(g.terms, g.den, n, g.nvars))
-
-    equal = module_equal(hmod, lhs, rhs)
-    claims = [
-        claim(
-            "derivations of f^h within the coordinate span equal the homogenized module",
-            equal,
-            True,
-        )
-    ]
+    ambient, columns, relations = _log_inputs(hfact.factors, GradedContext.standard(n + 1))
+    _, lhs = syzygies(ambient, columns[:n], relations)
+    claims = [claim("derivations of f^h within the coordinate span equal the homogenized module",
+                    module_equal(hmod, lhs, rhs), True)]
     return {"claims": claims, "ok": report_ok(claims)}

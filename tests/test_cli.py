@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from logderiv import derivmod
+from logderiv import derivmod, groebner, harness, hilbert
 from logderiv.cli import main
+from test_homog import bind_everywhere
 
 
 def run(capsys, *argv):
@@ -445,21 +446,68 @@ def test_malformed_factors_name_the_flag(capsys, factors, message):
 
 
 def test_homogenize_check_intersection_computes_each_module_once(capsys, monkeypatch):
-    # one D(f) for the resolution and the lemma, one D(f^h) for the lemma
-    calls = []
-    inner = derivmod.log_derivations
+    # one D(f), for the resolution and the lemma; the lemma's side for f^h
+    # is one kernel, with no basis of D(f^h) and no intersection
+    calls = {"log_derivations": [], "generalized_log_module": [], "intersect": []}
+    for home, name in [(derivmod, "log_derivations"), (derivmod, "generalized_log_module"),
+                       (groebner, "intersect")]:
+        def wrapper(*args, _inner=getattr(home, name), _name=name):
+            calls[_name].append(args)
+            return _inner(*args)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(derivmod, "log_derivations", counted)
+        bind_everywhere(monkeypatch, getattr(home, name), wrapper)
     code, out, _ = run(
         capsys, "homogenize", "x^2*z+y^3+z^4", "--vars", "x,y,z", "--check-intersection",
         "--format", "json",
     )
     assert code == 0
-    assert len(calls) == 2
+    assert [args[1].nvars for args in calls["log_derivations"]] == [3]
+    assert [args[1].nvars for args in calls["generalized_log_module"]] == [3]
+    assert calls["intersect"] == []
     report = json.loads(out)
     assert report["ok"] and report["chi"] == 4
     assert report["claims"][-1]["claim"].startswith("derivations of f^h")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("chi", "x*y", "--vars", "x,y", "--dmax", "100000000000"),
+         "degree bound 100000000000 is above 1000"),
+        (("chi", "x*y", "--vars", "x,y", "--dmax", "1001"), "degree bound 1001 is above 1000"),
+        (("verify", "--random", "2", "--dmax", "100000000000"), "is above 1000"),
+    ],
+    ids=["chi-dmax-huge", "chi-dmax-1001", "verify-dmax-huge"],
+)
+def test_oracle_degrees_above_the_cap_are_usage_errors(capsys, monkeypatch, argv, message):
+    # the expansion once built a dict over every degree up to --dmax
+    def unreachable(*args):
+        raise AssertionError("the series was expanded past the oracle's cap")
+
+    monkeypatch.setattr(hilbert, "hp_expand", unreachable)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("degree", ["13", "100000000000"], ids=["13", "huge"])
+def test_harness_degrees_above_the_cap_are_usage_errors(capsys, monkeypatch, degree):
+    # the harness once enumerated every monomial of every degree up to
+    # --max-degree, although it rejects each instance of degree above 12
+    def unreachable(*args):
+        raise AssertionError("monomials were enumerated past the harness's cap")
+
+    monkeypatch.setattr(harness, "_monomial_pools", unreachable)
+    code, out, err = run(capsys, "verify", "--random", "2", "--max-degree", degree)
+    assert (code, out) == (2, "")
+    assert f"--max-degree must be >= 2 and <= 12, the cap on an instance's weighted " \
+        f"degree, got {degree}" in err
+
+
+def test_degree_caps_themselves_are_accepted(capsys):
+    code, out, _ = run(capsys, "chi", "x*y", "--vars", "x,y", "--dmax", "1000",
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["claims"][-1]["lhs"]) == 1001
+    code, _, _ = run(capsys, "verify", "--random", "2", "--max-degree", "12")
+    assert code == 0

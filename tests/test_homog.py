@@ -477,6 +477,93 @@ def test_lemma_intersection_inhomogeneous_plane_curve():
     assert verify_lemma_intersection(FactoredPolynomial.single(f))["ok"]
 
 
+def lemma_corpus():
+    """The README surfaces, the benchmark's homogenize draws at seeds 0
+    and 1, and multi-factor inputs with multiplicities, none of them
+    homogeneous but the first surface."""
+    from test_derivmod import homogenize_draws
+
+    fps = [FactoredPolynomial.single(P(text, XYZ)) for text in README_SURFACES]
+    fps += [FactoredPolynomial.single(p) for seed in (0, 1) for p in homogenize_draws(seed, 24)]
+    fps += [FactoredPolynomial(tuple((P(f, XYZ), e) for f, e in factors)) for factors in (
+        [("x+y^2", 2), ("x*z+1", 1)],
+        [("x", 3), ("y+z^2", 2), ("x+y+1", 1)],
+        [("x^2+y^2-1", 2), ("z", 1)],
+    )]
+    return [LogModule.of(fp, GradedContext.standard(3)) for fp in fps]
+
+
+def intersection_route(mod):
+    """The reference: D(f^h)'s reduced basis, intersected with the span of
+    the x-slots, read in the rank-n module."""
+    from logderiv.derivmod import generalized_log_module
+    from logderiv.groebner import Row, intersect
+
+    n = mod.ctx.nvars
+    ctx_h = GradedContext.standard(n + 1)
+    d_fh = generalized_log_module(homogenize_factored(mod.factored), ctx_h)
+    x_span = [Row.unit(i, n + 1, n + 1) for i in range(n)]
+    inter = intersect(ctx_h.derivation_module(), d_fh, x_span)
+    assert all(slot < n for g in inter for slot, _ in g.terms)
+    return [Row(g.terms, g.den, n, g.nvars) for g in inter]
+
+
+def test_lemma_left_side_equals_the_intersection_route(monkeypatch):
+    compared = []
+    inner = homog.module_equal
+
+    def recording(module, lhs, rhs):
+        compared.append((module, lhs, rhs))
+        return inner(module, lhs, rhs)
+
+    monkeypatch.setattr(homog, "module_equal", recording)
+    mods = lemma_corpus()
+    assert len(mods) == 53
+    for mod in mods:
+        report = verify_lemma_intersection(mod)
+        hmod, lhs, rhs = compared.pop()
+        reference = intersection_route(mod)
+        assert module_equal(hmod, lhs, reference)
+        assert report["ok"] == module_equal(hmod, reference, rhs)
+        assert report["ok"]
+
+
+def test_lemma_left_side_is_one_kernel_on_the_x_columns(monkeypatch):
+    # f^h's three x-columns modulo its one relation; no basis of D(f^h)
+    from logderiv import derivmod
+
+    mod = LogModule.of(worked_example(), GradedContext.standard(3))
+    kernels = []
+    syzygies_ = groebner.syzygies
+
+    def recording(module, gens, relations=(), **kwargs):
+        kernels.append((module.nvars, len(gens), len(relations)))
+        return syzygies_(module, gens, relations, **kwargs)
+
+    def forbidden(*args):
+        raise AssertionError("the lemma computed a module it needs no basis of")
+
+    bind_everywhere(monkeypatch, syzygies_, recording)
+    for original in (derivmod.log_derivations, derivmod.generalized_log_module,
+                     groebner.intersect):
+        bind_everywhere(monkeypatch, original, forbidden)
+    assert verify_lemma_intersection(mod)["ok"]
+    assert kernels == [(4, 3, 1)]
+
+
+def test_lemma_fails_on_a_log_module_missing_a_generator():
+    # the negative control: D(f)'s reduced basis less its last element pads
+    # to a smaller module than the derivations of f^h with no d_h part
+    from test_derivmod import homogenize_draws
+
+    for p in homogenize_draws(0, 24):
+        mod = LogModule.of(FactoredPolynomial.single(p), GradedContext.standard(3))
+        short = LogModule(mod.factored, mod.ctx, mod.gens[:-1])
+        report = verify_lemma_intersection(short)
+        assert not report["ok"]
+        assert report["claims"][0]["verdict"] == "fail"
+
+
 def homogenize_factored_by_rows(factored):
     """The Row route `homogenize_factored` once took: each factor as a
     rank-1 element of the degree-order ring, padded by `homogenize_vector`
