@@ -35,7 +35,7 @@ from .hilbert import (
     verify_degree_identity,
 )
 from .homog import chi_homogenized, verify_lemma_intersection
-from .harness import MAX_TOTAL_WEIGHTED_DEGREE, run_harness
+from .harness import MAX_TOTAL_WEIGHTED_DEGREE, MAX_VARS, run_harness
 
 SCHEMA = 1
 
@@ -305,8 +305,8 @@ def cmd_homogenize(args) -> int:
 def cmd_verify(args) -> int:
     if args.random < 0:
         raise UsageError(f"--random must be an instance count >= 0, got {args.random}")
-    if args.max_vars < 2:
-        raise UsageError(f"--max-vars must be >= 2, got {args.max_vars}")
+    if not 2 <= args.max_vars <= MAX_VARS:
+        raise UsageError(f"--max-vars must be >= 2 and <= {MAX_VARS}, got {args.max_vars}")
     if not 2 <= args.max_degree <= MAX_TOTAL_WEIGHTED_DEGREE:
         raise UsageError(f"--max-degree must be >= 2 and <= {MAX_TOTAL_WEIGHTED_DEGREE}, the cap "
                          f"on an instance's weighted degree, got {args.max_degree}")
@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized identity-verification harness")
     p.add_argument("--random", type=int, default=25, help="number of instances")
-    p.add_argument("--max-vars", type=int, default=3)
+    p.add_argument("--max-vars", type=int, default=3,
+                   help=f"largest number of variables of an instance, 2..{MAX_VARS}")
     p.add_argument("--max-degree", type=int, default=6,
                    help=f"largest weighted degree of a factor, 2..{MAX_TOTAL_WEIGHTED_DEGREE}")
     p.add_argument("--seed", type=int, default=0)

@@ -65,8 +65,10 @@ homogenize through it.
 `GroebnerBasis` is the one Buchberger engine: a reduced basis with its leads
 prepared for division, grown in place by `add`.  Its rows are also kept
 grouped by the slot of their lead, and a division tries a term only against
-the rows of the term's slot.  `add` interreduces only against the leads
-appended since it started, as the rows it starts from are already reduced.
+the rows of the term's slot.  `add` checks each row only against the
+leads of the rows after it: no lead divides a term of an earlier row.
+Buchberger's loop and `_schreyer_lifts` form S-pairs by one rule,
+criteria M and F (`_new_pairs`).
 `sorted_by_lead` gives rows a reduced basis's order without computing one,
 by each row's lead (`_lead`) under the explicit key `_lead_key`.  `Row.unit`
 builds the unit element e_slot.
@@ -529,16 +531,15 @@ def _s_vector(a: _Prepared, b: _Prepared, lcm: int) -> tuple[int, int, int, int,
     return ma, ga, mb, gb, out
 
 
-def _new_pairs(earlier: list[_Prepared], b: _Prepared,
-               packing: _Packing) -> tuple[dict[int, int], dict[int, int]]:
+def _new_pairs(earlier: list[_Prepared], b: _Prepared, packing: _Packing) -> dict[int, int]:
     """The pairs (i, b) over the rows i of `earlier` whose lead lies in b's
-    slot: the lcm code of each, by i, and the ones criteria M and F keep, as
-    lcm -> i.  M drops a pair when another one's lcm properly divides its
-    lcm, F keeps the first pair of each lcm.  Either drops (i, b), of lcm m,
-    for a pair (k, b) whose lcm m' divides m, and the lead syzygy of (i, b)
-    is (m / m') times that of (k, b) plus (m / lcm(i, k)) times that of the
-    earlier pair (i, k); in Schreyer's order its lead, (m / lead(b)) * e_b,
-    is a multiple of that of (k, b)."""
+    slot that criteria M and F keep, as lcm code -> i: the one pair rule of
+    Buchberger's loop and of `_schreyer_lifts`.  M drops a pair when another
+    one's lcm properly divides its lcm, F keeps the first pair of each lcm.
+    Either drops (i, b), of lcm m, for a pair (k, b) whose lcm m' divides
+    m, and the lead syzygy of (i, b) is (m / m') times that of (k, b) plus
+    (m / lcm(i, k)) times that of the earlier pair (i, k); in Schreyer's
+    order its lead, (m / lead(b)) * e_b, is a multiple of that of (k, b)."""
     divmask = packing.divmask
     lcms = {
         i: packing.term(b.slot, tuple(map(max, a.exps, b.exps)))
@@ -550,7 +551,7 @@ def _new_pairs(earlier: list[_Prepared], b: _Prepared,
     for i, lcm in lcms.items():
         if not any(m != lcm and not (lcm - m) & divmask for m in distinct):
             kept.setdefault(lcm, i)
-    return lcms, kept
+    return kept
 
 
 def _extent(module: FreeModule, rows: list[Row]) -> int:
@@ -621,24 +622,21 @@ class GroebnerBasis:
     Mora, Niesi, Robbiano & Traverso 1991, "One sugar cube, please").  The
     order in which pairs are reduced does not change the reduced basis.
 
-    Pairs form only between leads in one slot, and the Gebauer–Möller
-    update (Gebauer & Möller 1988, after Buchberger's 1979 chain criterion)
-    prunes them as each element b is appended:
-    - B drops a queued pair (i, j) when lead(b) divides lcm(i, j) and both
-      lcm(i, b) and lcm(j, b) differ from it;
+    Pairs form only between leads in one slot, and as each element b is
+    appended two criteria of Gebauer & Möller (1988) choose its new pairs
+    (`_new_pairs`), the same rule `_schreyer_lifts` lifts by:
     - M drops a new pair (i, b) when another new pair's lcm properly
       divides lcm(i, b);
     - F keeps one new pair per lcm.
-    Queued pairs live in `_queued`, (i, j) -> lcm term, beside
-    the heap of (degree of lcm, -lcm, i, j); a popped pair no longer in it
-    was pruned and is skipped.
+    The heap `_pairs` holds (degree of lcm, -lcm, i, j), and every pair
+    pushed is reduced when popped.
 
-    The packing is sized from the data and widened (every row, queued lcm
-    and the pair heap repacked) when an input term or a queued lcm is above
-    its capacity.  A division never creates a term above the degree of the
-    term it reduces, and an S-vector none above its lcm: in a graded order
-    that is so, and under a block split, which takes homogeneous rows only
-    (`_extent`), every row and S-vector is homogeneous.
+    The packing is sized from the data and widened (every row and the lcm
+    of every queued pair repacked) when an input term or a queued lcm is
+    above its capacity.  A division never creates a term above the degree
+    of the term it reduces, and an S-vector none above its lcm: in a graded
+    order that is so, and under a block split, which takes homogeneous rows
+    only (`_extent`), every row and S-vector is homogeneous.
     """
 
     def __init__(self, module: FreeModule, gens=()):
@@ -646,7 +644,6 @@ class GroebnerBasis:
         self.basis: list[_Prepared] = []
         self._divisors: list[list[_Prepared]] = _by_slot([], module.rank)
         self._pairs: list[tuple[int, int, int, int]] = []
-        self._queued: dict[tuple[int, int], int] = {}
         self._packing: _Packing | None = None
         self._rows: tuple[Row, ...] | None = None
         self._elements: tuple[Vector, ...] | None = None
@@ -676,13 +673,13 @@ class GroebnerBasis:
         if not gens:
             return False
         self._fit(_extent(self.module, gens))
-        settled = len(self.basis)
+        size = len(self.basis)
         for g in gens:
             self._reduce_and_append(self._packing.row(g))
-        if len(self.basis) == settled:
+        if len(self.basis) == size:
             return False
         self._close()
-        self._interreduce(settled)
+        self._interreduce()
         self._changed()
         return True
 
@@ -716,9 +713,9 @@ class GroebnerBasis:
             self._widen(_Packing(self.module, degree))
 
     def _widen(self, new: _Packing) -> None:
-        """Repack every row and queued lcm into `new`, and rebuild the pair
-        heap on the same keys: a term's degree does not depend on the
-        packing."""
+        """Repack every row and the lcm of every queued pair into `new`: a
+        term's degree does not depend on the packing, nor does the order of
+        two terms, so each heap entry keeps its place."""
         old, self._packing = self._packing, new
 
         def move(code: int) -> int:
@@ -726,9 +723,7 @@ class GroebnerBasis:
 
         self.basis = [_Prepared({move(k): c for k, c in b.row.items()}, new) for b in self.basis]
         self._divisors = _by_slot(self.basis, self.module.rank)
-        self._queued = {pair: move(lcm) for pair, lcm in self._queued.items()}
-        self._pairs = [(new.degree(lcm), -lcm, i, j) for (i, j), lcm in self._queued.items()]
-        heapq.heapify(self._pairs)
+        self._pairs = [(d, -move(-negated), i, j) for d, negated, i, j in self._pairs]
 
     def _close(self, degree: int | None = None) -> None:
         """Reduce the S-vectors of the queued pairs by the degree of their
@@ -736,8 +731,7 @@ class GroebnerBasis:
         whose lcm has degree at most `degree`, the first ones popped."""
         while self._pairs and (degree is None or self._pairs[0][0] <= degree):
             _, _, i, j = heapq.heappop(self._pairs)
-            if self._queued.pop((i, j), None) is not None:
-                self._reduce_and_append(self._spoly(i, j))
+            self._reduce_and_append(self._spoly(i, j))
 
     def _remainder(self, row: dict[int, int]) -> tuple[int, dict[int, int]]:
         """(scale, remainder) of the packed row divided by the basis."""
@@ -764,38 +758,27 @@ class GroebnerBasis:
         if not rem:
             return
         b = self._primitive(rem)
-        packing, basis, queued = self._packing, self.basis, self._queued
-        divmask = packing.divmask
-        slot, lead, t = b.slot, b.lead, len(basis)
-        lcms, kept = _new_pairs(basis, b, packing)
-        # B: b links i and j by two pairs whose lcms properly divide lcm(i, j)
-        for pair in [
-            (i, j)
-            for (i, j), lcm in queued.items()
-            if not (lcm - lead) & divmask and lcms[i] != lcm and lcms[j] != lcm
-        ]:
-            del queued[pair]
+        packing, t = self._packing, len(self.basis)
+        kept = _new_pairs(self.basis, b, packing)
         for lcm, i in kept.items():
-            queued[(i, t)] = lcm
             heapq.heappush(self._pairs, (packing.degree(lcm), -lcm, i, t))
-        basis.append(b)
-        self._divisors[slot].append(b)
+        self.basis.append(b)
+        self._divisors[b.slot].append(b)
         if kept:
             self._fit(max(map(packing.degree, kept)))
 
-    def _interreduce(self, settled: int) -> None:
+    def _interreduce(self) -> None:
         """Reduce the Groebner basis to the reduced basis, sorted by lead
         descending.
 
-        It rests on one invariant.  The first `settled` rows are the
-        reduced basis `add` started from, so no lead among them divides a
-        term of another; each row appended since is the remainder of its
-        division by every row before it, so no earlier lead divides any of
-        its terms.  A lead that divides a term of row i is therefore the
-        lead of a row appended after i and after the settled rows, and only
-        those leads are checked, each term against those in its own slot
-        as in a division (a tail term can lie in another slot than its
-        row's lead).
+        It rests on one invariant: no lead divides a term of an earlier
+        row.  The rows `add` started from are a reduced basis, so no lead
+        among them divides a term of another, and each row appended since
+        is the remainder of its division by every row before it.  A lead
+        that divides a term of row i is therefore the lead of a row after
+        i, and only those leads are checked, each term against those in
+        its own slot as in a division (a tail term can lie in another slot
+        than its row's lead).
 
         First drop every row whose lead such a later lead divides: leads
         are distinct, and those kept are the minimal ones.  Then divide the
@@ -808,13 +791,12 @@ class GroebnerBasis:
         later: list[list[int]] = [[] for _ in range(self.module.rank)]
         kept: list[_Prepared] = []
         stale: set[_Prepared] = set()
-        for i, b in reversed(list(enumerate(self.basis))):
+        for b in reversed(self.basis):
             if not any(not (b.lead - a) & divmask for a in later[b.slot]):
                 kept.append(b)
                 if any(not (k - a) & divmask for k, _ in b.tail for a in later[k & slot_mask]):
                     stale.add(b)
-            if i >= settled:
-                later[b.slot].append(b.lead)
+            later[b.slot].append(b.lead)
         kept.sort(key=lambda b: b.lead)
         self.basis = kept
         self._divisors = _by_slot(kept, self.module.rank)
@@ -853,9 +835,9 @@ def _schreyer_lifts(module: FreeModule, syz_module: FreeModule,
     reductions (Schreyer; Eisenbud, Commutative Algebra, 15.10), or None
     when the S-vectors show that gens are not a Groebner basis.
 
-    The pairs (i, j), i < j, are those Buchberger's loop would queue as it
-    appends g_j: leads in one slot, kept by criteria M and F (`_new_pairs`),
-    never pruned by B.  Each S-vector ma x^ga g_i - mb x^gb g_j is divided
+    The pairs (i, j), i < j, are those Buchberger's loop queues and reduces
+    as it appends g_j: leads in one slot, kept by criteria M and F
+    (`_new_pairs`).  Each S-vector ma x^ga g_i - mb x^gb g_j is divided
     by gens with its quotients (`_divide`); the first nonzero remainder
     ends the search with None.  A zero remainder gives the lift
 
@@ -876,7 +858,7 @@ def _schreyer_lifts(module: FreeModule, syz_module: FreeModule,
     key = (syz_module.shifts, syz_module.order.weights)
     lifts = []
     for j, b in enumerate(prepared):
-        for lcm, i in _new_pairs(prepared[:j], b, packing)[1].items():
+        for lcm, i in _new_pairs(prepared[:j], b, packing).items():
             ma, ga, mb, gb, s = _s_vector(prepared[i], b, lcm)
             scale, quotients, rem = _divide(s, divisors, packing, want_quotients=True)
             if rem:

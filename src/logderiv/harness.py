@@ -40,6 +40,10 @@ from .resolution import (
 )
 
 MAX_TOTAL_WEIGHTED_DEGREE = 12
+# the cap on `verify --max-vars`: an instance's cost grows with its number
+# of variables, about 0.4 s for 10 instances in 12 variables at the degree
+# cap, but past a minute for 25 in 24 variables
+MAX_VARS = 12
 # the annihilator/pole and resolution-independence checks are heavier, so
 # they run on every HEAVY_EVERY-th instance
 HEAVY_EVERY = 10

@@ -504,6 +504,29 @@ def test_harness_degrees_above_the_cap_are_usage_errors(capsys, monkeypatch, deg
         f"degree, got {degree}" in err
 
 
+@pytest.mark.parametrize("nvars", ["13", "100000000000"], ids=["13", "huge"])
+def test_harness_variable_counts_above_the_cap_are_usage_errors(capsys, monkeypatch, nvars):
+    # no instance is drawn: 25 in 60 variables take 17 s, and more run on
+    def unreachable(*args):
+        raise AssertionError("an instance was drawn past the harness's variable cap")
+
+    monkeypatch.setattr(harness, "random_instance", unreachable)
+    code, out, err = run(capsys, "verify", "--random", "2", "--max-vars", nvars)
+    assert (code, out) == (2, "")
+    assert f"--max-vars must be >= 2 and <= 12, got {nvars}" in err
+
+
+def test_the_variable_cap_itself_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--random", "5", "--max-vars", "12",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"]
+    counts = [c["rhs"] for inst in report["instances"] for c in inst["claims"]
+              if c["claim"] == "alternating rank sum equals the variable count"]
+    assert len(counts) == 5 and max(counts) > 3
+
+
 def test_degree_caps_themselves_are_accepted(capsys):
     code, out, _ = run(capsys, "chi", "x*y", "--vars", "x,y", "--dmax", "1000",
                        "--format", "json")

@@ -1500,6 +1500,45 @@ def test_schreyer_lifts_equal_the_block_split_on_seeded_groebner_bases(monkeypat
     assert lifted_at[1] == ["draw"] * 24
 
 
+def test_buchberger_reduces_exactly_the_pairs_the_lifts_lift(monkeypatch):
+    # one pair rule: on a reduced Groebner basis, each generator is its own
+    # remainder, so Buchberger's loop appends them in order and reduces the
+    # S-vector of every pair that `_new_pairs` keeps, as the lifts do; a
+    # pair is named by its two leads, (slot, exponents) each
+    import logderiv.groebner as groebner
+    from logderiv.derivmod import FactoredPolynomial
+    from logderiv.homog import _homogenize_basis
+    from test_derivmod import homogenize_draws
+
+    engine = groebner.GroebnerBasis
+    spoly, s_vector = engine._spoly, groebner._s_vector
+    reduced, lifted = [], []
+
+    def recording_spoly(self, i, j):
+        a, b = self.basis[i], self.basis[j]
+        reduced.append(((a.slot, a.exps), (b.slot, b.exps)))
+        return spoly(self, i, j)
+
+    def recording_s_vector(a, b, lcm):
+        lifted.append(((a.slot, a.exps), (b.slot, b.exps)))
+        return s_vector(a, b, lcm)
+
+    for p in homogenize_draws(0, 24):
+        mod = LogModule.of(FactoredPolynomial.single(p), GradedContext.standard(3))
+        module, rows = _homogenize_basis(mod.module, mod.gens)
+        reduced.clear()
+        lifted.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_spoly", recording_spoly)
+            assert list(buchberger(module, rows).rows) == rows
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_s_vector", recording_s_vector)
+            syz_module = FreeModule(module.nvars, tuple(vector_degree(module, r) for r in rows),
+                                    module.order)
+            assert groebner._schreyer_lifts(module, syz_module, rows)
+        assert lifted and sorted(reduced) == sorted(lifted)
+
+
 def test_a_homogeneous_set_that_is_no_groebner_basis_takes_the_block_split(
         monkeypatch, lifted, bases_built):
     # the S-vector y * (x^2 + y^2) - x * (x*y) = y^3 has no lead to divide
